@@ -37,7 +37,7 @@ pub mod store;
 pub mod view;
 
 pub use control::ControlPlane;
-pub use metalog::{MetaLog, MetaRecord, MetaReplay, MetaState, MetaUnit, PendingHandover};
+pub use metalog::{MetaLog, MetaRecord, MetaState, MetaUnit, PendingHandover};
 pub use ring::{fnv1a, HashRing, ShardId};
 pub use scenario::{
     builtin_churn_specs, run_churn_scenario, run_churn_scenario_observed, ChurnReport, ChurnSpec,

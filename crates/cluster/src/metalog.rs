@@ -5,11 +5,12 @@
 //! [`MembershipView`], handover dual overrides, and per-shard placement
 //! keys — as plain in-memory maps, so a full cluster restart could replay
 //! every per-shard WAL and still not know *where anything lives*. The
-//! metalog closes that gap with the same machinery the shard stores use:
-//! each record is framed by [`rain_storage::write_frame`] (length +
-//! header/payload CRCs) on any [`LogBackend`], so a torn tail at the end of
-//! the file is tolerated and cut, while damage anywhere else is an honest
-//! [`WalError::Corrupt`].
+//! metalog closes that gap with the shard stores' own log: [`MetaLog`] is
+//! the storage crate's [`RecordLog`] over [`MetaRecord`]s, so framing,
+//! torn-tail tolerance, counters and checkpoint retention are the shard
+//! WAL's code, and damage anywhere but the tail is an honest
+//! [`rain_storage::WalError::Corrupt`]. This module only defines the
+//! records (tags 1–9) and folds a replay into control state.
 //!
 //! ## Record ordering discipline
 //!
@@ -32,14 +33,14 @@
 //! state, and a prepare with no matching commit rolls back exactly like
 //! [`crate::ClusterStore::abort_handover`].
 //!
-//! [`MetaRecord::Checkpoint`] snapshots the whole control state; retention
-//! is two checkpoints deep, mirroring the shard stores: the prefix before
-//! the *previous* checkpoint is dropped, so a torn newest checkpoint falls
+//! [`MetaRecord::Checkpoint`] snapshots the whole control state. The log
+//! keeps two, as it does for the shard stores: the prefix before the
+//! *previous* checkpoint is dropped, so a torn newest checkpoint falls
 //! back to a complete older one.
 
 use std::collections::BTreeMap;
 
-use rain_storage::{scan_frames, write_frame, GroupId, LogBackend, WalError};
+use rain_storage::{FieldReader, FieldWriter, GroupId, LogRecord, RecordLog};
 
 use crate::ring::ShardId;
 use crate::view::MembershipView;
@@ -161,100 +162,49 @@ const TAG_CHECKPOINT: u8 = 9;
 const UNIT_GROUP: u8 = 0;
 const UNIT_WHOLE: u8 = 1;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
+/// The cluster's control-state write-ahead log, on any
+/// [`rain_storage::LogBackend`] — typically a [`rain_storage::FileLog`]
+/// (single-file or segmented) under a real cluster, a
+/// [`rain_storage::MemLog`] in tests.
+pub type MetaLog = RecordLog<MetaRecord>;
 
-fn put_shards(out: &mut Vec<u8>, shards: &[ShardId]) {
-    out.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-    for &s in shards {
-        out.extend_from_slice(&(s as u64).to_le_bytes());
-    }
-}
+impl LogRecord for MetaRecord {
+    type View<'a> = &'a MetaRecord;
 
-/// Sequential reader over a record payload; every getter returns `None` on
-/// underrun so a damaged payload surfaces as a decode failure, never a
-/// panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.buf.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
+    fn view(&self) -> &MetaRecord {
+        self
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn shard(&mut self) -> Option<ShardId> {
-        usize::try_from(self.u64()?).ok()
-    }
-
-    fn shards(&mut self) -> Option<Vec<ShardId>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            out.push(self.shard()?);
-        }
-        Some(out)
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-impl MetaRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
+    fn encode(record: &MetaRecord, out: &mut Vec<u8>) {
+        match record {
             MetaRecord::ViewCommit {
                 epoch,
                 members,
                 vnodes,
             } => {
                 out.push(TAG_VIEW_COMMIT);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&(*vnodes as u64).to_le_bytes());
-                put_shards(out, members);
+                out.write_u64(*epoch);
+                out.write_usize(*vnodes);
+                out.write_list(members, |out, &s| out.write_usize(s));
             }
             MetaRecord::DirPut { key, shard } => {
                 out.push(TAG_DIR_PUT);
-                out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                put_str(out, key);
+                out.write_usize(*shard);
+                out.write_str(key);
             }
             MetaRecord::DirDel { key } => {
                 out.push(TAG_DIR_DEL);
-                put_str(out, key);
+                out.write_str(key);
             }
             MetaRecord::PkeyAssign { shard, gid, pkey } => {
                 out.push(TAG_PKEY_ASSIGN);
-                out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                out.extend_from_slice(&gid.to_le_bytes());
-                put_str(out, pkey);
+                out.write_usize(*shard);
+                out.write_u64(*gid);
+                out.write_str(pkey);
             }
             MetaRecord::HandoverPrepare { members } => {
                 out.push(TAG_HANDOVER_PREPARE);
-                put_shards(out, members);
+                out.write_list(members, |out, &s| out.write_usize(s));
             }
             MetaRecord::UnitLanded {
                 from,
@@ -263,28 +213,25 @@ impl MetaRecord {
                 members,
             } => {
                 out.push(TAG_UNIT_LANDED);
-                out.extend_from_slice(&(*from as u64).to_le_bytes());
-                out.extend_from_slice(&(*to as u64).to_le_bytes());
+                out.write_usize(*from);
+                out.write_usize(*to);
                 match unit {
                     MetaUnit::Group { gid, new_gid } => {
                         out.push(UNIT_GROUP);
-                        out.extend_from_slice(&gid.to_le_bytes());
-                        out.extend_from_slice(&new_gid.to_le_bytes());
+                        out.write_u64(*gid);
+                        out.write_u64(*new_gid);
                     }
                     MetaUnit::Whole { name } => {
                         out.push(UNIT_WHOLE);
-                        put_str(out, name);
+                        out.write_str(name);
                     }
                 }
-                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-                for m in members {
-                    put_str(out, m);
-                }
+                out.write_list(members, |out, m| out.write_str(m));
             }
             MetaRecord::DualOverride { key, shard } => {
                 out.push(TAG_DUAL_OVERRIDE);
-                out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                put_str(out, key);
+                out.write_usize(*shard);
+                out.write_str(key);
             }
             MetaRecord::HandoverAbort => out.push(TAG_HANDOVER_ABORT),
             MetaRecord::Checkpoint {
@@ -295,233 +242,76 @@ impl MetaRecord {
                 pkeys,
             } => {
                 out.push(TAG_CHECKPOINT);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&(*vnodes as u64).to_le_bytes());
-                put_shards(out, members);
-                out.extend_from_slice(&(directory.len() as u32).to_le_bytes());
-                for (key, shard) in directory {
-                    out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                    put_str(out, key);
-                }
-                out.extend_from_slice(&(pkeys.len() as u32).to_le_bytes());
-                for (shard, gid, pkey) in pkeys {
-                    out.extend_from_slice(&(*shard as u64).to_le_bytes());
-                    out.extend_from_slice(&gid.to_le_bytes());
-                    put_str(out, pkey);
-                }
+                out.write_u64(*epoch);
+                out.write_usize(*vnodes);
+                out.write_list(members, |out, &s| out.write_usize(s));
+                out.write_list(directory, |out, (key, shard)| {
+                    out.write_usize(*shard);
+                    out.write_str(key);
+                });
+                out.write_list(pkeys, |out, (shard, gid, pkey)| {
+                    out.write_usize(*shard);
+                    out.write_u64(*gid);
+                    out.write_str(pkey);
+                });
             }
         }
     }
 
-    fn decode(payload: &[u8]) -> Option<MetaRecord> {
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
-        };
-        let record = match c.u8()? {
-            TAG_VIEW_COMMIT => {
-                let epoch = c.u64()?;
-                let vnodes = usize::try_from(c.u64()?).ok()?;
-                let members = c.shards()?;
-                MetaRecord::ViewCommit {
-                    epoch,
-                    members,
-                    vnodes,
-                }
-            }
+    fn decode(c: &mut FieldReader<'_>) -> Option<MetaRecord> {
+        Some(match c.u8()? {
+            TAG_VIEW_COMMIT => MetaRecord::ViewCommit {
+                epoch: c.u64()?,
+                vnodes: c.usize()?,
+                members: c.list(FieldReader::usize)?,
+            },
             TAG_DIR_PUT => MetaRecord::DirPut {
-                shard: c.shard()?,
+                shard: c.usize()?,
                 key: c.str()?,
             },
             TAG_DIR_DEL => MetaRecord::DirDel { key: c.str()? },
             TAG_PKEY_ASSIGN => MetaRecord::PkeyAssign {
-                shard: c.shard()?,
+                shard: c.usize()?,
                 gid: c.u64()?,
                 pkey: c.str()?,
             },
             TAG_HANDOVER_PREPARE => MetaRecord::HandoverPrepare {
-                members: c.shards()?,
+                members: c.list(FieldReader::usize)?,
             },
-            TAG_UNIT_LANDED => {
-                let from = c.shard()?;
-                let to = c.shard()?;
-                let unit = match c.u8()? {
+            TAG_UNIT_LANDED => MetaRecord::UnitLanded {
+                from: c.usize()?,
+                to: c.usize()?,
+                unit: match c.u8()? {
                     UNIT_GROUP => MetaUnit::Group {
                         gid: c.u64()?,
                         new_gid: c.u64()?,
                     },
                     UNIT_WHOLE => MetaUnit::Whole { name: c.str()? },
                     _ => return None,
-                };
-                let n = c.u32()? as usize;
-                let mut members = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    members.push(c.str()?);
-                }
-                MetaRecord::UnitLanded {
-                    from,
-                    to,
-                    unit,
-                    members,
-                }
-            }
+                },
+                members: c.list(FieldReader::str)?,
+            },
             TAG_DUAL_OVERRIDE => MetaRecord::DualOverride {
-                shard: c.shard()?,
+                shard: c.usize()?,
                 key: c.str()?,
             },
             TAG_HANDOVER_ABORT => MetaRecord::HandoverAbort,
-            TAG_CHECKPOINT => {
-                let epoch = c.u64()?;
-                let vnodes = usize::try_from(c.u64()?).ok()?;
-                let members = c.shards()?;
-                let n = c.u32()? as usize;
-                let mut directory = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let shard = c.shard()?;
-                    directory.push((c.str()?, shard));
-                }
-                let n = c.u32()? as usize;
-                let mut pkeys = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let shard = c.shard()?;
-                    let gid = c.u64()?;
-                    pkeys.push((shard, gid, c.str()?));
-                }
-                MetaRecord::Checkpoint {
-                    epoch,
-                    members,
-                    vnodes,
-                    directory,
-                    pkeys,
-                }
-            }
+            TAG_CHECKPOINT => MetaRecord::Checkpoint {
+                epoch: c.u64()?,
+                vnodes: c.usize()?,
+                members: c.list(FieldReader::usize)?,
+                directory: c.list(|c| {
+                    let shard = c.usize()?;
+                    Some((c.str()?, shard))
+                })?,
+                pkeys: c.list(|c| Some((c.usize()?, c.u64()?, c.str()?)))?,
+            },
             _ => return None,
-        };
-        c.finished().then_some(record)
-    }
-}
-
-/// What [`MetaLog::replay`] found on disk.
-#[derive(Debug)]
-pub struct MetaReplay {
-    /// The decoded records, in log order, with their byte offsets.
-    pub records: Vec<(usize, MetaRecord)>,
-    /// True if the log ended in a partial frame (cut before reuse).
-    pub torn_tail: bool,
-    /// Bytes consumed by the complete frames.
-    pub bytes_replayed: usize,
-}
-
-/// The cluster's control-state write-ahead log.
-///
-/// Thin framing/codec layer over any [`LogBackend`] — typically a
-/// [`rain_storage::FileLog`] (single-file or segmented) under a real
-/// cluster, a [`rain_storage::MemLog`] in tests.
-#[derive(Debug)]
-pub struct MetaLog {
-    backend: Box<dyn LogBackend>,
-    frame: Vec<u8>,
-    /// Records appended through this handle.
-    appended: u64,
-    /// Records appended since the newest checkpoint record.
-    since_ckpt: u64,
-    /// Byte offset of the newest checkpoint; the *next* checkpoint drops
-    /// the prefix before this one (two-checkpoint retention).
-    ckpt_offset: Option<u64>,
-    /// The log's current logical length — tracked so appends never have to
-    /// re-read the backend. [`MetaLog::replay`] resynchronises it.
-    len: u64,
-}
-
-impl MetaLog {
-    /// Wrap a backend. The log's existing contents are left untouched;
-    /// replay them first when restarting (see [`MetaLog::replay`]).
-    pub fn new(backend: Box<dyn LogBackend>) -> Self {
-        MetaLog {
-            backend,
-            frame: Vec::new(),
-            appended: 0,
-            since_ckpt: 0,
-            ckpt_offset: None,
-            len: 0,
-        }
-    }
-
-    /// Append one record (framed, checksummed). Durability follows the
-    /// backend's fsync policy, exactly as shard WAL appends do.
-    pub fn append(&mut self, record: &MetaRecord) -> Result<(), WalError> {
-        self.frame.clear();
-        let mut payload = Vec::new();
-        record.encode(&mut payload);
-        let offset = self.len;
-        write_frame(&mut self.frame, &payload);
-        self.backend.append(&self.frame)?;
-        self.len += self.frame.len() as u64;
-        self.appended += 1;
-        if matches!(record, MetaRecord::Checkpoint { .. }) {
-            let prev = self.ckpt_offset.replace(offset);
-            self.since_ckpt = 0;
-            if let Some(prev) = prev {
-                // Two-checkpoint retention: everything before the
-                // *previous* checkpoint is dead weight. O(1) whole-segment
-                // deletion on a segmented backend.
-                self.backend.drop_prefix(prev as usize)?;
-                self.len -= prev;
-                if let Some(off) = &mut self.ckpt_offset {
-                    *off -= prev;
-                }
-            }
-        } else {
-            self.since_ckpt += 1;
-        }
-        Ok(())
-    }
-
-    /// Force pending appends durable (group commit).
-    pub fn sync(&mut self) -> Result<(), WalError> {
-        self.backend.sync()
-    }
-
-    /// Advance the backend's virtual clock (interval fsync policies).
-    pub fn advance_clock(&mut self, by: rain_sim::SimDuration) -> Result<(), WalError> {
-        self.backend.advance_clock(by)
-    }
-
-    /// Records appended through this handle.
-    pub fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Records appended since the newest checkpoint.
-    pub fn since_checkpoint(&self) -> u64 {
-        self.since_ckpt
-    }
-
-    /// Decode every complete frame, tolerating a torn final frame only,
-    /// and cut the torn tail so post-recovery appends extend a clean log.
-    /// A checksum-valid frame that does not decode is corruption, not a
-    /// torn tail.
-    pub fn replay(&mut self) -> Result<MetaReplay, WalError> {
-        let buf = self.backend.contents()?;
-        let scan = scan_frames(&buf)?;
-        let mut records = Vec::with_capacity(scan.frames.len());
-        for (offset, payload) in &scan.frames {
-            let record = MetaRecord::decode(&buf[payload.clone()])
-                .ok_or(WalError::Corrupt { offset: *offset })?;
-            if matches!(record, MetaRecord::Checkpoint { .. }) {
-                self.ckpt_offset = Some(*offset as u64);
-            }
-            records.push((*offset, record));
-        }
-        if scan.torn_tail {
-            self.backend.truncate(scan.bytes_scanned)?;
-        }
-        self.len = scan.bytes_scanned as u64;
-        Ok(MetaReplay {
-            records,
-            torn_tail: scan.torn_tail,
-            bytes_replayed: scan.bytes_scanned,
         })
+    }
+
+    fn is_checkpoint(record: &MetaRecord) -> bool {
+        matches!(record, MetaRecord::Checkpoint { .. })
     }
 }
 
@@ -560,9 +350,9 @@ impl MetaState {
     /// [`crate::ClusterStore::commit_handover`] would have — a crash after
     /// the commit record but before the in-memory mutations redoes them
     /// deterministically.
-    pub fn fold(records: &[(usize, MetaRecord)]) -> MetaState {
+    pub fn fold(records: &[MetaRecord]) -> MetaState {
         let mut st = MetaState::default();
-        for (_, record) in records {
+        for record in records {
             match record {
                 MetaRecord::Checkpoint {
                     epoch,
@@ -624,20 +414,28 @@ impl MetaState {
                     }
                 }
                 MetaRecord::HandoverAbort => {
-                    // Rollback needs no directory change: the committed
-                    // view stayed authoritative, and the stray copies the
-                    // transition created are swept at the shard level.
-                    if let Some(p) = st.pending.take() {
-                        for (_, to, unit, _) in &p.landed {
-                            if let MetaUnit::Group { new_gid, .. } = unit {
-                                st.pkeys.remove(&(*to, *new_gid));
-                            }
-                        }
-                    }
+                    st.abort_pending();
                 }
             }
         }
         st
+    }
+
+    /// Roll back the pending handover, if any, and say whether there was
+    /// one. Only the placement keys its landed groups got at their
+    /// destinations go: the committed view stayed authoritative, so the
+    /// directory never repointed, and the stray copies the transition
+    /// created are swept at the shard level.
+    pub fn abort_pending(&mut self) -> bool {
+        let Some(p) = self.pending.take() else {
+            return false;
+        };
+        for (_, to, unit, _) in &p.landed {
+            if let MetaUnit::Group { new_gid, .. } = unit {
+                self.pkeys.remove(&(*to, *new_gid));
+            }
+        }
+        true
     }
 
     /// Redo the cutover a `ViewCommit` record authorised: landed units'
@@ -666,7 +464,7 @@ impl MetaState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rain_storage::MemLog;
+    use rain_storage::{LogBackend, MemLog};
 
     fn sample_records() -> Vec<MetaRecord> {
         vec![
@@ -715,26 +513,42 @@ mod tests {
     fn every_record_round_trips_through_the_codec() {
         for record in sample_records() {
             let mut payload = Vec::new();
-            record.encode(&mut payload);
-            assert_eq!(MetaRecord::decode(&payload), Some(record));
+            MetaRecord::encode(&record, &mut payload);
+            assert_eq!(MetaRecord::from_payload(&payload), Some(record));
         }
     }
 
     #[test]
     fn replay_returns_what_was_appended_and_cuts_a_torn_tail() {
-        let mut log = MetaLog::new(Box::new(MemLog::new()));
+        let mut log = MetaLog::in_memory();
         for record in sample_records() {
             log.append(&record).unwrap();
         }
         let replay = log.replay().unwrap();
         assert!(!replay.torn_tail);
-        let got: Vec<MetaRecord> = replay.records.into_iter().map(|(_, r)| r).collect();
-        assert_eq!(got, sample_records());
+        assert_eq!(replay.records, sample_records());
+
+        // A partial frame at the tail: replay stops before it, and resuming
+        // cuts it so the next append extends a clean log.
+        let mut torn = log.contents().unwrap();
+        torn.extend_from_slice(&[0x55, 0xAA, 0x01]);
+        let mut backend = MemLog::new();
+        backend.append(&torn).unwrap();
+        let mut log = MetaLog::new(Box::new(backend));
+        let replay = log.replay().unwrap();
+        assert!(replay.torn_tail);
+        assert_eq!(replay.records, sample_records());
+        log.resume(&replay, replay.newest_checkpoint()).unwrap();
+        assert_eq!(log.since_checkpoint(), 0, "the last sample is a checkpoint");
+        log.append(&MetaRecord::HandoverAbort).unwrap();
+        let replay = log.replay().unwrap();
+        assert!(!replay.torn_tail);
+        assert_eq!(replay.records.last(), Some(&MetaRecord::HandoverAbort));
     }
 
     #[test]
     fn fold_applies_commit_and_rolls_back_unfinished_handovers() {
-        let records: Vec<(usize, MetaRecord)> = vec![
+        let records = vec![
             MetaRecord::ViewCommit {
                 epoch: 1,
                 members: vec![0, 1],
@@ -758,10 +572,7 @@ mod tests {
                 members: vec![0, 1, 2],
                 vnodes: 8,
             },
-        ]
-        .into_iter()
-        .enumerate()
-        .collect();
+        ];
         let st = MetaState::fold(&records);
         assert_eq!(st.view.as_ref().unwrap().epoch(), 2);
         assert_eq!(st.directory.get("k"), Some(&2), "commit repoints");
@@ -778,7 +589,7 @@ mod tests {
 
     #[test]
     fn a_checkpoint_resets_state_and_drops_the_stale_prefix() {
-        let mut log = MetaLog::new(Box::new(MemLog::new()));
+        let mut log = MetaLog::in_memory();
         log.append(&MetaRecord::ViewCommit {
             epoch: 1,
             members: vec![0],
@@ -805,7 +616,7 @@ mod tests {
         // a checkpoint and still reconstructs every key.
         let replay = log.replay().unwrap();
         assert!(
-            matches!(replay.records[0].1, MetaRecord::Checkpoint { .. }),
+            matches!(replay.records[0], MetaRecord::Checkpoint { .. }),
             "pre-checkpoint records must have been dropped"
         );
         let st = MetaState::fold(&replay.records);

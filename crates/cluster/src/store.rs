@@ -315,25 +315,10 @@ impl ClusterStore {
         vnodes: usize,
         wal_dir: Option<std::path::PathBuf>,
     ) -> Result<Self, ClusterError> {
-        let mut cluster = ClusterStore {
-            spec,
-            config,
-            shards: BTreeMap::new(),
-            up: BTreeMap::new(),
-            view: MembershipView::genesis(members, vnodes),
-            directory: HashMap::new(),
-            pkeys: HashMap::new(),
-            handover: None,
-            stats: ClusterStats::default(),
-            recorder: Recorder::disabled(),
-            registry: None,
-            clock: None,
-            wal_dir,
-            meta: None,
-            pending_replan: false,
-        };
+        let view = MembershipView::genesis(members, vnodes);
+        let mut cluster = Self::bare(spec, config, view, wal_dir);
         if cluster.wal_dir.is_some() {
-            let mut meta = MetaLog::new(cluster.open_meta_backend()?);
+            let mut meta = MetaLog::new(cluster.open_log("cluster.meta")?);
             // The genesis view is the first committed fact: a restart must
             // know the member set and vnode count before anything else.
             meta.append(&MetaRecord::ViewCommit {
@@ -350,47 +335,51 @@ impl ClusterStore {
         Ok(cluster)
     }
 
-    /// Open the metalog's backing log in the WAL directory: the single
-    /// file `cluster.meta`, or a `cluster.meta.d/` segment directory when
-    /// [`GroupConfig::segment_bytes`] asks for O(1) truncation.
-    fn open_meta_backend(&self) -> Result<Box<dyn rain_storage::LogBackend>, ClusterError> {
+    /// A cluster with `view` and no shards, directory or metalog yet.
+    fn bare(
+        spec: CodeSpec,
+        config: GroupConfig,
+        view: MembershipView,
+        wal_dir: Option<std::path::PathBuf>,
+    ) -> Self {
+        ClusterStore {
+            spec,
+            config,
+            shards: BTreeMap::new(),
+            up: BTreeMap::new(),
+            view,
+            directory: HashMap::new(),
+            pkeys: HashMap::new(),
+            handover: None,
+            stats: ClusterStats::default(),
+            recorder: Recorder::disabled(),
+            registry: None,
+            clock: None,
+            wal_dir,
+            meta: None,
+            pending_replan: false,
+        }
+    }
+
+    /// Open (creating if absent) the log `name` in the WAL directory: the
+    /// file `name`, or the segment directory `name.d` when
+    /// [`GroupConfig::segment_bytes`] asks for O(1) truncation. The
+    /// metalog is `cluster.meta`, shard `s`'s WAL `shard-<s>.wal`.
+    fn open_log(&self, name: &str) -> Result<Box<FileLog>, ClusterError> {
         let dir = self.wal_dir.as_ref().expect("caller checked wal_dir");
-        let log = if self.config.segment_bytes > 0 {
-            FileLog::open_segmented(
-                dir.join("cluster.meta.d"),
-                self.config.fsync,
-                self.config.segment_bytes,
-            )
+        let (fsync, segment_bytes) = (self.config.fsync, self.config.segment_bytes);
+        if segment_bytes > 0 {
+            FileLog::open_segmented(dir.join(format!("{name}.d")), fsync, segment_bytes)
         } else {
-            FileLog::open(dir.join("cluster.meta"), self.config.fsync)
+            FileLog::open(dir.join(name), fsync)
         }
-        .map_err(wal_err)?;
-        Ok(Box::new(log))
-    }
-
-    /// The on-disk WAL path for shard `s`, when file-backed: the file
-    /// `shard-<s>.wal`, or the segment directory `shard-<s>.wal.d` when
-    /// [`GroupConfig::segment_bytes`] is non-zero.
-    fn shard_wal_path(&self, s: ShardId) -> Option<std::path::PathBuf> {
-        self.wal_dir.as_ref().map(|d| {
-            if self.config.segment_bytes > 0 {
-                d.join(format!("shard-{s}.wal.d"))
-            } else {
-                d.join(format!("shard-{s}.wal"))
-            }
-        })
-    }
-
-    /// Open (creating if absent) shard `s`'s on-disk log, honouring the
-    /// single-file vs segmented layout choice.
-    fn open_shard_log(&self, s: ShardId) -> Result<FileLog, ClusterError> {
-        let path = self.shard_wal_path(s).expect("caller checked wal_dir");
-        if self.config.segment_bytes > 0 {
-            FileLog::open_segmented(path, self.config.fsync, self.config.segment_bytes)
-        } else {
-            FileLog::open(path, self.config.fsync)
-        }
+        .map(Box::new)
         .map_err(wal_err)
+    }
+
+    /// Open shard `s`'s on-disk WAL.
+    fn open_shard_log(&self, s: ShardId) -> Result<Box<FileLog>, ClusterError> {
+        self.open_log(&format!("shard-{s}.wal"))
     }
 
     fn ensure_shard(&mut self, s: ShardId) -> Result<(), ClusterError> {
@@ -399,8 +388,7 @@ impl ClusterStore {
         }
         let code = build_code(self.spec).map_err(StorageError::from)?;
         let mut store = if self.wal_dir.is_some() {
-            let log = self.open_shard_log(s)?;
-            DistributedStore::with_wal(code, self.config, Box::new(log))
+            DistributedStore::with_wal(code, self.config, self.open_shard_log(s)?)
         } else {
             DistributedStore::with_wal(code, self.config, Box::new(MemLog::new()))
         };
@@ -430,11 +418,10 @@ impl ClusterStore {
         // The returned in-memory WAL handle is dropped on the floor:
         // recovery must read the log back from the filesystem.
         let (nodes, _discarded) = store.crash();
-        let file = self.open_shard_log(s)?;
+        let wal = WriteAheadLog::new(self.open_shard_log(s)?);
         let code = build_code(self.spec).map_err(StorageError::from)?;
-        let (mut rebuilt, report) =
-            DistributedStore::recover(code, self.config, nodes, WriteAheadLog::new(Box::new(file)))
-                .map_err(ClusterError::Storage)?;
+        let (mut rebuilt, report) = DistributedStore::recover(code, self.config, nodes, wal)
+            .map_err(ClusterError::Storage)?;
         if let Some(reg) = &self.registry {
             rebuilt.attach_registry(reg);
         }
@@ -1344,71 +1331,45 @@ impl ClusterStore {
         dir: impl Into<std::path::PathBuf>,
         survivors: ClusterSurvivors,
     ) -> Result<(Self, ClusterRecoveryReport), ClusterError> {
-        let dir = dir.into();
-        let mut cluster = ClusterStore {
-            spec,
-            config,
-            shards: BTreeMap::new(),
-            up: BTreeMap::new(),
-            view: MembershipView::genesis(&[0], 1), // replaced below
-            directory: HashMap::new(),
-            pkeys: HashMap::new(),
-            handover: None,
-            stats: ClusterStats::default(),
-            recorder: Recorder::disabled(),
-            registry: None,
-            clock: None,
-            wal_dir: Some(dir),
-            meta: None,
-            pending_replan: false,
-        };
+        let placeholder = MembershipView::genesis(&[0], 1); // replaced below
+        let mut cluster = Self::bare(spec, config, placeholder, Some(dir.into()));
         // 1. Metalog replay.
-        let mut meta = MetaLog::new(cluster.open_meta_backend()?);
+        let mut meta = MetaLog::new(cluster.open_log("cluster.meta")?);
         let replay = meta.replay().map_err(wal_err)?;
+        // The fold restarts at every checkpoint, so the newest one is where
+        // this replay restarted from; the checkpoint cadence resumes there.
+        meta.resume(&replay, replay.newest_checkpoint())
+            .map_err(wal_err)?;
         let mut report = ClusterRecoveryReport {
             meta_records_replayed: replay.records.len(),
             meta_torn_tail: replay.torn_tail,
             ..ClusterRecoveryReport::default()
         };
-        let state = crate::metalog::MetaState::fold(&replay.records);
-        let Some(view) = state.view else {
+        let mut state = crate::metalog::MetaState::fold(&replay.records);
+        let Some(view) = state.view.take() else {
             return Err(ClusterError::Storage(StorageError::Recovery {
                 reason: "metalog holds no committed view".to_string(),
             }));
         };
-        cluster.view = view;
-        cluster.directory = state.directory.into_iter().collect();
-        cluster.pkeys = state
-            .pkeys
-            .iter()
-            .map(|(&(s, g), p)| ((s, g), p.clone()))
-            .collect();
-        if let Some(pending) = &state.pending {
-            // Prepare without commit: the transition rolls back exactly
-            // like an abort. Imported copies are already invisible (the
-            // directory never repointed) and fall to the sweep below; the
-            // abort record keeps the *next* replay from reconstructing the
-            // same dangling transition.
+        // Prepare without commit: the transition rolls back exactly like
+        // an abort. Imported copies are already invisible (the directory
+        // never repointed) and fall to the sweep below; the abort record
+        // keeps the *next* replay from reconstructing the same dangling
+        // transition.
+        if state.abort_pending() {
             report.handover_rolled_back = true;
-            for (_, to, unit, _) in &pending.landed {
-                if let MetaUnit::Group { new_gid, .. } = unit {
-                    cluster.pkeys.remove(&(*to, *new_gid));
-                }
-            }
             meta.append(&MetaRecord::HandoverAbort).map_err(wal_err)?;
         }
+        cluster.view = view;
+        cluster.directory = state.directory.into_iter().collect();
+        cluster.pkeys = state.pkeys.into_iter().collect();
         cluster.meta = Some(meta);
         // 2. Per-shard replay against the surviving node fabrics.
         for (s, nodes) in survivors.nodes {
-            let file = cluster.open_shard_log(s)?;
+            let wal = WriteAheadLog::new(cluster.open_shard_log(s)?);
             let code = build_code(cluster.spec).map_err(StorageError::from)?;
-            let (store, shard_report) = DistributedStore::recover(
-                code,
-                cluster.config,
-                nodes,
-                WriteAheadLog::new(Box::new(file)),
-            )
-            .map_err(ClusterError::Storage)?;
+            let (store, shard_report) = DistributedStore::recover(code, cluster.config, nodes, wal)
+                .map_err(ClusterError::Storage)?;
             cluster.shards.insert(s, store);
             cluster.up.insert(s, true);
             report.shard_reports.insert(s, shard_report);

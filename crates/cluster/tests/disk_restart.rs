@@ -298,6 +298,46 @@ fn metalog_checkpoints_compact_the_log_and_recover_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cluster that restarts more often than every `checkpoint_every`
+/// metalog records must still checkpoint its metalog: recovery resumes the
+/// records-since-checkpoint count from the log instead of restarting it at
+/// zero, so the replayed suffix stays bounded by two checkpoint intervals
+/// rather than growing with every restart.
+#[test]
+fn frequent_restarts_keep_the_metalog_checkpoint_cadence() {
+    let dir = wal_dir("cadence");
+    let every = 8u64;
+    let config = config()
+        .with_fsync(FsyncPolicy::Always)
+        .with_checkpoint_every(every);
+    let members: Vec<ShardId> = vec![0, 1, 2];
+    let mut cluster = ClusterStore::with_wal_dir(spec(), config, &members, 8, &dir).unwrap();
+    let mut acked = HashMap::new();
+    for round in 0..10u32 {
+        let epoch = cluster.epoch();
+        for i in 0..5u32 {
+            let data = payload(round * 5 + i, 24 + i as usize);
+            let key = format!("obj-{round}-{i}");
+            cluster.store(&key, &data, epoch).unwrap();
+            acked.insert(key, data);
+        }
+        let survivors = cluster.crash();
+        let (recovered, report) =
+            ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+        assert!(
+            report.meta_records_replayed as u64 <= 2 * every + 3,
+            "restart {round} replayed {} metalog records",
+            report.meta_records_replayed
+        );
+        cluster = recovered;
+    }
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(wrong.is_empty(), "wrong bytes after restarts: {wrong:?}");
+    assert_eq!(unavailable, 0);
+    assert_eq!(exact, acked.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_crash_between_prepare_and_commit_rolls_the_handover_back() {
     let dir = wal_dir("midhand");

@@ -41,8 +41,6 @@ pub use rain_election as election;
 pub use rain_link as link;
 /// Re-export: token-based group membership (Section 3).
 pub use rain_membership as membership;
-/// Re-export: the MPI-like layer over RUDP (Section 2.5).
-pub use rain_mpi as mpi;
 /// Re-export: reliable datagrams over bundled interfaces (Section 2.5).
 pub use rain_rudp as rudp;
 /// Re-export: deterministic cluster simulator substrate.

@@ -53,6 +53,7 @@ pub use wal::file::{
     RawLogFile, SegmentFs, SegmentedFile, StdFsFile, StdSegFs, SyncFault,
 };
 pub use wal::{
-    scan_frames, write_frame, CheckpointPlacement, CheckpointState, CrashFuse, FrameScan,
-    GroupSnapshot, LogBackend, MemLog, WalError, WalRecord, WriteAheadLog,
+    scan_frames, write_frame, CheckpointPlacement, CheckpointState, CrashFuse, FieldReader,
+    FieldWriter, FrameScan, GroupSnapshot, LogBackend, LogRecord, MemLog, RecordLog, WalError,
+    WalRecord, WriteAheadLog,
 };

@@ -332,15 +332,6 @@ pub struct RecoveryReport {
     pub records_since_checkpoint: usize,
 }
 
-/// Where the newest restorable checkpoint sits in the live log.
-#[derive(Debug, Clone, Copy)]
-struct CkptMark {
-    /// Byte offset of the checkpoint's frame.
-    offset: u64,
-    /// Records in the log before the checkpoint record.
-    index: u64,
-}
-
 /// What one [`DistributedStore::checkpoint`] call did to the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CheckpointReport {
@@ -386,14 +377,6 @@ pub struct DistributedStore {
     /// next [`log`](Self::log) / [`DistributedStore::sync_wal`] fails
     /// instead of acking writes a dead device will never persist.
     wal_failed: Option<WalError>,
-    /// Byte offset / record index of the newest restorable checkpoint in
-    /// the current log, if any. The *next* checkpoint drops everything
-    /// before this mark (two-checkpoint retention: a torn or rotted newest
-    /// checkpoint falls back to the previous one).
-    ckpt_mark: Option<CkptMark>,
-    /// Log records appended since the newest checkpoint — drives
-    /// [`GroupConfig::checkpoint_every`] auto-checkpoints.
-    records_since_ckpt: u64,
     /// Checkpoints taken through this handle (explicit + automatic).
     checkpoints_taken: u64,
     /// Cumulative live-object bytes entrusted to the log (grouped appends
@@ -936,8 +919,6 @@ impl DistributedStore {
             decode_cache: GroupDecodeCache::default(),
             wal: None,
             wal_failed: None,
-            ckpt_mark: None,
-            records_since_ckpt: 0,
             checkpoints_taken: 0,
             group_bytes_logged: 0,
             group_bytes_durable: 0,
@@ -1303,9 +1284,9 @@ impl DistributedStore {
     /// **before** the mutation it describes is applied (log-then-apply);
     /// replay runs with the log detached so redone ops are not re-logged.
     fn log(&mut self, record: RecordView<'_>) -> Result<(), StorageError> {
-        if self.wal.is_none() {
+        let Some(wal) = &self.wal else {
             return Ok(());
-        }
+        };
         if let Some(err) = &self.wal_failed {
             return Err(StorageError::Wal(err.clone()));
         }
@@ -1315,7 +1296,7 @@ impl DistributedStore {
         // snapshot must precede the record in the log or replay from it
         // would lose the record.
         let every = self.group_config.checkpoint_every;
-        if every > 0 && self.records_since_ckpt >= every {
+        if every > 0 && wal.since_checkpoint() >= every {
             self.checkpoint()?;
         }
         // Group payload bytes this record puts at risk until the log
@@ -1332,7 +1313,6 @@ impl DistributedStore {
         self.obs
             .wal_append_bytes
             .add(wal.bytes_appended().saturating_sub(before));
-        self.records_since_ckpt += 1;
         self.group_bytes_logged += at_risk;
         self.reclaim_if_durable();
         Ok(())
@@ -1417,11 +1397,8 @@ impl DistributedStore {
     /// data is erasure-coded on the nodes; duplicating it would make the
     /// log grow with stored data instead of live coordinator state).
     ///
-    /// Retention is two checkpoints deep: the prefix before the *previous*
-    /// checkpoint is dropped, not the one before this call's. If this
-    /// checkpoint later proves unreadable (torn by a crash mid-append, or
-    /// rotted on disk), recovery falls back to the previous one and redoes
-    /// the intermediate records, which are still present.
+    /// Retention is the log's two-checkpoint rule: the prefix before the
+    /// *previous* checkpoint is dropped, not the one before this call's.
     ///
     /// A no-op returning a default report when no log is attached.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport, StorageError> {
@@ -1430,42 +1407,24 @@ impl DistributedStore {
         }
         let state = self.checkpoint_state();
         let wal = self.wal.as_mut().expect("checked above");
-        let new_off = wal.bytes_appended();
-        let new_idx = wal.records_appended();
+        let before = wal.bytes_appended();
+        // Returns once the checkpoint is durable.
         wal.append_view(RecordView::Checkpoint { state: &state })?;
-        let checkpoint_bytes = (wal.bytes_appended() - new_off) as usize;
+        let checkpoint_bytes = (wal.bytes_appended() - before) as usize;
         self.obs.wal_appends.inc();
         self.obs.wal_append_bytes.add(checkpoint_bytes as u64);
-        // The checkpoint must be durable before anything it replaces is
-        // dropped — otherwise a power loss could take both the snapshot
-        // and the records it summarises. Reclaiming here, before the drop
-        // renumbers the log, keeps every limbo tag in the numbering it
-        // was taken in.
-        wal.sync()?;
+        // Reclaiming here, before the drop renumbers the log, keeps every
+        // limbo tag in the numbering it was taken in.
         self.reclaim_if_durable();
         let wal = self.wal.as_mut().expect("still attached");
-        let mut report = CheckpointReport {
-            checkpoint_bytes,
-            ..CheckpointReport::default()
-        };
-        let prev = self.ckpt_mark.replace(CkptMark {
-            offset: new_off,
-            index: new_idx,
-        });
-        if let Some(prev) = prev {
-            wal.drop_prefix(prev.offset as usize, prev.index)?;
-            self.ckpt_mark = Some(CkptMark {
-                offset: new_off - prev.offset,
-                index: new_idx - prev.index,
-            });
-            report.records_dropped = prev.index;
-            report.bytes_dropped = prev.offset;
-        }
-        let wal = self.wal.as_ref().expect("still attached");
-        report.records_retained = wal.records_appended();
-        self.records_since_ckpt = 0;
+        let (records_dropped, bytes_dropped) = wal.drop_superseded()?;
         self.checkpoints_taken += 1;
-        Ok(report)
+        Ok(CheckpointReport {
+            records_dropped,
+            bytes_dropped,
+            records_retained: wal.records_appended(),
+            checkpoint_bytes,
+        })
     }
 
     /// Capture the coordinator's logical state for a checkpoint record.
@@ -2599,7 +2558,7 @@ impl DistributedStore {
         // the whole log is redone from genesis, exactly as before
         // checkpoints existed. (A *torn* newest checkpoint never reaches
         // this loop — its partial frame is part of the torn tail.)
-        let mut start = 0usize;
+        let mut restored = None;
         for (i, record) in replay.records.iter().enumerate().rev() {
             let WalRecord::Checkpoint {
                 state,
@@ -2615,11 +2574,7 @@ impl DistributedStore {
             match store.restore_from_checkpoint(state) {
                 Ok(()) => {
                     report.checkpoint_restored = true;
-                    start = i + 1;
-                    store.ckpt_mark = Some(CkptMark {
-                        offset: replay.offsets[i] as u64,
-                        index: i as u64,
-                    });
+                    restored = Some(i);
                     break;
                 }
                 Err(_) => {
@@ -2630,12 +2585,12 @@ impl DistributedStore {
                 }
             }
         }
+        let start = restored.map_or(0, |i| i + 1);
         let last_index = replay.records.len().saturating_sub(1);
         for (i, record) in replay.records.iter().enumerate().skip(start) {
             store.replay_record(record, i == last_index, &mut report)?;
         }
         report.records_since_checkpoint = replay.records.len() - start;
-        store.records_since_ckpt = report.records_since_checkpoint as u64;
         store.replaying = false;
         store.reconcile_after_replay();
         store.rebuild_gens_from_nodes();
@@ -2646,17 +2601,7 @@ impl DistributedStore {
             .filter(|g| !g.sealed)
             .map(|g| g.live_bytes)
             .sum();
-        // Cut the torn tail before the log accepts new appends: the
-        // orphan partial frame would otherwise sit in front of them and
-        // turn the *next* replay into a mid-log corruption error.
-        if replay.torn_tail {
-            wal.truncate_to(replay.bytes_replayed)?;
-        }
-        // Rehydrate the log counters from the scan, so they are honest
-        // even for a handle constructed over an existing log (and never
-        // count a torn tail).
-        wal.records_appended = replay.records.len() as u64;
-        wal.bytes_appended = replay.bytes_replayed as u64;
+        wal.resume(&replay, restored)?;
         store.wal = Some(wal);
         Ok((store, report))
     }

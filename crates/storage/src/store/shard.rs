@@ -315,7 +315,7 @@ mod tests {
     use super::*;
     use crate::group::GroupConfig;
     use crate::transport::{ChaosTransport, FaultPolicy};
-    use crate::wal::{MemLog, WalRecord};
+    use crate::wal::{LogRecord, MemLog, WalRecord};
 
     fn grouped_config() -> GroupConfig {
         GroupConfig {
@@ -528,8 +528,8 @@ mod tests {
         ];
         for record in records {
             let mut out = Vec::new();
-            record.view().encode(&mut out);
-            assert_eq!(WalRecord::decode(&out), Some(record));
+            WalRecord::encode(record.view(), &mut out);
+            assert_eq!(WalRecord::from_payload(&out), Some(record));
         }
     }
 

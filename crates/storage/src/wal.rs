@@ -64,12 +64,30 @@
 //! coordinator's full *logical* state — object table, group directory,
 //! open-group buffers; never node symbol bytes (those are erasure-coded and
 //! survive on the nodes) — so replay can restore the snapshot and redo only
-//! the suffix. After a checkpoint is durable the store drops the prefix
+//! the suffix. After a checkpoint is durable the log drops the prefix
 //! before the *previous* checkpoint via [`LogBackend::drop_prefix`], keeping
 //! two checkpoints in the log: if the newest one is torn or fails its
 //! embedded state checksum, recovery falls back to the one before it and
 //! replays the longer suffix. Replay is O(live state + records since the
 //! last two checkpoints), not O(history).
+//!
+//! ## One log, two tag spaces
+//!
+//! [`RecordLog`] is the only log type. Framing, rollback after a failed
+//! append, the record and byte counters, replay, the post-replay torn-tail
+//! cut and counter restore ([`RecordLog::resume`]) and two-checkpoint
+//! retention each live there once. It carries any [`LogRecord`], encoded
+//! with the shared [`FieldWriter`] / [`FieldReader`] codec. Two record types
+//! implement it, each in its own tag space:
+//!
+//! * [`WalRecord`], tags 1–8 above: [`WriteAheadLog`] is
+//!   `RecordLog<WalRecord>`, one per shard coordinator;
+//! * the cluster metalog's `MetaRecord` (`rain-cluster`), tags 1–9: view
+//!   commit, directory put / delete, placement key, handover prepare /
+//!   unit landed / dual override / abort, checkpoint.
+//!
+//! The tag spaces overlap, so one log holds one record type; the two logs
+//! live in different files.
 //!
 //! The [`LogBackend`] is pluggable: [`MemLog`] is the in-memory simulation
 //! backend (with an optional [`CrashFuse`] so tests can kill the coordinator
@@ -79,6 +97,8 @@
 //! filesystem-fault injection.
 
 pub mod file;
+
+use std::marker::PhantomData;
 
 use crate::group::{GroupId, ObjSpan};
 use rain_sim::SimDuration;
@@ -311,78 +331,63 @@ pub struct CheckpointState {
 impl CheckpointState {
     /// Serialize the state fields (everything the embedded checksum covers).
     fn encode_body(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.next_group_id.to_le_bytes());
-        out.extend_from_slice(&self.open_group.unwrap_or(u64::MAX).to_le_bytes());
-        out.extend_from_slice(&(self.objects.len() as u32).to_le_bytes());
-        for (name, placement) in &self.objects {
-            put_str(out, name);
+        out.write_u64(self.next_group_id);
+        out.write_u64(self.open_group.unwrap_or(u64::MAX));
+        out.write_list(&self.objects, |out, (name, placement)| {
+            out.write_str(name);
             match placement {
                 CheckpointPlacement::Whole => out.push(0),
                 CheckpointPlacement::Grouped { group, span } => {
                     out.push(1);
-                    out.extend_from_slice(&group.to_le_bytes());
-                    out.extend_from_slice(&(span.offset as u64).to_le_bytes());
-                    out.extend_from_slice(&(span.len as u64).to_le_bytes());
+                    out.write_u64(*group);
+                    out.write_usize(span.offset);
+                    out.write_usize(span.len);
                 }
             }
-        }
-        out.extend_from_slice(&(self.groups.len() as u32).to_le_bytes());
-        for g in &self.groups {
-            out.extend_from_slice(&g.group.to_le_bytes());
+        });
+        out.write_list(&self.groups, |out, g| {
+            out.write_u64(g.group);
             out.push(g.sealed as u8);
-            out.extend_from_slice(&(g.packed_len as u64).to_le_bytes());
-            out.extend_from_slice(&(g.live_bytes as u64).to_le_bytes());
-            out.extend_from_slice(&(g.live_objects as u64).to_le_bytes());
-            put_bytes(out, &g.data);
-        }
+            out.write_usize(g.packed_len);
+            out.write_usize(g.live_bytes);
+            out.write_usize(g.live_objects);
+            out.write_bytes(&g.data);
+        });
     }
 
-    fn decode_body(c: &mut Cursor<'_>) -> Option<CheckpointState> {
-        let next_group_id = c.u64()?;
-        let open_group = match c.u64()? {
-            u64::MAX => None,
-            g => Some(g),
-        };
-        let object_count = c.u32()? as usize;
-        let mut objects = Vec::with_capacity(object_count.min(4096));
-        for _ in 0..object_count {
-            let name = c.str()?;
-            let placement = match c.u8()? {
-                0 => CheckpointPlacement::Whole,
-                1 => {
-                    let group = c.u64()?;
-                    let offset = c.u64()? as usize;
-                    let len = c.u64()? as usize;
-                    CheckpointPlacement::Grouped {
-                        group,
-                        span: ObjSpan { offset, len },
-                    }
-                }
-                _ => return None,
-            };
-            objects.push((name, placement));
-        }
-        let group_count = c.u32()? as usize;
-        let mut groups = Vec::with_capacity(group_count.min(4096));
-        for _ in 0..group_count {
-            groups.push(GroupSnapshot {
-                group: c.u64()?,
-                sealed: match c.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                },
-                packed_len: c.u64()? as usize,
-                live_bytes: c.u64()? as usize,
-                live_objects: c.u64()? as usize,
-                data: c.bytes()?,
-            });
-        }
+    fn decode_body(c: &mut FieldReader<'_>) -> Option<CheckpointState> {
         Some(CheckpointState {
-            next_group_id,
-            open_group,
-            objects,
-            groups,
+            next_group_id: c.u64()?,
+            open_group: Some(c.u64()?).filter(|&g| g != u64::MAX),
+            objects: c.list(|c| {
+                let name = c.str()?;
+                let placement = match c.u8()? {
+                    0 => CheckpointPlacement::Whole,
+                    1 => CheckpointPlacement::Grouped {
+                        group: c.u64()?,
+                        span: ObjSpan {
+                            offset: c.usize()?,
+                            len: c.usize()?,
+                        },
+                    },
+                    _ => return None,
+                };
+                Some((name, placement))
+            })?,
+            groups: c.list(|c| {
+                Some(GroupSnapshot {
+                    group: c.u64()?,
+                    sealed: match c.u8()? {
+                        0 => false,
+                        1 => true,
+                        _ => return None,
+                    },
+                    packed_len: c.usize()?,
+                    live_bytes: c.usize()?,
+                    live_objects: c.usize()?,
+                    data: c.bytes()?,
+                })
+            })?,
         })
     }
 }
@@ -471,9 +476,9 @@ pub enum WalRecord {
 /// serializes straight from its call parameters into the reusable frame
 /// buffer, so a logged store allocates nothing and copies the payload
 /// once (into the frame; the backend's own persist copy is the point).
-/// [`WalRecord`] is the owned twin that [`WriteAheadLog::replay`] returns.
+/// [`WalRecord`] is the owned twin that [`RecordLog::replay`] returns.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum RecordView<'a> {
+pub enum RecordView<'a> {
     /// See [`WalRecord::StoreWhole`].
     StoreWhole {
         /// Object id.
@@ -533,24 +538,63 @@ const TAG_GROUP_IMPORT: u8 = 6;
 const TAG_GROUP_EVICT: u8 = 7;
 const TAG_CHECKPOINT: u8 = 8;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// The writing half of the shared record codec, on the frame buffer
+/// itself: little-endian fixed-width integers, and `u32`-length-prefixed
+/// byte strings and lists. [`FieldReader`] reads the same layout back.
+pub trait FieldWriter {
+    /// Append a `u64`.
+    fn write_u64(&mut self, v: u64);
+    /// Append a size or index as a `u64`.
+    fn write_usize(&mut self, v: usize);
+    /// Append `b`, prefixed with its length.
+    fn write_bytes(&mut self, b: &[u8]);
+    /// Append `s` as length-prefixed UTF-8.
+    fn write_str(&mut self, s: &str);
+    /// Append the item count, then each item through `item`.
+    fn write_list<T>(&mut self, items: &[T], item: impl FnMut(&mut Self, &T));
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+impl FieldWriter for Vec<u8> {
+    fn write_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(&(b.len() as u32).to_le_bytes());
+        self.extend_from_slice(b);
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.write_bytes(s.as_bytes());
+    }
+
+    fn write_list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.extend_from_slice(&(items.len() as u32).to_le_bytes());
+        for x in items {
+            item(self, x);
+        }
+    }
 }
 
-/// Sequential reader over a record payload; every getter returns `None` on
-/// underrun so a damaged payload surfaces as a decode failure, never a panic.
-struct Cursor<'a> {
+/// Sequential reader over one record payload, the reading half of
+/// [`FieldWriter`]. Every getter returns `None` on underrun, so a damaged
+/// payload surfaces as a decode failure, never a panic.
+#[derive(Debug)]
+pub struct FieldReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
+impl<'a> FieldReader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        FieldReader { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
         let slice = self.buf.get(self.pos..end)?;
@@ -558,37 +602,91 @@ impl<'a> Cursor<'a> {
         Some(slice)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    /// The unread bytes.
+    fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Read a `u8`.
+    pub fn u8(&mut self) -> Option<u8> {
         Some(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    /// Read a `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    /// Read a `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+    /// Read a size or index written as a `u64`; `None` if it does not fit.
+    pub fn usize(&mut self) -> Option<usize> {
+        usize::try_from(self.u64()?).ok()
     }
 
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    /// Read a length-prefixed byte string.
+    pub fn bytes(&mut self) -> Option<Vec<u8>> {
         let len = self.u32()? as usize;
         Some(self.take(len)?.to_vec())
     }
 
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
+    /// Read a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?).ok()
+    }
+
+    /// Read a count, then that many items through `item`.
+    pub fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let count = self.u32()? as usize;
+        // Every item is at least one byte, so the unread bytes bound what
+        // a damaged count can make this allocate.
+        let mut items = Vec::with_capacity(count.min(self.rest().len()));
+        for _ in 0..count {
+            items.push(item(self)?);
+        }
+        Some(items)
     }
 }
 
-impl WalRecord {
-    /// The borrowed view of this record (replay round-trip tests and the
-    /// public [`WriteAheadLog::append`] route through it).
-    pub(crate) fn view(&self) -> RecordView<'_> {
+/// A record type a [`RecordLog`] frames and replays. Each implementation
+/// owns its tag byte space and field layout; the log owns everything else
+/// (see the module docs).
+pub trait LogRecord: Sized {
+    /// The borrowed form an append serializes from, so a hot path can log
+    /// straight from its call parameters.
+    type View<'a>: Copy
+    where
+        Self: 'a;
+
+    /// The view of an owned record.
+    fn view(&self) -> Self::View<'_>;
+
+    /// Serialize one payload, tag byte first, onto `out`.
+    fn encode(view: Self::View<'_>, out: &mut Vec<u8>);
+
+    /// Read one record's tag and fields; `None` if they are not valid.
+    fn decode(fields: &mut FieldReader<'_>) -> Option<Self>;
+
+    /// True for a checkpoint: a full-state snapshot replay can restart
+    /// from. The log keeps the newest two.
+    fn is_checkpoint(view: Self::View<'_>) -> bool;
+
+    /// Decode a whole payload: `None` unless it is exactly one valid
+    /// record.
+    fn from_payload(payload: &[u8]) -> Option<Self> {
+        let mut fields = FieldReader::new(payload);
+        let record = Self::decode(&mut fields)?;
+        fields.rest().is_empty().then_some(record)
+    }
+}
+
+impl LogRecord for WalRecord {
+    type View<'a> = RecordView<'a>;
+
+    fn view(&self) -> RecordView<'_> {
         match self {
             WalRecord::StoreWhole { object } => RecordView::StoreWhole { object },
             WalRecord::StoreGrouped {
@@ -616,15 +714,12 @@ impl WalRecord {
             WalRecord::Checkpoint { state, .. } => RecordView::Checkpoint { state },
         }
     }
-}
 
-impl RecordView<'_> {
-    /// Serialize the payload (no frame header) into `out`.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
+    fn encode(view: RecordView<'_>, out: &mut Vec<u8>) {
+        match view {
             RecordView::StoreWhole { object } => {
                 out.push(TAG_STORE_WHOLE);
-                put_str(out, object);
+                out.write_str(object);
             }
             RecordView::StoreGrouped {
                 object,
@@ -632,21 +727,21 @@ impl RecordView<'_> {
                 bytes,
             } => {
                 out.push(TAG_STORE_GROUPED);
-                put_str(out, object);
-                out.extend_from_slice(&group.to_le_bytes());
-                put_bytes(out, bytes);
+                out.write_str(object);
+                out.write_u64(group);
+                out.write_bytes(bytes);
             }
             RecordView::Delete { object } => {
                 out.push(TAG_DELETE);
-                put_str(out, object);
+                out.write_str(object);
             }
             RecordView::Seal { group } => {
                 out.push(TAG_SEAL);
-                out.extend_from_slice(&group.to_le_bytes());
+                out.write_u64(group);
             }
             RecordView::Compact { group } => {
                 out.push(TAG_COMPACT);
-                out.extend_from_slice(&group.to_le_bytes());
+                out.write_u64(group);
             }
             RecordView::GroupImport {
                 group,
@@ -654,18 +749,17 @@ impl RecordView<'_> {
                 bytes,
             } => {
                 out.push(TAG_GROUP_IMPORT);
-                out.extend_from_slice(&group.to_le_bytes());
-                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-                for (name, span) in members {
-                    put_str(out, name);
-                    out.extend_from_slice(&(span.offset as u64).to_le_bytes());
-                    out.extend_from_slice(&(span.len as u64).to_le_bytes());
-                }
-                put_bytes(out, bytes);
+                out.write_u64(group);
+                out.write_list(members, |out, (name, span)| {
+                    out.write_str(name);
+                    out.write_usize(span.offset);
+                    out.write_usize(span.len);
+                });
+                out.write_bytes(bytes);
             }
             RecordView::GroupEvict { group } => {
                 out.push(TAG_GROUP_EVICT);
-                out.extend_from_slice(&group.to_le_bytes());
+                out.write_u64(group);
             }
             RecordView::Checkpoint { state } => {
                 out.push(TAG_CHECKPOINT);
@@ -679,16 +773,9 @@ impl RecordView<'_> {
             }
         }
     }
-}
 
-impl WalRecord {
-    /// Decode one payload; `None` if the bytes are not a valid record.
-    pub(crate) fn decode(payload: &[u8]) -> Option<WalRecord> {
-        let mut c = Cursor {
-            buf: payload,
-            pos: 0,
-        };
-        let record = match c.u8()? {
+    fn decode(c: &mut FieldReader<'_>) -> Option<WalRecord> {
+        Some(match c.u8()? {
             TAG_STORE_WHOLE => WalRecord::StoreWhole { object: c.str()? },
             TAG_STORE_GROUPED => WalRecord::StoreGrouped {
                 object: c.str()?,
@@ -698,35 +785,33 @@ impl WalRecord {
             TAG_DELETE => WalRecord::Delete { object: c.str()? },
             TAG_SEAL => WalRecord::Seal { group: c.u64()? },
             TAG_COMPACT => WalRecord::Compact { group: c.u64()? },
-            TAG_GROUP_IMPORT => {
-                let group = c.u64()?;
-                let count = c.u32()? as usize;
-                let mut members = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
+            TAG_GROUP_IMPORT => WalRecord::GroupImport {
+                group: c.u64()?,
+                members: c.list(|c| {
                     let name = c.str()?;
-                    let offset = c.u64()? as usize;
-                    let len = c.u64()? as usize;
-                    members.push((name, ObjSpan { offset, len }));
-                }
-                WalRecord::GroupImport {
-                    group,
-                    members,
-                    bytes: c.bytes()?,
-                }
-            }
+                    let span = ObjSpan {
+                        offset: c.usize()?,
+                        len: c.usize()?,
+                    };
+                    Some((name, span))
+                })?,
+                bytes: c.bytes()?,
+            },
             TAG_GROUP_EVICT => WalRecord::GroupEvict { group: c.u64()? },
             TAG_CHECKPOINT => {
                 let declared = c.u32()?;
-                let computed = crc32(&c.buf[c.pos..]);
-                let state = CheckpointState::decode_body(&mut c)?;
+                let computed = crc32(c.rest());
                 WalRecord::Checkpoint {
-                    state,
+                    state: CheckpointState::decode_body(c)?,
                     state_crc_ok: declared == computed,
                 }
             }
             _ => return None,
-        };
-        c.finished().then_some(record)
+        })
+    }
+
+    fn is_checkpoint(view: RecordView<'_>) -> bool {
+        matches!(view, RecordView::Checkpoint { .. })
     }
 }
 
@@ -778,11 +863,10 @@ fn seal_frame(frame: &mut [u8]) {
     frame[8..12].copy_from_slice(&payload_crc.to_le_bytes());
 }
 
-/// Frame one opaque payload onto `out` in the WAL's checksummed frame
-/// format (`[len][crc32(len)][crc32(payload)][payload]`). Other logs — the
-/// cluster metalog — reuse the storage WAL's framing and torn-tail
-/// machinery through this and [`scan_frames`] instead of inventing their
-/// own.
+/// Frame one opaque payload onto `out` in the log's checksummed frame
+/// format (`[len][crc32(len)][crc32(payload)][payload]`) — what
+/// [`RecordLog`] writes for each record, for callers that frame bytes
+/// without a log.
 pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
     let start = out.len();
     out.extend_from_slice(&[0u8; HEADER_LEN]);
@@ -867,11 +951,10 @@ pub fn scan_frames(buf: &[u8]) -> Result<FrameScan, WalError> {
 /// tail was torn (a final frame truncated mid-write — tolerated, the log is
 /// simply shorter than the writer hoped).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Replay {
+pub struct Replay<R = WalRecord> {
     /// Every complete, checksum-valid record in log order.
-    pub records: Vec<WalRecord>,
-    /// Byte offset of each record's frame start, parallel to `records` —
-    /// recovery uses these to re-anchor checkpoint truncation marks.
+    pub records: Vec<R>,
+    /// Byte offset of each record's frame start, parallel to `records`.
     pub offsets: Vec<usize>,
     /// True if the log ended in a partial frame.
     pub torn_tail: bool,
@@ -880,44 +963,72 @@ pub struct Replay {
     pub bytes_replayed: usize,
 }
 
-/// A write-ahead log: frames [`WalRecord`]s onto a [`LogBackend`] and
-/// replays them back, tolerating a torn tail.
+impl<R: LogRecord> Replay<R> {
+    /// Index of the newest checkpoint record, if any.
+    pub fn newest_checkpoint(&self) -> Option<usize> {
+        self.records
+            .iter()
+            .rposition(|r| R::is_checkpoint(r.view()))
+    }
+}
+
+/// Where a checkpoint record sits in the live log.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Byte offset of the checkpoint's frame.
+    offset: u64,
+    /// Records in the log before it.
+    index: u64,
+}
+
+/// A write-ahead log of [`LogRecord`]s on a [`LogBackend`]: frames appends,
+/// replays them back tolerating a torn tail, and keeps two checkpoints.
 #[derive(Debug)]
-pub struct WriteAheadLog {
+pub struct RecordLog<R> {
     backend: Box<dyn LogBackend>,
-    /// Records known to be in the log: incremented per append, and
-    /// rehydrated from the replay scan by
-    /// [`crate::DistributedStore::recover`] — so the count stays honest
-    /// for a handle constructed over an existing log, and a torn tail is
-    /// not counted.
-    pub(crate) records_appended: u64,
-    /// Frame bytes in the log: the backend's length at construction plus
-    /// appends through this handle; rehydrated exactly (torn tail
-    /// excluded) by [`crate::DistributedStore::recover`]. Doubles as the
-    /// known-good rollback boundary after a failed append.
-    pub(crate) bytes_appended: u64,
+    /// Records in the log: incremented per append, reduced by prefix
+    /// drops, and restored from the replay scan by [`RecordLog::resume`],
+    /// so a torn tail is never counted.
+    records_appended: u64,
+    /// Frame bytes in the log, kept like `records_appended`. Doubles as
+    /// the known-good rollback boundary after a failed append.
+    bytes_appended: u64,
     /// Reusable frame buffer: steady-state appends allocate nothing.
     frame: Vec<u8>,
     /// Set when a failed append could not be rolled back (truncate also
     /// failed): the log may end in a partial frame with a *live* writer,
     /// so further appends would land behind garbage and be unrecoverable.
     poisoned: bool,
+    /// The newest durable checkpoint.
+    checkpoint: Option<Mark>,
+    /// The checkpoint before it, once a newer one is durable: everything
+    /// in front of it is dead weight for `drop_superseded`.
+    superseded: Option<Mark>,
+    /// Records appended after the newest checkpoint.
+    since_checkpoint: u64,
+    record: PhantomData<fn() -> R>,
 }
 
-impl WriteAheadLog {
+/// The shard coordinator's write-ahead log.
+pub type WriteAheadLog = RecordLog<WalRecord>;
+
+impl<R: LogRecord> RecordLog<R> {
     /// A log over the given backend. `bytes_appended` starts at the
     /// backend's current length, so the append-failure rollback never cuts
-    /// below pre-existing content (`records_appended` cannot be known
-    /// without a replay and starts at 0; [`crate::DistributedStore::recover`]
-    /// rehydrates both exactly).
+    /// below pre-existing content; the record count and checkpoint marks
+    /// cannot be known without a replay (see [`RecordLog::resume`]).
     pub fn new(backend: Box<dyn LogBackend>) -> Self {
         let base = backend.contents().map(|b| b.len() as u64).unwrap_or(0);
-        WriteAheadLog {
+        RecordLog {
             backend,
             records_appended: 0,
             bytes_appended: base,
             frame: Vec::new(),
             poisoned: false,
+            checkpoint: None,
+            superseded: None,
+            since_checkpoint: 0,
+            record: PhantomData,
         }
     }
 
@@ -926,26 +1037,26 @@ impl WriteAheadLog {
         Self::new(Box::<MemLog>::default())
     }
 
-    /// Records appended through this handle.
+    /// Records in the log.
     pub fn records_appended(&self) -> u64 {
         self.records_appended
     }
 
-    /// Frame bytes appended through this handle.
+    /// Frame bytes in the log.
     pub fn bytes_appended(&self) -> u64 {
         self.bytes_appended
+    }
+
+    /// Records appended after the newest checkpoint — what a caller's
+    /// checkpoint cadence counts.
+    pub fn since_checkpoint(&self) -> u64 {
+        self.since_checkpoint
     }
 
     /// The raw persisted bytes (tests use this to aim torn-tail cuts at
     /// exact frame offsets).
     pub fn contents(&self) -> Result<Vec<u8>, WalError> {
         self.backend.contents()
-    }
-
-    /// Cut the log back to `len` bytes — recovery calls this to drop a
-    /// torn tail before the log accepts new appends.
-    pub(crate) fn truncate_to(&mut self, len: usize) -> Result<(), WalError> {
-        self.backend.truncate(len)
     }
 
     /// Force every accepted frame to durable storage (group commit).
@@ -969,10 +1080,9 @@ impl WriteAheadLog {
         self.backend.on_writer_crash();
     }
 
-    /// Drop the first `len` bytes / `records` records of the log
-    /// (checkpoint truncation) and adjust the live counters to match —
-    /// `records_appended` / `bytes_appended` count what is *in* the log,
-    /// not what was ever written.
+    /// Drop the first `len` bytes / `records` records of the log and adjust
+    /// the counters to match — they count what is *in* the log, not what
+    /// was ever written.
     pub(crate) fn drop_prefix(&mut self, len: usize, records: u64) -> Result<(), WalError> {
         debug_assert!(len as u64 <= self.bytes_appended);
         debug_assert!(records <= self.records_appended);
@@ -982,32 +1092,39 @@ impl WriteAheadLog {
         Ok(())
     }
 
-    /// Frame and persist one record.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        self.append_view(record.view())
+    /// Frame and persist one record. A checkpoint is synced, then the
+    /// prefix in front of the previous checkpoint is dropped.
+    pub fn append(&mut self, record: &R) -> Result<(), WalError> {
+        self.append_view(record.view())?;
+        self.drop_superseded().map(|_| ())
     }
 
-    /// Frame and persist one borrowed record — the store's hot path, which
-    /// serializes straight from the caller's parameters (no owned record).
-    pub(crate) fn append_view(&mut self, record: RecordView<'_>) -> Result<(), WalError> {
+    /// Frame and persist one borrowed record. A checkpoint is synced before
+    /// this returns — the snapshot must be durable before anything it
+    /// summarises is dropped — and the prefix it supersedes stays until
+    /// `drop_superseded`, so a caller can act between the two.
+    pub(crate) fn append_view(&mut self, view: R::View<'_>) -> Result<(), WalError> {
         self.frame.clear();
         self.frame.extend_from_slice(&[0u8; HEADER_LEN]); // patched below
-        record.encode(&mut self.frame);
+        R::encode(view, &mut self.frame);
         seal_frame(&mut self.frame);
         if self.poisoned {
             return Err(WalError::Backend(
                 "log poisoned by an unrollable append failure".to_string(),
             ));
         }
+        let at = Mark {
+            offset: self.bytes_appended,
+            index: self.records_appended,
+        };
         match self.backend.append(&self.frame) {
             Ok(()) => {
                 self.records_appended += 1;
                 self.bytes_appended += self.frame.len() as u64;
-                Ok(())
             }
             // The writer is dead; the torn tail is the durable truth and
             // recovery is the one who cuts it.
-            Err(WalError::Crashed) => Err(WalError::Crashed),
+            Err(WalError::Crashed) => return Err(WalError::Crashed),
             // A *living* writer whose append failed (e.g. a full disk on a
             // file backend) may have left a partial frame; cut back to the
             // last good boundary so later appends stay replayable, and
@@ -1016,9 +1133,35 @@ impl WriteAheadLog {
                 if self.backend.truncate(self.bytes_appended as usize).is_err() {
                     self.poisoned = true;
                 }
-                Err(e)
+                return Err(e);
             }
         }
+        if !R::is_checkpoint(view) {
+            self.since_checkpoint += 1;
+            return Ok(());
+        }
+        self.backend.sync()?;
+        self.superseded = self.checkpoint.replace(at);
+        self.since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// Two-checkpoint retention: once a newer checkpoint is durable, drop
+    /// everything in front of the one before it. If the newest later proves
+    /// unreadable (torn, or rotted on disk), recovery falls back to the
+    /// previous one and redoes the records in between, which are still
+    /// here. Returns the records and bytes dropped; `(0, 0)` when there is
+    /// nothing to drop.
+    pub(crate) fn drop_superseded(&mut self) -> Result<(u64, u64), WalError> {
+        let Some(old) = self.superseded.take() else {
+            return Ok((0, 0));
+        };
+        self.drop_prefix(old.offset as usize, old.index)?;
+        if let Some(newest) = &mut self.checkpoint {
+            newest.offset -= old.offset;
+            newest.index -= old.index;
+        }
+        Ok((old.index, old.offset))
     }
 
     /// Decode every complete record, stopping cleanly at a torn tail.
@@ -1031,7 +1174,7 @@ impl WriteAheadLog {
     /// write and fails with [`WalError::Corrupt`] — in particular a
     /// corrupted length field is caught by the header CRC instead of
     /// silently truncating the replay at that point.
-    pub fn replay(&self) -> Result<Replay, WalError> {
+    pub fn replay(&self) -> Result<Replay<R>, WalError> {
         let buf = self.backend.contents()?;
         let scan = scan_frames(&buf)?;
         let mut records = Vec::with_capacity(scan.frames.len());
@@ -1042,7 +1185,7 @@ impl WriteAheadLog {
             // layer), so decode failure is corruption even at the tail —
             // silently truncating a durable, checksummed record would be
             // data loss.
-            let record = WalRecord::decode(&buf[payload.clone()])
+            let record = R::from_payload(&buf[payload.clone()])
                 .ok_or(WalError::Corrupt { offset: *offset })?;
             records.push(record);
             offsets.push(*offset);
@@ -1053,6 +1196,27 @@ impl WriteAheadLog {
             torn_tail: scan.torn_tail,
             bytes_replayed: scan.bytes_scanned,
         })
+    }
+
+    /// Take up appending where `replay` left off, once recovery has rebuilt
+    /// its state from it: cut the torn tail (the orphan partial frame would
+    /// otherwise sit in front of new appends and turn the *next* replay
+    /// into a mid-log corruption error), restore the counters from the
+    /// scan, and anchor retention at record `restored`, the checkpoint
+    /// recovery restarted from (`None`: it redid the whole log).
+    pub fn resume(&mut self, replay: &Replay<R>, restored: Option<usize>) -> Result<(), WalError> {
+        if replay.torn_tail {
+            self.backend.truncate(replay.bytes_replayed)?;
+        }
+        self.records_appended = replay.records.len() as u64;
+        self.bytes_appended = replay.bytes_replayed as u64;
+        self.checkpoint = restored.map(|i| Mark {
+            offset: replay.offsets[i] as u64,
+            index: i as u64,
+        });
+        self.superseded = None;
+        self.since_checkpoint = (replay.records.len() - restored.map_or(0, |i| i + 1)) as u64;
+        Ok(())
     }
 }
 
@@ -1287,7 +1451,9 @@ mod tests {
         assert!(replay.torn_tail);
         // Without the cut, this append would sit behind 9 orphan bytes and
         // the next replay would report mid-log corruption.
-        wal.truncate_to(replay.bytes_replayed).unwrap();
+        wal.resume(&replay, None).unwrap();
+        assert_eq!(wal.records_appended(), 2);
+        assert_eq!(wal.since_checkpoint(), 2);
         wal.append(&records[3]).unwrap();
         let replay = wal.replay().unwrap();
         assert!(!replay.torn_tail);

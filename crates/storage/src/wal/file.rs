@@ -1180,7 +1180,7 @@ impl LogBackend for FileLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{WalRecord, WriteAheadLog};
+    use crate::wal::{Replay, WalRecord, WriteAheadLog};
 
     fn tmp_path(tag: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -1574,7 +1574,15 @@ mod tests {
             wal.append(&r).unwrap();
             boundaries.push(wal.bytes_appended() as usize);
         }
-        wal.truncate_to(boundaries[2]).unwrap();
+        // Resume from a replay that ends after record 2, as recovery does
+        // after a torn tail: the cut rewrites the raw file.
+        let cut = Replay {
+            records: records()[..2].to_vec(),
+            offsets: boundaries[..2].to_vec(),
+            torn_tail: true,
+            bytes_replayed: boundaries[2],
+        };
+        wal.resume(&cut, None).unwrap();
         let replay = wal.replay().unwrap();
         assert_eq!(replay.records, records()[..2].to_vec());
         let wal = WriteAheadLog::new(Box::new(seg_reopen(
