@@ -54,7 +54,8 @@
 //!   per-object path for small objects: `{code, op, n, k, object_bytes,
 //!   objects, per_object_mb_s, grouped_mb_s, speedup}` where `op` is
 //!   `store` (steady-state churn, grouped side sealing every batch),
-//!   `retrieve` (co-located reads amortised by the group decode cache), or
+//!   `retrieve` (co-located reads: the first of a group ranged, the rest
+//!   amortised by one group decode and the decode cache), or
 //!   `repair` (hot-swapped node re-derived: one reconstruction per object
 //!   vs one per group). Throughput counts object payload bytes on both
 //!   sides, so the columns are directly comparable.

@@ -959,7 +959,9 @@ fn bench_grouped(config: &BenchConfig, smoke: bool) -> Vec<GroupedRow> {
 
             // --- retrieve ------------------------------------------------
             // Both stores hold the final batch from the store measurement;
-            // co-located grouped reads amortise to one decode per group.
+            // co-located grouped reads amortise to one ranged read and one
+            // decode per group (the second read of a group decodes and
+            // caches it).
             let per_object_retrieve = throughput_mb_s(config, batch_bytes, || {
                 for key in &keys {
                     std::hint::black_box(

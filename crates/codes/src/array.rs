@@ -20,7 +20,9 @@ use crate::error::CodeError;
 use crate::matrix::solve_gf2_sparse;
 use crate::metrics::CodeCost;
 use crate::share::{ShareSet, ShareView};
-use crate::traits::{validate_data_len, validate_decode_out, validate_encode_cols};
+use crate::traits::{
+    locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols,
+};
 use crate::xor::xor_into;
 
 /// XOR cell `src` into cell `dst` within one flat buffer of `cell_len`-byte
@@ -243,6 +245,8 @@ pub struct DecodeTrace {
 pub struct ArrayCode {
     layout: ArrayLayout,
     parity_column_of_eq: Vec<usize>,
+    /// `(column, slot)` of every data cell, indexed by data-cell number.
+    data_cell_at: Vec<(usize, usize)>,
 }
 
 impl ArrayCode {
@@ -252,17 +256,31 @@ impl ArrayCode {
             .validate()
             .map_err(|reason| CodeError::UnsupportedParameters { reason })?;
         let mut parity_column_of_eq = vec![0usize; layout.equations.len()];
+        let mut data_cell_at = vec![(0usize, 0usize); layout.num_data_cells()];
         for (c, col) in layout.column_cells.iter().enumerate() {
-            for cell in col {
-                if let Cell::Parity(p) = *cell {
-                    parity_column_of_eq[p] = c;
+            for (slot, cell) in col.iter().enumerate() {
+                match *cell {
+                    Cell::Data(i) => data_cell_at[i] = (c, slot),
+                    Cell::Parity(p) => parity_column_of_eq[p] = c,
                 }
             }
         }
         Ok(ArrayCode {
             layout,
             parity_column_of_eq,
+            data_cell_at,
         })
+    }
+
+    /// Where data byte `offset` sits: `encode_slices` copies every data
+    /// cell verbatim into one slot of one column, so the byte is at
+    /// `slot * cell_len + offset % cell_len` of that column, and the run
+    /// lasts to the end of the cell. See [`crate::ErasureCode::locate`].
+    pub fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
+        let cell_len = locate_cell_len(data_len, offset, self.data_cell_at.len())?;
+        let (column, slot) = self.data_cell_at[offset / cell_len];
+        let within = offset % cell_len;
+        Some((column, slot * cell_len + within, cell_len - within))
     }
 
     /// The underlying layout.

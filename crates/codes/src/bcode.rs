@@ -283,6 +283,10 @@ impl ErasureCode for BCode {
         self.inner.data_len_unit()
     }
 
+    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
+        self.inner.locate(data_len, offset)
+    }
+
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
         self.inner.encode_slices(data, shares)
     }

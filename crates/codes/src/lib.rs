@@ -30,6 +30,9 @@
 //!   reconstructs a **single lost share** without round-tripping through the
 //!   full data block. Hot paths — the storage layer, node repair, streaming
 //!   — live here.
+//! * **Placement** — [`ErasureCode::locate`] names the share, offset and
+//!   run that hold an input byte verbatim, so a reader of a small range
+//!   can skip the decode while the covering share is healthy.
 //! * **Convenience layer** — the allocating [`ErasureCode::encode`] /
 //!   [`ErasureCode::decode`] (`Vec<Vec<u8>>` / `&[Option<Vec<u8>>]`) are
 //!   provided on top for tests, examples, and cold paths. They are default

@@ -8,7 +8,8 @@ use crate::error::CodeError;
 use crate::metrics::{CodeCost, CostModel};
 use crate::share::ShareView;
 use crate::traits::{
-    validate_data_len, validate_decode_out, validate_encode_cols, CodeKind, ErasureCode,
+    locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols, CodeKind,
+    ErasureCode,
 };
 
 /// RAID-1-style mirroring: every node stores a full copy of the data.
@@ -41,6 +42,11 @@ impl ErasureCode for Mirroring {
 
     fn data_len_unit(&self) -> usize {
         1
+    }
+
+    /// Every copy is the input verbatim; the first is named.
+    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
+        locate_cell_len(data_len, offset, 1).map(|len| (0, offset, len - offset))
     }
 
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
@@ -145,6 +151,10 @@ impl ErasureCode for SingleParity {
 
     fn data_len_unit(&self) -> usize {
         self.inner.data_len_unit()
+    }
+
+    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
+        self.inner.locate(data_len, offset)
     }
 
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {

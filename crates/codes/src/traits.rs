@@ -101,6 +101,23 @@ pub trait ErasureCode: Send + Sync {
         Ok(data_len / self.k())
     }
 
+    /// Where data byte `offset` of a `data_len`-byte input is stored
+    /// verbatim: `(share, offset_in_share, run)`. The `run ≥ 1` bytes of
+    /// share `share` starting at `offset_in_share` are input bytes
+    /// `offset..offset + run`, and the run never leaves the data cell
+    /// (`data_len / data_len_unit()` bytes) that holds `offset`. A reader
+    /// whose covering shares are healthy can serve a byte range from them
+    /// without decoding.
+    ///
+    /// The default, `None`, means "always decode". It is right for any code
+    /// whose share layout depends on more than the code itself (a
+    /// [`crate::StripedCodec`] lays stripes side by side) and for wrappers
+    /// that do not forward this method. Implementations also return `None`
+    /// for an invalid `data_len` or an `offset ≥ data_len`.
+    fn locate(&self, _data_len: usize, _offset: usize) -> Option<(usize, usize, usize)> {
+        None
+    }
+
     // ---- buffer core (required) ------------------------------------------
 
     /// Encode `data` into `n` pre-sized column slices, each
@@ -181,6 +198,12 @@ pub(crate) fn validate_data_len(data_len: usize, unit: usize) -> Result<(), Code
         });
     }
     Ok(())
+}
+
+/// Data-cell length (`data_len / unit`) for a `locate` call, or `None` when
+/// `offset` does not address a byte of a valid input.
+pub(crate) fn locate_cell_len(data_len: usize, offset: usize, unit: usize) -> Option<usize> {
+    (validate_data_len(data_len, unit).is_ok() && offset < data_len).then(|| data_len / unit)
 }
 
 /// Validate pre-sized encode output columns: `n` slices of `share_len`.

@@ -18,10 +18,21 @@
 //! groups whose live fraction has dropped below the watermark, repacking
 //! the survivors into the current open group.
 //!
+//! Reading a sealed group's object need not decode the group. Every code
+//! stores each data cell verbatim in one symbol, so a healthy read can
+//! fetch and verify only the symbol(s) holding the object's span and copy
+//! the bytes out (a *ranged* read, located by
+//! [`rain_codes::ErasureCode::locate`]). The first read of a group is
+//! ranged; a group read again soon after is decoded from any `k` symbols
+//! and cached, so a scan of co-located objects pays one decode, not one
+//! share check per object. The block is also decoded when a covering node
+//! is unreachable or fails to deliver, and by compaction and shard export,
+//! which need every member.
+//!
 //! This module owns the pure bookkeeping (packing, tombstones, live
 //! accounting, the decoded-block cache); the distributed parts — encoding,
-//! symbol placement, group decode, per-group repair — live in
-//! [`crate::store::DistributedStore`].
+//! symbol placement, ranged reads, group decode, per-group repair — live
+//! in [`crate::store::DistributedStore`].
 
 use crate::wal::file::FsyncPolicy;
 use serde::{Deserialize, Serialize};
@@ -277,7 +288,9 @@ pub struct GroupStats {
     pub packed_bytes: usize,
     /// Group retrieves served from the decoded-block cache.
     pub decode_cache_hits: u64,
-    /// Group retrieves that had to run a full decode.
+    /// Group decodes run (groups read again soon after a ranged read,
+    /// retrieves the ranged path could not serve, compaction, shard
+    /// export). Ranged reads count as neither.
     pub decode_cache_misses: u64,
     /// Live bytes of acked objects whose group has **not** sealed: their
     /// records are in the write-ahead log (when [`Durability::Logged`]) but
@@ -339,15 +352,24 @@ pub struct CompactReport {
     pub bytes_reclaimed: usize,
 }
 
-/// Small LRU of decoded group blocks: N retrieves of co-located objects
-/// cost one group decode. Blocks are invalidated when their group is
-/// compacted away; node failures do not invalidate (the bytes are already
-/// reconstructed).
+/// Small LRU of decoded group blocks. Only decodes fill it, and a read that
+/// misses it picks between a ranged read and a decode from what the cache
+/// has seen ([`GroupDecodeCache::read_again`]): the first read of a group
+/// is ranged, and a group read again while still remembered is decoded and
+/// cached, so a scan of co-located objects costs one ranged read and one
+/// decode while uniformly spread reads stay ranged. Reads whose covering
+/// symbol was unavailable, compaction and shard export decode too. Blocks
+/// are invalidated when their group is compacted away; node failures do not
+/// invalidate (the bytes are already reconstructed, and a sealed group's
+/// block never changes).
 #[derive(Debug, Default)]
 pub(crate) struct GroupDecodeCache {
     /// Least recently used first. Each entry holds the **padded** decoded
     /// block (object spans only ever index below `packed_len`).
     blocks: Vec<(GroupId, Vec<u8>)>,
+    /// Groups recently served by a ranged read, least recent first — ids
+    /// only, no bytes.
+    ranged: Vec<GroupId>,
     pub hits: u64,
     pub misses: u64,
 }
@@ -379,6 +401,23 @@ impl GroupDecodeCache {
         }
     }
 
+    /// For a read of `id` that missed the cache: true if `id` was read
+    /// ranged recently, so the group should be decoded and cached now — a
+    /// second read of one group predicts more (a scan of co-located
+    /// objects), and one decode serves them all. Otherwise remembers `id`
+    /// as read ranged and returns false.
+    pub fn read_again(&mut self, id: GroupId) -> bool {
+        if let Some(pos) = self.ranged.iter().position(|&gid| gid == id) {
+            self.ranged.remove(pos);
+            return true;
+        }
+        if self.ranged.len() >= DECODE_CACHE_CAP {
+            self.ranged.remove(0);
+        }
+        self.ranged.push(id);
+        false
+    }
+
     /// Insert a freshly decoded block as most recently used, evicting the
     /// least recently used entry beyond the capacity.
     pub fn insert(&mut self, id: GroupId, block: Vec<u8>) {
@@ -389,9 +428,10 @@ impl GroupDecodeCache {
         self.blocks.push((id, block));
     }
 
-    /// Drop a group's block (compaction removed the group).
+    /// Forget a group (compaction removed it).
     pub fn remove(&mut self, id: GroupId) {
         self.blocks.retain(|(gid, _)| *gid != id);
+        self.ranged.retain(|&gid| gid != id);
     }
 }
 
@@ -476,6 +516,25 @@ mod tests {
         assert!(cache.get(1).is_none());
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 5);
+    }
+
+    #[test]
+    fn a_group_read_again_while_remembered_is_decoded() {
+        let mut cache = GroupDecodeCache::default();
+        // A scan: the first read is ranged, the second decodes.
+        assert!(!cache.read_again(7));
+        assert!(cache.read_again(7));
+        // Once answered, the group is forgotten (its block is now cached).
+        assert!(!cache.read_again(7));
+        // Reads spread over more groups than the cache holds stay ranged:
+        // group 7 fell out of the four remembered before its next read.
+        for id in 0..4u64 {
+            assert!(!cache.read_again(id));
+        }
+        assert!(!cache.read_again(7));
+        // Compaction forgets a group.
+        cache.remove(7);
+        assert!(!cache.read_again(7));
     }
 
     #[test]

@@ -37,6 +37,14 @@ pub(crate) struct StoreMetrics {
     pub degraded: Counter,
     pub hedged: Counter,
     pub retries: Counter,
+    /// Sealed-group retrieves served from their covering shares, no decode.
+    pub ranged: Counter,
+    /// Retrieves served by a `k`-share decode: whole objects, groups read
+    /// again soon after a ranged read, and group reads the ranged path
+    /// could not serve.
+    pub decoded: Counter,
+    /// Share payload bytes that passed verification during retrieves.
+    pub bytes_verified: Counter,
     pub latency_us: Histogram,
     pub outcome_ok: Counter,
     pub outcome_timeout: Counter,
@@ -65,6 +73,9 @@ impl StoreMetrics {
             degraded: reg.counter(RETRIEVE_DEGRADED),
             hedged: reg.counter(RETRIEVE_HEDGED),
             retries: reg.counter(RETRIEVE_RETRIES),
+            ranged: reg.counter("storage.retrieve.ranged"),
+            decoded: reg.counter("storage.retrieve.decoded"),
+            bytes_verified: reg.counter("storage.retrieve.bytes_verified"),
             latency_us: reg.histogram("storage.retrieve.latency_us"),
             outcome_ok: reg.counter(OUTCOME_OK),
             outcome_timeout: reg.counter(OUTCOME_TIMEOUT),

@@ -13,9 +13,11 @@
 //!
 //! Small objects can additionally be batched into **coding groups** (see
 //! [`crate::group`]): one encode, one symbol per node, and one repair per
-//! *group* of objects instead of per object. Grouping is off by default
-//! ([`DistributedStore::new`]) and enabled with
-//! [`DistributedStore::with_groups`].
+//! *group* of objects instead of per object. The first healthy read of a
+//! sealed group is *ranged*: it verifies only the symbol holding its bytes
+//! and decodes nothing; a group read again soon after is decoded once and
+//! cached. Grouping is off by default ([`DistributedStore::new`]) and
+//! enabled with [`DistributedStore::with_groups`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -114,7 +116,9 @@ impl From<WalError> for StorageError {
     }
 }
 
-/// How the reader chooses its `k` source nodes.
+/// How the reader chooses its `k` source nodes for a decode. A ranged read
+/// of a grouped object has no choice to make: it goes to the node(s)
+/// holding the object's bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SelectionPolicy {
     /// The first `k` reachable nodes in node order.
@@ -165,9 +169,13 @@ enum Placement {
 /// Statistics describing one retrieve operation.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetrieveReport {
-    /// The nodes the symbols were read from.
+    /// The nodes whose verified shares served the read: the `k` decode
+    /// sources, or, for a ranged read of a sealed group, the shares that
+    /// hold the object's bytes verbatim (usually one). Empty when no node
+    /// was needed: open groups, decode-cache hits, empty grouped objects.
     pub sources: Vec<NodeId>,
-    /// Bytes read from each source.
+    /// Share payload bytes read from each source — a whole share, even when
+    /// a ranged read copies out only the object's span.
     pub bytes_per_source: usize,
     /// True if **this retrieve** had fewer than `n` shares of **this
     /// object** available — because a holding node is down, a node lost the
@@ -189,9 +197,11 @@ pub struct RetrieveReport {
     /// breakdown is still available through the registry counters
     /// (`storage.retrieve.outcome.*`, see [`OutcomeTally::from_registry`]).
     pub outcomes: Vec<(NodeId, NodeOutcome)>,
-    /// Virtual time from dispatch until the `k`-th verified share arrived —
-    /// the decode could start at this point. Zero under the direct
-    /// transport and for reads served from coordinator memory.
+    /// Virtual time from dispatch until the last needed share arrived —
+    /// the `k`-th verified share of a decode, or the last covering share of
+    /// a ranged read. A ranged attempt that failed over to a decode adds
+    /// its own time. Zero under the direct transport and for reads served
+    /// from coordinator memory.
     pub latency: SimDuration,
     /// True if the retrieve dispatched a hedge request (an extra share from
     /// an unused node) because its slowest needed share ran past the
@@ -636,6 +646,15 @@ fn drive_install_inner(
     }
 }
 
+/// Length of the block a group of `packed_len` bytes is encoded as: padded
+/// to the code's input unit, and at least one unit (a group of empty
+/// objects still needs a decodable block). Each share's payload is this
+/// length divided by `k`.
+fn padded_block_len(code: &dyn ErasureCode, packed_len: usize) -> usize {
+    let unit = code.data_len_unit();
+    packed_len.div_ceil(unit).max(1) * unit
+}
+
 /// Installs required before a write acks: `n - write_slack`, floored at
 /// `k` (acking below `k` would promise durability the code cannot give).
 fn quorum_need(n: usize, k: usize, write_slack: usize) -> usize {
@@ -669,6 +688,14 @@ impl OutcomeCounts {
     fn not_ok(&self) -> u32 {
         self.timeout + self.corrupt + self.down + self.stale
     }
+
+    fn add(&mut self, other: OutcomeCounts) {
+        self.ok += other.ok;
+        self.timeout += other.timeout;
+        self.corrupt += other.corrupt;
+        self.down += other.down;
+        self.stale += other.stale;
+    }
 }
 
 /// What a virtual-parallel share collection produced.
@@ -691,6 +718,9 @@ struct ShareCollection {
     hedged: bool,
     /// Arrival time of the `k`-th verified share (zero when short of `k`).
     latency: SimDuration,
+    /// When the last contacted stream ended, delivered or not: on a
+    /// collection short of `k`, the time it gave up.
+    finished: SimDuration,
 }
 
 /// Collect `k` verified shares from `candidates` (policy-ordered holders)
@@ -732,6 +762,7 @@ fn collect_shares<'n>(
         retries: 0,
         hedged: false,
         latency: SimDuration::ZERO,
+        finished: SimDuration::ZERO,
     };
     // (node, arrival, dispatch order). Ties in arrival time — every tie
     // under the zero-latency direct transport — resolve in dispatch order,
@@ -750,6 +781,7 @@ fn collect_shares<'n>(
         let r = fetch_share(transport, policy, rng, node, frame, expect_gen, start);
         col.retries += r.attempts.saturating_sub(1);
         col.counts.note(r.outcome);
+        col.finished = col.finished.max(r.finished);
         obs.record_fetch(
             node,
             matches!(r.outcome, NodeOutcome::Ok),
@@ -788,6 +820,7 @@ fn collect_shares<'n>(
                 let r = fetch_share(transport, policy, rng, node, frame, expect_gen, h);
                 col.retries += r.attempts.saturating_sub(1);
                 col.counts.note(r.outcome);
+                col.finished = col.finished.max(r.finished);
                 obs.record_fetch(
                     node,
                     matches!(r.outcome, NodeOutcome::Ok),
@@ -809,8 +842,9 @@ fn collect_shares<'n>(
     col
 }
 
-/// What [`DistributedStore::decode_group`] read: the sources and transport
-/// fates of the decode that filled (or validated) the cache.
+/// What a sealed-group read fetched: the sources and transport fates of a
+/// ranged read, or of the decode that filled (or validated) the cache.
+#[derive(Default)]
 struct GroupFetch {
     sources: Vec<usize>,
     bytes_per_source: usize,
@@ -820,6 +854,47 @@ struct GroupFetch {
     latency: SimDuration,
     hedged: bool,
     retries: u32,
+    /// Shares that passed verification (checksum, generation, length).
+    verified: usize,
+}
+
+impl GroupFetch {
+    /// Fold in a ranged attempt that failed before this fetch started: its
+    /// contacts come first, its time adds to the latency, and a contact
+    /// that failed to deliver makes the read degraded. `hedged` is this
+    /// fetch's alone: a ranged attempt has no spare node to hedge to.
+    fn after(mut self, attempt: GroupFetch) -> GroupFetch {
+        let mut outcomes = attempt.outcomes;
+        outcomes.append(&mut self.outcomes);
+        self.outcomes = outcomes;
+        self.counts.add(attempt.counts);
+        self.degraded |= attempt.counts.not_ok() > 0;
+        self.latency = attempt.latency + self.latency;
+        self.retries += attempt.retries;
+        self.verified += attempt.verified;
+        self
+    }
+
+    fn into_report(self) -> RetrieveReport {
+        RetrieveReport {
+            sources: self.sources.into_iter().map(NodeId).collect(),
+            bytes_per_source: self.bytes_per_source,
+            degraded: self.degraded,
+            outcomes: self.outcomes,
+            latency: self.latency,
+            hedged: self.hedged,
+            retries: self.retries,
+        }
+    }
+}
+
+/// How a ranged read of a sealed group ended.
+enum Ranged {
+    /// The span's bytes, copied out of verified covering shares.
+    Served(Vec<u8>, GroupFetch),
+    /// A covering node failed to deliver: what the attempt cost, and the
+    /// covering nodes it asked.
+    Failed(GroupFetch, Vec<usize>),
 }
 
 impl DistributedStore {
@@ -1810,13 +1885,11 @@ impl DistributedStore {
             return Ok(FlushReport::default());
         }
         let mut seal_span = span!(self.recorder, "store.seal");
-        // Pad the packed block to the code's input unit (at least one unit:
-        // a group of empty objects still needs a decodable block) and
-        // encode it in place — no copy into a staging buffer.
-        let unit = self.code.data_len_unit();
+        // Pad the packed block and encode it in place — no copy into a
+        // staging buffer.
         let packed_len = group.packed_len;
         let objects_committed = group.live_objects;
-        let padded = packed_len.div_ceil(unit).max(1) * unit;
+        let padded = padded_block_len(self.code.as_ref(), packed_len);
         let mut block = std::mem::take(&mut group.data);
         block.resize(padded, 0);
         if let Err(e) = self.code.encode_into(&block, &mut self.encode_shares) {
@@ -1975,7 +2048,8 @@ impl DistributedStore {
                 span.field("bytes", data.len() as u64);
                 if report.sources.is_empty() {
                     // Served from coordinator memory: an open group's write
-                    // buffer or the group decode cache. No node was touched.
+                    // buffer, the group decode cache, or an empty grouped
+                    // object. No node was touched.
                     self.obs.local_hits.inc();
                 } else {
                     self.obs.retrieve_ok.inc();
@@ -2088,6 +2162,10 @@ impl DistributedStore {
         let data = framed[8..8 + stored_len].to_vec();
         let degraded = view_degraded || col.counts.not_ok() > 0;
         self.note_outcomes(col.counts);
+        self.obs.decoded.inc();
+        self.obs
+            .bytes_verified
+            .add((col.available * bytes_per_source) as u64);
         Ok((
             data,
             RetrieveReport {
@@ -2108,14 +2186,24 @@ impl DistributedStore {
     ///   buffer: served directly, no node reads ([`RetrieveReport::sources`]
     ///   is empty, the read is never degraded). They are not yet
     ///   erasure-coded; see [`DistributedStore::flush`].
-    /// * **Sealed group** — the group block is decoded **once** from any
-    ///   `k` group symbols and cached, so retrieves of co-located objects
-    ///   cost one decode; cache hits also report no sources. The cache
-    ///   short-circuits the decode *work*, never the availability check:
-    ///   a group the cluster could not currently serve (fewer than `k`
-    ///   reachable symbols) fails the retrieve even when its block is
-    ///   still cached, so callers observe real durability, not coordinator
-    ///   memory.
+    /// * **Sealed group** — availability comes first: with fewer than `k`
+    ///   reachable holders the retrieve fails with
+    ///   [`StorageError::NotEnoughNodes`], even when one node could serve
+    ///   the bytes or the block is cached, so callers observe real
+    ///   durability, not coordinator memory. Then, in order:
+    ///   1. a decode-cache hit serves the span and reports no sources;
+    ///   2. a group read ranged recently is read again: the block is
+    ///      decoded from any `k` shares and cached
+    ///      ([`DistributedStore::decode_group`]), so the rest of a scan of
+    ///      co-located objects hits the cache;
+    ///   3. otherwise a **ranged read** ([`DistributedStore::read_ranged`])
+    ///      fetches and verifies only the shares that hold the span
+    ///      verbatim and copies the bytes out — no decode, no cache fill;
+    ///   4. if the code names no location, a covering node is not a
+    ///      reachable holder, or a covering node fails to deliver (by the
+    ///      hedge threshold, when the policy hedges), the block is decoded
+    ///      and cached as in 2, asking the covering nodes last. A failed
+    ///      ranged attempt's contacts and time are folded into the report.
     fn retrieve_grouped(
         &mut self,
         gid: GroupId,
@@ -2126,47 +2214,173 @@ impl DistributedStore {
         let group = self.groups.get(&gid).expect("placement names a group");
         if !group.sealed {
             let data = group.data[span.offset..span.offset + span.len].to_vec();
-            return Ok((
-                data,
-                RetrieveReport {
-                    sources: Vec::new(),
-                    bytes_per_source: 0,
-                    degraded: false,
-                    outcomes: Vec::new(),
-                    latency: SimDuration::ZERO,
-                    hedged: false,
-                    retries: 0,
-                },
-            ));
+            return Ok((data, GroupFetch::default().into_report()));
         }
-        let fetch = self.decode_group(gid, policy, allowed)?;
+        let packed_len = group.packed_len;
+        let mut candidates = self.pick_group_sources(policy, gid, allowed);
+        let mut failed = None;
+        if candidates.len() >= self.code.k()
+            && self.decode_cache.get(gid).is_none()
+            && !self.decode_cache.read_again(gid)
+        {
+            match self.read_ranged(gid, packed_len, span, &candidates) {
+                Some(Ranged::Served(data, mut fetch)) => {
+                    fetch.degraded = candidates.len() < self.code.n();
+                    self.obs.ranged.inc();
+                    self.finish_group_read(&fetch);
+                    return Ok((data, fetch.into_report()));
+                }
+                Some(Ranged::Failed(attempt, covering)) => {
+                    // The covering nodes stay candidates (with exactly k
+                    // holders the decode needs them), but only as the last
+                    // backups.
+                    candidates.sort_by_key(|c| covering.contains(c));
+                    failed = Some(attempt);
+                }
+                None => {}
+            }
+        }
+        let mut fetch = self.decode_group_from(gid, &candidates)?;
+        if !fetch.sources.is_empty() {
+            self.obs.decoded.inc();
+        }
+        if let Some(attempt) = failed {
+            fetch = fetch.after(attempt);
+        }
         let block = self
             .decode_cache
             .get(gid)
             .expect("decode_group just populated the cache");
         let data = block[span.offset..span.offset + span.len].to_vec();
-        self.note_outcomes(fetch.counts);
-        Ok((
-            data,
-            RetrieveReport {
-                sources: fetch.sources.into_iter().map(NodeId).collect(),
-                bytes_per_source: fetch.bytes_per_source,
-                degraded: fetch.degraded,
-                outcomes: fetch.outcomes,
-                latency: fetch.latency,
-                hedged: fetch.hedged,
-                retries: fetch.retries,
-            },
-        ))
+        self.finish_group_read(&fetch);
+        Ok((data, fetch.into_report()))
     }
 
-    /// Ensure the decoded block of sealed group `gid` is in the cache.
-    /// Returns the nodes read, the bytes read per node — both zero on a
-    /// cache hit, where no node is touched at all — and the degraded flag
-    /// (fewer than `n` symbols of this group available to this call). One
-    /// candidate scan serves the availability check, the degraded flag,
-    /// and source selection; the check applies on cache hits too, so the
-    /// cache never masks a group the cluster cannot currently serve.
+    /// Telemetry of one served sealed-group read.
+    fn finish_group_read(&self, fetch: &GroupFetch) {
+        self.note_outcomes(fetch.counts);
+        self.obs
+            .bytes_verified
+            .add((fetch.verified * fetch.bytes_per_source) as u64);
+    }
+
+    /// Serve `span` of sealed group `gid` from the shares that hold it
+    /// verbatim ([`ErasureCode::locate`]): the covering shares are
+    /// collected like a decode's (with no spare to fall back on), each
+    /// checked for checksum and generation, and each payload must be the
+    /// `padded block / k` bytes the group table implies. Every source is
+    /// charged one full share, since its node ships the whole verified
+    /// frame.
+    ///
+    /// Returns `None`, having contacted nobody, when the code names no
+    /// location or a covering node is not among `candidates` (the reachable
+    /// holders).
+    fn read_ranged(
+        &mut self,
+        gid: GroupId,
+        packed_len: usize,
+        span: ObjSpan,
+        candidates: &[usize],
+    ) -> Option<Ranged> {
+        let padded = padded_block_len(self.code.as_ref(), packed_len);
+        let share_len = padded / self.code.k();
+        // (share, offset in its payload, bytes) for each piece of the span.
+        let mut pieces = Vec::new();
+        let mut sources: Vec<usize> = Vec::new();
+        let end = span.offset + span.len;
+        let mut at = span.offset;
+        while at < end {
+            let (share, offset, run) = self.code.locate(padded, at)?;
+            if !candidates.contains(&share) {
+                return None;
+            }
+            if !sources.contains(&share) {
+                sources.push(share);
+            }
+            let take = run.min(end - at);
+            pieces.push((share, offset, take));
+            at += take;
+        }
+        if sources.is_empty() {
+            // An empty object: no bytes, so no share to read.
+            return Some(Ranged::Served(Vec::new(), GroupFetch::default()));
+        }
+        // A covering share has no stand-in, so the read waits for it no
+        // longer than a decode waits before hedging: past the threshold it
+        // gives up and decodes from the other holders.
+        let policy = FaultPolicy {
+            deadline: self
+                .policy
+                .hedge_after
+                .map_or(self.policy.deadline, |h| h.min(self.policy.deadline)),
+            ..self.policy
+        };
+        let expect_gen = self.group_gens.get(&gid).copied().unwrap_or(0);
+        let mut transport_span = span!(
+            self.recorder,
+            "store.retrieve.transport",
+            candidates = sources.len() as u64
+        );
+        let nodes = &self.nodes;
+        let mut col = collect_shares(
+            self.transport.as_mut(),
+            &CollectSpec {
+                policy: &policy,
+                k: sources.len(),
+                expect_gen,
+                capture: self.capture_outcomes,
+                obs: &self.node_obs,
+            },
+            &mut self.policy_rng,
+            &sources,
+            |n| nodes[n].group_symbols.get(&gid),
+        );
+        // A frame that verifies but disagrees with the group table on its
+        // length cannot be sliced at the located offsets: it counts as
+        // corrupt.
+        for &node in &col.used {
+            if nodes[node].group_symbols[&gid].len() - FRAME_HEADER != share_len {
+                col.counts.ok -= 1;
+                col.counts.corrupt += 1;
+                col.available -= 1;
+                for entry in col.outcomes.iter_mut().filter(|(n, _)| n.0 == node) {
+                    entry.1 = NodeOutcome::Corrupt;
+                }
+            }
+        }
+        transport_span.field("shares", col.available as u64);
+        drop(transport_span);
+        let mut fetch = GroupFetch {
+            outcomes: col.outcomes,
+            counts: col.counts,
+            retries: col.retries,
+            verified: col.available,
+            ..GroupFetch::default()
+        };
+        if col.available < sources.len() {
+            fetch.latency = col.finished;
+            self.advance_transport(fetch.latency);
+            return Some(Ranged::Failed(fetch, sources));
+        }
+        fetch.latency = col.latency;
+        self.advance_transport(fetch.latency);
+        let mut data = Vec::with_capacity(span.len);
+        for (share, offset, take) in pieces {
+            let (_, payload) =
+                split_frame(&self.nodes[share].group_symbols[&gid]).expect("share verified above");
+            data.extend_from_slice(&payload[offset..offset + take]);
+        }
+        for &node in &sources {
+            self.nodes[node].bytes_served += share_len as u64;
+        }
+        fetch.bytes_per_source = share_len;
+        fetch.sources = sources;
+        Some(Ranged::Served(data, fetch))
+    }
+
+    /// Ensure the decoded block of sealed group `gid` is in the cache (see
+    /// [`DistributedStore::decode_group_from`]), reading from the holders
+    /// `policy` prefers.
     fn decode_group(
         &mut self,
         gid: GroupId,
@@ -2174,6 +2388,21 @@ impl DistributedStore {
         allowed: Option<&[NodeId]>,
     ) -> Result<GroupFetch, StorageError> {
         let candidates = self.pick_group_sources(policy, gid, allowed);
+        self.decode_group_from(gid, &candidates)
+    }
+
+    /// Ensure the decoded block of sealed group `gid` is in the cache,
+    /// decoding from `k` of `candidates` (the reachable holders, in policy
+    /// order). Returns the nodes read, the bytes read per node — both zero
+    /// on a cache hit, where no node is touched at all — and the degraded
+    /// flag (fewer than `n` symbols of this group available to this call).
+    /// The availability check applies on cache hits too, so the cache never
+    /// masks a group the cluster cannot currently serve.
+    fn decode_group_from(
+        &mut self,
+        gid: GroupId,
+        candidates: &[usize],
+    ) -> Result<GroupFetch, StorageError> {
         let k = self.code.k();
         if candidates.len() < k {
             return Err(StorageError::NotEnoughNodes {
@@ -2185,14 +2414,8 @@ impl DistributedStore {
         if self.decode_cache.touch(gid) {
             self.obs.cache_hits.inc();
             return Ok(GroupFetch {
-                sources: Vec::new(),
-                bytes_per_source: 0,
                 degraded: view_degraded,
-                outcomes: Vec::new(),
-                counts: OutcomeCounts::default(),
-                latency: SimDuration::ZERO,
-                hedged: false,
-                retries: 0,
+                ..GroupFetch::default()
             });
         }
         self.obs.cache_misses.inc();
@@ -2213,7 +2436,7 @@ impl DistributedStore {
                 obs: &self.node_obs,
             },
             &mut self.policy_rng,
-            &candidates,
+            candidates,
             |n| nodes[n].group_symbols.get(&gid),
         );
         transport_span.field("shares", col.available as u64);
@@ -2253,6 +2476,7 @@ impl DistributedStore {
             latency: col.latency,
             hedged: col.hedged,
             retries: col.retries,
+            verified: col.available,
         })
     }
 
@@ -3225,26 +3449,203 @@ mod tests {
         }
     }
 
-    #[test]
-    fn co_located_retrieves_cost_one_decode() {
+    /// A grouped store over the (6, 4) B-Code holding twelve 20-byte
+    /// objects `o0`..`o11`, one sealed group. They fill the code's twelve
+    /// data cells of a 240-byte block exactly: each object is one cell of
+    /// one column.
+    fn one_cell_store() -> DistributedStore {
         let mut s = grouped_store();
-        for i in 0..4 {
-            s.store(&format!("o{i}"), &[i as u8; 50]).unwrap();
+        for i in 0..12 {
+            s.store(&format!("o{i}"), &[i as u8; 20]).unwrap();
         }
         s.flush().unwrap();
-        for i in 0..4 {
-            let (_, report) = s
+        s
+    }
+
+    /// The node holding object `o{i}` of [`one_cell_store`].
+    fn data_node(s: &DistributedStore, i: usize) -> usize {
+        s.code.locate(240, 20 * i).expect("B-Code locates").0
+    }
+
+    #[test]
+    fn co_located_retrieves_cost_one_decode() {
+        // Healthy: the first read of the group is ranged — one source, no
+        // decode. The second read of the same group decodes from k nodes
+        // and fills the cache, which serves the other ten.
+        let mut s = one_cell_store();
+        for i in 0..12 {
+            let (out, report) = s
                 .retrieve(&format!("o{i}"), SelectionPolicy::FirstK)
                 .unwrap();
+            assert_eq!(out, [i as u8; 20]);
+            assert!(!report.degraded);
+            match i {
+                0 => {
+                    assert_eq!(report.sources, [NodeId(data_node(&s, 0))], "ranged");
+                    assert_eq!(report.bytes_per_source, 60, "a whole share is shipped");
+                }
+                1 => assert_eq!(report.sources.len(), 4, "read again: decoded"),
+                _ => assert!(report.sources.is_empty(), "cache hit reads no node"),
+            }
+        }
+        let stats = s.group_stats();
+        assert_eq!(
+            (stats.decode_cache_misses, stats.decode_cache_hits),
+            (1, 10)
+        );
+
+        // With o0's data node down, the first read decodes from k nodes
+        // and fills the cache; every other co-located read hits it.
+        let mut s = one_cell_store();
+        let down = data_node(&s, 0);
+        s.fail_node(NodeId(down)).unwrap();
+        for i in 0..12 {
+            let (out, report) = s
+                .retrieve(&format!("o{i}"), SelectionPolicy::FirstK)
+                .unwrap();
+            assert_eq!(out, [i as u8; 20]);
+            assert!(report.degraded);
             if i == 0 {
                 assert_eq!(report.sources.len(), 4, "first read decodes from k nodes");
+                assert!(!report.sources.contains(&NodeId(down)));
             } else {
                 assert!(report.sources.is_empty(), "cache hit reads no node");
             }
         }
         let stats = s.group_stats();
         assert_eq!(stats.decode_cache_misses, 1);
-        assert_eq!(stats.decode_cache_hits, 3);
+        assert_eq!(stats.decode_cache_hits, 11);
+    }
+
+    #[test]
+    fn reads_spread_over_more_groups_than_the_cache_stay_ranged() {
+        // Five groups, read round-robin: a group comes round again only
+        // after four others, by which time it is no longer remembered, so
+        // no read decodes.
+        let mut s = grouped_store();
+        for g in 0..5 {
+            for i in 0..12 {
+                s.store(&format!("g{g}o{i}"), &[(g * 12 + i) as u8; 20])
+                    .unwrap();
+            }
+            s.flush().unwrap();
+        }
+        for i in 0..12 {
+            for g in 0..5 {
+                let (out, report) = s
+                    .retrieve(&format!("g{g}o{i}"), SelectionPolicy::FirstK)
+                    .unwrap();
+                assert_eq!(out, [(g * 12 + i) as u8; 20]);
+                assert_eq!(report.sources.len(), 1, "g{g}o{i} read ranged");
+            }
+        }
+        assert_eq!(s.group_stats().decode_cache_misses, 0);
+    }
+
+    /// A [`one_cell_store`] and the name and bytes of an object whose cell
+    /// lives on node 5. A `FirstK` decode asks nodes 0–3 first, so the
+    /// fallback never touches node 5 unless one of them fails.
+    fn one_cell_objects() -> (DistributedStore, String, Vec<u8>) {
+        let s = one_cell_store();
+        let i = (0..12)
+            .find(|&i| data_node(&s, i) == 5)
+            .expect("node 5 holds two data cells");
+        (s, format!("o{i}"), vec![i as u8; 20])
+    }
+
+    /// Damage node 5's frame of the only sealed group, then read an object
+    /// it holds: the ranged read must refuse the frame, and the decode must
+    /// serve the right bytes, degraded, with the refusal counted as `want`.
+    fn ranged_read_falls_back(damage: impl FnOnce(&mut Vec<u8>), want: NodeOutcome) {
+        let (mut s, name, want_bytes) = one_cell_objects();
+        let registry = Registry::new();
+        s.attach_registry(&registry);
+        damage(s.nodes[5].group_symbols.values_mut().next().unwrap());
+        let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+        assert_eq!(out, want_bytes);
+        assert!(report.degraded);
+        assert_eq!(report.outcomes[0], (NodeId(5), want), "ranged refusal");
+        let sources: Vec<usize> = report.sources.iter().map(|n| n.0).collect();
+        assert_eq!(sources, [0, 1, 2, 3], "fell back to a k-share decode");
+        let tally = OutcomeTally::from_registry(&registry);
+        assert_eq!((tally.ok, tally.corrupt + tally.stale), (4, 1));
+        assert_eq!(registry.counter_value("storage.retrieve.ranged"), 0);
+        assert_eq!(registry.counter_value("storage.retrieve.decoded"), 1);
+        assert_eq!(
+            registry.counter_value("storage.retrieve.bytes_verified"),
+            4 * 60
+        );
+    }
+
+    #[test]
+    fn ranged_read_refuses_a_frame_damaged_at_rest() {
+        ranged_read_falls_back(
+            |frame| frame[FRAME_HEADER + 3] ^= 0x40,
+            NodeOutcome::Corrupt,
+        );
+    }
+
+    #[test]
+    fn ranged_read_refuses_a_stale_generation() {
+        ranged_read_falls_back(
+            |frame| {
+                let (gen, payload) = open_frame(frame).unwrap();
+                *frame = seal_frame(gen + 1, payload);
+            },
+            NodeOutcome::Stale,
+        );
+    }
+
+    #[test]
+    fn ranged_read_refuses_a_truncated_frame() {
+        ranged_read_falls_back(
+            |frame| frame.truncate(frame.len() - 1),
+            NodeOutcome::Corrupt,
+        );
+        // Re-sealed after truncation, so checksum and generation verify:
+        // only the length check against the group table catches it.
+        ranged_read_falls_back(
+            |frame| {
+                let (gen, payload) = open_frame(frame).unwrap();
+                *frame = seal_frame(gen, &payload[..payload.len() - 1]);
+            },
+            NodeOutcome::Corrupt,
+        );
+    }
+
+    #[test]
+    fn ranged_reads_keep_the_k_holder_availability_check() {
+        // The object's own node is up, but only k - 1 holders are: the read
+        // is unavailable, not served from the one node with the bytes.
+        let (mut s, name, _) = one_cell_objects();
+        for other in 0..3 {
+            s.fail_node(NodeId(other)).unwrap();
+        }
+        assert!(matches!(
+            s.retrieve(&name, SelectionPolicy::FirstK),
+            Err(StorageError::NotEnoughNodes {
+                available: 3,
+                needed: 4
+            })
+        ));
+    }
+
+    #[test]
+    fn ranged_reads_are_counted_and_charge_one_share() {
+        let (mut s, name, _) = one_cell_objects();
+        let registry = Registry::new();
+        s.attach_registry(&registry);
+        let served_before = s.bytes_served(NodeId(5));
+        let (_, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+        assert_eq!(report.sources, [NodeId(5)]);
+        assert_eq!(report.outcomes, [(NodeId(5), NodeOutcome::Ok)]);
+        assert_eq!(s.bytes_served(NodeId(5)) - served_before, 60);
+        assert_eq!(registry.counter_value("storage.retrieve.ranged"), 1);
+        assert_eq!(registry.counter_value("storage.retrieve.decoded"), 0);
+        assert_eq!(
+            registry.counter_value("storage.retrieve.bytes_verified"),
+            60
+        );
     }
 
     #[test]
@@ -4317,6 +4718,31 @@ mod tests {
             assert!(rep.hedged);
             assert_eq!(rep.outcomes.len(), 5, "k streams plus one hedge");
             assert_eq!(rep.latency, SimDuration::from_millis(1));
+        }
+
+        #[test]
+        fn a_ranged_read_gives_up_on_a_slow_node_without_hedging() {
+            // Node 5 serves 50x slow. A ranged read of its cell gives up at
+            // the hedge threshold and decodes from nodes 0-3, which answer
+            // in time: no extra share was requested, so nothing hedged.
+            let (mut s, name, want) = one_cell_objects();
+            let plan = FaultPlan::none().at(SimTime::ZERO, Fault::NodeDegrade(NodeId(5), 50));
+            let mut chaos = ChaosTransport::new(6, 19).with_plan(plan);
+            chaos.base_latency = SimDuration::from_micros(100);
+            chaos.jitter = SimDuration::ZERO;
+            s.set_transport(Box::new(chaos));
+            s.set_policy(FaultPolicy {
+                hedge_after: Some(SimDuration::from_micros(500)),
+                ..FaultPolicy::default()
+            });
+            s.set_outcome_capture(true);
+            let (out, rep) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, want);
+            assert!(!rep.hedged);
+            assert!(rep.degraded);
+            assert_eq!(rep.outcomes[0], (NodeId(5), NodeOutcome::Timeout));
+            assert_eq!(rep.sources, [NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+            assert_eq!(rep.latency, SimDuration::from_micros(600));
         }
 
         #[test]

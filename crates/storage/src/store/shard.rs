@@ -31,8 +31,8 @@ use rain_obs::span;
 use rain_sim::SimDuration;
 
 use super::{
-    drive_install, quorum_need, DistributedStore, PendingInstall, PendingTarget, Placement,
-    SelectionPolicy, StorageError,
+    drive_install, padded_block_len, quorum_need, DistributedStore, PendingInstall, PendingTarget,
+    Placement, SelectionPolicy, StorageError,
 };
 use crate::group::{CodingGroup, GroupId, ObjSpan};
 use crate::transport::seal_frame;
@@ -181,8 +181,7 @@ impl DistributedStore {
         self.next_group_id = self.next_group_id.max(gid + 1);
         // Pad to the code's input unit and encode — one encode for the
         // whole group, identical to a seal.
-        let unit = self.code.data_len_unit();
-        let padded = block.len().div_ceil(unit).max(1) * unit;
+        let padded = padded_block_len(self.code.as_ref(), block.len());
         self.io_buf.clear();
         self.io_buf.extend_from_slice(block);
         self.io_buf.resize(padded, 0);
