@@ -28,14 +28,9 @@
 //! durable.
 
 use rain_obs::span;
-use rain_sim::SimDuration;
 
-use super::{
-    drive_install, padded_block_len, quorum_need, DistributedStore, PendingInstall, PendingTarget,
-    Placement, SelectionPolicy, StorageError,
-};
+use super::{padded_block_len, DistributedStore, Placement, SelectionPolicy, StorageError, Unit};
 use crate::group::{CodingGroup, GroupId, ObjSpan};
-use crate::transport::seal_frame;
 use crate::wal::RecordView;
 
 /// A sealed coding group packaged for transfer to another shard: the live
@@ -110,12 +105,14 @@ impl DistributedStore {
         }
         let mut span = span!(self.recorder, "store.shard.export", group = gid);
         // One decode fills the cache (or validates availability on a hit).
-        let fetch = self.decode_group(gid, policy, None)?;
+        let unit = Unit::Group(gid);
+        let holders = self.pick_holders(policy, unit, None);
+        let fetch = self.decode_unit(unit, &holders)?;
         self.note_outcomes(fetch.counts);
         let block_full = self
             .decode_cache
             .get(gid)
-            .expect("decode_group populated the cache");
+            .expect("decode_unit populated the cache");
         let mut members: Vec<(String, ObjSpan)> = self
             .objects
             .iter()
@@ -187,50 +184,9 @@ impl DistributedStore {
         self.io_buf.resize(padded, 0);
         self.code
             .encode_into(&self.io_buf, &mut self.encode_shares)?;
-        let gen = self.next_epoch;
-        self.next_epoch += 1;
-        let n = self.nodes.len();
-        let quorum = quorum_need(n, self.code.k(), self.policy.write_slack);
-        let mut installed = 0usize;
-        let mut finishes: Vec<SimDuration> = Vec::new();
-        let queued_from = self.pending.len();
-        for i in 0..n {
-            let frame = seal_frame(gen, self.encode_shares.share(i));
-            let drive = drive_install(
-                self.transport.as_mut(),
-                &self.policy,
-                &mut self.policy_rng,
-                i,
-                frame.len() as u64,
-                &self.node_obs,
-            );
-            if drive.installed {
-                self.nodes[i].group_symbols.insert(gid, frame);
-                installed += 1;
-                finishes.push(drive.finished);
-            } else {
-                self.pending.push(PendingInstall {
-                    node: i,
-                    target: PendingTarget::Group { group: gid, gen },
-                    frame,
-                });
-            }
-        }
-        if installed < quorum {
-            // Same posture as a failed seal: withdraw the queued tail and
-            // register nothing. Frames that did land are orphans under a
-            // group id no table entry will ever name — no decode accepts
-            // them, and recovery's reconcile pass sweeps them.
-            self.pending.truncate(queued_from);
-            self.advance_transport(self.policy.deadline);
-            self.obs.quorum_failures.inc();
-            return Err(StorageError::QuorumNotReached {
-                installed,
-                needed: quorum,
-            });
-        }
-        finishes.sort();
-        self.advance_transport(finishes[quorum - 1]);
+        // A failed import's landed frames sit under a group id no table
+        // entry will ever name; recovery's reconcile pass sweeps them.
+        self.install_unit(Unit::Group(gid), None)?;
         self.groups.insert(
             gid,
             CodingGroup {
@@ -241,23 +197,11 @@ impl DistributedStore {
                 sealed: true,
             },
         );
-        self.group_gens.insert(gid, gen);
         // The padded block is exactly what a decode would produce; seed the
         // cache so co-located reads right after a migration stay local.
         self.decode_cache.insert(gid, self.io_buf.clone());
         for (name, member_span) in members {
-            match self.objects.get(name) {
-                Some(&Placement::Grouped { group, span }) => {
-                    self.tombstone_member(group, span)?;
-                }
-                Some(Placement::Whole) if !self.replaying => {
-                    self.destructive_apply_barrier()?;
-                    for node in &mut self.nodes {
-                        node.symbols.remove(name);
-                    }
-                }
-                Some(Placement::Whole) | None => {}
-            }
+            self.retire_for_grouped(name)?;
             self.objects.insert(
                 name.clone(),
                 Placement::Grouped {
@@ -298,7 +242,7 @@ impl DistributedStore {
             self.objects.remove(name);
         }
         if self.groups.contains_key(&gid) {
-            self.drop_group(gid)?;
+            self.delete_unit(Unit::Group(gid))?;
         }
         Ok(members.len())
     }
