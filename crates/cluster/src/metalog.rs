@@ -38,7 +38,7 @@
 //! *previous* checkpoint is dropped, so a torn newest checkpoint falls
 //! back to a complete older one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use rain_storage::{FieldReader, FieldWriter, GroupId, LogRecord, RecordLog};
 
@@ -317,14 +317,18 @@ impl LogRecord for MetaRecord {
 
 /// The committed control state a metalog replay reconstructs, plus the
 /// transition state of a handover that was in flight at the crash.
+///
+/// [`MetaState::fold`] consumes the replayed records: keys and placement
+/// keys move out of them into the maps below, which have the types
+/// [`crate::ClusterStore`] keeps, so recovery hands them over as they are.
 #[derive(Debug, Default)]
 pub struct MetaState {
     /// The committed view, if any `ViewCommit`/`Checkpoint` was found.
     pub view: Option<MembershipView>,
     /// The authoritative key directory.
-    pub directory: BTreeMap<String, ShardId>,
+    pub directory: HashMap<String, ShardId>,
     /// Placement keys per (shard, group).
-    pub pkeys: BTreeMap<(ShardId, GroupId), String>,
+    pub pkeys: HashMap<(ShardId, GroupId), String>,
     /// A prepare-logged handover with no matching commit/abort: its target
     /// member set, landed units, and dual overrides. Recovery rolls it
     /// back.
@@ -349,8 +353,9 @@ impl MetaState {
     /// repoints, dual collapse, pkey cleanup) exactly as
     /// [`crate::ClusterStore::commit_handover`] would have — a crash after
     /// the commit record but before the in-memory mutations redoes them
-    /// deterministically.
-    pub fn fold(records: &[MetaRecord]) -> MetaState {
+    /// deterministically. The records are consumed: their keys move into
+    /// the state instead of being copied.
+    pub fn fold(records: Vec<MetaRecord>) -> MetaState {
         let mut st = MetaState::default();
         for record in records {
             match record {
@@ -362,39 +367,36 @@ impl MetaState {
                     pkeys,
                 } => {
                     st = MetaState::default();
-                    st.view = Some(MembershipView::restore(*epoch, members, *vnodes));
-                    st.directory = directory.iter().cloned().collect();
-                    st.pkeys = pkeys
-                        .iter()
-                        .map(|(s, g, p)| ((*s, *g), p.clone()))
-                        .collect();
+                    st.view = Some(MembershipView::restore(epoch, &members, vnodes));
+                    st.directory = directory.into_iter().collect();
+                    st.pkeys = pkeys.into_iter().map(|(s, g, p)| ((s, g), p)).collect();
                 }
                 MetaRecord::ViewCommit {
                     epoch,
                     members,
                     vnodes,
                 } => {
-                    let committed = MembershipView::restore(*epoch, members, *vnodes);
+                    let committed = MembershipView::restore(epoch, &members, vnodes);
                     if let Some(pending) = st.pending.take() {
                         st.apply_cutover(&pending);
                     }
                     st.view = Some(committed);
                 }
                 MetaRecord::DirPut { key, shard } => {
-                    st.directory.insert(key.clone(), *shard);
+                    st.directory.insert(key, shard);
                 }
                 MetaRecord::DirDel { key } => {
-                    st.directory.remove(key);
+                    st.directory.remove(&key);
                     if let Some(p) = &mut st.pending {
-                        p.dual.remove(key);
+                        p.dual.remove(&key);
                     }
                 }
                 MetaRecord::PkeyAssign { shard, gid, pkey } => {
-                    st.pkeys.insert((*shard, *gid), pkey.clone());
+                    st.pkeys.insert((shard, gid), pkey);
                 }
                 MetaRecord::HandoverPrepare { members } => {
                     st.pending = Some(PendingHandover {
-                        members: members.clone(),
+                        members,
                         ..PendingHandover::default()
                     });
                 }
@@ -405,12 +407,12 @@ impl MetaState {
                     members,
                 } => {
                     if let Some(p) = &mut st.pending {
-                        p.landed.push((*from, *to, unit.clone(), members.clone()));
+                        p.landed.push((from, to, unit, members));
                     }
                 }
                 MetaRecord::DualOverride { key, shard } => {
                     if let Some(p) = &mut st.pending {
-                        p.dual.insert(key.clone(), *shard);
+                        p.dual.insert(key, shard);
                     }
                 }
                 MetaRecord::HandoverAbort => {
@@ -573,14 +575,14 @@ mod tests {
                 vnodes: 8,
             },
         ];
-        let st = MetaState::fold(&records);
+        let st = MetaState::fold(records.clone());
         assert_eq!(st.view.as_ref().unwrap().epoch(), 2);
         assert_eq!(st.directory.get("k"), Some(&2), "commit repoints");
         assert!(st.pending.is_none());
 
         // Same prefix, but the commit never made it to the log: the landed
         // unit must be reported as pending so recovery rolls it back.
-        let st = MetaState::fold(&records[..4]);
+        let st = MetaState::fold(records[..4].to_vec());
         assert_eq!(st.view.as_ref().unwrap().epoch(), 1);
         assert_eq!(st.directory.get("k"), Some(&0), "no repoint without commit");
         let pending = st.pending.expect("prepare without commit is pending");
@@ -619,7 +621,7 @@ mod tests {
             matches!(replay.records[0], MetaRecord::Checkpoint { .. }),
             "pre-checkpoint records must have been dropped"
         );
-        let st = MetaState::fold(&replay.records);
+        let st = MetaState::fold(replay.records);
         assert_eq!(st.directory.len(), 10);
         assert_eq!(st.view.unwrap().epoch(), 1);
     }

@@ -528,6 +528,12 @@ impl ClusterStore {
         self.directory.len()
     }
 
+    /// Every directory entry: a key and the shard credited with it, in no
+    /// particular order.
+    pub fn directory(&self) -> impl Iterator<Item = (&str, ShardId)> {
+        self.directory.iter().map(|(key, &s)| (key.as_str(), s))
+    }
+
     /// Mark a shard down: requests routed to it fail with
     /// [`ClusterError::ShardDown`] until [`ClusterStore::recover_shard`].
     pub fn fail_shard(&mut self, s: ShardId) {
@@ -1345,7 +1351,7 @@ impl ClusterStore {
             meta_torn_tail: replay.torn_tail,
             ..ClusterRecoveryReport::default()
         };
-        let mut state = crate::metalog::MetaState::fold(&replay.records);
+        let mut state = crate::metalog::MetaState::fold(replay.records);
         let Some(view) = state.view.take() else {
             return Err(ClusterError::Storage(StorageError::Recovery {
                 reason: "metalog holds no committed view".to_string(),
@@ -1361,8 +1367,8 @@ impl ClusterStore {
             meta.append(&MetaRecord::HandoverAbort).map_err(wal_err)?;
         }
         cluster.view = view;
-        cluster.directory = state.directory.into_iter().collect();
-        cluster.pkeys = state.pkeys.into_iter().collect();
+        cluster.directory = state.directory;
+        cluster.pkeys = state.pkeys;
         cluster.meta = Some(meta);
         // 2. Per-shard replay against the surviving node fabrics.
         for (s, nodes) in survivors.nodes {
@@ -1421,68 +1427,67 @@ impl ClusterStore {
         &mut self,
         report: &mut ClusterRecoveryReport,
     ) -> Result<(), ClusterError> {
-        // Who actually holds what, among recovered (up) shards.
-        let mut holders: BTreeMap<String, Vec<ShardId>> = BTreeMap::new();
+        // Holdings on recovered (up) shards that the directory does not
+        // credit, in name order. Every other holding is its entry's owner
+        // and needs nothing, so only these few names are copied out.
+        let mut uncredited: BTreeMap<String, Vec<ShardId>> = BTreeMap::new();
         for (&s, store) in &self.shards {
             if !self.up[&s] {
                 continue;
             }
             for name in store.object_names() {
-                holders.entry(name.to_string()).or_default().push(s);
+                if self.directory.get(name) != Some(&s) {
+                    uncredited.entry(name.to_string()).or_default().push(s);
+                }
             }
         }
-        for (name, at) in &holders {
-            match self.directory.get(name) {
-                Some(owner) => {
-                    for &s in at {
-                        if s != *owner {
-                            match self.shards.get_mut(&s).expect("holder exists").delete(name) {
-                                Ok(()) | Err(StorageError::UnknownObject { .. }) => {
-                                    report.strays_evicted += 1;
-                                }
-                                Err(e) => return Err(e.into()),
-                            }
+        for (name, at) in uncredited {
+            // Credited to another shard: every copy here is a stray. Not
+            // in the directory at all: adopt one copy, preferring the
+            // committed ring's pick (an interrupted dual write can leave
+            // two), and evict the rest.
+            let keep = if self.directory.contains_key(&name) {
+                None
+            } else {
+                let keep = self
+                    .view
+                    .owner_of(&name)
+                    .filter(|o| at.contains(o))
+                    .unwrap_or(at[0]);
+                self.meta_append(MetaRecord::DirPut {
+                    key: name.clone(),
+                    shard: keep,
+                })?;
+                self.directory.insert(name.clone(), keep);
+                report.adopted += 1;
+                Some(keep)
+            };
+            for &s in &at {
+                if Some(s) != keep {
+                    let holder = self.shards.get_mut(&s).expect("holder exists");
+                    match holder.delete(&name) {
+                        Ok(()) | Err(StorageError::UnknownObject { .. }) => {
+                            report.strays_evicted += 1;
                         }
-                    }
-                }
-                None => {
-                    // Adopt: prefer the committed ring's pick if it holds a
-                    // copy (an interrupted dual write can leave two), drop
-                    // the rest.
-                    let keep = self
-                        .view
-                        .owner_of(name)
-                        .filter(|o| at.contains(o))
-                        .unwrap_or(at[0]);
-                    self.meta_append(MetaRecord::DirPut {
-                        key: name.clone(),
-                        shard: keep,
-                    })?;
-                    self.directory.insert(name.clone(), keep);
-                    report.adopted += 1;
-                    for &s in at {
-                        if s != keep {
-                            match self.shards.get_mut(&s).expect("holder exists").delete(name) {
-                                Ok(()) | Err(StorageError::UnknownObject { .. }) => {
-                                    report.strays_evicted += 1;
-                                }
-                                Err(e) => return Err(e.into()),
-                            }
-                        }
+                        Err(e) => return Err(e.into()),
                     }
                 }
             }
         }
-        // Directory entries whose recovered owner lost the bytes.
-        let dropped: Vec<String> = self
+        // Directory entries whose recovered owner lost the bytes, asked of
+        // the owner itself. Sorted: the directory's iteration order follows
+        // its hash seed, and the `DirDel` records (so the metalog bytes)
+        // must not.
+        let mut dropped: Vec<String> = self
             .directory
             .iter()
-            .filter(|(name, &owner)| {
-                self.up.get(&owner).copied().unwrap_or(false)
-                    && holders.get(*name).is_none_or(|at| !at.contains(&owner))
+            .filter(|(name, owner)| {
+                self.up.get(owner).copied().unwrap_or(false)
+                    && !self.shards.get(owner).is_some_and(|st| st.holds(name))
             })
             .map(|(name, _)| name.clone())
             .collect();
+        dropped.sort_unstable();
         for name in dropped {
             self.meta_append(MetaRecord::DirDel { key: name.clone() })?;
             self.directory.remove(&name);

@@ -7,9 +7,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rain_cluster::{ClusterError, ClusterStore, ShardId};
+use rain_cluster::{ClusterError, ClusterStore, MetaLog, MetaRecord, ShardId};
 use rain_codes::CodeSpec;
-use rain_storage::{FsyncPolicy, GroupConfig, SelectionPolicy, StorageError};
+use rain_sim::SimDuration;
+use rain_storage::{FsyncPolicy, GroupConfig, LogBackend, MemLog, SelectionPolicy, StorageError};
 
 fn spec() -> CodeSpec {
     CodeSpec::bcode_6_4()
@@ -497,5 +498,159 @@ fn a_segmented_cluster_recovers_from_its_segment_directories() {
     );
     assert_eq!(unavailable, 0);
     assert_eq!(exact, acked.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- cross-log reconciliation ---------------------------------------------
+
+/// The records in `dir/cluster.meta`, as a fresh replay reads them.
+fn metalog_records(dir: &std::path::Path) -> Vec<MetaRecord> {
+    let mut backend = MemLog::new();
+    backend
+        .append(&std::fs::read(dir.join("cluster.meta")).unwrap())
+        .unwrap();
+    MetaLog::new(Box::new(backend)).replay().unwrap().records
+}
+
+/// Store 90 keys under `Always`, crash, delete shard 1's WAL and recover
+/// from disk. Returns the keys shard 1 held (sorted), the keys of the
+/// `DirDel` records recovery appended, and the metalog bytes afterwards.
+fn recover_without_shard_1_wal(dir: &std::path::Path) -> (Vec<String>, Vec<String>, Vec<u8>) {
+    let config = config().with_fsync(FsyncPolicy::Always);
+    let mut cluster = ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], 8, dir).unwrap();
+    let epoch = cluster.epoch();
+    for i in 0..90u32 {
+        let data = payload(i, 24 + (i as usize % 80));
+        cluster.store(&format!("obj-{i}"), &data, epoch).unwrap();
+    }
+    let mut lost: Vec<String> = cluster
+        .shard(1)
+        .unwrap()
+        .object_names()
+        .map(String::from)
+        .collect();
+    lost.sort();
+    let before = metalog_records(dir).len();
+
+    let survivors = cluster.crash();
+    std::fs::remove_file(dir.join("shard-1.wal")).unwrap();
+    let (_, report) = ClusterStore::recover_from_disk(spec(), config, dir, survivors).unwrap();
+    assert_eq!(report.directory_dropped, lost.len() as u64);
+    let dels = metalog_records(dir)[before..]
+        .iter()
+        .filter_map(|r| match r {
+            MetaRecord::DirDel { key } => Some(key.clone()),
+            _ => None,
+        })
+        .collect();
+    (lost, dels, std::fs::read(dir.join("cluster.meta")).unwrap())
+}
+
+/// The entries recovery drops come out of a `HashMap`, whose iteration
+/// order follows its random hash seed. Recovery sorts them, so the
+/// `DirDel` records it appends, and with them the metalog, are the same on
+/// every run.
+#[test]
+fn recovery_drops_a_lost_shards_entries_in_key_order_on_every_run() {
+    let (dir_a, dir_b) = (wal_dir("dirdel-a"), wal_dir("dirdel-b"));
+    let (lost, dels, meta_a) = recover_without_shard_1_wal(&dir_a);
+    assert!(lost.len() >= 20, "shard 1 held only {} keys", lost.len());
+    assert!(
+        dels.windows(2).all(|w| w[0] < w[1]),
+        "DirDel keys must be strictly ascending: {dels:?}"
+    );
+    assert_eq!(dels, lost, "every key shard 1 owned is dropped, once");
+
+    let (_, _, meta_b) = recover_without_shard_1_wal(&dir_b);
+    assert!(
+        meta_a == meta_b,
+        "two identical runs must leave byte-identical metalogs"
+    );
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// One restart that meets all three kinds of cross-log drift at once: a
+/// prepared handover's copies at a joining shard (strays), shard writes
+/// whose `DirPut` was still in the metalog's batch (adoptions), and a shard
+/// whose WAL is gone (dropped entries). Afterwards the directory and the
+/// shards agree in both directions.
+#[test]
+fn one_restart_evicts_strays_adopts_orphans_and_drops_lost_entries() {
+    let dir = wal_dir("three-outcomes");
+    // Interval fsync: a log commits only once virtual time has moved
+    // `tick` past its last commit, so each phase below picks what is
+    // durable at the crash.
+    let tick = SimDuration::from_millis(10);
+    let config = config().with_fsync(FsyncPolicy::EveryT(tick));
+    let mut cluster = ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], 8, &dir).unwrap();
+    let epoch = cluster.epoch();
+    let mut acked = HashMap::new();
+    let mut put = |cluster: &mut ClusterStore, i: u32| {
+        let data = payload(i, 24 + (i as usize % 80));
+        let key = format!("obj-{i}");
+        cluster.store(&key, &data, epoch).unwrap();
+        acked.insert(key, data);
+    };
+
+    // 1. Sixty keys, sealed, then a tick: every log is durable.
+    for i in 0..60 {
+        put(&mut cluster, i);
+    }
+    cluster.flush_all();
+    cluster.advance_time(tick);
+
+    // 2. Ten more keys: the shards sync them, but their `DirPut` records
+    //    stay in the metalog's batch and die with it.
+    for i in 60..70 {
+        put(&mut cluster, i);
+    }
+    for s in [0, 1, 2] {
+        cluster.shard_mut(s).unwrap().sync_wal().unwrap();
+    }
+
+    // 3. A handover toward a joining shard 3 lands two units there, and
+    //    shard 3 syncs them. Its prepare never reaches the metalog.
+    cluster.begin_handover(&[0, 1, 2, 3]).unwrap();
+    cluster.transfer_next().unwrap();
+    cluster.transfer_next().unwrap();
+    cluster.shard_mut(3).unwrap().sync_wal().unwrap();
+
+    // 4. Power loss, and shard 2's WAL does not come back.
+    let survivors = cluster.crash();
+    std::fs::remove_file(dir.join("shard-2.wal")).unwrap();
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+    assert!(report.strays_evicted > 0, "{report:?}");
+    assert!(report.adopted > 0, "{report:?}");
+    assert!(report.directory_dropped > 0, "{report:?}");
+
+    let directory: HashMap<String, ShardId> = cluster
+        .directory()
+        .map(|(key, s)| (key.to_string(), s))
+        .collect();
+    for (key, &owner) in &directory {
+        assert!(
+            cluster.shard(owner).unwrap().holds(key),
+            "{key} is credited to shard {owner}, which does not hold it"
+        );
+    }
+    for s in [0, 1, 2, 3] {
+        assert!(cluster.shard_up(s), "shard {s} recovered");
+        for key in cluster.shard(s).unwrap().object_names() {
+            assert_eq!(
+                directory.get(key),
+                Some(&s),
+                "{key} is held by shard {s} but not credited to it"
+            );
+        }
+    }
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(wrong.is_empty(), "wrong bytes after recovery: {wrong:?}");
+    assert_eq!(
+        exact + unavailable,
+        acked.len(),
+        "every read is bit-exact or honestly unknown"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

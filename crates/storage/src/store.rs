@@ -2619,6 +2619,11 @@ impl DistributedStore {
         self.objects.keys().map(String::as_str)
     }
 
+    /// Whether `name` is a stored object (one hash lookup).
+    pub fn holds(&self, name: &str) -> bool {
+        self.objects.contains_key(name)
+    }
+
     /// Whether a node is currently up.
     pub fn node_up(&self, node: NodeId) -> bool {
         self.nodes.get(node.0).map(|n| n.up).unwrap_or(false)
@@ -2923,21 +2928,12 @@ impl DistributedStore {
         let open = self.open_group;
         self.groups
             .retain(|gid, g| g.sealed || g.live_objects > 0 || open == Some(*gid));
-        let whole: std::collections::HashSet<&str> = self
-            .objects
-            .iter()
-            .filter(|(_, p)| matches!(p, Placement::Whole))
-            .map(|(name, _)| name.as_str())
-            .collect();
-        let sealed: std::collections::HashSet<GroupId> = self
-            .groups
-            .iter()
-            .filter(|(_, g)| g.sealed)
-            .map(|(&gid, _)| gid)
-            .collect();
+        let (objects, groups) = (&self.objects, &self.groups);
         for node in &mut self.nodes {
-            node.symbols.retain(|name, _| whole.contains(name.as_str()));
-            node.group_symbols.retain(|gid, _| sealed.contains(gid));
+            node.symbols
+                .retain(|name, _| objects.get(name) == Some(&Placement::Whole));
+            node.group_symbols
+                .retain(|gid, _| groups.get(gid).is_some_and(|g| g.sealed));
         }
     }
 
@@ -2959,18 +2955,7 @@ impl DistributedStore {
         self.whole_gens.clear();
         self.group_gens.clear();
         let mut max_gen = 0u64;
-        let mut whole: HashMap<&str, Vec<(u64, usize)>> = HashMap::new();
         for node in &self.nodes {
-            for (name, frame) in &node.symbols {
-                if let Some((gen, _)) = open_frame(frame) {
-                    let gens = whole.entry(name.as_str()).or_default();
-                    match gens.iter_mut().find(|(g, _)| *g == gen) {
-                        Some((_, frames)) => *frames += 1,
-                        None => gens.push((gen, 1)),
-                    }
-                    max_gen = max_gen.max(gen);
-                }
-            }
             for (gid, frame) in &node.group_symbols {
                 if let Some((gen, _)) = open_frame(frame) {
                     let slot = self.group_gens.entry(*gid).or_insert(0);
@@ -2979,16 +2964,36 @@ impl DistributedStore {
                 }
             }
         }
+        // `reconcile_after_replay` left whole frames only under whole
+        // objects, so walking the object table visits every one of them.
+        // `tally` holds one object's (generation, verified frames) pairs.
         let k = self.code.k();
-        for (name, gens) in whole {
+        let mut tally: Vec<(u64, usize)> = Vec::new();
+        for (name, placement) in &self.objects {
+            if *placement != Placement::Whole {
+                continue;
+            }
+            tally.clear();
+            for node in &self.nodes {
+                let Some((gen, _)) = node.symbols.get(name).and_then(|f| open_frame(f)) else {
+                    continue;
+                };
+                match tally.iter_mut().find(|(g, _)| *g == gen) {
+                    Some((_, frames)) => *frames += 1,
+                    None => tally.push((gen, 1)),
+                }
+                max_gen = max_gen.max(gen);
+            }
             let newest = |decodable: bool| {
-                gens.iter()
+                tally
+                    .iter()
                     .filter(|&&(_, frames)| !decodable || frames >= k)
                     .map(|&(gen, _)| gen)
                     .max()
             };
-            let gen = newest(true).or(newest(false)).expect("counted a frame");
-            self.whole_gens.insert(name.to_string(), gen);
+            if let Some(gen) = newest(true).or(newest(false)) {
+                self.whole_gens.insert(name.clone(), gen);
+            }
         }
         self.next_epoch = self.next_epoch.max(max_gen + 1);
     }

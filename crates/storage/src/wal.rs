@@ -57,6 +57,12 @@
 //! frame *followed by more bytes* is real corruption and fails the replay
 //! with [`WalError::Corrupt`].
 //!
+//! [`crc32`] is the IEEE CRC-32 (polynomial `0xEDB88320`, reflected)
+//! computed slicing-by-8: eight compile-time tables advance it eight bytes
+//! per step, several times faster than a byte loop. The value is
+//! the same as the classic one-table byte loop, so the frame format does
+//! not depend on how it is computed.
+//!
 //! ## Checkpoints and prefix truncation
 //!
 //! Without truncation the log grows with total write history and replay is
@@ -815,9 +821,12 @@ impl LogRecord for WalRecord {
     }
 }
 
-/// IEEE CRC-32 lookup table, built at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slicing-by-8 tables, built at compile time. `table[0]` is
+/// the classic one-byte table; `table[s][i]` is `table[s - 1][i]` pushed
+/// through one more zero byte, so one lookup in each of the eight tables
+/// advances the CRC by eight bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut table = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -830,22 +839,48 @@ const fn crc32_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = c;
+        table[0][i] = c;
         i += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = table[s - 1][i];
+            table[s][i] = (prev >> 8) ^ table[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
     }
     table
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Frame header bytes: payload length, header CRC, payload CRC.
 const HEADER_LEN: usize = 12;
 
-/// IEEE CRC-32 of `bytes` (the checksum guarding each log frame).
+/// IEEE CRC-32 of `bytes` (the checksum guarding each log frame), eight
+/// bytes per step (slicing-by-8); the tail shorter than eight bytes goes
+/// through the one-byte table.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -1280,10 +1315,37 @@ mod tests {
         ]
     }
 
+    /// The one-byte-per-step CRC loop, kept as the reference the
+    /// slicing-by-8 [`crc32`] must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_matches_the_byte_loop() {
+        let mut rng = rain_sim::DetRng::new(0xC3C3);
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| rng.below(256) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
