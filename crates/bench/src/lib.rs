@@ -15,8 +15,7 @@
 //! In optimised builds the harness **asserts** that the word-wide kernels
 //! ([`rain_codes::xor::xor_into`] and the table-driven
 //! [`rain_codes::gf256::MulTable::mul_acc`]) are at least 4x their retained
-//! scalar baselines on 64 KiB blocks, that the zero-alloc `encode_into`
-//! beats the allocating `encode` at 4 KiB, that single-share `repair`
+//! scalar baselines on 64 KiB blocks, that single-share `repair`
 //! beats decode + re-encode at 1 MiB, and that the grouped small-object
 //! store is at least 2x the per-object path at 1 KiB — so an API-layer
 //! regression fails the bench run itself. Debug builds skip the assertions
@@ -24,7 +23,7 @@
 //!
 //! ## `BENCH_codes.json` schema (`rain-bench-codes/v2`)
 //!
-//! The emitted document is one JSON object with a `schema` marker and six
+//! The emitted document is one JSON object with a `schema` marker and five
 //! measurement sections. All throughputs are decimal MB/s; every `speedup`
 //! is `candidate / baseline` of the same row.
 //!
@@ -41,9 +40,6 @@
 //!   encode_xors_per_data_byte}`. Decode rows drop the first `n - k`
 //!   shares, so the decoder reconstructs data instead of reassembling it.
 //!   These are the rows the `--baseline` regression diff compares.
-//! * **`api`** — allocating `encode` vs zero-alloc `encode_into` at 4 KiB:
-//!   `{code, n, k, data_bytes, encode_alloc_mb_s, encode_into_mb_s,
-//!   speedup}`.
 //! * **`striped`** — single-thread vs [`rain_codes::StripedCodec`] encoding
 //!   at 1 MiB: `{code, n, k, data_bytes, single_mb_s, striped_mb_s,
 //!   speedup}`.

@@ -1,7 +1,6 @@
 //! Benchmark driver: measures the erasure-coding kernels, every code's
-//! encode/decode throughput, and the buffer-oriented API (zero-alloc
-//! `encode_into`, striped parallel encoding, single-share `repair`), prints
-//! tables, and writes `BENCH_codes.json`.
+//! encode/decode throughput, striped parallel encoding and single-share
+//! `repair`, prints tables, and writes `BENCH_codes.json`.
 //!
 //! ```text
 //! bench [--smoke] [--no-assert] [--baseline <path>] [--bless]
@@ -45,10 +44,7 @@ use bench::{throughput_mb_s, BenchConfig, Json};
 use rain_cluster::{builtin_churn_specs, run_churn_scenario_observed};
 use rain_codes::gf256::Gf256;
 use rain_codes::xor;
-use rain_codes::{
-    BCode, ErasureCode, EvenOdd, Mirroring, ReedSolomon, ShareSet, SingleParity, StripedCodec,
-    XCode,
-};
+use rain_codes::{BCode, ErasureCode, EvenOdd, ReedSolomon, ShareSet, StripedCodec, XCode};
 use rain_obs::{render_spans, Recorder, Registry, VirtualClock};
 use rain_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 use std::path::Path;
@@ -63,9 +59,6 @@ use rain_storage::{
 const REQUIRED_KERNEL_SPEEDUP: f64 = 4.0;
 /// Block size at which the speedup requirement is enforced.
 const ASSERT_BLOCK: usize = 64 * 1024;
-/// Object size at which the zero-alloc `encode_into` must beat `encode`
-/// (small objects are where per-call share allocation dominates).
-const API_BLOCK: usize = 4 * 1024;
 /// Block size for the striped-vs-single-thread and repair comparisons.
 const BIG_BLOCK: usize = 1024 * 1024;
 /// Stripe length used by the striped rows.
@@ -79,9 +72,9 @@ const REGRESSION_TOLERANCE: f64 = 0.10;
 /// threshold flakes on noise, while the regressions this gate exists to
 /// catch (losing a SIMD dispatch, an algorithmic slip) cost 2x, not 20%.
 const CONFIRM_TOLERANCE: f64 = 0.20;
-/// Floor for the encode_into-vs-encode and striped-vs-single asserts: a
-/// statistical tie (run-to-run noise around 1.0x) must not fail the run,
-/// only a real loss. Repair keeps a strict > 1.0 — its margin is ~5x.
+/// Floor for the striped-vs-single and grouped asserts: a statistical tie
+/// (run-to-run noise around 1.0x) must not fail the run, only a real loss.
+/// Repair keeps a strict > 1.0 — its margin is ~5x.
 const API_WIN_FLOOR: f64 = 0.95;
 /// The grouped small-object store path must beat the per-object path by at
 /// least this factor at [`GROUPED_ASSERT_OBJECT`]-byte objects.
@@ -167,7 +160,6 @@ fn main() {
     };
     let codes = bench_codes(&codes_config, code_block_targets);
 
-    let api = bench_api(&config);
     let striped = bench_striped(&config);
     let repair = bench_repair(&config);
     let grouped = bench_grouped(&config, smoke);
@@ -198,10 +190,6 @@ fn main() {
         ),
         ("codes", Json::Arr(codes)),
         (
-            "api",
-            Json::Arr(api.iter().map(Comparison::to_json).collect()),
-        ),
-        (
             "striped",
             Json::Arr(striped.iter().map(Comparison::to_json).collect()),
         ),
@@ -228,7 +216,7 @@ fn main() {
     }
 
     enforce_speedups(&kernels, no_assert);
-    enforce_api_wins(&api, &striped, &repair, no_assert);
+    enforce_api_wins(&striped, &repair, no_assert);
     enforce_grouped_wins(&grouped, no_assert);
 }
 
@@ -531,7 +519,7 @@ fn kernel_json(r: &KernelResult) -> Json {
     ])
 }
 
-/// A generic two-way comparison row (API / striped / repair sections).
+/// A generic two-way comparison row (striped / repair sections).
 struct Comparison {
     code: &'static str,
     n: usize,
@@ -706,48 +694,6 @@ fn bench_codes(config: &BenchConfig, block_targets: &[usize]) -> Vec<Json> {
         }
     }
     out
-}
-
-/// Zero-alloc proof: `encode_into` with a reused [`ShareSet`] vs the
-/// allocating `encode`, at small-object size where allocation dominates.
-/// All six code families go through the new API here.
-fn bench_api(config: &BenchConfig) -> Vec<Comparison> {
-    let families: Vec<(&'static str, Box<dyn ErasureCode>)> = vec![
-        ("b-code", Box::new(BCode::table_1a())),
-        ("x-code", Box::new(XCode::new(5).unwrap())),
-        ("evenodd", Box::new(EvenOdd::new(5).unwrap())),
-        ("reed-solomon", Box::new(ReedSolomon::new(6, 4).unwrap())),
-        ("mirroring", Box::new(Mirroring::new(3))),
-        ("single-parity", Box::new(SingleParity::new(5))),
-    ];
-    let mut rows = Vec::new();
-    println!("\napi            (n,k)    block   encode MB/s  enc_into MB/s  speedup");
-    for (name, code) in &families {
-        let data = sized_data(code.as_ref(), API_BLOCK);
-        let data_len = data.len();
-        let alloc_mb_s = throughput_mb_s(config, data_len, || {
-            let shares = code.encode(&data).unwrap();
-            std::hint::black_box(&shares);
-        });
-        let mut shares = ShareSet::new();
-        let into_mb_s = throughput_mb_s(config, data_len, || {
-            code.encode_into(&data, &mut shares).unwrap();
-            std::hint::black_box(&shares);
-        });
-        let row = Comparison {
-            code: name,
-            n: code.n(),
-            k: code.k(),
-            data_bytes: data_len,
-            baseline_label: "encode_alloc_mb_s",
-            baseline_mb_s: alloc_mb_s,
-            candidate_label: "encode_into_mb_s",
-            candidate_mb_s: into_mb_s,
-        };
-        row.print();
-        rows.push(row);
-    }
-    rows
 }
 
 /// Striped parallel encoding vs the single-thread inner code at 1 MiB.
@@ -1615,33 +1561,13 @@ fn enforce_speedups(kernels: &[KernelResult], no_assert: bool) {
     }
 }
 
-/// Enforce the buffer-API wins (release builds only, same rationale).
-fn enforce_api_wins(
-    api: &[Comparison],
-    striped: &[Comparison],
-    repair: &[Comparison],
-    no_assert: bool,
-) {
+/// Enforce the repair and striped wins (release builds only, same
+/// rationale).
+fn enforce_api_wins(striped: &[Comparison], repair: &[Comparison], no_assert: bool) {
     if cfg!(debug_assertions) || no_assert {
-        println!("skipping the buffer-API win checks (debug build or --no-assert)");
+        println!("skipping the repair and striped win checks (debug build or --no-assert)");
         return;
     }
-    for r in api {
-        assert!(
-            r.speedup() >= API_WIN_FLOOR,
-            "encode_into ({:.0} MB/s) must not lose to the allocating encode \
-             ({:.0} MB/s) for {} at {}",
-            r.candidate_mb_s,
-            r.baseline_mb_s,
-            r.code,
-            human_size(r.data_bytes)
-        );
-    }
-    println!(
-        "ok: encode_into beats the allocating encode for all {} families at {}",
-        api.len(),
-        human_size(API_BLOCK)
-    );
     for r in repair {
         assert!(
             r.speedup() > 1.0,

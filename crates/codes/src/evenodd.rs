@@ -11,11 +11,9 @@
 //! XOR-equation machinery (and the Gaussian fallback reproduces the
 //! classical zig-zag reconstruction implicitly).
 
-use crate::array::{ArrayCode, ArrayLayout, Cell, DecodeTrace};
+use crate::array::{ArrayCode, ArrayLayout, Cell};
 use crate::error::CodeError;
-use crate::metrics::{CodeCost, CostModel};
-use crate::share::ShareView;
-use crate::traits::{CodeKind, ErasureCode};
+use crate::traits::CodeKind;
 
 /// Check whether `p` is prime (tiny trial division — p is always small here).
 pub(crate) fn is_prime(p: usize) -> bool {
@@ -32,17 +30,15 @@ pub(crate) fn is_prime(p: usize) -> bool {
     true
 }
 
-/// The `(p+2, p)` EVENODD code.
-#[derive(Debug, Clone)]
-pub struct EvenOdd {
-    p: usize,
-    inner: ArrayCode,
-}
+/// Constructor of the `(p+2, p)` EVENODD code. `EvenOdd` has no values:
+/// [`EvenOdd::new`] builds an [`ArrayCode`].
+pub enum EvenOdd {}
 
 impl EvenOdd {
     /// Create an EVENODD code for prime `p >= 3`. The code has `n = p + 2`
     /// columns and tolerates any 2 erasures.
-    pub fn new(p: usize) -> Result<Self, CodeError> {
+    #[expect(clippy::new_ret_no_self, reason = "the family shares one code type")]
+    pub fn new(p: usize) -> Result<ArrayCode, CodeError> {
         if !is_prime(p) || p < 3 {
             return Err(CodeError::UnsupportedParameters {
                 reason: format!("EVENODD requires a prime p >= 3, got {p}"),
@@ -88,83 +84,15 @@ impl EvenOdd {
             column_cells,
             equations,
         };
-        Ok(EvenOdd {
-            p,
-            inner: ArrayCode::new(layout)?,
-        })
-    }
-
-    /// The prime parameter `p`.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Access the underlying generic array code (layout, tracing decode).
-    pub fn array(&self) -> &ArrayCode {
-        &self.inner
-    }
-
-    /// Decode and return the decoding chains / fallback information.
-    pub fn decode_traced(
-        &self,
-        shares: &[Option<Vec<u8>>],
-    ) -> Result<(Vec<u8>, DecodeTrace), CodeError> {
-        self.inner.decode_traced(shares)
-    }
-}
-
-impl ErasureCode for EvenOdd {
-    fn kind(&self) -> CodeKind {
-        CodeKind::EvenOdd
-    }
-
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn data_len_unit(&self) -> usize {
-        self.inner.data_len_unit()
-    }
-
-    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
-        self.inner.locate(data_len, offset)
-    }
-
-    fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        self.inner.encode_slices(data, shares)
-    }
-
-    fn decode_slices(&self, shares: &ShareView<'_>, out: &mut [u8]) -> Result<(), CodeError> {
-        self.inner.decode_slices(shares, out)
-    }
-
-    fn repair(
-        &self,
-        shares: &ShareView<'_>,
-        missing: usize,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        self.inner.repair_slices(shares, missing, out)
-    }
-
-    fn cost(&self, data_len: usize) -> CodeCost {
-        self.inner.analytic_cost(data_len)
-    }
-}
-
-impl CostModel for EvenOdd {
-    fn analytic_cost(&self, data_len: usize) -> CodeCost {
-        self.inner.analytic_cost(data_len)
+        ArrayCode::new(CodeKind::EvenOdd, layout)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::share::ShareSet;
+    use crate::traits::ErasureCode;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -179,10 +107,8 @@ mod tests {
     fn layout_is_mds_for_small_primes() {
         for p in [3usize, 5, 7] {
             let code = EvenOdd::new(p).unwrap();
-            assert!(
-                code.array().layout().find_mds_violation().is_none(),
-                "EVENODD p={p} is not MDS"
-            );
+            assert_eq!(code.kind(), CodeKind::EvenOdd);
+            assert!(code.verify_mds(), "EVENODD p={p} is not MDS");
         }
     }
 
@@ -192,14 +118,17 @@ mod tests {
         let code = EvenOdd::new(p).unwrap();
         let mut rng = StdRng::seed_from_u64(42);
         let data: Vec<u8> = (0..code.data_len_unit() * 16).map(|_| rng.gen()).collect();
-        let shares = code.encode(&data).unwrap();
+        let mut shares = ShareSet::new();
+        code.encode_into(&data, &mut shares).unwrap();
         let n = code.n();
         for a in 0..n {
             for b in (a + 1)..n {
-                let mut partial: Vec<Option<Vec<u8>>> = shares.iter().cloned().map(Some).collect();
-                partial[a] = None;
-                partial[b] = None;
-                assert_eq!(code.decode(&partial).unwrap(), data, "erased {a},{b}");
+                let mut view = shares.as_view();
+                view.clear(a);
+                view.clear(b);
+                let mut out = Vec::new();
+                code.decode_into(&view, &mut out).unwrap();
+                assert_eq!(out, data, "erased {a},{b}");
             }
         }
     }
@@ -208,10 +137,11 @@ mod tests {
     fn single_data_column_erasure_decodes_by_row_parity_chain() {
         let code = EvenOdd::new(5).unwrap();
         let data: Vec<u8> = (0..code.data_len_unit()).map(|i| i as u8).collect();
-        let shares = code.encode(&data).unwrap();
-        let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-        partial[2] = None;
-        let (out, trace) = code.decode_traced(&partial).unwrap();
+        let mut shares = ShareSet::new();
+        code.encode_into(&data, &mut shares).unwrap();
+        let mut view = shares.as_view();
+        view.clear(2);
+        let (out, trace) = code.decode_traced(&view).unwrap();
         assert_eq!(out, data);
         assert!(!trace.used_gaussian_fallback);
         assert_eq!(trace.chain.len(), 4); // p - 1 cells recovered by peeling

@@ -13,30 +13,30 @@
 //! * trivial baselines used by classical RAID: **mirroring** and
 //!   **single parity** ([`replication`]).
 //!
-//! All XOR-based codes are expressed through a common sparse-equation
-//! framework ([`mod@array`]) which provides generic vectorised encoding, a
-//! peeling ("decoding chain") decoder matching the description in the paper,
-//! a Gaussian-elimination fallback, and exact XOR-operation accounting used
-//! by the optimality experiments (E10 in `DESIGN.md`).
+//! All XOR-based codes are one type, [`ArrayCode`]: a sparse-equation
+//! layout ([`mod@array`]) with generic vectorised encoding, a peeling
+//! ("decoding chain") decoder matching the description in the paper, a
+//! Gaussian-elimination fallback, and exact XOR-operation accounting used
+//! by the optimality experiments (E10 in `DESIGN.md`). [`BCode`], [`XCode`],
+//! [`EvenOdd`] and [`SingleParity`] are its constructors, so the four
+//! families share one [`ErasureCode`] implementation.
 //!
-//! ## The two-level API
+//! ## The API
 //!
-//! Every code implements the [`ErasureCode`] trait, which is layered:
+//! Every code implements the [`ErasureCode`] trait, and every call works on
+//! caller-owned buffers:
 //!
-//! * **Buffer core** — [`ErasureCode::encode_into`] writes into a reusable
+//! * **Coding** — [`ErasureCode::encode_into`] writes into a reusable
 //!   [`ShareSet`] (one flat backing allocation, reused across calls),
 //!   [`ErasureCode::decode_into`] reads a borrowed [`ShareView`] (no share
 //!   cloning) into a reusable `Vec`, and [`ErasureCode::repair`]
 //!   reconstructs a **single lost share** without round-tripping through the
-//!   full data block. Hot paths — the storage layer, node repair, streaming
-//!   — live here.
+//!   full data block.
 //! * **Placement** — [`ErasureCode::locate`] names the share, offset and
 //!   run that hold an input byte verbatim, so a reader of a small range
 //!   can skip the decode while the covering share is healthy.
-//! * **Convenience layer** — the allocating [`ErasureCode::encode`] /
-//!   [`ErasureCode::decode`] (`Vec<Vec<u8>>` / `&[Option<Vec<u8>>]`) are
-//!   provided on top for tests, examples, and cold paths. They are default
-//!   trait methods, so code written against the old API keeps compiling.
+//! * **Cost** — [`ErasureCode::cost`] is the analytic cost model and
+//!   [`ErasureCode::runtime_metrics`] the counters a code keeps at runtime.
 //!
 //! Large blocks can be wrapped in a [`StripedCodec`], which splits the
 //! input into fixed-size stripes and encodes/decodes/repairs them across
@@ -96,7 +96,7 @@ pub use array::{ArrayCode, ArrayLayout, Cell, DecodeTrace};
 pub use bcode::BCode;
 pub use error::CodeError;
 pub use evenodd::EvenOdd;
-pub use metrics::{CodeCost, CodeMetrics, CostModel};
+pub use metrics::{CodeCost, CodeMetrics};
 pub use reed_solomon::ReedSolomon;
 pub use replication::{Mirroring, SingleParity};
 pub use share::{ShareSet, ShareView};
@@ -123,10 +123,11 @@ mod tests {
         for code in codes {
             let unit = code.data_len_unit();
             let data: Vec<u8> = (0..unit * 8).map(|i| (i * 31 % 251) as u8).collect();
-            let shares = code.encode(&data).unwrap();
-            assert_eq!(shares.len(), code.n());
-            let partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-            let out = code.decode(&partial).unwrap();
+            let mut shares = ShareSet::new();
+            code.encode_into(&data, &mut shares).unwrap();
+            assert_eq!(shares.n(), code.n());
+            let mut out = Vec::new();
+            code.decode_into(&shares.as_view(), &mut out).unwrap();
             assert_eq!(out, data, "roundtrip failed for {:?}", code.kind());
         }
     }

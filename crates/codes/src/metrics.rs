@@ -76,7 +76,7 @@ impl CodeCost {
 /// The ROADMAP's "decode-path tables" item: during a repair storm the same
 /// erasure pattern is hit over and over, so [`crate::ReedSolomon`] keeps a
 /// small LRU of folded repair coefficient rows keyed by that pattern. This
-/// snapshot (see [`crate::ReedSolomon::metrics`]) makes the cache observable
+/// snapshot (see [`crate::ErasureCode::runtime_metrics`]) makes the cache observable
 /// — a storm that repeats one pattern should show `repair_row_hits`
 /// approaching the number of repairs, while an adversarial pattern mix shows
 /// misses and a bounded `repair_rows_cached`.
@@ -100,14 +100,6 @@ impl CodeMetrics {
             self.repair_row_hits as f64 / total as f64
         }
     }
-}
-
-/// Trait implemented by codes that can describe their analytic cost without
-/// touching data. Kept separate from [`crate::ErasureCode`] so the cost model
-/// can also be queried for parameter sweeps without instantiating buffers.
-pub trait CostModel {
-    /// Analytic cost for `data_len` bytes of original data.
-    fn analytic_cost(&self, data_len: usize) -> CodeCost;
 }
 
 #[cfg(test)]

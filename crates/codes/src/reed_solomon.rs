@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use crate::error::CodeError;
 use crate::gf256::{Gf256, MulTable};
 use crate::matrix::GfMatrix;
-use crate::metrics::{CodeCost, CodeMetrics, CostModel};
+use crate::metrics::{CodeCost, CodeMetrics};
 use crate::share::ShareView;
 use crate::traits::{
     locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols, CodeKind,
@@ -126,20 +126,6 @@ impl ReedSolomon {
         })
     }
 
-    /// Access the generator matrix (used by tests).
-    pub fn generator(&self) -> &GfMatrix {
-        &self.generator
-    }
-
-    /// Snapshot of the repair-row cache counters (see [`CodeMetrics`]).
-    pub fn metrics(&self) -> CodeMetrics {
-        CodeMetrics {
-            repair_row_hits: self.repair_row_hits.load(Ordering::Relaxed),
-            repair_row_misses: self.repair_row_misses.load(Ordering::Relaxed),
-            repair_rows_cached: self.repair_rows.lock().expect("cache lock").rows.len(),
-        }
-    }
-
     /// Invert the survivor submatrix for `chosen` and fold it with row
     /// `missing` of the generator into one coefficient row, keeping only the
     /// non-zero coefficients with their split tables.
@@ -217,8 +203,13 @@ impl ErasureCode for ReedSolomon {
         CodeKind::ReedSolomon
     }
 
+    /// Snapshot of the repair-row cache counters (see [`CodeMetrics`]).
     fn runtime_metrics(&self) -> CodeMetrics {
-        self.metrics()
+        CodeMetrics {
+            repair_row_hits: self.repair_row_hits.load(Ordering::Relaxed),
+            repair_row_misses: self.repair_row_misses.load(Ordering::Relaxed),
+            repair_rows_cached: self.repair_rows.lock().expect("cache lock").rows.len(),
+        }
     }
 
     fn n(&self) -> usize {
@@ -350,28 +341,43 @@ impl ErasureCode for ReedSolomon {
     }
 }
 
-impl CostModel for ReedSolomon {
-    fn analytic_cost(&self, data_len: usize) -> CodeCost {
-        self.cost(data_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::share::ShareSet;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn random_data(rng: &mut StdRng, len: usize) -> Vec<u8> {
         (0..len).map(|_| rng.gen()).collect()
     }
 
+    fn encode(code: &ReedSolomon, data: &[u8]) -> ShareSet {
+        let mut set = ShareSet::new();
+        code.encode_into(data, &mut set).unwrap();
+        set
+    }
+
+    /// Decode `shares` with the shares in `erased` missing.
+    fn decode(
+        code: &ReedSolomon,
+        shares: &ShareSet,
+        erased: &[usize],
+    ) -> Result<Vec<u8>, CodeError> {
+        let mut view = shares.as_view();
+        for &i in erased {
+            view.clear(i);
+        }
+        let mut out = Vec::new();
+        code.decode_into(&view, &mut out).map(|()| out)
+    }
+
     #[test]
     fn systematic_prefix_is_the_data() {
         let code = ReedSolomon::new(6, 4).unwrap();
         let data: Vec<u8> = (0..4 * 5).map(|i| i as u8).collect();
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         for i in 0..4 {
-            assert_eq!(shares[i], data[i * 5..(i + 1) * 5]);
+            assert_eq!(shares.share(i), &data[i * 5..(i + 1) * 5]);
         }
     }
 
@@ -380,13 +386,14 @@ mod tests {
         let code = ReedSolomon::new(6, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let data = random_data(&mut rng, 4 * 64);
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         for a in 0..6 {
             for b in (a + 1)..6 {
-                let mut partial: Vec<Option<Vec<u8>>> = shares.iter().cloned().map(Some).collect();
-                partial[a] = None;
-                partial[b] = None;
-                assert_eq!(code.decode(&partial).unwrap(), data, "erased {a},{b}");
+                assert_eq!(
+                    decode(&code, &shares, &[a, b]).unwrap(),
+                    data,
+                    "erased {a},{b}"
+                );
             }
         }
     }
@@ -396,13 +403,10 @@ mod tests {
         let code = ReedSolomon::new(10, 8).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let data = random_data(&mut rng, 8 * 32);
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         for a in 0..10 {
             for b in (a + 1)..10 {
-                let mut partial: Vec<Option<Vec<u8>>> = shares.iter().cloned().map(Some).collect();
-                partial[a] = None;
-                partial[b] = None;
-                assert_eq!(code.decode(&partial).unwrap(), data);
+                assert_eq!(decode(&code, &shares, &[a, b]).unwrap(), data);
             }
         }
     }
@@ -412,7 +416,7 @@ mod tests {
         let code = ReedSolomon::new(6, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(23);
         let data = random_data(&mut rng, 4 * 48);
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         for target in 0..6 {
             // Besides the repair target, erase up to one more share so both
             // the systematic fast path and the submatrix path are exercised.
@@ -426,10 +430,11 @@ mod tests {
                         view.set(i, s);
                     }
                 }
-                let mut out = vec![0u8; shares[target].len()];
+                let mut out = vec![0u8; shares.share_len()];
                 code.repair(&view, target, &mut out).unwrap();
                 assert_eq!(
-                    out, shares[target],
+                    out,
+                    shares.share(target),
                     "target {target}, extra erasure {extra}"
                 );
             }
@@ -447,13 +452,9 @@ mod tests {
     fn too_many_erasures_is_an_error() {
         let code = ReedSolomon::new(5, 3).unwrap();
         let data = vec![9u8; 3 * 4];
-        let shares = code.encode(&data).unwrap();
-        let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-        partial[0] = None;
-        partial[1] = None;
-        partial[2] = None;
+        let shares = encode(&code, &data);
         assert!(matches!(
-            code.decode(&partial),
+            decode(&code, &shares, &[0, 1, 2]),
             Err(CodeError::TooManyErasures { .. })
         ));
     }
@@ -463,7 +464,7 @@ mod tests {
         let code = ReedSolomon::new(6, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(41);
         let data = random_data(&mut rng, 4 * 32);
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
 
         // Erase a *systematic* share so the general (cached) path runs.
         let target = 1usize;
@@ -473,12 +474,12 @@ mod tests {
                 view.set(i, s);
             }
         }
-        let mut out = vec![0u8; shares[target].len()];
+        let mut out = vec![0u8; shares.share_len()];
         for round in 0..50 {
             code.repair(&view, target, &mut out).unwrap();
-            assert_eq!(out, shares[target], "round {round}");
+            assert_eq!(out, shares.share(target), "round {round}");
         }
-        let m = code.metrics();
+        let m = code.runtime_metrics();
         assert_eq!(m.repair_row_misses, 1, "one inversion for the storm");
         assert_eq!(m.repair_row_hits, 49);
         assert_eq!(m.repair_rows_cached, 1);
@@ -490,7 +491,7 @@ mod tests {
         let code = ReedSolomon::new(6, 4).unwrap();
         let mut rng = StdRng::seed_from_u64(43);
         let data = random_data(&mut rng, 4 * 16);
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         // Repair each systematic share twice; each pattern must miss once
         // then hit, and every result must still match the encoded share.
         for pass in 0..2 {
@@ -501,12 +502,12 @@ mod tests {
                         view.set(i, s);
                     }
                 }
-                let mut out = vec![0u8; shares[target].len()];
+                let mut out = vec![0u8; shares.share_len()];
                 code.repair(&view, target, &mut out).unwrap();
-                assert_eq!(out, shares[target], "pass {pass}, target {target}");
+                assert_eq!(out, shares.share(target), "pass {pass}, target {target}");
             }
         }
-        let m = code.metrics();
+        let m = code.runtime_metrics();
         assert_eq!(m.repair_row_misses, 4);
         assert_eq!(m.repair_row_hits, 4);
         assert_eq!(m.repair_rows_cached, 4);
@@ -519,7 +520,7 @@ mod tests {
         let code = ReedSolomon::new(20, 16).unwrap();
         let mut rng = StdRng::seed_from_u64(47);
         let data = random_data(&mut rng, 16 * 8);
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         for target in 0..code.k() {
             let mut view = ShareView::missing(20);
             for (i, s) in shares.iter().enumerate() {
@@ -527,36 +528,36 @@ mod tests {
                     view.set(i, s);
                 }
             }
-            let mut out = vec![0u8; shares[target].len()];
+            let mut out = vec![0u8; shares.share_len()];
             code.repair(&view, target, &mut out).unwrap();
-            assert_eq!(out, shares[target]);
+            assert_eq!(out, shares.share(target));
         }
         // 16 distinct patterns fit exactly; one more evicts the oldest. An
         // extra erasure alongside the repair target changes the survivor
         // set, so (missing = 0, shares 0 and 1 gone) is a fresh pattern.
-        assert_eq!(code.metrics().repair_rows_cached, 16);
+        assert_eq!(code.runtime_metrics().repair_rows_cached, 16);
         let mut view = ShareView::missing(20);
         for (i, s) in shares.iter().enumerate() {
             if i != 0 && i != 1 {
                 view.set(i, s);
             }
         }
-        let mut out = vec![0u8; shares[0].len()];
+        let mut out = vec![0u8; shares.share_len()];
         code.repair(&view, 0, &mut out).unwrap();
-        assert_eq!(out, shares[0]);
-        let m = code.metrics();
+        assert_eq!(out, shares.share(0));
+        let m = code.runtime_metrics();
         assert_eq!(m.repair_rows_cached, 16, "LRU stays bounded");
         assert_eq!(m.repair_row_misses, 17);
 
         let clone = code.clone();
-        assert_eq!(clone.metrics(), CodeMetrics::default());
+        assert_eq!(clone.runtime_metrics(), CodeMetrics::default());
     }
 
     #[test]
     fn parity_fast_path_bypasses_the_cache() {
         let code = ReedSolomon::new(6, 4).unwrap();
         let data = vec![3u8; 4 * 8];
-        let shares = code.encode(&data).unwrap();
+        let shares = encode(&code, &data);
         // All systematic shares survive; repairing a parity share uses the
         // precomputed parity tables and must not touch the LRU.
         let mut view = ShareView::missing(6);
@@ -565,10 +566,10 @@ mod tests {
                 view.set(i, s);
             }
         }
-        let mut out = vec![0u8; shares[5].len()];
+        let mut out = vec![0u8; shares.share_len()];
         code.repair(&view, 5, &mut out).unwrap();
-        assert_eq!(out, shares[5]);
-        assert_eq!(code.metrics(), CodeMetrics::default());
+        assert_eq!(out, shares.share(5));
+        assert_eq!(code.runtime_metrics(), CodeMetrics::default());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::array::{ArrayCode, ArrayLayout, Cell};
 use crate::error::CodeError;
-use crate::metrics::{CodeCost, CostModel};
+use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
     locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols, CodeKind,
@@ -99,22 +99,16 @@ impl ErasureCode for Mirroring {
     }
 }
 
-impl CostModel for Mirroring {
-    fn analytic_cost(&self, data_len: usize) -> CodeCost {
-        self.cost(data_len)
-    }
-}
-
-/// RAID-4/5-style single parity: `n - 1` data symbols plus one XOR parity.
-/// Tolerates exactly one erasure.
-#[derive(Debug, Clone)]
-pub struct SingleParity {
-    inner: ArrayCode,
-}
+/// Constructor of the RAID-4/5-style single parity code: `n - 1` data
+/// symbols plus one XOR parity, tolerating exactly one erasure.
+/// `SingleParity` has no values: [`SingleParity::new`] builds an
+/// [`ArrayCode`].
+pub enum SingleParity {}
 
 impl SingleParity {
     /// Create an `(n, n-1)` single-parity code with `n >= 2` symbols.
-    pub fn new(n: usize) -> Self {
+    #[expect(clippy::new_ret_no_self, reason = "the family shares one code type")]
+    pub fn new(n: usize) -> ArrayCode {
         assert!(n >= 2, "single parity needs at least 2 symbols");
         let layout = ArrayLayout {
             columns: n,
@@ -130,83 +124,43 @@ impl SingleParity {
                 .collect(),
             equations: vec![(0..n - 1).collect()],
         };
-        SingleParity {
-            inner: ArrayCode::new(layout).expect("static layout is valid"),
-        }
-    }
-}
-
-impl ErasureCode for SingleParity {
-    fn kind(&self) -> CodeKind {
-        CodeKind::SingleParity
-    }
-
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn data_len_unit(&self) -> usize {
-        self.inner.data_len_unit()
-    }
-
-    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
-        self.inner.locate(data_len, offset)
-    }
-
-    fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        self.inner.encode_slices(data, shares)
-    }
-
-    fn decode_slices(&self, shares: &ShareView<'_>, out: &mut [u8]) -> Result<(), CodeError> {
-        self.inner.decode_slices(shares, out)
-    }
-
-    fn repair(
-        &self,
-        shares: &ShareView<'_>,
-        missing: usize,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        self.inner.repair_slices(shares, missing, out)
-    }
-
-    fn cost(&self, data_len: usize) -> CodeCost {
-        self.inner.analytic_cost(data_len)
-    }
-}
-
-impl CostModel for SingleParity {
-    fn analytic_cost(&self, data_len: usize) -> CodeCost {
-        self.inner.analytic_cost(data_len)
+        ArrayCode::new(CodeKind::SingleParity, layout).expect("static layout is valid")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::share::ShareSet;
+
+    /// Encode `data`, erase the shares in `erased`, and decode.
+    fn roundtrip(
+        code: &dyn ErasureCode,
+        data: &[u8],
+        erased: &[usize],
+    ) -> Result<Vec<u8>, CodeError> {
+        let mut shares = ShareSet::new();
+        code.encode_into(data, &mut shares).unwrap();
+        let mut view = shares.as_view();
+        for &i in erased {
+            view.clear(i);
+        }
+        let mut out = Vec::new();
+        code.decode_into(&view, &mut out).map(|()| out)
+    }
 
     #[test]
     fn mirroring_survives_all_but_one_loss() {
         let code = Mirroring::new(4);
         let data = b"hello RAIN".to_vec();
-        let shares = code.encode(&data).unwrap();
-        let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-        partial[0] = None;
-        partial[1] = None;
-        partial[3] = None;
-        assert_eq!(code.decode(&partial).unwrap(), data);
+        assert_eq!(roundtrip(&code, &data, &[0, 1, 3]).unwrap(), data);
     }
 
     #[test]
     fn mirroring_fails_when_everything_is_lost() {
         let code = Mirroring::new(3);
-        let partial: Vec<Option<Vec<u8>>> = vec![None, None, None];
         assert!(matches!(
-            code.decode(&partial),
+            roundtrip(&code, b"gone", &[0, 1, 2]),
             Err(CodeError::TooManyErasures { .. })
         ));
     }
@@ -214,12 +168,14 @@ mod tests {
     #[test]
     fn single_parity_recovers_any_single_erasure() {
         let code = SingleParity::new(5);
+        assert_eq!(code.kind(), CodeKind::SingleParity);
         let data: Vec<u8> = (0..4 * 7).map(|i| i as u8).collect();
-        let shares = code.encode(&data).unwrap();
         for lost in 0..5 {
-            let mut partial: Vec<Option<Vec<u8>>> = shares.iter().cloned().map(Some).collect();
-            partial[lost] = None;
-            assert_eq!(code.decode(&partial).unwrap(), data, "lost column {lost}");
+            assert_eq!(
+                roundtrip(&code, &data, &[lost]).unwrap(),
+                data,
+                "lost column {lost}"
+            );
         }
     }
 
@@ -227,11 +183,7 @@ mod tests {
     fn single_parity_cannot_recover_two_erasures() {
         let code = SingleParity::new(5);
         let data: Vec<u8> = (0..4 * 3).map(|i| i as u8).collect();
-        let shares = code.encode(&data).unwrap();
-        let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-        partial[0] = None;
-        partial[1] = None;
-        assert!(code.decode(&partial).is_err());
+        assert!(roundtrip(&code, &data, &[0, 1]).is_err());
     }
 
     #[test]

@@ -1,10 +1,5 @@
 //! Caller-owned share buffers: [`ShareSet`] and [`ShareView`].
 //!
-//! The original `ErasureCode` API moved every encoded block through
-//! `Vec<Vec<u8>>` (one fresh allocation per share per call) and every decode
-//! through `&[Option<Vec<u8>>]` (forcing callers to clone share bytes they
-//! already held). These two types replace both:
-//!
 //! * [`ShareSet`] owns **one flat backing buffer** holding all `n` shares
 //!   contiguously. It is reused across calls — `reset` only reallocates when
 //!   the layout grows beyond the retained capacity — so a steady-state
@@ -108,11 +103,6 @@ impl ShareSet {
         }
         view
     }
-
-    /// Copy out to the legacy `Vec<Vec<u8>>` representation.
-    pub fn to_vecs(&self) -> Vec<Vec<u8>> {
-        (0..self.n).map(|i| self.share(i).to_vec()).collect()
-    }
 }
 
 /// A borrowed view of up to `n` shares; missing symbols are `None`.
@@ -129,20 +119,6 @@ impl<'a> ShareView<'a> {
     pub fn missing(n: usize) -> Self {
         ShareView {
             slots: vec![None; n],
-        }
-    }
-
-    /// Build a view from the legacy `&[Option<Vec<u8>>]` representation.
-    pub fn from_options(shares: &'a [Option<Vec<u8>>]) -> Self {
-        ShareView {
-            slots: shares.iter().map(|s| s.as_deref()).collect(),
-        }
-    }
-
-    /// Build a view with every slot present, from one slice per share.
-    pub fn from_slices(shares: &[&'a [u8]]) -> Self {
-        ShareView {
-            slots: shares.iter().map(|s| Some(*s)).collect(),
         }
     }
 
@@ -293,7 +269,6 @@ mod tests {
         assert_eq!(set.share(0), &[1, 1, 1, 1]);
         assert_eq!(set.share(2), &[3, 3, 3, 3]);
         assert_eq!(set.flat(), &[1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]);
-        assert_eq!(set.to_vecs()[1], vec![2u8; 4]);
         assert_eq!(set.iter().count(), 3);
     }
 
@@ -352,17 +327,5 @@ mod tests {
         let view = set.as_view();
         assert_eq!(view.available(), 5);
         assert_eq!(view.validate(5, 3).unwrap(), 8);
-    }
-
-    #[test]
-    fn from_options_borrows_without_copying() {
-        let shares = vec![Some(vec![1u8; 3]), None, Some(vec![2u8; 3])];
-        let view = ShareView::from_options(&shares);
-        assert_eq!(view.n(), 3);
-        assert_eq!(
-            view.share(0).unwrap().as_ptr(),
-            shares[0].as_ref().unwrap().as_ptr()
-        );
-        assert_eq!(view.share(1), None);
     }
 }

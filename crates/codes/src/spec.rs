@@ -111,9 +111,11 @@ mod tests {
             let data: Vec<u8> = (0..code.data_len_unit() * 4)
                 .map(|i| (i * 37 % 251) as u8)
                 .collect();
-            let shares = code.encode(&data).unwrap();
-            let partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-            assert_eq!(code.decode(&partial).unwrap(), data, "{spec}");
+            let mut shares = crate::ShareSet::new();
+            code.encode_into(&data, &mut shares).unwrap();
+            let mut out = Vec::new();
+            code.decode_into(&shares.as_view(), &mut out).unwrap();
+            assert_eq!(out, data, "{spec}");
         }
     }
 

@@ -66,17 +66,6 @@ impl StripedCodec {
         })
     }
 
-    /// Like [`StripedCodec::new`] with one worker per available CPU.
-    pub fn with_default_workers(
-        inner: Arc<dyn ErasureCode>,
-        stripe_data_len: usize,
-    ) -> Result<Self, CodeError> {
-        let workers = std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(1);
-        Self::new(inner, stripe_data_len, workers)
-    }
-
     /// The wrapped code.
     pub fn inner(&self) -> &Arc<dyn ErasureCode> {
         &self.inner
@@ -260,6 +249,12 @@ mod tests {
             .collect()
     }
 
+    fn encode(code: &dyn ErasureCode, data: &[u8]) -> ShareSet {
+        let mut set = ShareSet::new();
+        code.encode_into(data, &mut set).unwrap();
+        set
+    }
+
     fn codes() -> Vec<Arc<dyn ErasureCode>> {
         vec![
             Arc::new(BCode::table_1a()),
@@ -277,8 +272,8 @@ mod tests {
             let sequential = StripedCodec::new(inner.clone(), unit * 8, 1).unwrap();
             let parallel = StripedCodec::new(inner.clone(), unit * 8, 4).unwrap();
             assert_eq!(
-                sequential.encode(&data).unwrap(),
-                parallel.encode(&data).unwrap(),
+                encode(&sequential, &data),
+                encode(&parallel, &data),
                 "{:?}",
                 inner.kind()
             );
@@ -318,7 +313,7 @@ mod tests {
         let inner: Arc<dyn ErasureCode> = Arc::new(BCode::table_1a());
         let striped = StripedCodec::new(inner.clone(), inner.data_len_unit() * 64, 4).unwrap();
         let data = test_data(inner.as_ref(), 2);
-        assert_eq!(striped.encode(&data).unwrap(), inner.encode(&data).unwrap());
+        assert_eq!(encode(&striped, &data), encode(inner.as_ref(), &data));
     }
 
     #[test]
@@ -336,9 +331,7 @@ mod tests {
         // per-stripe sub-views must not try to slice.
         let inner: Arc<dyn ErasureCode> = Arc::new(BCode::table_1a());
         let striped = StripedCodec::new(inner.clone(), inner.data_len_unit() * 2, 2).unwrap();
-        let data = test_data(inner.as_ref(), 8);
-        let mut set = ShareSet::new();
-        striped.encode_into(&data, &mut set).unwrap();
+        let set = encode(&striped, &test_data(inner.as_ref(), 8));
         let stale = [0xAAu8; 1];
         let mut view = set.as_view();
         view.set(0, &stale);
@@ -352,11 +345,7 @@ mod tests {
         let inner: Arc<dyn ErasureCode> = Arc::new(BCode::table_1a());
         let striped = StripedCodec::new(inner.clone(), inner.data_len_unit() * 2, 2).unwrap();
         let data = test_data(inner.as_ref(), 8);
-        let set = {
-            let mut set = ShareSet::new();
-            striped.encode_into(&data, &mut set).unwrap();
-            set
-        };
+        let set = encode(&striped, &data);
         let mut view = set.as_view();
         view.clear(0);
         let mut short = vec![0u8; set.share_len() - 1];

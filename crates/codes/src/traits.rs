@@ -1,19 +1,13 @@
 //! The common erasure-code interface used by the storage layer.
 //!
-//! The trait is layered in two levels:
-//!
-//! 1. **Buffer core** (required): [`ErasureCode::encode_slices`],
-//!    [`ErasureCode::decode_slices`] and [`ErasureCode::repair`] operate on
-//!    caller-owned buffers — pre-sized column slices, a borrowed
-//!    [`ShareView`], a flat output slice — and never allocate share storage.
-//!    [`ErasureCode::encode_into`] / [`ErasureCode::decode_into`] are the
-//!    ergonomic entry points at this level: they size a reusable
-//!    [`ShareSet`] / output `Vec` for you, so steady-state loops allocate
-//!    nothing after the first call.
-//! 2. **Convenience layer** (provided): the original allocating
-//!    [`ErasureCode::encode`] / [`ErasureCode::decode`] survive as default
-//!    methods implemented on top of the core, so downstream code can migrate
-//!    incrementally.
+//! Every entry point works on caller-owned buffers.
+//! [`ErasureCode::encode_slices`], [`ErasureCode::decode_slices`] and
+//! [`ErasureCode::repair`] are what an implementation provides: they take
+//! pre-sized column slices, a borrowed [`ShareView`] and a flat output
+//! slice, and never allocate share storage. [`ErasureCode::encode_into`] /
+//! [`ErasureCode::decode_into`] are what callers use: they size a reusable
+//! [`ShareSet`] / output `Vec` for you, so steady-state loops allocate
+//! nothing after the first call.
 //!
 //! [`ErasureCode::repair`] reconstructs a **single lost share** directly,
 //! without round-tripping through the full data block — the operation node
@@ -45,7 +39,8 @@ pub enum CodeKind {
 /// `k` of them (for the MDS codes in this crate).
 ///
 /// The trait is object-safe so the storage layer can swap codes at runtime.
-/// See the [module docs](self) for the two API levels.
+/// See the [module docs](self) for which methods to implement and which to
+/// call.
 pub trait ErasureCode: Send + Sync {
     /// Which code family this is.
     fn kind(&self) -> CodeKind;
@@ -118,7 +113,7 @@ pub trait ErasureCode: Send + Sync {
         None
     }
 
-    // ---- buffer core (required) ------------------------------------------
+    // ---- required ---------------------------------------------------------
 
     /// Encode `data` into `n` pre-sized column slices, each
     /// `share_len_for(data.len())` bytes. Every byte of every slice is
@@ -145,7 +140,7 @@ pub trait ErasureCode: Send + Sync {
         out: &mut [u8],
     ) -> Result<(), CodeError>;
 
-    // ---- provided buffer layer -------------------------------------------
+    // ---- provided ---------------------------------------------------------
 
     /// Encode `data` into a reusable [`ShareSet`]. The set is re-laid out
     /// for this call (allocating only if it grew past its retained
@@ -163,29 +158,6 @@ pub trait ErasureCode: Send + Sync {
         let share_len = shares.validate(self.n(), self.k())?;
         out.resize(share_len * self.k(), 0);
         self.decode_slices(shares, out)
-    }
-
-    // ---- allocating convenience layer (legacy API) -----------------------
-
-    /// Encode `data` into `n` freshly allocated shares.
-    ///
-    /// Convenience wrapper over [`ErasureCode::encode_into`]; hot paths
-    /// should hold a [`ShareSet`] and call that directly.
-    fn encode(&self, data: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let mut set = ShareSet::new();
-        self.encode_into(data, &mut set)?;
-        Ok(set.to_vecs())
-    }
-
-    /// Reconstruct the original data from surviving shares.
-    ///
-    /// `shares` must have exactly `n` entries; missing symbols are `None`.
-    /// Convenience wrapper over [`ErasureCode::decode_into`].
-    fn decode(&self, shares: &[Option<Vec<u8>>]) -> Result<Vec<u8>, CodeError> {
-        let view = ShareView::from_options(shares);
-        let mut out = Vec::new();
-        self.decode_into(&view, &mut out)?;
-        Ok(out)
     }
 }
 

@@ -16,23 +16,19 @@
 //! diagonals recover by chain decoding. Each data cell appears in exactly two
 //! parity equations, the optimal update complexity for distance 3.
 
-use crate::array::{ArrayCode, ArrayLayout, Cell, DecodeTrace};
+use crate::array::{ArrayCode, ArrayLayout, Cell};
 use crate::error::CodeError;
 use crate::evenodd::is_prime;
-use crate::metrics::{CodeCost, CostModel};
-use crate::share::ShareView;
-use crate::traits::{CodeKind, ErasureCode};
+use crate::traits::CodeKind;
 
-/// The `(p, p-2)` X-Code for prime `p >= 3`.
-#[derive(Debug, Clone)]
-pub struct XCode {
-    p: usize,
-    inner: ArrayCode,
-}
+/// Constructor of the `(p, p-2)` X-Code for prime `p >= 3`. `XCode` has no
+/// values: [`XCode::new`] builds an [`ArrayCode`].
+pub enum XCode {}
 
 impl XCode {
     /// Create an X-Code for prime `p >= 3`: `n = p` columns, `k = p - 2`.
-    pub fn new(p: usize) -> Result<Self, CodeError> {
+    #[expect(clippy::new_ret_no_self, reason = "the family shares one code type")]
+    pub fn new(p: usize) -> Result<ArrayCode, CodeError> {
         if !is_prime(p) || p < 3 {
             return Err(CodeError::UnsupportedParameters {
                 reason: format!("the X-Code requires a prime p >= 3, got {p}"),
@@ -72,90 +68,29 @@ impl XCode {
             column_cells,
             equations,
         };
-        Ok(XCode {
-            p,
-            inner: ArrayCode::new(layout)?,
-        })
-    }
-
-    /// The prime parameter `p` (also the number of columns).
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Access the underlying generic array code (layout, tracing decode).
-    pub fn array(&self) -> &ArrayCode {
-        &self.inner
-    }
-
-    /// Decode and return the decoding chains that were followed.
-    pub fn decode_traced(
-        &self,
-        shares: &[Option<Vec<u8>>],
-    ) -> Result<(Vec<u8>, DecodeTrace), CodeError> {
-        self.inner.decode_traced(shares)
-    }
-
-    /// Exhaustively confirm the MDS property over all two-column erasures.
-    pub fn verify_mds(&self) -> bool {
-        self.inner.layout().find_mds_violation().is_none()
-    }
-}
-
-impl ErasureCode for XCode {
-    fn kind(&self) -> CodeKind {
-        CodeKind::XCode
-    }
-
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn data_len_unit(&self) -> usize {
-        self.inner.data_len_unit()
-    }
-
-    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
-        self.inner.locate(data_len, offset)
-    }
-
-    fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        self.inner.encode_slices(data, shares)
-    }
-
-    fn decode_slices(&self, shares: &ShareView<'_>, out: &mut [u8]) -> Result<(), CodeError> {
-        self.inner.decode_slices(shares, out)
-    }
-
-    fn repair(
-        &self,
-        shares: &ShareView<'_>,
-        missing: usize,
-        out: &mut [u8],
-    ) -> Result<(), CodeError> {
-        self.inner.repair_slices(shares, missing, out)
-    }
-
-    fn cost(&self, data_len: usize) -> CodeCost {
-        self.inner.analytic_cost(data_len)
-    }
-}
-
-impl CostModel for XCode {
-    fn analytic_cost(&self, data_len: usize) -> CodeCost {
-        self.inner.analytic_cost(data_len)
+        ArrayCode::new(CodeKind::XCode, layout)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::share::ShareSet;
+    use crate::traits::ErasureCode;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Encode `data`, erase the columns in `erased`, and decode.
+    fn roundtrip(code: &ArrayCode, data: &[u8], erased: &[usize]) -> Result<Vec<u8>, CodeError> {
+        let mut shares = ShareSet::new();
+        code.encode_into(data, &mut shares).unwrap();
+        let mut view = shares.as_view();
+        for &c in erased {
+            view.clear(c);
+        }
+        let mut out = Vec::new();
+        code.decode_into(&view, &mut out).map(|()| out)
+    }
 
     #[test]
     fn rejects_non_prime_p() {
@@ -168,11 +103,11 @@ mod tests {
     #[test]
     fn parameters_are_p_and_p_minus_2() {
         let code = XCode::new(7).unwrap();
+        assert_eq!(code.kind(), CodeKind::XCode);
         assert_eq!(code.n(), 7);
         assert_eq!(code.k(), 5);
         assert_eq!(code.fault_tolerance(), 2);
         assert_eq!(code.data_len_unit(), 7 * 5);
-        assert_eq!(code.p(), 7);
     }
 
     #[test]
@@ -202,13 +137,13 @@ mod tests {
         let code = XCode::new(p).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         let data: Vec<u8> = (0..code.data_len_unit() * 8).map(|_| rng.gen()).collect();
-        let shares = code.encode(&data).unwrap();
         for a in 0..p {
             for b in (a + 1)..p {
-                let mut partial: Vec<Option<Vec<u8>>> = shares.iter().cloned().map(Some).collect();
-                partial[a] = None;
-                partial[b] = None;
-                assert_eq!(code.decode(&partial).unwrap(), data, "erased {a},{b}");
+                assert_eq!(
+                    roundtrip(&code, &data, &[a, b]).unwrap(),
+                    data,
+                    "erased {a},{b}"
+                );
             }
         }
     }
@@ -217,11 +152,12 @@ mod tests {
     fn two_column_erasure_uses_chain_decoding() {
         let code = XCode::new(5).unwrap();
         let data: Vec<u8> = (0..code.data_len_unit()).map(|i| i as u8).collect();
-        let shares = code.encode(&data).unwrap();
-        let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-        partial[1] = None;
-        partial[3] = None;
-        let (out, trace) = code.decode_traced(&partial).unwrap();
+        let mut shares = ShareSet::new();
+        code.encode_into(&data, &mut shares).unwrap();
+        let mut view = shares.as_view();
+        view.clear(1);
+        view.clear(3);
+        let (out, trace) = code.decode_traced(&view).unwrap();
         assert_eq!(out, data);
         assert!(
             !trace.used_gaussian_fallback,
@@ -234,13 +170,8 @@ mod tests {
     fn three_erasures_are_rejected() {
         let code = XCode::new(5).unwrap();
         let data = vec![0u8; code.data_len_unit()];
-        let shares = code.encode(&data).unwrap();
-        let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-        partial[0] = None;
-        partial[2] = None;
-        partial[4] = None;
         assert!(matches!(
-            code.decode(&partial),
+            roundtrip(&code, &data, &[0, 2, 4]),
             Err(CodeError::TooManyErasures { .. })
         ));
     }
@@ -257,11 +188,7 @@ mod tests {
             let code = XCode::new(7).unwrap();
             let mut rng = StdRng::seed_from_u64(seed);
             let data: Vec<u8> = (0..code.data_len_unit() * 2).map(|_| rng.gen()).collect();
-            let shares = code.encode(&data).unwrap();
-            let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-            partial[a] = None;
-            partial[b] = None;
-            prop_assert_eq!(code.decode(&partial).unwrap(), data);
+            prop_assert_eq!(roundtrip(&code, &data, &[a, b]).unwrap(), data);
         }
     }
 }

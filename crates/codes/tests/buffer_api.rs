@@ -3,9 +3,9 @@
 //! One [`ShareSet`], one decode buffer, and one repair buffer are threaded
 //! through a random interleaving of `encode_into` / `decode_into` / `repair`
 //! calls across *different codes and data lengths*, and every result must
-//! match the allocating `encode` / `decode` API bit-for-bit. This is the
-//! contract that makes buffer reuse safe: no call may ever observe bytes
-//! left over from a previous call with a different layout.
+//! match the same call into a fresh `ShareSet` / `Vec` bit-for-bit. This is
+//! the contract that makes buffer reuse safe: no call may ever observe
+//! bytes left over from a previous call with a different layout.
 
 use std::sync::Arc;
 
@@ -33,7 +33,7 @@ fn codes() -> Vec<Arc<dyn ErasureCode>> {
 }
 
 /// Run one op derived from `seed` against `code`, reusing the caller's
-/// buffers, and compare every step with the allocating API.
+/// buffers, and compare every step with fresh buffers.
 fn run_op(
     code: &dyn ErasureCode,
     seed: u64,
@@ -47,13 +47,15 @@ fn run_op(
         .map(|_| rng.gen())
         .collect();
 
-    // encode_into through the reused set == allocating encode.
+    // encode_into through the reused set == encode_into a fresh set.
     code.encode_into(&data, set).expect("encode_into");
-    let reference = code.encode(&data).expect("encode");
-    prop_assert_eq!(&set.to_vecs(), &reference);
+    let mut reference = ShareSet::new();
+    code.encode_into(&data, &mut reference)
+        .expect("fresh encode_into");
+    prop_assert_eq!(&*set, &reference);
 
-    // decode_into through the reused out == original data == allocating
-    // decode, after erasing up to the fault tolerance.
+    // decode_into through the reused out == original data == decode_into a
+    // fresh Vec, after erasing up to the fault tolerance.
     let mut view = set.as_view();
     let erasures = seed as usize % (code.fault_tolerance() + 1);
     let mut victims: Vec<usize> = (0..code.n()).collect();
@@ -63,10 +65,10 @@ fn run_op(
     }
     code.decode_into(&view, decoded).expect("decode_into");
     prop_assert_eq!(&*decoded, &data);
-    let options: Vec<Option<Vec<u8>>> = (0..code.n())
-        .map(|i| view.share(i).map(|s| s.to_vec()))
-        .collect();
-    prop_assert_eq!(&code.decode(&options).expect("decode"), &data);
+    let mut fresh = Vec::new();
+    code.decode_into(&view, &mut fresh)
+        .expect("fresh decode_into");
+    prop_assert_eq!(&fresh, &data);
 
     // repair through the reused buffer == the share the encoder produced.
     let missing = rng.gen::<usize>() % code.n();
@@ -88,7 +90,7 @@ proptest! {
     /// Interleave encode/decode/repair of varying codes and lengths through
     /// ONE ShareSet + ONE decode buffer + ONE repair buffer.
     #[test]
-    fn prop_interleaved_scratch_reuse_matches_allocating_api(
+    fn prop_interleaved_scratch_reuse_matches_fresh_buffers(
         op_seeds in proptest::collection::vec(any::<u64>(), 4..12),
     ) {
         let zoo = codes();

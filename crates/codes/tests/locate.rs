@@ -8,7 +8,7 @@
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use rain_codes::{build_code, BCode, CodeKind, CodeSpec, ErasureCode, StripedCodec};
+use rain_codes::{build_code, BCode, CodeKind, CodeSpec, ErasureCode, ShareSet, StripedCodec};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The codes of [`families`], built once: the (10, 8) B-Code runs a
@@ -46,7 +46,8 @@ fn check_every_offset(code: &dyn ErasureCode, seed: u64, blocks: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let len = code.data_len_unit() * blocks;
     let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-    let shares = code.encode(&data).expect("encode");
+    let mut shares = ShareSet::new();
+    code.encode_into(&data, &mut shares).expect("encode");
     let cell_len = len / code.data_len_unit();
     let name = code.spec();
     for offset in 0..len {
@@ -64,7 +65,7 @@ fn check_every_offset(code: &dyn ErasureCode, seed: u64, blocks: usize) {
             "{name}: run at {offset} leaves its cell"
         );
         assert_eq!(
-            &shares[share][at..at + run],
+            &shares.share(share)[at..at + run],
             &data[offset..offset + run],
             "{name}: share {share} at {at} is not input byte {offset}"
         );

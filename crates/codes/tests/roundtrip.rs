@@ -6,7 +6,7 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use rain_codes::{BCode, ErasureCode, EvenOdd, ReedSolomon, XCode};
+use rain_codes::{ArrayCode, BCode, ErasureCode, EvenOdd, ReedSolomon, ShareSet, XCode};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -21,17 +21,19 @@ fn roundtrip(code: &dyn ErasureCode, seed: u64, blocks: usize, erasures: usize) 
     let len = code.data_len_unit() * blocks;
     let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
 
-    let shares = code.encode(&data).expect("encode");
-    assert_eq!(shares.len(), code.n());
+    let mut shares = ShareSet::new();
+    code.encode_into(&data, &mut shares).expect("encode");
+    assert_eq!(shares.n(), code.n());
 
-    let mut partial: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
+    let mut view = shares.as_view();
     let mut columns: Vec<usize> = (0..code.n()).collect();
     columns.shuffle(&mut rng);
     for &column in &columns[..erasures] {
-        partial[column] = None;
+        view.clear(column);
     }
 
-    let decoded = code.decode(&partial).expect("decode");
+    let mut decoded = Vec::new();
+    code.decode_into(&view, &mut decoded).expect("decode");
     assert_eq!(
         decoded,
         data,
@@ -40,9 +42,9 @@ fn roundtrip(code: &dyn ErasureCode, seed: u64, blocks: usize, erasures: usize) 
     );
 }
 
-fn bcode10() -> &'static BCode {
+fn bcode10() -> &'static ArrayCode {
     // The (10, 8) construction runs a randomized layout search; build once.
-    static CODE: OnceLock<BCode> = OnceLock::new();
+    static CODE: OnceLock<ArrayCode> = OnceLock::new();
     CODE.get_or_init(|| BCode::new(10).expect("B-Code n=10 constructs"))
 }
 
@@ -110,15 +112,18 @@ fn all_maximal_erasure_patterns_roundtrip() {
         let mut rng = StdRng::seed_from_u64(0xC0DE);
         // 13 units: odd, so cell lengths land off the 8-byte lane boundary.
         let data: Vec<u8> = (0..code.data_len_unit() * 13).map(|_| rng.gen()).collect();
-        let shares = code.encode(&data).unwrap();
+        let mut shares = ShareSet::new();
+        code.encode_into(&data, &mut shares).unwrap();
         let n = code.n();
+        let mut decoded = Vec::new();
         for a in 0..n {
             for b in (a + 1)..n {
-                let mut partial: Vec<Option<Vec<u8>>> = shares.iter().cloned().map(Some).collect();
-                partial[a] = None;
-                partial[b] = None;
+                let mut view = shares.as_view();
+                view.clear(a);
+                view.clear(b);
+                code.decode_into(&view, &mut decoded).unwrap();
                 assert_eq!(
-                    code.decode(&partial).unwrap(),
+                    decoded,
                     data,
                     "{:?} failed erasing columns {a},{b}",
                     code.kind()

@@ -3,58 +3,12 @@
 //! and erasure-coded storage — into a single cluster the way Fig. 2 of the
 //! paper stacks its software architecture.
 
-use std::sync::Arc;
-
-use rain_codes::{build_code, CodeError, CodeKind, CodeSpec, ErasureCode};
+use rain_codes::{build_code, CodeError, CodeKind, CodeSpec};
 use rain_membership::{Detection, MemberConfig, MembershipCluster};
 use rain_rudp::{RudpCluster, RudpConfig};
 use rain_sim::{Network, NodeId, SimDuration, DEFAULT_LINK_LATENCY};
 use rain_storage::{RainFs, SelectionPolicy};
 use rain_topology::{construction, Topology};
-
-/// Which erasure code the storage layer should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodeChoice {
-    /// The paper's `(6, 4)` B-Code of Table 1a (or another supported even n).
-    BCode {
-        /// Number of symbols `n` (even; `n - 2` recoverable).
-        n: usize,
-    },
-    /// The X-Code for a prime `p`.
-    XCode {
-        /// Number of symbols (prime).
-        p: usize,
-    },
-    /// EVENODD for a prime `p` (yields `p + 2` symbols).
-    EvenOdd {
-        /// The prime parameter.
-        p: usize,
-    },
-    /// Reed-Solomon with arbitrary `(n, k)`.
-    ReedSolomon {
-        /// Total symbols.
-        n: usize,
-        /// Data symbols.
-        k: usize,
-    },
-}
-
-impl CodeChoice {
-    /// The serializable `(kind, n, k)` spec this choice names.
-    pub fn spec(self) -> CodeSpec {
-        match self {
-            CodeChoice::BCode { n } => CodeSpec::new(CodeKind::BCode, n, n.saturating_sub(2)),
-            CodeChoice::XCode { p } => CodeSpec::new(CodeKind::XCode, p, p.saturating_sub(2)),
-            CodeChoice::EvenOdd { p } => CodeSpec::new(CodeKind::EvenOdd, p + 2, p),
-            CodeChoice::ReedSolomon { n, k } => CodeSpec::new(CodeKind::ReedSolomon, n, k),
-        }
-    }
-
-    /// Instantiate the chosen code through the [`rain_codes`] registry.
-    pub fn build(self) -> Result<Arc<dyn ErasureCode>, CodeError> {
-        build_code(self.spec())
-    }
-}
 
 /// Configuration of a [`RainCluster`].
 #[derive(Debug, Clone)]
@@ -63,8 +17,9 @@ pub struct RainConfig {
     pub nodes: usize,
     /// Number of switches in the interconnect ring.
     pub switches: usize,
-    /// Erasure code for the storage layer.
-    pub code: CodeChoice,
+    /// Erasure code for the storage layer, built with
+    /// [`rain_codes::build_code`].
+    pub code: CodeSpec,
     /// Block size of the file layer.
     pub block_size: usize,
     /// Membership failure detection variant.
@@ -81,7 +36,7 @@ impl Default for RainConfig {
         RainConfig {
             nodes: 10,
             switches: 4,
-            code: CodeChoice::BCode { n: 10 },
+            code: CodeSpec::new(CodeKind::BCode, 10, 8),
             block_size: 4096,
             detection: Detection::Conservative,
             rudp: RudpConfig::default(),
@@ -103,7 +58,7 @@ pub struct RainCluster {
 impl RainCluster {
     /// Build a cluster from a configuration.
     pub fn new(config: RainConfig) -> Result<Self, CodeError> {
-        let code = config.code.build()?;
+        let code = build_code(config.code)?;
         let topology = construction::diameter_ring(config.nodes.max(5));
         let network =
             Network::diameter_testbed(config.nodes, config.switches, DEFAULT_LINK_LATENCY, 0.0);
@@ -197,7 +152,7 @@ mod tests {
         let mut cluster = RainCluster::new(RainConfig {
             nodes: 4,
             switches: 4,
-            code: CodeChoice::BCode { n: 6 },
+            code: CodeSpec::bcode_6_4(),
             ..RainConfig::default()
         })
         .unwrap();
@@ -211,14 +166,5 @@ mod tests {
         cluster.storage_mut().fail_node(NodeId(1)).unwrap();
         cluster.storage_mut().fail_node(NodeId(5)).unwrap();
         assert_eq!(cluster.get("checkpoint/state").unwrap(), data);
-    }
-
-    #[test]
-    fn every_code_choice_builds() {
-        assert!(CodeChoice::BCode { n: 6 }.build().is_ok());
-        assert!(CodeChoice::XCode { p: 7 }.build().is_ok());
-        assert!(CodeChoice::EvenOdd { p: 5 }.build().is_ok());
-        assert!(CodeChoice::ReedSolomon { n: 12, k: 9 }.build().is_ok());
-        assert!(CodeChoice::BCode { n: 7 }.build().is_err());
     }
 }

@@ -10,12 +10,13 @@
 //! software-architecture figure does.
 //!
 //! ```
-//! use rain_core::{RainCluster, RainConfig, CodeChoice};
+//! use rain_core::{RainCluster, RainConfig};
+//! use rain_core::codes::CodeSpec;
 //! use rain_core::sim::SimDuration;
 //!
 //! let mut cluster = RainCluster::new(RainConfig {
 //!     nodes: 4,
-//!     code: CodeChoice::BCode { n: 6 },
+//!     code: CodeSpec::bcode_6_4(),
 //!     ..RainConfig::default()
 //! }).unwrap();
 //! cluster.run_for(SimDuration::from_secs(1));
@@ -27,7 +28,7 @@
 
 pub mod cluster;
 
-pub use cluster::{CodeChoice, RainCluster, RainConfig};
+pub use cluster::{RainCluster, RainConfig};
 
 /// Re-export: RAINVideo, SNOW, and Rainwall (Sections 5–6).
 pub use rain_apps as apps;

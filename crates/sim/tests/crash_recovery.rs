@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rain_codes::BCode;
+use rain_codes::{ArrayCode, BCode};
 use rain_sim::NodeId;
 use rain_storage::{
     CrashFuse, DistributedStore, GroupConfig, MemLog, SelectionPolicy, StorageError, WalError,
@@ -43,7 +43,7 @@ use rain_storage::{
 const N: usize = 6;
 const K: usize = 4;
 
-fn code() -> Arc<BCode> {
+fn code() -> Arc<ArrayCode> {
     Arc::new(BCode::table_1a())
 }
 

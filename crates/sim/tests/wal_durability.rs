@@ -42,14 +42,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rain_codes::BCode;
+use rain_codes::{ArrayCode, BCode};
 use rain_sim::SimDuration;
 use rain_storage::{
     DistributedStore, FaultSpec, FaultyFile, FaultySegFs, FileLog, FsyncPolicy, GroupConfig,
     MemLog, SegmentedFile, SelectionPolicy, StorageError, SyncFault, WalError, WriteAheadLog,
 };
 
-fn code() -> Arc<BCode> {
+fn code() -> Arc<ArrayCode> {
     Arc::new(BCode::table_1a())
 }
 

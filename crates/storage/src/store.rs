@@ -3090,7 +3090,7 @@ impl DistributedStore {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rain_codes::{BCode, CodeSpec};
+    use rain_codes::{ArrayCode, BCode, CodeSpec};
 
     fn store() -> DistributedStore {
         DistributedStore::new(Arc::new(BCode::table_1a()))
@@ -3742,7 +3742,7 @@ mod tests {
     /// seal-failure path (only reachable with a faulty code, since the
     /// store always hands `encode_into` a valid block).
     struct FlakyCode {
-        inner: BCode,
+        inner: ArrayCode,
         fail_encode: std::sync::atomic::AtomicBool,
     }
 
