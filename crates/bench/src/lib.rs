@@ -31,7 +31,7 @@
 //!   `optimized_build`, `gf_bulk_kernel` (the GF(256) kernel dispatched on
 //!   this CPU, e.g. `"avx2"` or `"portable"`), `min_seconds` per
 //!   measurement, `required_kernel_speedup`, and `workers` (available
-//!   parallelism; striped rows only mean something when it is > 1).
+//!   parallelism).
 //! * **`kernels`** — microbenchmarks of the shared kernels against the
 //!   retained scalar baselines: `{kernel, block_bytes, fast_mb_s,
 //!   scalar_mb_s, speedup}` per `(kernel, block size)` point.
@@ -40,9 +40,6 @@
 //!   encode_xors_per_data_byte}`. Decode rows drop the first `n - k`
 //!   shares, so the decoder reconstructs data instead of reassembling it.
 //!   These are the rows the `--baseline` regression diff compares.
-//! * **`striped`** — single-thread vs [`rain_codes::StripedCodec`] encoding
-//!   at 1 MiB: `{code, n, k, data_bytes, single_mb_s, striped_mb_s,
-//!   speedup}`.
 //! * **`repair`** — decode + re-encode vs single-share `repair` at 1 MiB:
 //!   `{code, n, k, data_bytes, decode_reencode_mb_s, repair_mb_s,
 //!   speedup}`.

@@ -1,6 +1,6 @@
 //! Benchmark driver: measures the erasure-coding kernels, every code's
-//! encode/decode throughput, striped parallel encoding and single-share
-//! `repair`, prints tables, and writes `BENCH_codes.json`.
+//! encode/decode throughput and single-share `repair`, prints tables, and
+//! writes `BENCH_codes.json`.
 //!
 //! ```text
 //! bench [--smoke] [--no-assert] [--baseline <path>] [--bless]
@@ -44,7 +44,7 @@ use bench::{throughput_mb_s, BenchConfig, Json};
 use rain_cluster::{builtin_churn_specs, run_churn_scenario_observed};
 use rain_codes::gf256::Gf256;
 use rain_codes::xor;
-use rain_codes::{BCode, ErasureCode, EvenOdd, ReedSolomon, ShareSet, StripedCodec, XCode};
+use rain_codes::{BCode, ErasureCode, EvenOdd, ReedSolomon, ShareSet, XCode};
 use rain_obs::{render_spans, Recorder, Registry, VirtualClock};
 use rain_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 use std::path::Path;
@@ -59,10 +59,8 @@ use rain_storage::{
 const REQUIRED_KERNEL_SPEEDUP: f64 = 4.0;
 /// Block size at which the speedup requirement is enforced.
 const ASSERT_BLOCK: usize = 64 * 1024;
-/// Block size for the striped-vs-single-thread and repair comparisons.
+/// Block size for the repair comparison.
 const BIG_BLOCK: usize = 1024 * 1024;
-/// Stripe length used by the striped rows.
-const STRIPE_BYTES: usize = 64 * 1024;
 /// Baseline rows this much slower than the committed numbers are SUSPECTS:
 /// re-measured (best sample kept) before any verdict.
 const REGRESSION_TOLERANCE: f64 = 0.10;
@@ -72,9 +70,9 @@ const REGRESSION_TOLERANCE: f64 = 0.10;
 /// threshold flakes on noise, while the regressions this gate exists to
 /// catch (losing a SIMD dispatch, an algorithmic slip) cost 2x, not 20%.
 const CONFIRM_TOLERANCE: f64 = 0.20;
-/// Floor for the striped-vs-single and grouped asserts: a statistical tie
-/// (run-to-run noise around 1.0x) must not fail the run, only a real loss.
-/// Repair keeps a strict > 1.0 — its margin is ~5x.
+/// Floor for the grouped asserts: a statistical tie (run-to-run noise
+/// around 1.0x) must not fail the run, only a real loss. Repair keeps a
+/// strict > 1.0 — its margin is ~5x.
 const API_WIN_FLOOR: f64 = 0.95;
 /// The grouped small-object store path must beat the per-object path by at
 /// least this factor at [`GROUPED_ASSERT_OBJECT`]-byte objects.
@@ -160,7 +158,6 @@ fn main() {
     };
     let codes = bench_codes(&codes_config, code_block_targets);
 
-    let striped = bench_striped(&config);
     let repair = bench_repair(&config);
     let grouped = bench_grouped(&config, smoke);
     let recovery = bench_recovery(smoke);
@@ -190,10 +187,6 @@ fn main() {
         ),
         ("codes", Json::Arr(codes)),
         (
-            "striped",
-            Json::Arr(striped.iter().map(Comparison::to_json).collect()),
-        ),
-        (
             "repair",
             Json::Arr(repair.iter().map(Comparison::to_json).collect()),
         ),
@@ -216,7 +209,7 @@ fn main() {
     }
 
     enforce_speedups(&kernels, no_assert);
-    enforce_api_wins(&striped, &repair, no_assert);
+    enforce_repair_wins(&repair, no_assert);
     enforce_grouped_wins(&grouped, no_assert);
 }
 
@@ -519,7 +512,7 @@ fn kernel_json(r: &KernelResult) -> Json {
     ])
 }
 
-/// A generic two-way comparison row (striped / repair sections).
+/// A two-way comparison row (the repair section).
 struct Comparison {
     code: &'static str,
     n: usize,
@@ -694,51 +687,6 @@ fn bench_codes(config: &BenchConfig, block_targets: &[usize]) -> Vec<Json> {
         }
     }
     out
-}
-
-/// Striped parallel encoding vs the single-thread inner code at 1 MiB.
-fn bench_striped(config: &BenchConfig) -> Vec<Comparison> {
-    let inners: Vec<(&'static str, Arc<dyn ErasureCode>)> = vec![
-        ("b-code", Arc::new(BCode::new(10).unwrap())),
-        ("x-code", Arc::new(XCode::new(11).unwrap())),
-        ("evenodd", Arc::new(EvenOdd::new(11).unwrap())),
-        ("reed-solomon", Arc::new(ReedSolomon::new(14, 10).unwrap())),
-    ];
-    let workers = default_workers();
-    let mut rows = Vec::new();
-    println!(
-        "\nstriped        (n,k)    block   single MB/s  striped MB/s  speedup  ({workers} workers)"
-    );
-    for (name, inner) in &inners {
-        let data = sized_data(inner.as_ref(), BIG_BLOCK);
-        let data_len = data.len();
-        let unit = inner.data_len_unit();
-        let stripe = STRIPE_BYTES.div_ceil(unit) * unit;
-        let striped = StripedCodec::new(inner.clone(), stripe, workers).unwrap();
-
-        let mut shares = ShareSet::new();
-        let single_mb_s = throughput_mb_s(config, data_len, || {
-            inner.encode_into(&data, &mut shares).unwrap();
-            std::hint::black_box(&shares);
-        });
-        let striped_mb_s = throughput_mb_s(config, data_len, || {
-            striped.encode_into(&data, &mut shares).unwrap();
-            std::hint::black_box(&shares);
-        });
-        let row = Comparison {
-            code: name,
-            n: inner.n(),
-            k: inner.k(),
-            data_bytes: data_len,
-            baseline_label: "single_mb_s",
-            baseline_mb_s: single_mb_s,
-            candidate_label: "striped_mb_s",
-            candidate_mb_s: striped_mb_s,
-        };
-        row.print();
-        rows.push(row);
-    }
-    rows
 }
 
 /// Single-share `repair` vs decode + re-encode (both through the zero-alloc
@@ -1561,11 +1509,10 @@ fn enforce_speedups(kernels: &[KernelResult], no_assert: bool) {
     }
 }
 
-/// Enforce the repair and striped wins (release builds only, same
-/// rationale).
-fn enforce_api_wins(striped: &[Comparison], repair: &[Comparison], no_assert: bool) {
+/// Enforce the repair win (release builds only, same rationale).
+fn enforce_repair_wins(repair: &[Comparison], no_assert: bool) {
     if cfg!(debug_assertions) || no_assert {
-        println!("skipping the repair and striped win checks (debug build or --no-assert)");
+        println!("skipping the repair win check (debug build or --no-assert)");
         return;
     }
     for r in repair {
@@ -1583,29 +1530,6 @@ fn enforce_api_wins(striped: &[Comparison], repair: &[Comparison], no_assert: bo
         repair.len(),
         human_size(BIG_BLOCK)
     );
-    if default_workers() > 1 {
-        for r in striped {
-            assert!(
-                r.speedup() >= API_WIN_FLOOR,
-                "striped encoding ({:.0} MB/s) must not lose to single-thread \
-                 ({:.0} MB/s) for {} with {} workers",
-                r.candidate_mb_s,
-                r.baseline_mb_s,
-                r.code,
-                default_workers()
-            );
-        }
-        println!(
-            "ok: striped encoding beats single-thread for all {} codes at {}",
-            striped.len(),
-            human_size(BIG_BLOCK)
-        );
-    } else {
-        println!(
-            "note: only one CPU is available; striped rows are recorded but the \
-             striped > single-thread check needs real parallelism and is skipped"
-        );
-    }
 }
 
 fn human_size(bytes: usize) -> String {

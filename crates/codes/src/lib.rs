@@ -38,10 +38,6 @@
 //! * **Cost** — [`ErasureCode::cost`] is the analytic cost model and
 //!   [`ErasureCode::runtime_metrics`] the counters a code keeps at runtime.
 //!
-//! Large blocks can be wrapped in a [`StripedCodec`], which splits the
-//! input into fixed-size stripes and encodes/decodes/repairs them across
-//! worker threads while producing bit-identical shares.
-//!
 //! Codes are selected from serializable configuration via
 //! [`CodeSpec`] + [`build_code`] instead of hard-coded constructors.
 //!
@@ -87,7 +83,6 @@ pub mod reed_solomon;
 pub mod replication;
 pub mod share;
 pub mod spec;
-pub mod striped;
 pub mod traits;
 pub mod xcode;
 pub mod xor;
@@ -101,7 +96,6 @@ pub use reed_solomon::ReedSolomon;
 pub use replication::{Mirroring, SingleParity};
 pub use share::{ShareSet, ShareView};
 pub use spec::{build_code, CodeSpec};
-pub use striped::StripedCodec;
 pub use traits::{CodeKind, ErasureCode};
 pub use xcode::XCode;
 

@@ -152,18 +152,6 @@ impl<'a> ShareView<'a> {
         self.slots.iter().copied()
     }
 
-    /// A view of the byte range `offset..offset + len` of every present
-    /// share — the per-stripe sub-view used by `StripedCodec`.
-    pub fn substripe(&self, offset: usize, len: usize) -> ShareView<'a> {
-        ShareView {
-            slots: self
-                .slots
-                .iter()
-                .map(|s| s.map(|b| &b[offset..offset + len]))
-                .collect(),
-        }
-    }
-
     /// Validate the view against an `(n, k)` code: right slot count, at
     /// least `k` present shares, consistent lengths. Returns the common
     /// share length.
@@ -306,19 +294,6 @@ mod tests {
         assert_eq!(view.available(), 2);
         assert_eq!(view.share(2), Some(&c[..]));
         assert_eq!(view.share(1), None);
-    }
-
-    #[test]
-    fn substripe_narrows_every_present_share() {
-        let a: Vec<u8> = (0..8).collect();
-        let b: Vec<u8> = (10..18).collect();
-        let mut view = ShareView::missing(3);
-        view.set(0, &a);
-        view.set(2, &b);
-        let sub = view.substripe(2, 3);
-        assert_eq!(sub.share(0), Some(&a[2..5]));
-        assert_eq!(sub.share(1), None);
-        assert_eq!(sub.share(2), Some(&b[2..5]));
     }
 
     #[test]

@@ -105,10 +105,9 @@ pub trait ErasureCode: Send + Sync {
     /// without decoding.
     ///
     /// The default, `None`, means "always decode". It is right for any code
-    /// whose share layout depends on more than the code itself (a
-    /// [`crate::StripedCodec`] lays stripes side by side) and for wrappers
-    /// that do not forward this method. Implementations also return `None`
-    /// for an invalid `data_len` or an `offset ≥ data_len`.
+    /// whose share layout depends on more than the code itself and for
+    /// wrappers that do not forward this method. Implementations also
+    /// return `None` for an invalid `data_len` or an `offset ≥ data_len`.
     fn locate(&self, _data_len: usize, _offset: usize) -> Option<(usize, usize, usize)> {
         None
     }

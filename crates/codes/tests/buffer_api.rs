@@ -11,24 +11,21 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rain_codes::{
-    BCode, ErasureCode, EvenOdd, Mirroring, ReedSolomon, ShareSet, ShareView, SingleParity,
-    StripedCodec, XCode,
+    BCode, ErasureCode, EvenOdd, Mirroring, ReedSolomon, ShareSet, ShareView, SingleParity, XCode,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// The code zoo the interleaving draws from: all six families plus a
-/// striped wrapper (different `n`, `k`, units, and share lengths, so
-/// consecutive ops genuinely re-layout the shared buffers).
+/// The code zoo the interleaving draws from: all six families (different
+/// `n`, `k`, units, and share lengths, so consecutive ops genuinely
+/// re-layout the shared buffers).
 fn codes() -> Vec<Arc<dyn ErasureCode>> {
-    let bcode = Arc::new(BCode::table_1a());
     vec![
-        bcode.clone(),
+        Arc::new(BCode::table_1a()),
         Arc::new(XCode::new(5).unwrap()),
         Arc::new(EvenOdd::new(5).unwrap()),
         Arc::new(ReedSolomon::new(8, 6).unwrap()),
         Arc::new(Mirroring::new(3)),
         Arc::new(SingleParity::new(5)),
-        Arc::new(StripedCodec::new(bcode, 2 * 12, 2).unwrap()),
     ]
 }
 

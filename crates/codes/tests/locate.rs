@@ -8,7 +8,7 @@
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use rain_codes::{build_code, BCode, CodeKind, CodeSpec, ErasureCode, ShareSet, StripedCodec};
+use rain_codes::{build_code, CodeKind, CodeSpec, ErasureCode, ShareSet};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// The codes of [`families`], built once: the (10, 8) B-Code runs a
@@ -97,17 +97,5 @@ fn invalid_lengths_locate_nothing() {
                 "{spec}: not a unit multiple"
             );
         }
-    }
-}
-
-#[test]
-fn striped_codec_always_decodes() {
-    // Its share layout depends on the stripe length, so it names no
-    // verbatim location and readers fall back to a decode.
-    let inner: Arc<dyn ErasureCode> = Arc::new(BCode::table_1a());
-    let unit = inner.data_len_unit();
-    let striped = StripedCodec::new(inner, unit * 2, 1).expect("valid stripe");
-    for offset in 0..unit * 8 {
-        assert_eq!(striped.locate(unit * 8, offset), None);
     }
 }

@@ -114,7 +114,7 @@ impl ElectionCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rain_sim::{IfaceId, Port};
+    use rain_sim::IfaceId;
 
     #[test]
     fn a_healthy_cluster_elects_the_smallest_id() {
@@ -150,14 +150,14 @@ mod tests {
                     .sim_mut()
                     .network()
                     .find_link(
-                        Port::Iface(IfaceId {
+                        IfaceId {
                             node: NodeId(a),
                             iface: 0,
-                        }),
-                        Port::Iface(IfaceId {
+                        },
+                        IfaceId {
                             node: NodeId(b),
                             iface: 0,
-                        }),
+                        },
                     )
                     .unwrap();
                 to_cut.push(link);

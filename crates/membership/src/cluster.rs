@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use rain_sim::{
-    EventKind, Fault, IfaceId, Network, NodeId, Port, SimDuration, Simulation, DEFAULT_LINK_LATENCY,
+    EventKind, Fault, IfaceId, Network, NodeId, SimDuration, Simulation, DEFAULT_LINK_LATENCY,
 };
 
 use crate::node::{MemberAction, MemberConfig, MemberEvent, MemberNode, TimerKind};
@@ -224,10 +224,7 @@ impl MembershipCluster {
     fn find_link(&self, a: NodeId, b: NodeId) -> rain_sim::LinkId {
         self.sim
             .network()
-            .find_link(
-                Port::Iface(IfaceId { node: a, iface: 0 }),
-                Port::Iface(IfaceId { node: b, iface: 0 }),
-            )
+            .find_link(IfaceId { node: a, iface: 0 }, IfaceId { node: b, iface: 0 })
             .expect("full mesh has a direct link for every pair")
     }
 

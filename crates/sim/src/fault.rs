@@ -1,11 +1,10 @@
-//! Fault injection: the vocabulary of failures the RAIN paper tolerates
-//! (node, link, switch, and NIC failures) plus scheduling helpers for
-//! building deterministic and randomized fault plans.
+//! Fault injection: the vocabulary of failures the store is tested against
+//! (node crashes, link failures, and gray-failure slowdowns) plus scheduling
+//! helpers for building deterministic fault plans.
 
 use serde::{Deserialize, Serialize};
 
-use crate::net::{IfaceId, LinkId, Network, NodeId, SwitchId};
-use crate::rng::DetRng;
+use crate::net::{LinkId, Network, NodeId};
 use crate::time::SimTime;
 
 /// A single fault or repair action applied to the fabric.
@@ -19,14 +18,6 @@ pub enum Fault {
     NodeCrash(NodeId),
     /// Recover a crashed node.
     NodeRecover(NodeId),
-    /// Fail a switch (all paths through it disappear).
-    SwitchFail(SwitchId),
-    /// Recover a failed switch.
-    SwitchRecover(SwitchId),
-    /// Fail one NIC of a node (the node stays up on its other interfaces).
-    IfaceDown(IfaceId),
-    /// Recover a failed NIC.
-    IfaceUp(IfaceId),
     /// Gray failure: inflate a node's latency by an integer factor without
     /// taking it down. The node keeps answering — slowly — which is the
     /// failure mode time-outs and hedged reads exist for.
@@ -43,10 +34,6 @@ impl Fault {
             Fault::LinkUp(l) => net.set_link_up(l, true),
             Fault::NodeCrash(n) => net.set_node_up(n, false),
             Fault::NodeRecover(n) => net.set_node_up(n, true),
-            Fault::SwitchFail(s) => net.set_switch_up(s, false),
-            Fault::SwitchRecover(s) => net.set_switch_up(s, true),
-            Fault::IfaceDown(i) => net.set_iface_up(i, false),
-            Fault::IfaceUp(i) => net.set_iface_up(i, true),
             Fault::NodeDegrade(n, factor) => net.set_node_slowdown(n, factor),
             Fault::NodeRestore(n) => net.set_node_slowdown(n, 1),
         }
@@ -56,11 +43,7 @@ impl Fault {
     pub fn is_failure(self) -> bool {
         matches!(
             self,
-            Fault::LinkDown(_)
-                | Fault::NodeCrash(_)
-                | Fault::SwitchFail(_)
-                | Fault::IfaceDown(_)
-                | Fault::NodeDegrade(..)
+            Fault::LinkDown(_) | Fault::NodeCrash(_) | Fault::NodeDegrade(..)
         )
     }
 }
@@ -115,25 +98,6 @@ impl FaultPlan {
         self.clone().into_sorted()
     }
 
-    /// Build a random plan that crashes `crashes` distinct nodes at uniform
-    /// random times within `[0, horizon)`. Used by the checkpointing and
-    /// availability experiments.
-    pub fn random_node_crashes(
-        net: &Network,
-        crashes: usize,
-        horizon: SimTime,
-        rng: &mut DetRng,
-    ) -> FaultPlan {
-        let mut nodes: Vec<NodeId> = net.node_ids().collect();
-        rng.shuffle(&mut nodes);
-        let mut plan = FaultPlan::none();
-        for node in nodes.into_iter().take(crashes) {
-            let t = SimTime::from_micros(rng.below(horizon.as_micros().max(1)));
-            plan.push(t, Fault::NodeCrash(node));
-        }
-        plan
-    }
-
     /// Schedule a gray failure: `node` runs at `factor`× its nominal latency
     /// throughout `[from, until)`, then returns to nominal. The node never
     /// goes down — requests keep succeeding, just slowly — so only policies
@@ -169,29 +133,6 @@ impl FaultPlan {
         }
         self
     }
-
-    /// Build a random plan that fails `failures` distinct links at uniform
-    /// random times within `[0, horizon)`, each healing after `repair_after`
-    /// if it is non-zero.
-    pub fn random_link_failures(
-        net: &Network,
-        failures: usize,
-        horizon: SimTime,
-        repair_after: Option<crate::time::SimDuration>,
-        rng: &mut DetRng,
-    ) -> FaultPlan {
-        let mut links: Vec<LinkId> = net.links().iter().map(|l| l.id).collect();
-        rng.shuffle(&mut links);
-        let mut plan = FaultPlan::none();
-        for link in links.into_iter().take(failures) {
-            let t = SimTime::from_micros(rng.below(horizon.as_micros().max(1)));
-            plan.push(t, Fault::LinkDown(link));
-            if let Some(repair) = repair_after {
-                plan.push(t + repair, Fault::LinkUp(link));
-            }
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
@@ -201,12 +142,8 @@ mod tests {
 
     #[test]
     fn apply_round_trips_every_fault_kind() {
-        let mut net = Network::diameter_testbed(4, 4, DEFAULT_LINK_LATENCY, 0.0);
+        let mut net = Network::full_mesh(4, DEFAULT_LINK_LATENCY, 0.0);
         let link = net.links()[0].id;
-        let iface = IfaceId {
-            node: NodeId(0),
-            iface: 0,
-        };
 
         Fault::LinkDown(link).apply(&mut net);
         assert!(!net.link_up(link));
@@ -218,15 +155,10 @@ mod tests {
         Fault::NodeRecover(NodeId(1)).apply(&mut net);
         assert!(net.node_up(NodeId(1)));
 
-        Fault::SwitchFail(SwitchId(2)).apply(&mut net);
-        assert!(!net.switch_up(SwitchId(2)));
-        Fault::SwitchRecover(SwitchId(2)).apply(&mut net);
-        assert!(net.switch_up(SwitchId(2)));
-
-        Fault::IfaceDown(iface).apply(&mut net);
-        assert!(!net.node(NodeId(0)).ifaces_up[0]);
-        Fault::IfaceUp(iface).apply(&mut net);
-        assert!(net.node(NodeId(0)).ifaces_up[0]);
+        Fault::NodeDegrade(NodeId(2), 5).apply(&mut net);
+        assert_eq!(net.node_slowdown(NodeId(2)), 5);
+        Fault::NodeRestore(NodeId(2)).apply(&mut net);
+        assert_eq!(net.node_slowdown(NodeId(2)), 1);
     }
 
     #[test]
@@ -308,31 +240,5 @@ mod tests {
         let sorted = plan.sorted();
         assert_eq!(sorted[0].0, SimTime::from_secs(1));
         assert_eq!(sorted[2].0, SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn random_plans_are_deterministic_per_seed() {
-        let net = Network::full_mesh(6, DEFAULT_LINK_LATENCY, 0.0);
-        let mut r1 = DetRng::new(99);
-        let mut r2 = DetRng::new(99);
-        let p1 = FaultPlan::random_node_crashes(&net, 3, SimTime::from_secs(10), &mut r1);
-        let p2 = FaultPlan::random_node_crashes(&net, 3, SimTime::from_secs(10), &mut r2);
-        assert_eq!(p1, p2);
-        assert_eq!(p1.failure_count(), 3);
-    }
-
-    #[test]
-    fn random_link_failures_can_schedule_repairs() {
-        let net = Network::full_mesh(5, DEFAULT_LINK_LATENCY, 0.0);
-        let mut rng = DetRng::new(7);
-        let plan = FaultPlan::random_link_failures(
-            &net,
-            2,
-            SimTime::from_secs(5),
-            Some(crate::time::SimDuration::from_secs(1)),
-            &mut rng,
-        );
-        assert_eq!(plan.len(), 4);
-        assert_eq!(plan.failure_count(), 2);
     }
 }

@@ -1,16 +1,13 @@
-//! The simulated cluster fabric: nodes with bundled interfaces, switches,
-//! and links — a software stand-in for the paper's testbed of ten dual-NIC
-//! Pentium workstations connected through four eight-way Myrinet switches.
+//! The simulated cluster fabric: nodes with one or more network interfaces
+//! joined by direct point-to-point links — a software stand-in for the
+//! paper's testbed network.
 //!
-//! The fabric is a graph of *ports* (either a node interface or a switch)
-//! joined by *links*. Every element can be failed and healed independently,
-//! which is how the experiments inject the node, link, and switch faults the
-//! paper's fault-tolerance claims are about. Reachability questions (is there
-//! any functioning path between two interfaces? between two nodes?) are
-//! answered by breadth-first search over the currently-healthy subgraph,
-//! which also yields the hop count used for latency accumulation.
+//! Nodes and links can be failed and healed independently, which is how the
+//! experiments inject the node and link faults the store's fault-tolerance
+//! claims are about, and a node can be slowed down without failing (a gray
+//! failure). Interfaces do not relay traffic, so a functioning path between
+//! two nodes is one healthy link between an interface of each.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::time::SimDuration;
@@ -20,12 +17,6 @@ use crate::time::SimDuration;
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct NodeId(pub usize);
-
-/// Identifier of a switch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub struct SwitchId(pub usize);
 
 /// One network interface ("bundled interface") of a node.
 #[derive(
@@ -44,26 +35,9 @@ pub struct IfaceId {
 )]
 pub struct LinkId(pub usize);
 
-/// An attachment point of a link.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub enum Port {
-    /// A node interface.
-    Iface(IfaceId),
-    /// A switch.
-    Switch(SwitchId),
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
-    }
-}
-
-impl fmt::Display for SwitchId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "s{}", self.0)
     }
 }
 
@@ -79,42 +53,37 @@ pub struct Link {
     /// This link's identifier.
     pub id: LinkId,
     /// One endpoint.
-    pub a: Port,
+    pub a: IfaceId,
     /// The other endpoint.
-    pub b: Port,
+    pub b: IfaceId,
     /// One-way propagation latency.
     pub latency: SimDuration,
-    /// Uniform jitter added on top of `latency` (0 disables jitter).
-    pub jitter: SimDuration,
     /// Probability that a message traversing this link is silently lost.
     pub loss: f64,
     /// Whether the link is currently functioning.
     pub up: bool,
 }
 
-/// A node and the health of its interfaces.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct Node {
-    /// This node's identifier.
-    pub id: NodeId,
+impl Link {
+    /// Does this link join `a` and `b` (in either direction)?
+    fn joins(&self, a: IfaceId, b: IfaceId) -> bool {
+        (self.a == a && self.b == b) || (self.a == b && self.b == a)
+    }
+}
+
+/// A node and its health.
+#[derive(Debug, Clone)]
+struct Node {
+    id: NodeId,
     /// Whether the node itself is up.
-    pub up: bool,
-    /// Per-interface health (a NIC can fail while the node stays up).
-    pub ifaces_up: Vec<bool>,
+    up: bool,
+    /// Number of network interfaces.
+    ifaces: usize,
     /// Latency multiplier for traffic in or out of this node. `1` is
     /// nominal; larger values model a *gray failure*: the node is up and
     /// reachable, it just answers slowly (overloaded CPU, dying disk,
     /// half-duplex NIC). Injected via [`crate::Fault::NodeDegrade`].
-    pub slowdown: u32,
-}
-
-/// A switch and its health.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct Switch {
-    /// This switch's identifier.
-    pub id: SwitchId,
-    /// Whether the switch is functioning.
-    pub up: bool,
+    slowdown: u32,
 }
 
 /// Default per-link latency used by the convenience constructors: 50 µs,
@@ -125,15 +94,7 @@ pub const DEFAULT_LINK_LATENCY: SimDuration = SimDuration(50);
 #[derive(Debug, Clone)]
 pub struct Network {
     nodes: Vec<Node>,
-    switches: Vec<Switch>,
     links: Vec<Link>,
-    /// Adjacency: for every port index (ifaces first, then switches), the
-    /// link ids attached to it. Rebuilt on construction only; health is
-    /// consulted at query time.
-    adjacency: Vec<Vec<LinkId>>,
-    /// Flattened interface index base per node.
-    iface_base: Vec<usize>,
-    total_ifaces: usize,
 }
 
 impl Network {
@@ -143,76 +104,20 @@ impl Network {
     }
 
     /// A fully connected mesh of `n` single-interface nodes with identical
-    /// direct links (no switches). Useful for protocol-level tests that do
-    /// not care about the switching fabric.
+    /// direct links.
     pub fn full_mesh(n: usize, latency: SimDuration, loss: f64) -> Network {
         let mut b = Network::builder();
         for _ in 0..n {
             b.add_node(1);
         }
+        let iface = |node| IfaceId {
+            node: NodeId(node),
+            iface: 0,
+        };
         for i in 0..n {
             for j in (i + 1)..n {
-                b.link(
-                    Port::Iface(IfaceId {
-                        node: NodeId(i),
-                        iface: 0,
-                    }),
-                    Port::Iface(IfaceId {
-                        node: NodeId(j),
-                        iface: 0,
-                    }),
-                    latency,
-                    loss,
-                );
+                b.link(iface(i), iface(j), latency, loss);
             }
-        }
-        b.build()
-    }
-
-    /// The paper's testbed shape: `n` nodes with two interfaces each,
-    /// attached to a ring of `s` switches using the **diameter construction**
-    /// of Section 2.1 (interface 0 to switch `i mod s`, interface 1 to switch
-    /// `(i + s/2 + 1) mod s`... more precisely to the switch `bn/2c - 1` away,
-    /// matching Construction 2.1), with the switches joined in a ring.
-    pub fn diameter_testbed(n: usize, s: usize, latency: SimDuration, loss: f64) -> Network {
-        assert!(s >= 2, "need at least two switches");
-        let mut b = Network::builder();
-        for _ in 0..n {
-            b.add_node(2);
-        }
-        for _ in 0..s {
-            b.add_switch();
-        }
-        // Switch ring.
-        for i in 0..s {
-            b.link(
-                Port::Switch(SwitchId(i)),
-                Port::Switch(SwitchId((i + 1) % s)),
-                latency,
-                loss,
-            );
-        }
-        // Diameter attachment of the compute nodes.
-        let offset = s / 2 + 1;
-        for i in 0..n {
-            b.link(
-                Port::Iface(IfaceId {
-                    node: NodeId(i),
-                    iface: 0,
-                }),
-                Port::Switch(SwitchId(i % s)),
-                latency,
-                loss,
-            );
-            b.link(
-                Port::Iface(IfaceId {
-                    node: NodeId(i),
-                    iface: 1,
-                }),
-                Port::Switch(SwitchId((i + offset) % s)),
-                latency,
-                loss,
-            );
         }
         b.build()
     }
@@ -222,24 +127,9 @@ impl Network {
         self.nodes.len()
     }
 
-    /// Number of switches.
-    pub fn num_switches(&self) -> usize {
-        self.switches.len()
-    }
-
     /// Number of links.
     pub fn num_links(&self) -> usize {
         self.links.len()
-    }
-
-    /// All node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().map(|n| n.id)
-    }
-
-    /// Immutable view of a link.
-    pub fn link(&self, id: LinkId) -> &Link {
-        &self.links[id.0]
     }
 
     /// All links.
@@ -247,25 +137,15 @@ impl Network {
         &self.links
     }
 
-    /// Immutable view of a node.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0]
-    }
-
     /// Is the node currently up?
     pub fn node_up(&self, id: NodeId) -> bool {
         self.nodes[id.0].up
     }
 
-    /// Is the switch currently up?
-    pub fn switch_up(&self, id: SwitchId) -> bool {
-        self.switches[id.0].up
-    }
-
-    /// Is the link currently up (including both endpoints being healthy)?
+    /// Is the link currently up (including both endpoint nodes)?
     pub fn link_up(&self, id: LinkId) -> bool {
         let l = &self.links[id.0];
-        l.up && self.port_up(l.a) && self.port_up(l.b)
+        l.up && self.node_up(l.a.node) && self.node_up(l.b.node)
     }
 
     /// Set a link's administrative state.
@@ -276,16 +156,6 @@ impl Network {
     /// Set a node's health; a crashed node cannot send or receive.
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
         self.nodes[id.0].up = up;
-    }
-
-    /// Set a switch's health; a failed switch blocks every path through it.
-    pub fn set_switch_up(&mut self, id: SwitchId, up: bool) {
-        self.switches[id.0].up = up;
-    }
-
-    /// Set the health of one interface (NIC) of a node.
-    pub fn set_iface_up(&mut self, id: IfaceId, up: bool) {
-        self.nodes[id.node.0].ifaces_up[id.iface] = up;
     }
 
     /// Set a node's latency multiplier (gray failure). Clamped to at least 1.
@@ -305,102 +175,20 @@ impl Network {
         self.nodes[a.0].slowdown as u64 * self.nodes[b.0].slowdown as u64
     }
 
-    /// Find the link joining two specific ports, if one exists.
-    pub fn find_link(&self, a: Port, b: Port) -> Option<LinkId> {
-        self.links
-            .iter()
-            .find(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
-            .map(|l| l.id)
+    /// Find the link joining two specific interfaces, if one exists.
+    pub fn find_link(&self, a: IfaceId, b: IfaceId) -> Option<LinkId> {
+        self.links.iter().find(|l| l.joins(a, b)).map(|l| l.id)
     }
 
-    fn port_index(&self, p: Port) -> usize {
-        match p {
-            Port::Iface(i) => self.iface_base[i.node.0] + i.iface,
-            Port::Switch(s) => self.total_ifaces + s.0,
-        }
-    }
-
-    fn port_up(&self, p: Port) -> bool {
-        match p {
-            Port::Iface(i) => self.nodes[i.node.0].up && self.nodes[i.node.0].ifaces_up[i.iface],
-            Port::Switch(s) => self.switches[s.0].up,
-        }
-    }
-
-    fn other_end(&self, link: &Link, from: Port) -> Port {
-        if link.a == from {
-            link.b
-        } else {
-            link.a
-        }
-    }
-
-    /// Breadth-first search from `src` to `dst` over healthy ports/links.
-    /// Returns the path as a list of link ids (empty if `src == dst`), or
-    /// `None` when no functioning path exists.
-    pub fn route(&self, src: Port, dst: Port) -> Option<Vec<LinkId>> {
-        if !self.port_up(src) || !self.port_up(dst) {
-            return None;
-        }
-        if src == dst {
-            return Some(Vec::new());
-        }
-        let total_ports = self.total_ifaces + self.switches.len();
-        let mut prev: Vec<Option<(usize, LinkId)>> = vec![None; total_ports];
-        let mut visited = vec![false; total_ports];
-        let src_i = self.port_index(src);
-        let dst_i = self.port_index(dst);
-        visited[src_i] = true;
-        let mut queue = VecDeque::from([src]);
-        while let Some(port) = queue.pop_front() {
-            // Only switches forward traffic: a compute-node interface other
-            // than the source terminates a path (it can receive, not relay).
-            if port != src && matches!(port, Port::Iface(_)) {
-                continue;
-            }
-            let pi = self.port_index(port);
-            for &lid in &self.adjacency[pi] {
-                if !self.link_up(lid) {
-                    continue;
-                }
-                let link = &self.links[lid.0];
-                let next = self.other_end(link, port);
-                let ni = self.port_index(next);
-                if visited[ni] || !self.port_up(next) {
-                    continue;
-                }
-                visited[ni] = true;
-                prev[ni] = Some((pi, lid));
-                if ni == dst_i {
-                    // Reconstruct the path.
-                    let mut path = Vec::new();
-                    let mut cur = dst_i;
-                    while let Some((p, l)) = prev[cur] {
-                        path.push(l);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(next);
-            }
-        }
-        None
-    }
-
-    /// Shortest healthy route between two nodes, trying every pair of healthy
-    /// interfaces and returning the interface pair plus the path.
-    pub fn route_between_nodes(
-        &self,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<(IfaceId, IfaceId, Vec<LinkId>)> {
+    /// A healthy route between two nodes: for the first interface pair, in
+    /// interface order, that a healthy link joins, the first such link in
+    /// construction order, as a one-hop path.
+    pub fn route_between_nodes(&self, from: NodeId, to: NodeId) -> Option<Vec<LinkId>> {
         if !self.node_up(from) || !self.node_up(to) || from == to {
             return None;
         }
-        let mut best: Option<(IfaceId, IfaceId, Vec<LinkId>)> = None;
-        for fi in 0..self.nodes[from.0].ifaces_up.len() {
-            for ti in 0..self.nodes[to.0].ifaces_up.len() {
+        for fi in 0..self.nodes[from.0].ifaces {
+            for ti in 0..self.nodes[to.0].ifaces {
                 let src = IfaceId {
                     node: from,
                     iface: fi,
@@ -409,18 +197,16 @@ impl Network {
                     node: to,
                     iface: ti,
                 };
-                if let Some(path) = self.route(Port::Iface(src), Port::Iface(dst)) {
-                    if best
-                        .as_ref()
-                        .map(|(_, _, p)| path.len() < p.len())
-                        .unwrap_or(true)
-                    {
-                        best = Some((src, dst, path));
-                    }
+                let healthy = self
+                    .links
+                    .iter()
+                    .find(|l| l.joins(src, dst) && self.link_up(l.id));
+                if let Some(link) = healthy {
+                    return Some(vec![link.id]);
                 }
             }
         }
-        best
+        None
     }
 
     /// True if some healthy path joins the two nodes.
@@ -428,8 +214,7 @@ impl Network {
         a == b && self.node_up(a) || self.route_between_nodes(a, b).is_some()
     }
 
-    /// Total one-way latency along a path (sum of link latencies, jitter not
-    /// included; the simulation layer adds sampled jitter).
+    /// Total one-way latency along a path (sum of link latencies).
     pub fn path_latency(&self, path: &[LinkId]) -> SimDuration {
         path.iter()
             .fold(SimDuration::ZERO, |acc, &l| acc + self.links[l.0].latency)
@@ -460,7 +245,6 @@ impl Network {
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
     nodes: Vec<Node>,
-    switches: Vec<Switch>,
     links: Vec<Link>,
 }
 
@@ -472,22 +256,21 @@ impl NetworkBuilder {
         self.nodes.push(Node {
             id,
             up: true,
-            ifaces_up: vec![true; ifaces],
+            ifaces,
             slowdown: 1,
         });
         id
     }
 
-    /// Add a switch; returns its id.
-    pub fn add_switch(&mut self) -> SwitchId {
-        let id = SwitchId(self.switches.len());
-        self.switches.push(Switch { id, up: true });
-        id
-    }
-
-    /// Join two ports with a link of the given latency and loss probability.
-    pub fn link(&mut self, a: Port, b: Port, latency: SimDuration, loss: f64) -> LinkId {
-        assert!(a != b, "a link must join two distinct ports");
+    /// Join two interfaces with a link of the given latency and loss
+    /// probability. Panics if either interface was never declared
+    /// (programming error in test/bench setup code).
+    pub fn link(&mut self, a: IfaceId, b: IfaceId, latency: SimDuration, loss: f64) -> LinkId {
+        for i in [a, b] {
+            let known = self.nodes.get(i.node.0).is_some_and(|n| i.iface < n.ifaces);
+            assert!(known, "unknown interface {i}");
+        }
+        assert!(a != b, "a link must join two distinct interfaces");
         assert!((0.0..=1.0).contains(&loss), "loss must be a probability");
         let id = LinkId(self.links.len());
         self.links.push(Link {
@@ -495,65 +278,17 @@ impl NetworkBuilder {
             a,
             b,
             latency,
-            jitter: SimDuration::ZERO,
             loss,
             up: true,
         });
         id
     }
 
-    /// Join two ports with explicit jitter as well.
-    pub fn link_with_jitter(
-        &mut self,
-        a: Port,
-        b: Port,
-        latency: SimDuration,
-        jitter: SimDuration,
-        loss: f64,
-    ) -> LinkId {
-        let id = self.link(a, b, latency, loss);
-        self.links[id.0].jitter = jitter;
-        id
-    }
-
-    /// Finish building. Panics if a link references a port that was never
-    /// declared (programming error in test/bench setup code).
+    /// Finish building.
     pub fn build(self) -> Network {
-        let mut iface_base = Vec::with_capacity(self.nodes.len());
-        let mut total_ifaces = 0usize;
-        for n in &self.nodes {
-            iface_base.push(total_ifaces);
-            total_ifaces += n.ifaces_up.len();
-        }
-        let total_ports = total_ifaces + self.switches.len();
-        let port_index = |p: Port| -> usize {
-            match p {
-                Port::Iface(i) => {
-                    assert!(i.node.0 < self.nodes.len(), "unknown node {:?}", i.node);
-                    assert!(
-                        i.iface < self.nodes[i.node.0].ifaces_up.len(),
-                        "unknown interface {i}"
-                    );
-                    iface_base[i.node.0] + i.iface
-                }
-                Port::Switch(s) => {
-                    assert!(s.0 < self.switches.len(), "unknown switch {s}");
-                    total_ifaces + s.0
-                }
-            }
-        };
-        let mut adjacency = vec![Vec::new(); total_ports];
-        for l in &self.links {
-            adjacency[port_index(l.a)].push(l.id);
-            adjacency[port_index(l.b)].push(l.id);
-        }
         Network {
             nodes: self.nodes,
-            switches: self.switches,
             links: self.links,
-            adjacency,
-            iface_base,
-            total_ifaces,
         }
     }
 }
@@ -562,11 +297,11 @@ impl NetworkBuilder {
 mod tests {
     use super::*;
 
-    fn iface(n: usize, i: usize) -> Port {
-        Port::Iface(IfaceId {
+    fn iface(n: usize, i: usize) -> IfaceId {
+        IfaceId {
             node: NodeId(n),
             iface: i,
-        })
+        }
     }
 
     #[test]
@@ -593,54 +328,37 @@ mod tests {
     }
 
     #[test]
-    fn diameter_testbed_survives_a_switch_failure() {
-        // 10 nodes, 4 switches, as in the paper's testbed.
-        let mut net = Network::diameter_testbed(10, 4, DEFAULT_LINK_LATENCY, 0.0);
-        assert_eq!(net.num_switches(), 4);
-        // All nodes mutually reachable initially.
-        assert_eq!(net.reachable_nodes(NodeId(0)).len(), 10);
-        // Kill one switch: because every node also has a second interface on
-        // a distant switch, the cluster stays connected.
-        net.set_switch_up(SwitchId(0), false);
-        assert_eq!(net.reachable_nodes(NodeId(0)).len(), 10);
-    }
-
-    #[test]
     fn route_prefers_existing_paths_and_reports_latency() {
         let mut b = Network::builder();
-        let n0 = b.add_node(1);
+        let n0 = b.add_node(2);
         let n1 = b.add_node(1);
-        let s0 = b.add_switch();
-        b.link(iface(0, 0), Port::Switch(s0), SimDuration(100), 0.0);
-        b.link(iface(1, 0), Port::Switch(s0), SimDuration(150), 0.0);
-        let net = b.build();
-        let (src, dst, path) = net.route_between_nodes(n0, n1).unwrap();
-        assert_eq!(src.node, n0);
-        assert_eq!(dst.node, n1);
-        assert_eq!(path.len(), 2);
+        let slow = b.link(iface(0, 0), iface(1, 0), SimDuration(250), 0.0);
+        let fast = b.link(iface(0, 1), iface(1, 0), SimDuration(100), 0.0);
+        let mut net = b.build();
+        let path = net.route_between_nodes(n0, n1).unwrap();
+        assert_eq!(path, vec![slow], "interface 0 is tried first");
         assert_eq!(net.path_latency(&path).as_micros(), 250);
         assert_eq!(net.path_loss(&path), 0.0);
+        // With the first interface's link down, the second one carries it.
+        net.set_link_up(slow, false);
+        assert_eq!(net.route_between_nodes(n0, n1), Some(vec![fast]));
+        net.set_link_up(fast, false);
+        assert_eq!(net.route_between_nodes(n0, n1), None);
     }
 
     #[test]
-    fn link_and_iface_failures_break_and_restore_paths() {
+    fn link_failures_break_and_restore_paths() {
         let mut b = Network::builder();
         let _ = b.add_node(2);
         let _ = b.add_node(2);
         // Two disjoint direct paths (iface 0 <-> iface 0, iface 1 <-> iface 1).
         let l0 = b.link(iface(0, 0), iface(1, 0), SimDuration(10), 0.0);
-        let _l1 = b.link(iface(0, 1), iface(1, 1), SimDuration(10), 0.0);
+        let l1 = b.link(iface(0, 1), iface(1, 1), SimDuration(10), 0.0);
         let mut net = b.build();
         assert!(net.nodes_connected(NodeId(0), NodeId(1)));
         net.set_link_up(l0, false);
         assert!(net.nodes_connected(NodeId(0), NodeId(1)), "second NIC path");
-        net.set_iface_up(
-            IfaceId {
-                node: NodeId(0),
-                iface: 1,
-            },
-            false,
-        );
+        net.set_link_up(l1, false);
         assert!(!net.nodes_connected(NodeId(0), NodeId(1)));
         net.set_link_up(l0, true);
         assert!(net.nodes_connected(NodeId(0), NodeId(1)));
@@ -651,26 +369,24 @@ mod tests {
         let mut b = Network::builder();
         let _ = b.add_node(1);
         let _ = b.add_node(1);
-        let s = b.add_switch();
-        b.link(iface(0, 0), Port::Switch(s), SimDuration(10), 0.1);
-        b.link(iface(1, 0), Port::Switch(s), SimDuration(10), 0.1);
+        let _ = b.add_node(1);
+        let l0 = b.link(iface(0, 0), iface(1, 0), SimDuration(10), 0.1);
+        let l1 = b.link(iface(1, 0), iface(2, 0), SimDuration(10), 0.1);
         let net = b.build();
-        let (_, _, path) = net.route_between_nodes(NodeId(0), NodeId(1)).unwrap();
-        assert!((net.path_loss(&path) - 0.19).abs() < 1e-12);
+        assert!((net.path_loss(&[l0, l1]) - 0.19).abs() < 1e-12);
+        assert_eq!(net.path_latency(&[l0, l1]).as_micros(), 20);
     }
 
     #[test]
     fn find_link_is_direction_agnostic() {
         let mut b = Network::builder();
         let _ = b.add_node(1);
-        let s = b.add_switch();
-        let l = b.link(iface(0, 0), Port::Switch(s), SimDuration(10), 0.0);
+        let _ = b.add_node(1);
+        let _ = b.add_node(1);
+        let l = b.link(iface(0, 0), iface(1, 0), SimDuration(10), 0.0);
         let net = b.build();
-        assert_eq!(net.find_link(Port::Switch(s), iface(0, 0)), Some(l));
-        assert_eq!(
-            net.find_link(Port::Switch(s), Port::Switch(SwitchId(0))),
-            None
-        );
+        assert_eq!(net.find_link(iface(1, 0), iface(0, 0)), Some(l));
+        assert_eq!(net.find_link(iface(0, 0), iface(2, 0)), None);
     }
 
     #[test]
@@ -678,7 +394,7 @@ mod tests {
     fn builder_rejects_links_to_unknown_ports() {
         let mut b = Network::builder();
         b.add_node(1);
-        b.link(iface(0, 0), Port::Switch(SwitchId(3)), SimDuration(10), 0.0);
+        b.link(iface(0, 0), iface(3, 0), SimDuration(10), 0.0);
         b.build();
     }
 }

@@ -1,11 +1,11 @@
 //! Deterministic randomness for the simulator.
 //!
 //! Every stochastic choice in a simulation run (message loss, latency jitter,
-//! random fault schedules, workload generation) is drawn from a [`DetRng`]
-//! seeded from the run configuration, so a `(topology, fault plan, seed)`
-//! triple always replays the exact same execution. Substreams can be forked
-//! with [`DetRng::fork`] so that adding draws in one component does not
-//! perturb the sequence seen by another.
+//! workload generation) is drawn from a [`DetRng`] seeded from the run
+//! configuration, so a `(network, fault plan, seed)` triple always replays
+//! the exact same execution. Substreams can be forked with [`DetRng::fork`]
+//! so that adding draws in one component does not perturb the sequence seen
+//! by another.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};

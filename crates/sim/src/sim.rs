@@ -1,8 +1,8 @@
 //! The simulation driver: a virtual clock, an event queue, the network
 //! fabric, and fault injection combined behind one small API.
 //!
-//! Protocol crates (`rain-link`, `rain-rudp`, `rain-membership`, …) are pure
-//! state machines; a test or experiment wires them to a [`Simulation`] by
+//! Protocol crates (`rain-membership`, `rain-election`) are pure state
+//! machines; a test or experiment wires them to a [`Simulation`] by
 //! calling [`Simulation::send`] / [`Simulation::set_timer`] for the actions
 //! the machines emit and feeding the [`Event`]s returned by
 //! [`Simulation::step`] back into them. Runs are a pure function of
@@ -10,7 +10,7 @@
 
 use crate::event::EventQueue;
 use crate::fault::{Fault, FaultPlan};
-use crate::net::{IfaceId, Network, NodeId, Port};
+use crate::net::{LinkId, Network, NodeId};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{DropReason, Trace, TraceEvent};
@@ -33,8 +33,6 @@ pub enum EventKind<M> {
         from: NodeId,
         /// Receiving node.
         to: NodeId,
-        /// The interface pair the message travelled between.
-        via: (IfaceId, IfaceId),
         /// The payload.
         msg: M,
     },
@@ -65,8 +63,7 @@ enum Pending<M> {
     Deliver {
         from: NodeId,
         to: NodeId,
-        via: (IfaceId, IfaceId),
-        path: Vec<crate::net::LinkId>,
+        path: Vec<LinkId>,
         bytes: u64,
         msg: M,
     },
@@ -93,7 +90,7 @@ pub struct Simulation<M> {
 
 impl<M> Simulation<M> {
     /// Create a simulation over a network with a seed for all stochastic
-    /// choices (loss, jitter).
+    /// choices (message loss).
     pub fn new(net: Network, seed: u64) -> Self {
         Simulation {
             net,
@@ -103,11 +100,6 @@ impl<M> Simulation<M> {
             now: SimTime::ZERO,
             in_flight_loss: true,
         }
-    }
-
-    /// Enable capture of individual trace events (bounded at `capacity`).
-    pub fn capture_events(&mut self, capacity: usize) {
-        self.trace = Trace::with_events(capacity);
     }
 
     /// Current simulated time.
@@ -178,7 +170,7 @@ impl<M> Simulation<M> {
             });
             return false;
         }
-        let Some((src, dst, path)) = self.net.route_between_nodes(from, to) else {
+        let Some(path) = self.net.route_between_nodes(from, to) else {
             self.trace.record(TraceEvent::Dropped {
                 time: self.now,
                 from,
@@ -187,55 +179,6 @@ impl<M> Simulation<M> {
             });
             return false;
         };
-        self.enqueue_delivery(from, to, (src, dst), path, bytes, msg)
-    }
-
-    /// Send without byte accounting.
-    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> bool {
-        self.send_sized(from, to, 0, msg)
-    }
-
-    /// Send over a specific interface pair (used by the RUDP path monitor,
-    /// which must exercise one physical path at a time). Falls back to
-    /// dropping the message if the specific path is unavailable.
-    pub fn send_via(&mut self, src: IfaceId, dst: IfaceId, bytes: u64, msg: M) -> bool {
-        let from = src.node;
-        let to = dst.node;
-        self.trace.record(TraceEvent::Sent {
-            time: self.now,
-            from,
-            to,
-        });
-        if !self.net.node_up(from) {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.now,
-                from,
-                to,
-                reason: DropReason::SourceDown,
-            });
-            return false;
-        }
-        let Some(path) = self.net.route(Port::Iface(src), Port::Iface(dst)) else {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.now,
-                from,
-                to,
-                reason: DropReason::NoRoute,
-            });
-            return false;
-        };
-        self.enqueue_delivery(from, to, (src, dst), path, bytes, msg)
-    }
-
-    fn enqueue_delivery(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        via: (IfaceId, IfaceId),
-        path: Vec<crate::net::LinkId>,
-        bytes: u64,
-        msg: M,
-    ) -> bool {
         // Random loss is decided up front (per-hop probabilities combined);
         // the message still occupies the wire until its delivery time, it
         // just never arrives.
@@ -249,16 +192,11 @@ impl<M> Simulation<M> {
             });
             return false;
         }
-        let mut latency = self.net.path_latency(&path);
-        // Per-hop jitter.
-        for &l in &path {
-            let j = self.net.link(l).jitter;
-            if j.as_micros() > 0 {
-                latency = latency + SimDuration::from_micros(self.rng.below(j.as_micros() + 1));
-            }
-        }
         // Gray failures: a degraded endpoint stretches the whole transfer.
-        latency = latency.saturating_mul(self.net.pair_slowdown(from, to));
+        let latency = self
+            .net
+            .path_latency(&path)
+            .saturating_mul(self.net.pair_slowdown(from, to));
         // A zero-hop path (loopback) still takes a scheduling step.
         let deliver_at = self.now + latency + SimDuration::from_micros(1);
         self.queue.push(
@@ -266,13 +204,17 @@ impl<M> Simulation<M> {
             Pending::Deliver {
                 from,
                 to,
-                via,
                 path,
                 bytes,
                 msg,
             },
         );
         true
+    }
+
+    /// Send without byte accounting.
+    pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) -> bool {
+        self.send_sized(from, to, 0, msg)
     }
 
     /// Advance to the next observable event and return it, or `None` when
@@ -290,10 +232,9 @@ impl<M> Simulation<M> {
 
     /// Process events one at a time, but only those scheduled at or before
     /// `deadline`. Returns `None` (leaving later events queued and the clock
-    /// at `deadline`) once nothing remains within the window. Unlike
-    /// [`Simulation::events_until`] this never fast-forwards the clock past
-    /// an unprocessed event, so reactions to an event are timestamped at the
-    /// event's own time — protocol harnesses should prefer it.
+    /// at `deadline`) once nothing remains within the window. It never
+    /// fast-forwards the clock past an unprocessed event, so reactions to an
+    /// event are timestamped at the event's own time.
     pub fn step_until(&mut self, deadline: SimTime) -> Option<Event<M>> {
         loop {
             match self.queue.peek_time() {
@@ -342,7 +283,6 @@ impl<M> Simulation<M> {
                 Pending::Deliver {
                     from,
                     to,
-                    via,
                     path,
                     bytes,
                     msg,
@@ -374,32 +314,11 @@ impl<M> Simulation<M> {
                     self.trace.add_delivered_bytes(bytes);
                     StepOne::Event(Event {
                         time,
-                        kind: EventKind::Message { from, to, via, msg },
+                        kind: EventKind::Message { from, to, msg },
                     })
                 }
             }
         }
-    }
-
-    /// Collect every observable event up to and including `deadline`.
-    /// Events scheduled after the deadline remain queued; the clock is left
-    /// at the later of its current value and the deadline.
-    pub fn events_until(&mut self, deadline: SimTime) -> Vec<Event<M>> {
-        let mut out = Vec::new();
-        while self
-            .queue
-            .peek_time()
-            .map(|t| t <= deadline)
-            .unwrap_or(false)
-        {
-            if let Some(ev) = self.step() {
-                out.push(ev);
-            }
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        out
     }
 
     /// Advance the clock without processing anything (useful to model idle
@@ -547,38 +466,6 @@ mod tests {
         }
         assert_eq!(messages, 0);
         assert_eq!(sim.trace().dropped_no_route, 1);
-    }
-
-    #[test]
-    fn events_until_respects_the_deadline() {
-        let mut sim = mesh(2);
-        sim.set_timer(NodeId(0), SimDuration::from_millis(1), 1);
-        sim.set_timer(NodeId(0), SimDuration::from_millis(5), 2);
-        let events = sim.events_until(SimTime::from_millis(2));
-        assert_eq!(events.len(), 1);
-        assert_eq!(sim.now(), SimTime::from_millis(2));
-        assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn send_via_uses_the_requested_interface_pair() {
-        let net = Network::diameter_testbed(4, 4, DEFAULT_LINK_LATENCY, 0.0);
-        let mut sim: Simulation<u32> = Simulation::new(net, 1);
-        let src = IfaceId {
-            node: NodeId(0),
-            iface: 1,
-        };
-        let dst = IfaceId {
-            node: NodeId(2),
-            iface: 0,
-        };
-        assert!(sim.send_via(src, dst, 100, 5));
-        let ev = sim.step().unwrap();
-        match ev.kind {
-            EventKind::Message { via, .. } => assert_eq!(via, (src, dst)),
-            other => panic!("unexpected event {other:?}"),
-        }
-        assert_eq!(sim.trace().bytes_delivered, 100);
     }
 
     #[test]

@@ -149,15 +149,6 @@ impl Trace {
             + self.dropped_source_down
     }
 
-    /// Delivered / sent, or 1.0 when nothing was sent.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.sent as f64
-        }
-    }
-
     /// The recorded events in oldest-to-newest order (empty unless event
     /// capture was enabled). Once the ring fills, these are the most recent
     /// `capacity` events; [`Trace::events_overwritten`] says how many older
@@ -233,7 +224,6 @@ mod tests {
         assert_eq!(tr.sent, 1);
         assert_eq!(tr.delivered, 1);
         assert_eq!(tr.dropped_total(), 2);
-        assert!((tr.delivery_ratio() - 1.0).abs() < 1e-12);
         assert!(
             tr.events().is_empty(),
             "counters-only trace keeps no events"
@@ -351,10 +341,5 @@ mod tests {
         tr.record(sent(3));
         tr.publish_to(&reg);
         assert_eq!(reg.gauge_value("sim.trace.sent"), 2);
-    }
-
-    #[test]
-    fn delivery_ratio_defaults_to_one() {
-        assert!((Trace::counters_only().delivery_ratio() - 1.0).abs() < 1e-12);
     }
 }

@@ -13,9 +13,6 @@
 //!   block, so the per-call encode setup amortises across the group and a
 //!   node repair costs one reconstruction per *group* instead of per
 //!   object;
-//! * [`fs`] — a flat-namespace, block-oriented file layer on top of it (the
-//!   paper's future-work distributed file system), including whole-namespace
-//!   re-encoding onto a different code;
 //! * [`wal`] — a write-ahead log protecting acked-but-unsealed grouped
 //!   objects from coordinator crashes: mutations are logged before they are
 //!   applied, and [`DistributedStore::recover`] replays the log after a
@@ -23,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fs;
 pub mod group;
 mod metrics;
 pub mod scenario;
@@ -31,7 +27,6 @@ pub mod store;
 pub mod transport;
 pub mod wal;
 
-pub use fs::{FileMeta, RainFs};
 pub use group::{
     CompactReport, Durability, FlushReport, GroupConfig, GroupId, GroupStats, ObjSpan,
 };

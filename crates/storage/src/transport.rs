@@ -18,10 +18,9 @@
 //!   response corruption. No network model, so it is cheap enough for
 //!   property tests.
 //! * [`SimNetTransport`] — routes every attempt through a
-//!   [`rain_sim::Network`]: BFS routing over the healthy fabric, per-hop
-//!   latency and jitter, per-path loss, and gray-failure slowdowns, so
-//!   switch and link faults affect the store exactly as they would the
-//!   paper's testbed.
+//!   [`rain_sim::Network`]: routing over the healthy links, per-link
+//!   latency and loss, and gray-failure slowdowns, so node and link faults
+//!   affect the store the way they would a real network.
 //!
 //! Time is virtual ([`SimTime`]/[`SimDuration`]) and every random draw
 //! comes from a seeded [`DetRng`], so any schedule of faults replays
@@ -59,7 +58,7 @@ pub enum TransportOp {
 pub enum TransportError {
     /// The node itself is down (it cannot serve even if packets arrive).
     NodeDown,
-    /// No functioning path reaches the node (partition, switch failure).
+    /// No functioning path reaches the node (partition, link failure).
     Unreachable,
     /// The request or response was silently lost in flight; the caller
     /// learns only by waiting out its patience.
@@ -401,8 +400,7 @@ impl Transport for DirectTransport {
 /// corruption. Node faults map directly; `LinkDown(LinkId(i))` /
 /// `LinkUp(LinkId(i))` are interpreted as *the path to store node `i`*
 /// going away and coming back, so [`FaultPlan::flapping_link`] drives a
-/// flapping path without building a fabric. Switch and interface faults
-/// are ignored (there is no fabric for them to act on).
+/// flapping path without building a fabric.
 #[derive(Debug)]
 pub struct ChaosTransport {
     now: SimTime,
@@ -483,11 +481,6 @@ impl ChaosTransport {
                 Fault::NodeRestore(NodeId(i)) => self.set(i, |s, i| s.slow[i] = 1),
                 rain_sim::Fault::LinkDown(l) => self.set(l.0, |s, i| s.cut[i] = true),
                 rain_sim::Fault::LinkUp(l) => self.set(l.0, |s, i| s.cut[i] = false),
-                // No fabric: switch and NIC faults have nothing to act on.
-                Fault::SwitchFail(_)
-                | Fault::SwitchRecover(_)
-                | Fault::IfaceDown(_)
-                | Fault::IfaceUp(_) => {}
             }
         }
     }
@@ -567,10 +560,9 @@ impl Transport for ChaosTransport {
 
 /// A transport routed through [`rain_sim::Network`]: the coordinator is a
 /// node in the fabric and each store node maps to another fabric node.
-/// Every attempt is routed by BFS over the currently healthy subgraph, so
-/// link, switch, and NIC faults — and the gray-failure slowdowns of
-/// [`Fault::NodeDegrade`] — hit the store the way they would hit the
-/// paper's Myrinet testbed.
+/// Every attempt is routed over the currently healthy links, so node and
+/// link faults — and the gray-failure slowdowns of [`Fault::NodeDegrade`]
+/// — hit the store the way they would hit a real network.
 #[derive(Debug)]
 pub struct SimNetTransport {
     net: Network,
@@ -680,7 +672,7 @@ impl Transport for SimNetTransport {
                     latency: patience,
                     corrupt: false,
                 },
-                Some((_, _, path)) => {
+                Some(path) => {
                     // Request and response each cross the path and each
                     // roll the combined per-hop loss independently.
                     let loss = self.net.path_loss(&path);
@@ -691,14 +683,7 @@ impl Transport for SimNetTransport {
                             corrupt: false,
                         }
                     } else {
-                        let mut one_way = self.net.path_latency(&path);
-                        for &l in &path {
-                            let j = self.net.link(l).jitter;
-                            if j.as_micros() > 0 {
-                                one_way = one_way
-                                    + SimDuration::from_micros(self.rng.below(j.as_micros() + 1));
-                            }
-                        }
+                        let one_way = self.net.path_latency(&path);
                         let rtt = (one_way.saturating_mul(2) + self.service)
                             .saturating_mul(self.net.pair_slowdown(self.coord, target));
                         let corrupt = op == TransportOp::Fetch && self.rng.chance(self.corruption);
@@ -893,10 +878,7 @@ mod tests {
         let links: Vec<LinkId> = net
             .links()
             .iter()
-            .filter(|l| {
-                matches!(l.a, rain_sim::Port::Iface(i) if i.node == NodeId(3))
-                    || matches!(l.b, rain_sim::Port::Iface(i) if i.node == NodeId(3))
-            })
+            .filter(|l| l.a.node == NodeId(3) || l.b.node == NodeId(3))
             .map(|l| l.id)
             .collect();
         for l in links {

@@ -816,6 +816,15 @@ impl SegmentedFile {
             seg_lens.push(fs.len(&segment_name(idx))?);
             idx += 1;
         }
+        // The trim counts dead bytes of the head segment, so it never exceeds
+        // that segment. A larger one means the head lost bytes the manifest
+        // vouched for: refuse the log before touching any file in it.
+        if seg_lens
+            .first()
+            .is_some_and(|&head_len| head_trim > head_len)
+        {
+            return Err(WalError::Corrupt { offset: 0 });
+        }
         // Everything the contiguous run does not reach is a leftover of an
         // interrupted truncation or replacement: dead by construction,
         // because the manifest only moves *after* its target is durable.
@@ -897,7 +906,10 @@ impl RawLogFile for SegmentedFile {
         for (i, _) in self.seg_lens.iter().enumerate() {
             let bytes = self.fs.read(&segment_name(self.head_index + i as u64))?;
             if i == 0 {
-                buf.extend_from_slice(bytes.get(self.head_trim..).unwrap_or(&[]));
+                let live = bytes
+                    .get(self.head_trim..)
+                    .ok_or(WalError::Corrupt { offset: 0 })?;
+                buf.extend_from_slice(live);
             } else {
                 buf.extend_from_slice(&bytes);
             }
@@ -1623,6 +1635,40 @@ mod tests {
         ));
         assert_eq!(wal.replay().unwrap().records, records()[3..].to_vec());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_manifest_trim_past_the_head_segment_is_corruption() {
+        // Two segments (64 B sealed + 36 B active), 60 B of the head dropped.
+        let (fs, handle) = FaultySegFs::new(FaultSpec::default());
+        let mut seg = SegmentedFile::open(Box::new(fs), 64).unwrap();
+        seg.write_all(&[1; 64]).unwrap();
+        seg.write_all(&[2; 36]).unwrap();
+        seg.sync().unwrap();
+        seg.drop_prefix(60).unwrap();
+        let mut files = handle.durable_files();
+        let reopen = |files| {
+            let (fs, _) = FaultySegFs::with_files(files, FaultSpec::default());
+            SegmentedFile::open(Box::new(fs), 64)
+        };
+        assert_eq!(reopen(files.clone()).unwrap().read_all().unwrap().len(), 40);
+
+        // The head segment loses bytes the CRC-valid manifest still trims.
+        files.get_mut("wal.000000.seg").unwrap().truncate(10);
+        assert!(matches!(
+            reopen(files.clone()),
+            Err(WalError::Corrupt { .. })
+        ));
+
+        // With one segment, the same damage must not read back as an empty
+        // log, and the refused directory keeps every file.
+        files.remove("wal.000001.seg");
+        let (fs, handle) = FaultySegFs::with_files(files.clone(), FaultSpec::default());
+        assert!(matches!(
+            SegmentedFile::open(Box::new(fs), 64),
+            Err(WalError::Corrupt { .. })
+        ));
+        assert_eq!(handle.accepted_files(), files);
     }
 
     #[test]

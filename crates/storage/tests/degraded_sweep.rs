@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rain_codes::{build_code, CodeKind, CodeSpec, ErasureCode, StripedCodec};
+use rain_codes::{build_code, CodeKind, CodeSpec, ErasureCode};
 use rain_sim::NodeId;
 use rain_storage::{DistributedStore, GroupConfig, RetrieveReport, SelectionPolicy, StorageError};
 
@@ -225,36 +225,6 @@ fn check_subset(spec: CodeSpec, mask: u32, whole: &[u8], tiny: &[u8]) -> Result<
         check_read(spec, mask, name, bytes, got, None)?;
     }
     Ok(())
-}
-
-#[test]
-fn striped_codec_store_reads_back_bit_exact() {
-    // A StripedCodec names no verbatim location, so every sealed-group read
-    // decodes; the bytes must still come back exact, healthy and degraded.
-    let inner = build_code(CodeSpec::bcode_6_4()).expect("reference spec builds");
-    let stripe = inner.data_len_unit() * 8;
-    let code = Arc::new(StripedCodec::new(inner, stripe, 2).expect("valid stripe"));
-    let mut store = DistributedStore::with_groups(code, GroupConfig::small_objects());
-    let objects: Vec<(String, Vec<u8>)> = (0..40)
-        .map(|i| (format!("o{i}"), fill(i, 100 + 37 * i as usize)))
-        .chain([("whole".to_string(), fill(99, 5000))])
-        .collect();
-    for (name, bytes) in &objects {
-        store.store(name, bytes).expect("healthy store");
-    }
-    store.flush().expect("healthy flush");
-    for failed in [None, Some(1), Some(4)] {
-        if let Some(node) = failed {
-            store.fail_node(NodeId(node)).expect("fail known node");
-        }
-        for (name, want) in &objects {
-            let (bytes, report) = store
-                .retrieve(name, SelectionPolicy::LeastLoaded)
-                .expect("within tolerance");
-            assert_eq!(&bytes, want, "{name} after failing {failed:?}");
-            assert_eq!(report.degraded, failed.is_some());
-        }
-    }
 }
 
 proptest! {
