@@ -419,13 +419,16 @@ impl GroupDecodeCache {
     }
 
     /// Insert a freshly decoded block as most recently used, evicting the
-    /// least recently used entry beyond the capacity.
-    pub fn insert(&mut self, id: GroupId, block: Vec<u8>) {
-        self.blocks.retain(|(gid, _)| *gid != id);
-        if self.blocks.len() >= DECODE_CACHE_CAP {
-            self.blocks.remove(0);
-        }
+    /// least recently used entry beyond the capacity. Returns the buffer of
+    /// the entry it replaced or evicted, for the caller to decode into next.
+    pub fn insert(&mut self, id: GroupId, block: Vec<u8>) -> Option<Vec<u8>> {
+        let old = match self.blocks.iter().position(|(gid, _)| *gid == id) {
+            Some(pos) => Some(self.blocks.remove(pos).1),
+            None if self.blocks.len() >= DECODE_CACHE_CAP => Some(self.blocks.remove(0).1),
+            None => None,
+        };
         self.blocks.push((id, block));
+        old
     }
 
     /// Forget a group (compaction removed it).
@@ -507,9 +510,15 @@ mod tests {
         assert!(cache.get(0).is_none());
         assert_eq!(cache.get(1), Some(&[1u8][..]));
         // Touch 1 to make it most recent, then insert a new block: 2 (now
-        // the least recent) is evicted, 1 survives.
+        // the least recent) is evicted, 1 survives, and the evicted buffer
+        // comes back for reuse.
         assert!(cache.touch(1));
-        cache.insert(5, vec![5]);
+        assert_eq!(cache.insert(5, vec![5]), Some(vec![2]));
+        assert_eq!(
+            cache.insert(5, vec![6]),
+            Some(vec![5]),
+            "a re-insert replaces"
+        );
         assert!(cache.get(2).is_none());
         assert_eq!(cache.get(1), Some(&[1u8][..]));
         cache.remove(1);

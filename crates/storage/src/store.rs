@@ -14,10 +14,11 @@
 //! Small objects can additionally be batched into **coding groups** (see
 //! [`crate::group`]): one encode, one symbol per node, and one repair per
 //! *group* of objects instead of per object. The first healthy read of a
-//! sealed group is *ranged*: it verifies only the symbol holding its bytes
-//! and decodes nothing; a group read again soon after is decoded once and
-//! cached. Grouping is off by default ([`DistributedStore::new`]) and
-//! enabled with [`DistributedStore::with_groups`].
+//! sealed group is *ranged*: it verifies only the 4 KiB chunks of the
+//! symbol holding its bytes and decodes nothing; a group read again soon
+//! after is decoded once and cached. Grouping is off by default
+//! ([`DistributedStore::new`]) and enabled with
+//! [`DistributedStore::with_groups`].
 //!
 //! A whole object and a sealed group are the same kind of thing on the
 //! nodes, a *unit*: one generation-stamped frame per node. Both install
@@ -38,11 +39,12 @@
 //!   of a failed one), and dropping a group takes the fsync barrier.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use rain_codes::{build_code, CodeError, CodeSpec, ErasureCode, ShareSet, ShareView};
+use rain_codes::{build_code, CodeError, CodeSpec, ErasureCode, ShareView};
 use rain_obs::{span, Recorder, Registry, VirtualClock};
 use rain_sim::{DetRng, NodeId, SimDuration, SimTime};
 
@@ -52,8 +54,9 @@ use crate::group::{
 };
 use crate::metrics::{self, StoreMetrics, TransportMetrics};
 use crate::transport::{
-    open_frame, seal_frame, split_frame, DirectTransport, FaultPolicy, NodeOutcome, Transport,
-    TransportError, TransportOp, TransportStats, FRAME_HEADER,
+    frame_len, frame_payload_len, open_frame, open_range, range_verified_len, seal_in_place,
+    split_frame, DirectTransport, FaultPolicy, NodeOutcome, Transport, TransportError, TransportOp,
+    TransportStats,
 };
 use crate::wal::{
     CheckpointPlacement, CheckpointState, GroupSnapshot, RecordView, WalError, WalRecord,
@@ -449,8 +452,8 @@ pub struct DistributedStore {
     code: Arc<dyn ErasureCode>,
     nodes: Vec<StorageNode>,
     objects: HashMap<String, Placement>,
-    /// Reusable encode output; one flat allocation across all `store` calls.
-    encode_shares: ShareSet,
+    /// Frame buffers for the next encode or repair to fill in place.
+    frames: FramePool,
     /// Reusable framed-input / decoded-output buffer.
     io_buf: Vec<u8>,
     /// Recycled block buffer handed to the next open group, so sealing one
@@ -543,6 +546,68 @@ struct PendingInstall {
     frame: Vec<u8>,
 }
 
+/// Frame buffers freed when a node's frame is replaced outright, kept for
+/// the next encode or repair to write into. At most one encode's worth is
+/// kept, and a buffer is reused only for a frame close to its size, so a
+/// node never holds much more than its frame.
+#[derive(Debug)]
+struct FramePool {
+    spare: Vec<Vec<u8>>,
+    /// Buffers kept at most: the node count.
+    cap: usize,
+}
+
+impl FramePool {
+    fn new(cap: usize) -> Self {
+        FramePool {
+            spare: Vec::new(),
+            cap,
+        }
+    }
+
+    /// A buffer of `frame_len(share_len)` bytes. Its contents are stale:
+    /// the caller overwrites the payload region and then seals the header
+    /// in place ([`seal_in_place`]).
+    fn take(&mut self, share_len: usize) -> Vec<u8> {
+        let len = frame_len(share_len);
+        match self.spare.pop() {
+            Some(mut buf) if (len..=len + len / 8).contains(&buf.capacity()) => {
+                buf.resize(len, 0);
+                buf
+            }
+            _ => vec![0; len],
+        }
+    }
+
+    /// Keep a replaced frame's buffer, unless the pool is full.
+    fn give(&mut self, frame: Vec<u8>) {
+        if self.spare.len() < self.cap {
+            self.spare.push(frame);
+        }
+    }
+
+    /// Encode `block` into `code.n()` frame buffers, each share written
+    /// straight into its frame's payload region. The headers are left for
+    /// [`DistributedStore::install_unit`] to seal.
+    fn encode(&mut self, code: &dyn ErasureCode, block: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
+        let share_len = code.share_len_for(block.len())?;
+        let header = frame_len(share_len) - share_len;
+        let mut frames: Vec<Vec<u8>> = (0..code.n()).map(|_| self.take(share_len)).collect();
+        let mut payloads: Vec<&mut [u8]> = frames.iter_mut().map(|f| &mut f[header..]).collect();
+        let encoded = code.encode_slices(block, &mut payloads);
+        drop(payloads);
+        match encoded {
+            Ok(()) => Ok(frames),
+            Err(e) => {
+                for frame in frames {
+                    self.give(frame);
+                }
+                Err(e)
+            }
+        }
+    }
+}
+
 /// Result of driving one node's fetch to completion (attempts, backoff,
 /// verification) in virtual time.
 struct FetchResult {
@@ -554,23 +619,62 @@ struct FetchResult {
     /// node can be dispatched in its place.
     finished: SimDuration,
     attempts: u32,
+    /// Payload bytes hashed to verify the delivered share (zero unless
+    /// `outcome` is [`NodeOutcome::Ok`]).
+    verified: usize,
 }
 
-/// Fetch one share frame from `node`, retrying per `policy`, starting at
-/// virtual offset `start` within the operation. The share is *verified*
-/// here: an in-flight-corrupted response is bit-damaged and run through the
-/// real checksum (retryable — the stored copy is intact), an at-rest
-/// damaged frame or stale generation ends the stream (a retry cannot
-/// change what the node holds).
+/// How much of a fetched frame to verify.
+#[derive(Debug, Clone, Copy)]
+enum Verify {
+    /// Every chunk: the share feeds a decode.
+    Whole,
+    /// A ranged read's: the payload must be `payload_len` bytes, and only
+    /// the chunks covering its `len` bytes at `offset` are checked.
+    Range {
+        payload_len: usize,
+        offset: usize,
+        len: usize,
+    },
+}
+
+impl Verify {
+    /// Check `frame`: its generation and the payload bytes hashed, or
+    /// `None` when it is damaged or has the wrong length.
+    fn check(self, frame: &[u8]) -> Option<(u64, usize)> {
+        match self {
+            Verify::Whole => open_frame(frame).map(|(gen, payload)| (gen, payload.len())),
+            Verify::Range {
+                payload_len,
+                offset,
+                len,
+            } => {
+                if frame_payload_len(frame.len()) != Some(payload_len) {
+                    return None;
+                }
+                let (gen, _) = open_range(frame, offset, len)?;
+                Some((gen, range_verified_len(payload_len, offset, len)))
+            }
+        }
+    }
+}
+
+/// Fetch one share frame from `node`, retrying per the spec's policy,
+/// starting at virtual offset `start` within the operation. The share is
+/// *verified* here, as far as `verify` asks: an in-flight-corrupted
+/// response is bit-damaged and run through the real checksum (retryable —
+/// the stored copy is intact), an at-rest damaged frame or stale
+/// generation ends the stream (a retry cannot change what the node holds).
 fn fetch_share(
     transport: &mut dyn Transport,
-    policy: &FaultPolicy,
+    spec: &CollectSpec,
     rng: &mut DetRng,
     node: usize,
     frame: &[u8],
-    expect_gen: u64,
+    verify: Verify,
     start: SimDuration,
 ) -> FetchResult {
+    let policy = spec.policy;
     let mut t = start;
     let mut attempts = 0u32;
     while attempts < policy.max_attempts && t < policy.deadline {
@@ -594,6 +698,7 @@ fn fetch_share(
                     arrival: None,
                     finished: t + fate.latency,
                     attempts,
+                    verified: 0,
                 };
             }
             Err(TransportError::Lost) => {
@@ -611,7 +716,8 @@ fn fetch_share(
                     // verifier over a bit-flipped copy — detection must
                     // come from the checksum, not from trusting the fate
                     // flag. The node's stored frame is intact, so a retry
-                    // may well succeed.
+                    // may well succeed. A ranged read discards the whole
+                    // response too, wherever the damage landed.
                     let mut damaged = frame.to_vec();
                     let idx = rng.below(damaged.len() as u64) as usize;
                     damaged[idx] ^= 0x01;
@@ -622,32 +728,25 @@ fn fetch_share(
                             arrival: None,
                             finished: arrived,
                             attempts,
+                            verified: 0,
                         };
                     }
                     t = arrived;
                     continue;
                 }
-                return match open_frame(frame) {
-                    None => FetchResult {
-                        // At-rest damage: every retry returns the same
-                        // broken frame, so give up on this node now.
-                        outcome: NodeOutcome::Corrupt,
-                        arrival: None,
-                        finished: arrived,
-                        attempts,
-                    },
-                    Some((gen, _)) if gen != expect_gen => FetchResult {
-                        outcome: NodeOutcome::Stale,
-                        arrival: None,
-                        finished: arrived,
-                        attempts,
-                    },
-                    Some(_) => FetchResult {
-                        outcome: NodeOutcome::Ok,
-                        arrival: Some(arrived),
-                        finished: arrived,
-                        attempts,
-                    },
+                let (outcome, verified) = match verify.check(frame) {
+                    // At-rest damage: every retry returns the same broken
+                    // frame, so give up on this node now.
+                    None => (NodeOutcome::Corrupt, 0),
+                    Some((gen, _)) if gen != spec.expect_gen => (NodeOutcome::Stale, 0),
+                    Some((_, hashed)) => (NodeOutcome::Ok, hashed),
+                };
+                return FetchResult {
+                    outcome,
+                    arrival: (outcome == NodeOutcome::Ok).then_some(arrived),
+                    finished: arrived,
+                    attempts,
+                    verified,
                 };
             }
         }
@@ -657,6 +756,7 @@ fn fetch_share(
         arrival: None,
         finished: t,
         attempts,
+        verified: 0,
     }
 }
 
@@ -788,6 +888,8 @@ struct ShareCollection {
     /// Verified shares obtained (equals `used.len()` except on failure,
     /// where `used` is empty but this still reports how close it came).
     available: usize,
+    /// Payload bytes hashed to verify those shares.
+    bytes_verified: u64,
     /// Fate of every node contacted, in dispatch order. Only materialised
     /// when the collection runs with `capture` on; `counts` always holds
     /// the aggregate.
@@ -814,6 +916,25 @@ struct CollectSpec<'a> {
     expect_gen: u64,
     capture: bool,
     obs: &'a TransportMetrics,
+    /// For a ranged read: the payload length every frame must have, and
+    /// per candidate the payload bytes it serves, so only the chunks
+    /// covering them are verified. `None` verifies whole frames, as a
+    /// decode needs.
+    ranged: Option<(usize, &'a [Range<usize>])>,
+}
+
+impl CollectSpec<'_> {
+    /// How to verify the frame of `candidates[ci]`.
+    fn verify(&self, ci: usize) -> Verify {
+        match self.ranged {
+            None => Verify::Whole,
+            Some((payload_len, ranges)) => Verify::Range {
+                payload_len,
+                offset: ranges[ci].start,
+                len: ranges[ci].len(),
+            },
+        }
+    }
 }
 
 /// Collect `k` verified shares of `spec.unit` from `candidates`
@@ -834,13 +955,14 @@ fn collect_shares(
         policy,
         k,
         unit,
-        expect_gen,
         capture,
         obs,
+        ..
     } = spec;
     let mut col = ShareCollection {
         used: Vec::new(),
         available: 0,
+        bytes_verified: 0,
         outcomes: Vec::new(),
         counts: OutcomeCounts::default(),
         retries: 0,
@@ -862,8 +984,9 @@ fn collect_shares(
         qi += 1;
         let node = candidates[ci];
         let frame = nodes[node].held(unit);
-        let r = fetch_share(transport, policy, rng, node, frame, expect_gen, start);
+        let r = fetch_share(transport, spec, rng, node, frame, spec.verify(ci), start);
         col.retries += r.attempts.saturating_sub(1);
+        col.bytes_verified += r.verified as u64;
         col.counts.note(r.outcome);
         col.finished = col.finished.max(r.finished);
         obs.record_fetch(
@@ -901,8 +1024,9 @@ fn collect_shares(
                 col.hedged = true;
                 let node = candidates[next];
                 let frame = nodes[node].held(unit);
-                let r = fetch_share(transport, policy, rng, node, frame, expect_gen, h);
+                let r = fetch_share(transport, spec, rng, node, frame, spec.verify(next), h);
                 col.retries += r.attempts.saturating_sub(1);
+                col.bytes_verified += r.verified as u64;
                 col.counts.note(r.outcome);
                 col.finished = col.finished.max(r.finished);
                 obs.record_fetch(
@@ -938,8 +1062,9 @@ struct UnitFetch {
     latency: SimDuration,
     hedged: bool,
     retries: u32,
-    /// Shares that passed verification (checksum, generation, length).
-    verified: usize,
+    /// Payload bytes hashed to verify the shares that passed (checksum,
+    /// generation, length).
+    bytes_verified: u64,
 }
 
 impl UnitFetch {
@@ -955,7 +1080,7 @@ impl UnitFetch {
         self.degraded |= attempt.counts.not_ok() > 0;
         self.latency = attempt.latency + self.latency;
         self.retries += attempt.retries;
-        self.verified += attempt.verified;
+        self.bytes_verified += attempt.bytes_verified;
         self
     }
 
@@ -1068,7 +1193,7 @@ impl DistributedStore {
                 })
                 .collect(),
             objects: HashMap::new(),
-            encode_shares: ShareSet::new(),
+            frames: FramePool::new(n),
             io_buf: Vec::new(),
             spare_block: Vec::new(),
             group_config: config,
@@ -1416,7 +1541,9 @@ impl DistributedStore {
                 &self.node_obs,
             );
             if drive.installed {
-                self.nodes[p.node].put_frame(unit, p.frame);
+                if let Some(old) = self.nodes[p.node].put_frame(unit, p.frame) {
+                    self.frames.give(old);
+                }
                 landed += 1;
             } else {
                 keep.push(p);
@@ -1779,9 +1906,9 @@ impl DistributedStore {
     /// one symbol per node.
     fn apply_store_whole(&mut self, object: &str, data: &[u8]) -> Result<(), StorageError> {
         // Frame: original length (8 bytes LE) + data, padded to the unit.
-        // Both the framed input and the encoded shares go through reusable
-        // buffers — a steady-state store loop allocates only the per-node
-        // symbol copies the nodes keep.
+        // The framed input goes through a reusable buffer, and each share
+        // is encoded straight into the frame its node keeps, reusing the
+        // frames an overwrite replaces.
         let unit = self.code.data_len_unit();
         {
             let _frame = span!(self.recorder, "store.store.frame");
@@ -1796,15 +1923,14 @@ impl DistributedStore {
         // The fallible encode runs before any state changes: a failed
         // encode must not have tombstoned the grouped predecessor (the
         // object table would point at a possibly-dropped group).
-        {
+        let frames = {
             let _encode = span!(
                 self.recorder,
                 "store.store.encode",
                 bytes = self.io_buf.len() as u64
             );
-            self.code
-                .encode_into(&self.io_buf, &mut self.encode_shares)?;
-        }
+            self.frames.encode(self.code.as_ref(), &self.io_buf)?
+        };
         // A grouped predecessor is tombstoned; a whole one is replaced
         // frame by frame below. Its old frames are the durable predecessor
         // record's replay evidence, so while this op's record is
@@ -1813,7 +1939,7 @@ impl DistributedStore {
             self.tombstone_member(group, span)?;
         }
         let park = self.park_tag();
-        self.install_unit(Unit::Whole(object), park)?;
+        self.install_unit(Unit::Whole(object), park, frames)?;
         self.objects.insert(object.to_string(), Placement::Whole);
         Ok(())
     }
@@ -1829,8 +1955,10 @@ impl DistributedStore {
         .unwrap_or(0)
     }
 
-    /// Install the shares in `encode_shares` as `unit`: one frame per node,
-    /// stamped with a fresh generation, through the transport. Failures
+    /// Install `frames` (one per node, share written, header space
+    /// reserved; see [`FramePool::encode`]) as `unit`: each is sealed in
+    /// place with a fresh generation and moved to its node through the
+    /// transport. Failures
     /// past the ack quorum are queued for background completion. Short of
     /// quorum the op fails and the queued tail is withdrawn, since an
     /// unacked op must not complete itself later; frames that did land are
@@ -1839,8 +1967,14 @@ impl DistributedStore {
     /// quorum-th confirmation. Returns the installs that landed.
     ///
     /// With `park` set (whole objects only, see `StorageNode::limbo`), a
-    /// replaced frame is parked under that log index instead of dropped.
-    fn install_unit(&mut self, unit: Unit, park: Option<u64>) -> Result<usize, StorageError> {
+    /// replaced frame is parked under that log index; otherwise its buffer
+    /// goes back to the frame pool.
+    fn install_unit(
+        &mut self,
+        unit: Unit,
+        park: Option<u64>,
+        frames: Vec<Vec<u8>>,
+    ) -> Result<usize, StorageError> {
         let gen = self.next_epoch;
         self.next_epoch += 1;
         let n = self.nodes.len();
@@ -1854,8 +1988,8 @@ impl DistributedStore {
             Unit::Whole(_) => span!(self.recorder, "store.store.install"),
             Unit::Group(_) => Recorder::disabled().span("store.seal.install"),
         };
-        for i in 0..n {
-            let frame = seal_frame(gen, self.encode_shares.share(i));
+        for (i, mut frame) in frames.into_iter().enumerate() {
+            seal_in_place(gen, &mut frame);
             let drive = drive_install(
                 self.transport.as_mut(),
                 &self.policy,
@@ -1865,9 +1999,12 @@ impl DistributedStore {
                 &self.node_obs,
             );
             if drive.installed {
-                let old = self.nodes[i].put_frame(unit, frame);
-                if let (Some(tag), Some(old), Unit::Whole(name)) = (park, old, unit) {
-                    self.nodes[i].limbo.push((name.to_string(), tag, old));
+                match (park, self.nodes[i].put_frame(unit, frame), unit) {
+                    (Some(tag), Some(old), Unit::Whole(name)) => {
+                        self.nodes[i].limbo.push((name.to_string(), tag, old));
+                    }
+                    (_, Some(old), _) => self.frames.give(old),
+                    (_, None, _) => {}
                 }
                 installed += 1;
                 finishes.push(drive.finished);
@@ -1989,10 +2126,10 @@ impl DistributedStore {
         let mut block = std::mem::take(&mut group.data);
         block.resize(padded, 0);
         let sealed = self
-            .code
-            .encode_into(&block, &mut self.encode_shares)
+            .frames
+            .encode(self.code.as_ref(), &block)
             .map_err(StorageError::from)
-            .and_then(|()| self.install_unit(Unit::Group(gid), None));
+            .and_then(|frames| self.install_unit(Unit::Group(gid), None, frames));
         let installed = match sealed {
             Ok(installed) => installed,
             Err(e) => {
@@ -2215,19 +2352,17 @@ impl DistributedStore {
     /// Telemetry of one served node read, and its report.
     fn finish_read(&self, data: Vec<u8>, fetch: UnitFetch) -> (Vec<u8>, RetrieveReport) {
         self.note_outcomes(fetch.counts);
-        self.obs
-            .bytes_verified
-            .add((fetch.verified * fetch.bytes_per_source) as u64);
+        self.obs.bytes_verified.add(fetch.bytes_verified);
         (data, fetch.into_report())
     }
 
     /// Serve `span` of sealed group `gid` from the shares that hold it
     /// verbatim ([`ErasureCode::locate`]): the covering shares are
     /// collected like a decode's (with no spare to fall back on), each
-    /// checked for checksum and generation, and each payload must be the
-    /// `padded block / k` bytes the group table implies. Every source is
-    /// charged one full share, since its node ships the whole verified
-    /// frame.
+    /// checked for generation and for the checksums of the chunks holding
+    /// its piece of the span, and each payload must be the `padded block /
+    /// k` bytes the group table implies. Every source is charged one full
+    /// share, since its node ships the whole frame.
     ///
     /// Returns `None`, having contacted nobody, when the code names no
     /// location or a covering node is not among `candidates` (the reachable
@@ -2241,9 +2376,11 @@ impl DistributedStore {
     ) -> Option<Ranged> {
         let padded = padded_block_len(self.code.as_ref(), packed_len);
         let share_len = padded / self.code.k();
-        // (share, offset in its payload, bytes) for each piece of the span.
+        // (share, offset in its payload, bytes) for each piece of the span,
+        // and per source the payload bytes its pieces span.
         let mut pieces = Vec::new();
         let mut sources: Vec<usize> = Vec::new();
+        let mut ranges: Vec<Range<usize>> = Vec::new();
         let end = span.offset + span.len;
         let mut at = span.offset;
         while at < end {
@@ -2251,10 +2388,17 @@ impl DistributedStore {
             if !candidates.contains(&share) {
                 return None;
             }
-            if !sources.contains(&share) {
-                sources.push(share);
-            }
             let take = run.min(end - at);
+            match sources.iter().position(|&s| s == share) {
+                Some(i) => {
+                    let range = &mut ranges[i];
+                    *range = range.start.min(offset)..range.end.max(offset + take);
+                }
+                None => {
+                    sources.push(share);
+                    ranges.push(offset..offset + take);
+                }
+            }
             pieces.push((share, offset, take));
             at += take;
         }
@@ -2279,8 +2423,9 @@ impl DistributedStore {
             "store.retrieve.transport",
             candidates = sources.len() as u64
         );
-        let nodes = &self.nodes;
-        let mut col = collect_shares(
+        // A frame that disagrees with the group table on its length cannot
+        // be sliced at the located offsets: the check counts it corrupt.
+        let col = collect_shares(
             self.transport.as_mut(),
             &CollectSpec {
                 policy: &policy,
@@ -2289,31 +2434,19 @@ impl DistributedStore {
                 expect_gen,
                 capture: self.capture_outcomes,
                 obs: &self.node_obs,
+                ranged: Some((share_len, &ranges)),
             },
             &mut self.policy_rng,
             &sources,
-            nodes,
+            &self.nodes,
         );
-        // A frame that verifies but disagrees with the group table on its
-        // length cannot be sliced at the located offsets: it counts as
-        // corrupt.
-        for &node in &col.used {
-            if nodes[node].held(unit).len() - FRAME_HEADER != share_len {
-                col.counts.ok -= 1;
-                col.counts.corrupt += 1;
-                col.available -= 1;
-                for entry in col.outcomes.iter_mut().filter(|(n, _)| n.0 == node) {
-                    entry.1 = NodeOutcome::Corrupt;
-                }
-            }
-        }
         transport_span.field("shares", col.available as u64);
         drop(transport_span);
         let mut fetch = UnitFetch {
             outcomes: col.outcomes,
             counts: col.counts,
             retries: col.retries,
-            verified: col.available,
+            bytes_verified: col.bytes_verified,
             ..UnitFetch::default()
         };
         if col.available < sources.len() {
@@ -2383,6 +2516,7 @@ impl DistributedStore {
                 expect_gen,
                 capture: self.capture_outcomes,
                 obs: &self.node_obs,
+                ranged: None,
             },
             &mut self.policy_rng,
             candidates,
@@ -2402,7 +2536,7 @@ impl DistributedStore {
         // verified frames' payloads, so no share is cloned.
         let mut bytes_per_source = 0;
         for &i in &col.used {
-            let len = self.nodes[i].held(unit).len() - FRAME_HEADER;
+            let len = frame_payload_len(self.nodes[i].held(unit).len()).expect("verified share");
             bytes_per_source = len;
             self.nodes[i].bytes_served += len as u64;
         }
@@ -2416,7 +2550,10 @@ impl DistributedStore {
         drop(view);
         drop(decode_span);
         if let Unit::Group(gid) = unit {
-            self.decode_cache.insert(gid, self.io_buf.clone());
+            // The block moves into the cache, and the entry it evicts
+            // becomes the next decode's buffer: no copy, no allocation.
+            let block = std::mem::take(&mut self.io_buf);
+            self.io_buf = self.decode_cache.insert(gid, block).unwrap_or_default();
         }
         let degraded = view_degraded || col.counts.not_ok() > 0;
         Ok(UnitFetch {
@@ -2428,7 +2565,7 @@ impl DistributedStore {
             latency: col.latency,
             hedged: col.hedged,
             retries: col.retries,
-            verified: col.available,
+            bytes_verified: col.bytes_verified,
         })
     }
 
@@ -3060,10 +3197,11 @@ impl DistributedStore {
                 needed: self.code.k(),
             });
         }
-        let mut symbol = vec![0u8; share_len];
-        self.code.repair(&view, node, &mut symbol)?;
+        let mut frame = self.frames.take(share_len);
+        let header = frame.len() - share_len;
+        self.code.repair(&view, node, &mut frame[header..])?;
         drop(view);
-        let frame = seal_frame(gen, &symbol);
+        seal_in_place(gen, &mut frame);
         let drive = drive_install(
             self.transport.as_mut(),
             &self.policy,
@@ -3073,7 +3211,9 @@ impl DistributedStore {
             &self.node_obs,
         );
         if drive.installed {
-            self.nodes[node].put_frame(unit, frame);
+            if let Some(old) = self.nodes[node].put_frame(unit, frame) {
+                self.frames.give(old);
+            }
         } else {
             self.pending.push(PendingInstall {
                 node,
@@ -3089,8 +3229,9 @@ impl DistributedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{seal_frame, FRAME_CHUNK};
     use proptest::prelude::*;
-    use rain_codes::{ArrayCode, BCode, CodeSpec};
+    use rain_codes::{ArrayCode, BCode, CodeKind, CodeSpec};
 
     fn store() -> DistributedStore {
         DistributedStore::new(Arc::new(BCode::table_1a()))
@@ -3441,11 +3582,17 @@ mod tests {
     /// Damage node 5's frame of the only sealed group, then read an object
     /// it holds: the ranged read must refuse the frame, and the decode must
     /// serve the right bytes, degraded, with the refusal counted as `want`.
-    fn ranged_read_falls_back(damage: impl FnOnce(&mut Vec<u8>), want: NodeOutcome) {
+    /// `damage` is given the frame and the object's offset in its payload.
+    fn ranged_read_falls_back(damage: impl FnOnce(&mut Vec<u8>, usize), want: NodeOutcome) {
         let (mut s, name, want_bytes) = one_cell_objects();
         let registry = Registry::new();
         s.attach_registry(&registry);
-        damage(s.nodes[5].group_symbols.values_mut().next().unwrap());
+        let i: usize = name[1..].parse().unwrap();
+        let (_, offset, _) = s.code.locate(240, 20 * i).unwrap();
+        damage(
+            s.nodes[5].group_symbols.values_mut().next().unwrap(),
+            offset,
+        );
         let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
         assert_eq!(out, want_bytes);
         assert!(report.degraded);
@@ -3464,8 +3611,13 @@ mod tests {
 
     #[test]
     fn ranged_read_refuses_a_frame_damaged_at_rest() {
+        // The flip lands in the object's own bytes, so in the chunk the
+        // ranged read verifies.
         ranged_read_falls_back(
-            |frame| frame[FRAME_HEADER + 3] ^= 0x40,
+            |frame, offset| {
+                let header = frame.len() - 60;
+                frame[header + offset + 3] ^= 0x40;
+            },
             NodeOutcome::Corrupt,
         );
     }
@@ -3473,7 +3625,7 @@ mod tests {
     #[test]
     fn ranged_read_refuses_a_stale_generation() {
         ranged_read_falls_back(
-            |frame| {
+            |frame, _| {
                 let (gen, payload) = open_frame(frame).unwrap();
                 *frame = seal_frame(gen + 1, payload);
             },
@@ -3484,18 +3636,206 @@ mod tests {
     #[test]
     fn ranged_read_refuses_a_truncated_frame() {
         ranged_read_falls_back(
-            |frame| frame.truncate(frame.len() - 1),
+            |frame, _| frame.truncate(frame.len() - 1),
             NodeOutcome::Corrupt,
         );
         // Re-sealed after truncation, so checksum and generation verify:
         // only the length check against the group table catches it.
         ranged_read_falls_back(
-            |frame| {
+            |frame, _| {
                 let (gen, payload) = open_frame(frame).unwrap();
                 *frame = seal_frame(gen, &payload[..payload.len() - 1]);
             },
             NodeOutcome::Corrupt,
         );
+    }
+
+    /// Every family `build_code` makes, at the reference parameters.
+    fn families() -> [CodeSpec; 6] {
+        [
+            CodeSpec::new(CodeKind::BCode, 6, 4),
+            CodeSpec::new(CodeKind::XCode, 5, 3),
+            CodeSpec::new(CodeKind::EvenOdd, 7, 5),
+            CodeSpec::new(CodeKind::ReedSolomon, 6, 4),
+            CodeSpec::new(CodeKind::Mirroring, 3, 1),
+            CodeSpec::new(CodeKind::SingleParity, 5, 4),
+        ]
+    }
+
+    /// 250 B objects in groups of 62.5 KiB: every share spans several
+    /// chunks, and some objects straddle a chunk boundary.
+    const CHUNKED_OBJECT: usize = 250;
+    const CHUNKED_PER_GROUP: usize = 256;
+
+    fn chunked_bytes(name: &str) -> Vec<u8> {
+        let seed = name.bytes().fold(7u8, |h, b| h.wrapping_mul(31) ^ b);
+        (0..CHUNKED_OBJECT)
+            .map(|i| seed.wrapping_add(i as u8))
+            .collect()
+    }
+
+    /// A store over `spec` holding `groups` sealed groups of
+    /// `CHUNKED_PER_GROUP` objects each, `g{g}o{i}`.
+    fn chunked_store(spec: CodeSpec, groups: usize) -> DistributedStore {
+        let config = GroupConfig {
+            threshold: 1024,
+            capacity: CHUNKED_OBJECT * CHUNKED_PER_GROUP,
+            ..GroupConfig::disabled()
+        };
+        let mut s = DistributedStore::from_spec_grouped(spec, config).unwrap();
+        for g in 0..groups {
+            for i in 0..CHUNKED_PER_GROUP {
+                let name = format!("g{g}o{i}");
+                s.store(&name, &chunked_bytes(&name)).unwrap();
+            }
+        }
+        assert_eq!(s.group_stats().sealed_groups, groups, "capacity seals");
+        s
+    }
+
+    /// Where object `i` of a chunked group lives: per covering share, the
+    /// payload bytes it spans (as `read_ranged` computes them).
+    fn chunked_cover(s: &DistributedStore, i: usize) -> Vec<(usize, Range<usize>)> {
+        let padded = padded_block_len(s.code.as_ref(), CHUNKED_OBJECT * CHUNKED_PER_GROUP);
+        let mut cover: Vec<(usize, Range<usize>)> = Vec::new();
+        let (mut at, end) = (i * CHUNKED_OBJECT, (i + 1) * CHUNKED_OBJECT);
+        while at < end {
+            let (share, offset, run) = s.code.locate(padded, at).unwrap();
+            let take = run.min(end - at);
+            match cover.iter_mut().find(|(sh, _)| *sh == share) {
+                Some((_, r)) => *r = r.start.min(offset)..r.end.max(offset + take),
+                None => cover.push((share, offset..offset + take)),
+            }
+            at += take;
+        }
+        cover
+    }
+
+    fn chunks_of(range: &Range<usize>) -> Range<usize> {
+        range.start / FRAME_CHUNK..(range.end - 1) / FRAME_CHUNK + 1
+    }
+
+    fn group_frame(s: &mut DistributedStore, node: usize) -> &mut Vec<u8> {
+        s.nodes[node].group_symbols.values_mut().next().unwrap()
+    }
+
+    /// Flip a bit of payload byte `at` in `node`'s frame of the only group.
+    fn damage_payload(s: &mut DistributedStore, node: usize, at: usize) {
+        let frame = group_frame(s, node);
+        let header = frame.len() - frame_payload_len(frame.len()).unwrap();
+        frame[header + at] ^= 0x10;
+    }
+
+    #[test]
+    fn ranged_reads_hash_only_the_chunks_they_return() {
+        // Five groups read round-robin stay ranged (see above), so every
+        // get below is a cold ranged get.
+        for spec in families() {
+            let mut s = chunked_store(spec, 5);
+            let registry = Registry::new();
+            s.attach_registry(&registry);
+            let mut crossing = 0;
+            for i in 0..CHUNKED_PER_GROUP {
+                let cover = chunked_cover(&s, i);
+                let chunks: usize = cover.iter().map(|(_, r)| chunks_of(r).len()).sum();
+                for g in 0..5 {
+                    let name = format!("g{g}o{i}");
+                    let before = registry.counter_value("storage.retrieve.bytes_verified");
+                    let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+                    let hashed = registry.counter_value("storage.retrieve.bytes_verified") - before;
+                    assert_eq!(out, chunked_bytes(&name), "{spec:?} {name}");
+                    assert_eq!(report.sources.len(), cover.len(), "{spec:?} {name} ranged");
+                    let bound = if chunks == 1 { 4096 } else { 8192 };
+                    assert!(
+                        hashed <= bound,
+                        "{spec:?} {name}: {hashed} B over {chunks} chunks"
+                    );
+                    assert!(hashed >= CHUNKED_OBJECT as u64);
+                }
+                crossing += usize::from(chunks > 1);
+            }
+            assert_eq!(registry.counter_value("storage.retrieve.decoded"), 0);
+            assert!(crossing > 0, "{spec:?}: some span crosses a boundary");
+        }
+    }
+
+    #[test]
+    fn chunk_damage_is_caught_exactly_where_a_read_looks() {
+        for spec in families() {
+            let probe = chunked_store(spec, 1);
+            // An object on one chunk of one share.
+            let (i, share, range) = (0..CHUNKED_PER_GROUP)
+                .find_map(|i| match chunked_cover(&probe, i).as_slice() {
+                    [(share, range)] if chunks_of(range).len() == 1 => {
+                        Some((i, *share, range.clone()))
+                    }
+                    _ => None,
+                })
+                .expect("an object inside one chunk");
+            let own = chunks_of(&range).start;
+            let other = if own == 0 { 1 } else { 0 };
+            let name = format!("g0o{i}");
+            let want = chunked_bytes(&name);
+
+            // Damage in the covered chunk: the ranged read refuses the
+            // frame and the decode serves the bytes.
+            let mut s = chunked_store(spec, 1);
+            s.set_outcome_capture(true);
+            damage_payload(&mut s, share, range.start);
+            let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, want, "{spec:?}");
+            assert_eq!(report.outcomes[0], (NodeId(share), NodeOutcome::Corrupt));
+            assert_eq!(
+                report.sources.len(),
+                spec.k,
+                "{spec:?} fell back to a decode"
+            );
+            assert!(report.degraded);
+
+            // Damage in another chunk of the same frame: served ranged.
+            let mut s = chunked_store(spec, 1);
+            s.set_outcome_capture(true);
+            damage_payload(&mut s, share, other * FRAME_CHUNK);
+            let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, want, "{spec:?}");
+            assert_eq!(report.sources, [NodeId(share)], "{spec:?} still ranged");
+            assert_eq!(report.outcomes, [(NodeId(share), NodeOutcome::Ok)]);
+
+            // A full decode verifies every chunk: the second read of the
+            // group decodes, asks node 0 first, and refuses its frame.
+            let mut s = chunked_store(spec, 1);
+            s.set_outcome_capture(true);
+            let last = frame_payload_len(group_frame(&mut s, 0).len()).unwrap() - 1;
+            damage_payload(&mut s, 0, last);
+            s.retrieve("g0o0", SelectionPolicy::FirstK).ok();
+            let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, want, "{spec:?}");
+            assert_eq!(report.sources.len(), spec.k);
+            assert!(report.outcomes.contains(&(NodeId(0), NodeOutcome::Corrupt)));
+
+            // Repair refuses the damaged frame too: node 1 is rebuilt from
+            // the others bit for bit, or, with too few of them, not at all.
+            let mut s = chunked_store(spec, 1);
+            let original = group_frame(&mut s, 1).clone();
+            damage_payload(&mut s, 0, last);
+            s.replace_node(NodeId(1)).unwrap();
+            match s.repair_node(NodeId(1)) {
+                Ok(repaired) => {
+                    assert_eq!(repaired, 1);
+                    assert_eq!(*group_frame(&mut s, 1), original, "{spec:?}");
+                }
+                Err(e) => {
+                    assert_eq!(spec.n - spec.k, 1, "{spec:?}: {e}");
+                    assert_eq!(
+                        e,
+                        StorageError::NotEnoughNodes {
+                            available: spec.n - 2,
+                            needed: spec.k
+                        }
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -182,11 +182,10 @@ impl DistributedStore {
         self.io_buf.clear();
         self.io_buf.extend_from_slice(block);
         self.io_buf.resize(padded, 0);
-        self.code
-            .encode_into(&self.io_buf, &mut self.encode_shares)?;
+        let frames = self.frames.encode(self.code.as_ref(), &self.io_buf)?;
         // A failed import's landed frames sit under a group id no table
         // entry will ever name; recovery's reconcile pass sweeps them.
-        self.install_unit(Unit::Group(gid), None)?;
+        self.install_unit(Unit::Group(gid), None, frames)?;
         self.groups.insert(
             gid,
             CodingGroup {
@@ -198,8 +197,10 @@ impl DistributedStore {
             },
         );
         // The padded block is exactly what a decode would produce; seed the
-        // cache so co-located reads right after a migration stay local.
-        self.decode_cache.insert(gid, self.io_buf.clone());
+        // cache so co-located reads right after a migration stay local. The
+        // block moves in, and the entry it evicts becomes `io_buf`.
+        let block = std::mem::take(&mut self.io_buf);
+        self.io_buf = self.decode_cache.insert(gid, block).unwrap_or_default();
         for (name, member_span) in members {
             self.retire_for_grouped(name)?;
             self.objects.insert(

@@ -32,11 +32,29 @@
 //! decides the fate of individual attempts.
 //!
 //! Symbols travel (and rest) inside a self-verifying **share frame**:
-//! `[checksum: u64 LE][generation: u64 LE][payload]`. The checksum turns
-//! a corrupted response into a detected erasure instead of a poisoned
+//!
+//! ```text
+//! [generation: u64 LE][checksum of chunk 0: u64 LE]..[checksum of chunk c-1][payload]
+//! ```
+//!
+//! The payload is cut into [`FRAME_CHUNK`] (4 KiB) chunks, the last one
+//! possibly short, and each chunk has its own checksum, seeded with the
+//! generation, the chunk index and the payload length. The chunk count
+//! follows from the frame length ([`frame_payload_len`]), so a payload of
+//! at most one chunk keeps a 16-byte header. The checksums turn a
+//! corrupted response into a detected erasure instead of a poisoned
 //! decode; the generation stamp keeps a quorum-partial overwrite from ever
 //! mixing old and new shares in one decode (each share checksums fine on
 //! its own — only the generation exposes the mix).
+//!
+//! A decode or a repair verifies every chunk ([`open_frame`]). A ranged
+//! read verifies only the chunks covering the bytes it returns
+//! ([`open_range`]), so a 256-byte read of a 16 KiB share hashes one chunk,
+//! not the share. The store builds frames where it encodes them: the code
+//! writes each share into the payload region of a buffer with the header
+//! space reserved, and [`seal_in_place`] stamps the header.
+
+use std::ops::Range;
 
 use rain_sim::{DetRng, Fault, FaultPlan, Network, NodeId, SimDuration, SimTime};
 
@@ -183,89 +201,188 @@ pub trait Transport {
 // Share framing
 // ---------------------------------------------------------------------------
 
-/// Bytes of the share-frame header: checksum (8) + generation (8).
+/// Payload bytes covered by one chunk checksum. A ranged read verifies the
+/// chunks that cover the bytes it returns, not the whole share.
+pub const FRAME_CHUNK: usize = 4096;
+
+/// Header bytes of a frame whose payload fits in one chunk: generation (8)
+/// plus one checksum (8). It is also the length of the shortest frame, one
+/// with an empty payload.
 pub const FRAME_HEADER: usize = 16;
 
-/// Word-wide mix checksum over a share payload and its generation. Not
-/// cryptographic — it exists to catch in-flight bit damage, and it must be
-/// cheap enough to sit on the store's hot path. Four independent lanes eat
-/// 32 bytes per round so the multiply latencies overlap instead of
-/// serialising (a single-lane chain is latency-bound at one multiply per
-/// word); the lanes fold together through the same injective mix at the
-/// end, so damage to any input word still changes the result.
-pub fn share_checksum(gen: u64, payload: &[u8]) -> u64 {
+/// Number of chunk checksums in the frame of a `payload_len`-byte payload:
+/// one per started [`FRAME_CHUNK`], and one for an empty payload.
+fn frame_chunks(payload_len: usize) -> usize {
+    payload_len.div_ceil(FRAME_CHUNK).max(1)
+}
+
+/// Total length of the frame of a `payload_len`-byte payload.
+pub fn frame_len(payload_len: usize) -> usize {
+    8 + 8 * frame_chunks(payload_len) + payload_len
+}
+
+/// The payload length a frame of `frame_len` bytes carries, or `None` for
+/// a length no payload produces (shorter than [`FRAME_HEADER`], or one of
+/// the few lengths where a payload would need one checksum more than the
+/// header has room for).
+pub fn frame_payload_len(frame_len: usize) -> Option<usize> {
+    let body = frame_len.checked_sub(8)?;
+    let chunks = body.div_ceil(FRAME_CHUNK + 8).max(1);
+    let payload = body.checked_sub(8 * chunks)?;
+    (frame_chunks(payload) == chunks).then_some(payload)
+}
+
+/// Word-wide mix checksum over chunk `index` of a `payload_len`-byte share
+/// payload stamped `gen`. Not cryptographic — it exists to catch bit
+/// damage, and it must be cheap enough to sit on the store's hot path.
+/// Generation, index and payload length seed the hash, so a chunk does not
+/// verify at another index, in another generation or in a frame of another
+/// size. Four independent lanes eat 32 bytes per round so the multiply
+/// latencies overlap instead of serialising (a single-lane chain is
+/// latency-bound at one multiply per word); the lanes fold together
+/// through the same injective mix at the end, so damage to any input word
+/// still changes the result.
+pub fn share_checksum(gen: u64, index: usize, payload_len: usize, chunk: &[u8]) -> u64 {
     const PRIME: u64 = 0x100_0000_01b3;
-    let seed = 0x9e37_79b9_7f4a_7c15u64 ^ gen ^ (payload.len() as u64).rotate_left(32);
+    let mix = |h: u64, w: u64| {
+        let h = (h ^ w).wrapping_mul(PRIME);
+        h ^ (h >> 29)
+    };
+    let seed = mix(
+        mix(mix(0x9e37_79b9_7f4a_7c15, gen), index as u64),
+        payload_len as u64,
+    );
     let mut lanes = [
         seed,
         seed.rotate_left(17) ^ PRIME,
         seed.rotate_left(31) ^ PRIME.rotate_left(24),
         seed.rotate_left(47) ^ PRIME.rotate_left(48),
     ];
-    let mut blocks = payload.chunks_exact(32);
+    let mut blocks = chunk.chunks_exact(32);
     for b in &mut blocks {
         for (i, lane) in lanes.iter_mut().enumerate() {
             let w = u64::from_le_bytes(b[i * 8..i * 8 + 8].try_into().expect("exact block"));
-            *lane = (*lane ^ w).wrapping_mul(PRIME);
-            *lane ^= *lane >> 29;
+            *lane = mix(*lane, w);
         }
     }
-    let mut tail = blocks.remainder().chunks_exact(8);
     let mut h = lanes[0];
     for (i, lane) in lanes.iter().enumerate().skip(1) {
-        h = (h ^ lane.rotate_left(i as u32 * 13)).wrapping_mul(PRIME);
-        h ^= h >> 29;
+        h = mix(h, lane.rotate_left(i as u32 * 13));
     }
+    let mut tail = blocks.remainder().chunks_exact(8);
     for c in &mut tail {
-        let w = u64::from_le_bytes(c.try_into().expect("exact chunk"));
-        h = (h ^ w).wrapping_mul(PRIME);
-        h ^= h >> 29;
+        h = mix(h, u64::from_le_bytes(c.try_into().expect("exact chunk")));
     }
     let rem = tail.remainder();
     if !rem.is_empty() {
         let mut last = [0u8; 8];
         last[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(last)).wrapping_mul(PRIME);
-        h ^= h >> 29;
+        h = mix(h, u64::from_le_bytes(last));
     }
     h
 }
 
+/// Stamp `gen` and the chunk checksums into the header of `frame`, a
+/// buffer of [`frame_len`] bytes whose payload region (everything after
+/// the header) already holds the share. This is how the store seals the
+/// buffers it encodes into: no copy of the payload.
+///
+/// # Panics
+///
+/// If `frame.len()` is not a length [`frame_payload_len`] accepts.
+pub fn seal_in_place(gen: u64, frame: &mut [u8]) {
+    let payload_len = frame_payload_len(frame.len()).expect("a valid frame length");
+    let (header, payload) = frame.split_at_mut(frame.len() - payload_len);
+    header[..8].copy_from_slice(&gen.to_le_bytes());
+    let sums = header[8..].chunks_exact_mut(8);
+    for (index, sum) in sums.enumerate() {
+        let chunk = chunk_of(payload, index);
+        sum.copy_from_slice(&share_checksum(gen, index, payload_len, chunk).to_le_bytes());
+    }
+}
+
 /// Wrap a share payload in its self-verifying frame:
-/// `[checksum][generation][payload]`.
+/// `[generation][one checksum per chunk][payload]`.
 pub fn seal_frame(gen: u64, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-    frame.extend_from_slice(&share_checksum(gen, payload).to_le_bytes());
-    frame.extend_from_slice(&gen.to_le_bytes());
+    let len = frame_len(payload.len());
+    let mut frame = Vec::with_capacity(len);
+    frame.resize(len - payload.len(), 0);
     frame.extend_from_slice(payload);
+    seal_in_place(gen, &mut frame);
     frame
 }
 
-/// Verify a frame and return `(generation, payload)`, or `None` when the
-/// frame is truncated or its checksum does not match — i.e. the share is
-/// one more erasure, never an input to decode.
-pub fn open_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
-    if frame.len() < FRAME_HEADER {
-        return None;
-    }
-    let sum = u64::from_le_bytes(frame[..8].try_into().expect("header"));
-    let gen = u64::from_le_bytes(frame[8..16].try_into().expect("header"));
-    let payload = &frame[FRAME_HEADER..];
-    if share_checksum(gen, payload) != sum {
-        return None;
+/// Payload bytes of chunk `index` (the last chunk may be short; the only
+/// chunk of an empty payload is empty).
+fn chunk_of(payload: &[u8], index: usize) -> &[u8] {
+    let start = (index * FRAME_CHUNK).min(payload.len());
+    &payload[start..(start + FRAME_CHUNK).min(payload.len())]
+}
+
+/// Check chunks `chunks` of `frame` and return `(generation, payload)`, or
+/// `None` when the length is invalid or a checked chunk does not match.
+fn verify_chunks(frame: &[u8], chunks: Range<usize>) -> Option<(u64, &[u8])> {
+    let (gen, payload) = split_frame(frame)?;
+    for index in chunks {
+        let at = 8 + 8 * index;
+        let sum = u64::from_le_bytes(frame[at..at + 8].try_into().expect("in the header"));
+        if share_checksum(gen, index, payload.len(), chunk_of(payload, index)) != sum {
+            return None;
+        }
     }
     Some((gen, payload))
 }
 
-/// Split a frame into `(generation, payload)` **without** verifying the
-/// checksum. Only for frames already verified by [`open_frame`] in the same
-/// operation — it spares the hot path a second pass over the payload.
+/// Verify every chunk of a frame and return `(generation, payload)`, or
+/// `None` when the frame has an impossible length or any checksum does
+/// not match — i.e. the share is one more erasure, never an input to
+/// decode.
+pub fn open_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
+    let chunks = frame_chunks(frame_payload_len(frame.len())?);
+    verify_chunks(frame, 0..chunks)
+}
+
+/// The chunks a ranged read of `len` bytes at `offset` verifies: those
+/// that hold a byte of the range, or, for an empty range, the one chunk
+/// holding `offset` (so the generation is still checked).
+fn covering_chunks(payload_len: usize, offset: usize, len: usize) -> Range<usize> {
+    let last = frame_chunks(payload_len) - 1;
+    let first = (offset / FRAME_CHUNK).min(last);
+    let end = match len {
+        0 => first,
+        _ => ((offset + len - 1) / FRAME_CHUNK).min(last),
+    };
+    first..end + 1
+}
+
+/// Payload bytes [`open_range`] hashes to verify `len` bytes at `offset`
+/// of a `payload_len`-byte payload: the whole covering chunks.
+pub(crate) fn range_verified_len(payload_len: usize, offset: usize, len: usize) -> usize {
+    let chunks = covering_chunks(payload_len, offset, len);
+    (chunks.end * FRAME_CHUNK).min(payload_len) - chunks.start * FRAME_CHUNK
+}
+
+/// Verify only the chunks covering `len` payload bytes at `offset` and
+/// return `(generation, those bytes)`, or `None` when the frame has an
+/// impossible length, the range runs past the payload, or a covering
+/// checksum does not match. Damage outside the covering chunks goes
+/// unnoticed, which is the point: the caller never sees those bytes.
+pub fn open_range(frame: &[u8], offset: usize, len: usize) -> Option<(u64, &[u8])> {
+    let payload_len = frame_payload_len(frame.len())?;
+    let end = offset.checked_add(len).filter(|&end| end <= payload_len)?;
+    let chunks = covering_chunks(payload_len, offset, len);
+    let (gen, payload) = verify_chunks(frame, chunks)?;
+    Some((gen, &payload[offset..end]))
+}
+
+/// Split a frame into `(generation, payload)` **without** verifying any
+/// checksum, or `None` for an impossible length. Only for frames already
+/// verified by [`open_frame`] or [`open_range`] in the same operation — it
+/// spares the hot path a second pass over the payload.
 pub fn split_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
-    if frame.len() < FRAME_HEADER {
-        return None;
-    }
-    let gen = u64::from_le_bytes(frame[8..16].try_into().expect("header"));
-    Some((gen, &frame[FRAME_HEADER..]))
+    let payload_len = frame_payload_len(frame.len())?;
+    let gen = u64::from_le_bytes(frame[..8].try_into().expect("header"));
+    Some((gen, &frame[frame.len() - payload_len..]))
 }
 
 // ---------------------------------------------------------------------------
@@ -746,15 +863,61 @@ mod tests {
         // An empty payload is legal — a frame is never shorter than its
         // header, but it may be exactly the header.
         let frame = seal_frame(0, &[]);
+        assert_eq!(frame.len(), FRAME_HEADER);
         assert_eq!(open_frame(&frame), Some((0, &[][..])));
+        // Up to one chunk the header is 16 bytes; each further chunk adds
+        // a checksum. Cutting any byte off the end of a frame breaks it,
+        // whether the shorter length has a smaller header or none at all.
+        for len in [FRAME_CHUNK, FRAME_CHUNK + 1, 2 * FRAME_CHUNK + 5] {
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let frame = seal_frame(5, &payload);
+            assert_eq!(frame.len(), 8 + 8 * len.div_ceil(FRAME_CHUNK) + len);
+            assert_eq!(open_frame(&frame), Some((5, payload.as_slice())));
+            for cut in [1, 8, 9, FRAME_HEADER, frame.len() - FRAME_HEADER] {
+                assert_eq!(
+                    open_frame(&frame[..frame.len() - cut]),
+                    None,
+                    "{len} - {cut}"
+                );
+            }
+        }
     }
 
     #[test]
     fn generations_are_part_of_the_checksum() {
         let frame = seal_frame(3, b"abc");
         let mut regen = frame.clone();
-        regen[8] = 4; // bump the stored generation without re-checksumming
+        regen[0] = 4; // bump the stored generation without re-checksumming
         assert_eq!(open_frame(&regen), None, "gen tampering must not verify");
+        assert_eq!(open_range(&regen, 1, 1), None);
+    }
+
+    #[test]
+    fn a_ranged_open_hashes_only_the_covering_chunks() {
+        let payload: Vec<u8> = (0..3 * FRAME_CHUNK + 100)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut frame = seal_frame(1, &payload);
+        let header = frame.len() - payload.len();
+        // Damage chunk 0: a range inside chunk 2 still opens, one that
+        // touches chunk 0 does not, and neither does the whole frame.
+        frame[header + 10] ^= 1;
+        let inside = open_range(&frame, 2 * FRAME_CHUNK + 7, 300);
+        assert_eq!(
+            inside,
+            Some((1, &payload[2 * FRAME_CHUNK + 7..2 * FRAME_CHUNK + 307]))
+        );
+        assert_eq!(open_range(&frame, FRAME_CHUNK - 1, 2), None);
+        assert_eq!(open_frame(&frame), None);
+        // What a range hashes: whole covering chunks, the short last one
+        // included.
+        let len = payload.len();
+        assert_eq!(range_verified_len(len, 7, 300), FRAME_CHUNK);
+        assert_eq!(range_verified_len(len, FRAME_CHUNK - 1, 2), 2 * FRAME_CHUNK);
+        assert_eq!(range_verified_len(len, len - 1, 1), 100);
+        assert_eq!(range_verified_len(len, len, 0), 100);
+        assert_eq!(range_verified_len(0, 0, 0), 0);
+        assert_eq!(range_verified_len(60, 20, 20), 60);
     }
 
     #[test]

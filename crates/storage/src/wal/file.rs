@@ -794,10 +794,22 @@ pub struct SegmentedFile {
 impl SegmentedFile {
     /// Open the segmented log stored in `fs`, adopting the manifest's
     /// contiguous segment run and deleting any file outside it.
+    ///
+    /// An empty or missing manifest means a fresh directory only when no
+    /// segment exists: the genesis manifest is written before the first
+    /// segment, so segments without one are a log that lost its manifest.
+    /// That is refused as corruption before any file is touched, since
+    /// guessing the head would delete the live segments.
     pub fn open(fs: Box<dyn SegmentFs>, segment_bytes: usize) -> Result<Self, WalError> {
         let mut fs = fs;
         let manifest = fs.read(MANIFEST)?;
+        let names = fs.list()?;
+        let present: std::collections::BTreeSet<u64> =
+            names.iter().filter_map(|n| parse_segment_name(n)).collect();
         let (head_index, head_trim) = if manifest.is_empty() {
+            if !present.is_empty() {
+                return Err(WalError::Corrupt { offset: 0 });
+            }
             // A fresh directory: persist the genesis manifest before any
             // segment exists, so a reopen never has to guess.
             write_manifest(fs.as_mut(), 0, 0)?;
@@ -807,9 +819,6 @@ impl SegmentedFile {
                 WalError::Backend("segment manifest corrupt (not a torn-tail case)".to_string())
             })?
         };
-        let names = fs.list()?;
-        let present: std::collections::BTreeSet<u64> =
-            names.iter().filter_map(|n| parse_segment_name(n)).collect();
         let mut seg_lens = Vec::new();
         let mut idx = head_index;
         while present.contains(&idx) {
@@ -1669,6 +1678,34 @@ mod tests {
             Err(WalError::Corrupt { .. })
         ));
         assert_eq!(handle.accepted_files(), files);
+    }
+
+    #[test]
+    fn an_empty_manifest_beside_segments_is_corruption_not_a_fresh_log() {
+        // A truncation moves the head past segment 0; the manifest that
+        // records it is then lost. Reading that directory as fresh would
+        // adopt nothing (no segment 0) and delete the whole log.
+        let (fs, handle) = FaultySegFs::new(FaultSpec::default());
+        let mut seg = SegmentedFile::open(Box::new(fs), 64).unwrap();
+        for b in 1..=3u8 {
+            seg.write_all(&[b; 64]).unwrap();
+        }
+        seg.sync().unwrap();
+        seg.drop_prefix(100).unwrap();
+        let mut files = handle.durable_files();
+        assert!(!files.contains_key("wal.000000.seg"), "head moved past 0");
+        for manifest in [Some(Vec::new()), None] {
+            match &manifest {
+                Some(empty) => files.insert(MANIFEST.to_string(), empty.clone()),
+                None => files.remove(MANIFEST),
+            };
+            let (fs, handle) = FaultySegFs::with_files(files.clone(), FaultSpec::default());
+            assert!(matches!(
+                SegmentedFile::open(Box::new(fs), 64),
+                Err(WalError::Corrupt { offset: 0 })
+            ));
+            assert_eq!(handle.accepted_files(), files, "no file written or deleted");
+        }
     }
 
     #[test]
