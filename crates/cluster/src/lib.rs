@@ -38,7 +38,7 @@ pub mod view;
 
 pub use control::ControlPlane;
 pub use metalog::{MetaLog, MetaRecord, MetaState, MetaUnit, PendingHandover};
-pub use ring::{fnv1a, HashRing, ShardId};
+pub use ring::{fnv1a, HashRing, ShardId, MAX_VNODES};
 pub use scenario::{
     builtin_churn_specs, run_churn_scenario, run_churn_scenario_observed, ChurnReport, ChurnSpec,
 };

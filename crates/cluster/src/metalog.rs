@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use rain_storage::{FieldReader, FieldWriter, GroupId, LogRecord, RecordLog};
 
-use crate::ring::ShardId;
+use crate::ring::{vnodes_in_range, ShardId};
 use crate::view::MembershipView;
 
 /// What one transferred placement unit was (mirrors the cluster store's
@@ -162,6 +162,12 @@ const TAG_CHECKPOINT: u8 = 9;
 const UNIT_GROUP: u8 = 0;
 const UNIT_WHOLE: u8 = 1;
 
+/// A ring size as a view or checkpoint record carries it: one no ring can
+/// take (zero, or above [`crate::MAX_VNODES`]) makes the record corrupt.
+fn vnodes(c: &mut FieldReader<'_>) -> Option<usize> {
+    c.usize().filter(|&v| vnodes_in_range(v))
+}
+
 /// The cluster's control-state write-ahead log, on any
 /// [`rain_storage::LogBackend`] — typically a [`rain_storage::FileLog`]
 /// (single-file or segmented) under a real cluster, a
@@ -262,7 +268,7 @@ impl LogRecord for MetaRecord {
         Some(match c.u8()? {
             TAG_VIEW_COMMIT => MetaRecord::ViewCommit {
                 epoch: c.u64()?,
-                vnodes: c.usize()?,
+                vnodes: vnodes(c)?,
                 members: c.list(FieldReader::usize)?,
             },
             TAG_DIR_PUT => MetaRecord::DirPut {
@@ -298,7 +304,7 @@ impl LogRecord for MetaRecord {
             TAG_HANDOVER_ABORT => MetaRecord::HandoverAbort,
             TAG_CHECKPOINT => MetaRecord::Checkpoint {
                 epoch: c.u64()?,
-                vnodes: c.usize()?,
+                vnodes: vnodes(c)?,
                 members: c.list(FieldReader::usize)?,
                 directory: c.list(|c| {
                     let shard = c.usize()?;

@@ -25,6 +25,18 @@
 /// ids: shard `i` is driven by membership/election node `i`.
 pub type ShardId = usize;
 
+/// The most virtual nodes a ring takes per shard. The cluster refuses a
+/// larger count when it is built, and a metalog record that carries one
+/// (or zero) is corrupt, so no byte on disk can make a restart build a
+/// ring it cannot hold.
+pub const MAX_VNODES: usize = 4096;
+
+/// True when a ring can take `vnodes` points per shard: 1 to
+/// [`MAX_VNODES`].
+pub(crate) fn vnodes_in_range(vnodes: usize) -> bool {
+    (1..=MAX_VNODES).contains(&vnodes)
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -65,9 +77,12 @@ impl HashRing {
     /// Build a ring over `shards` with `vnodes` points per shard.
     ///
     /// # Panics
-    /// If `vnodes` is zero.
+    /// If `vnodes` is zero or above [`MAX_VNODES`].
     pub fn new(shards: &[ShardId], vnodes: usize) -> Self {
-        assert!(vnodes > 0, "a ring needs at least one point per shard");
+        assert!(
+            vnodes_in_range(vnodes),
+            "a ring needs 1 to MAX_VNODES points per shard, not {vnodes}"
+        );
         let mut members: Vec<ShardId> = shards.to_vec();
         members.sort_unstable();
         members.dedup();

@@ -57,7 +57,7 @@ use rain_storage::{
 };
 
 use crate::metalog::{MetaLog, MetaRecord, MetaUnit};
-use crate::ring::ShardId;
+use crate::ring::{vnodes_in_range, ShardId};
 use crate::view::MembershipView;
 
 fn wal_err(e: WalError) -> ClusterError {
@@ -83,6 +83,9 @@ pub enum ClusterError {
     HandoverInProgress,
     /// No handover is in progress.
     NoHandover,
+    /// The ring was asked for zero or more than [`crate::MAX_VNODES`]
+    /// points per shard.
+    BadVnodes(usize),
     /// The owning shard failed the operation.
     Storage(StorageError),
 }
@@ -97,6 +100,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::NoOwner => write!(f, "the view has no members"),
             ClusterError::HandoverInProgress => write!(f, "a handover is already in progress"),
             ClusterError::NoHandover => write!(f, "no handover is in progress"),
+            ClusterError::BadVnodes(v) => write!(f, "{v} virtual nodes per shard is out of range"),
             ClusterError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
@@ -284,7 +288,8 @@ pub struct ClusterStore {
 impl ClusterStore {
     /// A cluster over `members` shards, each a [`DistributedStore`] of the
     /// given code with its own write-ahead log, routed by a ring with
-    /// `vnodes` points per shard. The genesis view is epoch 1.
+    /// `vnodes` points per shard (1 to [`crate::MAX_VNODES`], else
+    /// [`ClusterError::BadVnodes`]). The genesis view is epoch 1.
     pub fn new(
         spec: CodeSpec,
         config: GroupConfig,
@@ -315,6 +320,9 @@ impl ClusterStore {
         vnodes: usize,
         wal_dir: Option<std::path::PathBuf>,
     ) -> Result<Self, ClusterError> {
+        if !vnodes_in_range(vnodes) {
+            return Err(ClusterError::BadVnodes(vnodes));
+        }
         let view = MembershipView::genesis(members, vnodes);
         let mut cluster = Self::bare(spec, config, view, wal_dir);
         if cluster.wal_dir.is_some() {
@@ -500,11 +508,6 @@ impl ClusterStore {
     /// The committed view.
     pub fn view(&self) -> &MembershipView {
         &self.view
-    }
-
-    /// True while a handover is in flight.
-    pub fn handover_in_progress(&self) -> bool {
-        self.handover.is_some()
     }
 
     /// Cluster-level running totals.

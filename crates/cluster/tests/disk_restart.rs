@@ -7,10 +7,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rain_cluster::{ClusterError, ClusterStore, MetaLog, MetaRecord, ShardId};
+use rain_cluster::{ClusterError, ClusterStore, MetaLog, MetaRecord, ShardId, MAX_VNODES};
 use rain_codes::CodeSpec;
 use rain_sim::SimDuration;
-use rain_storage::{FsyncPolicy, GroupConfig, LogBackend, MemLog, SelectionPolicy, StorageError};
+use rain_storage::{
+    FileLog, FsyncPolicy, GroupConfig, LogBackend, MemLog, SelectionPolicy, StorageError, WalError,
+};
 
 fn spec() -> CodeSpec {
     CodeSpec::bcode_6_4()
@@ -443,6 +445,44 @@ fn a_torn_final_metalog_record_is_tolerated() {
     assert_eq!(unavailable, 0);
     assert_eq!(exact, acked.len());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A CRC-valid view record whose ring size no ring can take is corrupt:
+/// recovery reports it instead of panicking (zero points) or aborting on
+/// the allocation (a huge count) while it builds the ring. The cluster
+/// refuses the same sizes up front, so it never writes such a record.
+#[test]
+fn a_view_record_with_an_impossible_ring_size_is_reported_corrupt() {
+    let config = config().with_fsync(FsyncPolicy::Always);
+    for vnodes in [0, MAX_VNODES + 1, usize::MAX] {
+        let dir = wal_dir("bad-vnodes");
+        let cluster = ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], 8, &dir).unwrap();
+        let survivors = cluster.crash();
+        let backend = FileLog::open(dir.join("cluster.meta"), FsyncPolicy::Always).unwrap();
+        MetaLog::new(Box::new(backend))
+            .append(&MetaRecord::ViewCommit {
+                epoch: 9,
+                members: vec![0, 1, 2],
+                vnodes,
+            })
+            .unwrap();
+
+        let err = ClusterStore::recover_from_disk(spec(), config, &dir, survivors)
+            .err()
+            .expect("an impossible ring size must not recover");
+        assert!(
+            matches!(
+                err,
+                ClusterError::Storage(StorageError::Wal(WalError::Corrupt { .. }))
+            ),
+            "vnodes {vnodes}: {err}"
+        );
+        assert!(matches!(
+            ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], vnodes, &dir),
+            Err(ClusterError::BadVnodes(v)) if v == vnodes
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

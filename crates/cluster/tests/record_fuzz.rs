@@ -6,11 +6,13 @@
 //! [`LogRecord::from_payload`] and through a framed [`RecordLog::replay`].
 //! Decoding returns a record or `None`, replay returns records, a torn tail
 //! or [`WalError::Corrupt`] — and nothing panics or allocates by an
-//! unchecked length. Seeded with [`DetRng`], so a failure replays exactly.
+//! unchecked length. A metalog view or checkpoint record is also checked
+//! with every edge ring size planted in it. Seeded with [`DetRng`], so a
+//! failure replays exactly.
 
 use std::fmt::Debug;
 
-use rain_cluster::{MetaRecord, MetaUnit};
+use rain_cluster::{MetaRecord, MetaUnit, MAX_VNODES};
 use rain_sim::DetRng;
 use rain_storage::wal::crc32;
 use rain_storage::{
@@ -216,6 +218,36 @@ fn fuzz_log<R: LogRecord + PartialEq + Debug + Clone>(samples: &[R]) {
     assert_eq!(replay.records, samples.to_vec());
 }
 
+/// Plant edge values in the ring size of every view and checkpoint record.
+/// It follows the tag and the epoch. Zero, or more points than
+/// [`MAX_VNODES`], is no ring a restart can build, so the record must not
+/// decode; the sizes at the ends of the range must.
+fn plant_vnodes(samples: &[MetaRecord]) {
+    const AT: usize = 1 + 8;
+    let max = MAX_VNODES as u64;
+    let rings = samples.iter().filter(|r| {
+        matches!(
+            r,
+            MetaRecord::ViewCommit { .. } | MetaRecord::Checkpoint { .. }
+        )
+    });
+    for sample in rings {
+        let payload = encode(sample);
+        for (vnodes, decodes) in [
+            (0, false),
+            (1, true),
+            (max, true),
+            (max + 1, false),
+            (u64::MAX, false),
+        ] {
+            let mut planted = payload.clone();
+            planted[AT..AT + 8].copy_from_slice(&vnodes.to_le_bytes());
+            let decoded = decode_both_ways::<MetaRecord>(&planted);
+            assert_eq!(decoded.is_some(), decodes, "vnodes {vnodes} in {sample:?}");
+        }
+    }
+}
+
 #[test]
 fn shard_wal_records_decode_or_fail_cleanly_under_fuzzing() {
     let mut rng = DetRng::new(0x5a1_f022);
@@ -228,4 +260,5 @@ fn metalog_records_decode_or_fail_cleanly_under_fuzzing() {
     let mut rng = DetRng::new(0x3e7a_f022);
     fuzz_payloads(&meta_samples(), &mut rng);
     fuzz_log(&meta_samples());
+    plant_vnodes(&meta_samples());
 }

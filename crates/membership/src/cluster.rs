@@ -214,13 +214,6 @@ impl MembershipCluster {
             .schedule_fault(SimDuration::from_micros(1), Fault::LinkDown(link));
     }
 
-    /// Repair the direct link between two nodes.
-    pub fn heal_link(&mut self, a: NodeId, b: NodeId) {
-        let link = self.find_link(a, b);
-        self.sim
-            .schedule_fault(SimDuration::from_micros(1), Fault::LinkUp(link));
-    }
-
     fn find_link(&self, a: NodeId, b: NodeId) -> rain_sim::LinkId {
         self.sim
             .network()

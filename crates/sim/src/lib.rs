@@ -40,4 +40,4 @@ pub use net::{IfaceId, Link, LinkId, Network, NetworkBuilder, NodeId, DEFAULT_LI
 pub use rng::DetRng;
 pub use sim::{Event, EventKind, Simulation};
 pub use time::{SimDuration, SimTime};
-pub use trace::{DropReason, Trace, TraceEvent};
+pub use trace::{DropReason, Trace};

@@ -13,7 +13,7 @@ use crate::fault::{Fault, FaultPlan};
 use crate::net::{LinkId, Network, NodeId};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{DropReason, Trace, TraceEvent};
+use crate::trace::{DropReason, Trace};
 
 /// An observable simulation event returned by [`Simulation::step`].
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +96,7 @@ impl<M> Simulation<M> {
             net,
             queue: EventQueue::new(),
             rng: DetRng::new(seed),
-            trace: Trace::counters_only(),
+            trace: Trace::default(),
             now: SimTime::ZERO,
             in_flight_loss: true,
         }
@@ -156,27 +156,13 @@ impl<M> Simulation<M> {
     /// accounting `bytes` of payload for throughput statistics. Returns
     /// `true` if the message was accepted (it may still be lost in flight).
     pub fn send_sized(&mut self, from: NodeId, to: NodeId, bytes: u64, msg: M) -> bool {
-        self.trace.record(TraceEvent::Sent {
-            time: self.now,
-            from,
-            to,
-        });
+        self.trace.sent += 1;
         if !self.net.node_up(from) {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.now,
-                from,
-                to,
-                reason: DropReason::SourceDown,
-            });
+            self.trace.record_drop(DropReason::SourceDown);
             return false;
         }
         let Some(path) = self.net.route_between_nodes(from, to) else {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.now,
-                from,
-                to,
-                reason: DropReason::NoRoute,
-            });
+            self.trace.record_drop(DropReason::NoRoute);
             return false;
         };
         // Random loss is decided up front (per-hop probabilities combined);
@@ -184,12 +170,7 @@ impl<M> Simulation<M> {
         // just never arrives.
         let loss = self.net.path_loss(&path);
         if self.rng.chance(loss) {
-            self.trace.record(TraceEvent::Dropped {
-                time: self.now,
-                from,
-                to,
-                reason: DropReason::RandomLoss,
-            });
+            self.trace.record_drop(DropReason::RandomLoss);
             return false;
         }
         // Gray failures: a degraded endpoint stretches the whole transfer.
@@ -265,7 +246,7 @@ impl<M> Simulation<M> {
             match pending {
                 Pending::Fault(fault) => {
                     fault.apply(&mut self.net);
-                    self.trace.record(TraceEvent::FaultApplied { time, fault });
+                    self.trace.faults_applied += 1;
                     StepOne::Event(Event {
                         time,
                         kind: EventKind::Fault(fault),
@@ -288,30 +269,14 @@ impl<M> Simulation<M> {
                     msg,
                 } => {
                     if !self.net.node_up(to) {
-                        self.trace.record(TraceEvent::Dropped {
-                            time,
-                            from,
-                            to,
-                            reason: DropReason::DestinationDown,
-                        });
+                        self.trace.record_drop(DropReason::DestinationDown);
                         return StepOne::Consumed;
                     }
                     if self.in_flight_loss && !path.iter().all(|&l| self.net.link_up(l)) {
-                        self.trace.record(TraceEvent::Dropped {
-                            time,
-                            from,
-                            to,
-                            reason: DropReason::NoRoute,
-                        });
+                        self.trace.record_drop(DropReason::NoRoute);
                         return StepOne::Consumed;
                     }
-                    self.trace.record(TraceEvent::Delivered {
-                        time,
-                        from,
-                        to,
-                        hops: path.len(),
-                    });
-                    self.trace.add_delivered_bytes(bytes);
+                    self.trace.record_delivery(bytes);
                     StepOne::Event(Event {
                         time,
                         kind: EventKind::Message { from, to, msg },
@@ -319,17 +284,6 @@ impl<M> Simulation<M> {
                 }
             }
         }
-    }
-
-    /// Advance the clock without processing anything (useful to model idle
-    /// periods before injecting load).
-    pub fn advance_to(&mut self, time: SimTime) {
-        assert!(time >= self.now, "cannot move the clock backwards");
-        assert!(
-            self.queue.peek_time().map(|t| t >= time).unwrap_or(true),
-            "cannot skip over pending events"
-        );
-        self.now = time;
     }
 }
 

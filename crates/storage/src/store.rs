@@ -46,7 +46,7 @@ use serde::{Deserialize, Serialize};
 
 use rain_codes::{build_code, CodeError, CodeSpec, ErasureCode, ShareView};
 use rain_obs::{span, Recorder, Registry, VirtualClock};
-use rain_sim::{DetRng, NodeId, SimDuration, SimTime};
+use rain_sim::{DetRng, NodeId, SimDuration};
 
 use crate::group::{
     CodingGroup, CompactReport, Durability, FlushReport, GroupConfig, GroupDecodeCache, GroupId,
@@ -1313,12 +1313,6 @@ impl DistributedStore {
         self.transport = transport;
     }
 
-    /// Builder form of [`DistributedStore::set_transport`].
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.transport = transport;
-        self
-    }
-
     /// Set the failure policy (deadlines, retries, hedging, write slack).
     pub fn set_policy(&mut self, policy: FaultPolicy) {
         self.policy = policy;
@@ -1332,11 +1326,6 @@ impl DistributedStore {
     /// Counters accumulated by the transport so far.
     pub fn transport_stats(&self) -> TransportStats {
         self.transport.stats()
-    }
-
-    /// The transport's current virtual time.
-    pub fn transport_now(&self) -> SimTime {
-        self.transport.now()
     }
 
     /// Attach a telemetry registry: every store/retrieve/seal/compact/repair
@@ -4820,7 +4809,7 @@ mod tests {
     mod transport_faults {
         use super::*;
         use crate::transport::ChaosTransport;
-        use rain_sim::{Fault, FaultPlan};
+        use rain_sim::{Fault, FaultPlan, SimTime};
 
         /// The two inputs of every quorum test: an ungrouped store, where
         /// [`write_obj`] installs `obj` as a whole object, and a grouped one,

@@ -748,11 +748,6 @@ impl SimNetTransport {
         &mut self.net
     }
 
-    /// The fabric node a store node index maps to.
-    pub fn fabric_node(&self, node: usize) -> NodeId {
-        self.map[node]
-    }
-
     fn run_schedule(&mut self) {
         while let Some(&(t, fault)) = self.schedule.last() {
             if t > self.now {

@@ -850,12 +850,6 @@ impl SegmentedFile {
         })
     }
 
-    /// The live segment count (tests and the bench read this to show a
-    /// truncation deleted files instead of rewriting them).
-    pub fn segment_count(&self) -> usize {
-        self.seg_lens.len().max(1)
-    }
-
     fn active_index(&self) -> u64 {
         self.head_index + self.seg_lens.len().saturating_sub(1) as u64
     }
