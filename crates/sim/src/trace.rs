@@ -64,6 +64,21 @@ impl Trace {
             + self.dropped_dest_down
             + self.dropped_source_down
     }
+
+    /// Publish the counters into `registry` as `sim.trace.*` gauges.
+    /// Gauges are set, not added, so republishing after more traffic
+    /// overwrites the previous values.
+    pub fn publish_to(&self, registry: &rain_obs::Registry) {
+        let set = |name: &str, v: u64| registry.gauge(name).set(v as i64);
+        set("sim.trace.sent", self.sent);
+        set("sim.trace.delivered", self.delivered);
+        set("sim.trace.dropped.no_route", self.dropped_no_route);
+        set("sim.trace.dropped.loss", self.dropped_loss);
+        set("sim.trace.dropped.dest_down", self.dropped_dest_down);
+        set("sim.trace.dropped.source_down", self.dropped_source_down);
+        set("sim.trace.faults_applied", self.faults_applied);
+        set("sim.trace.bytes_delivered", self.bytes_delivered);
+    }
 }
 
 #[cfg(test)]
@@ -102,5 +117,22 @@ mod tests {
         assert_eq!(tr.dropped_dest_down, 1);
         assert_eq!(tr.dropped_source_down, 3);
         assert_eq!(tr.dropped_total(), reasons.len() as u64);
+    }
+
+    #[test]
+    fn publish_to_exposes_counters_as_gauges() {
+        let mut tr = Trace::default();
+        tr.sent += 1;
+        tr.record_drop(DropReason::RandomLoss);
+        tr.record_delivery(640);
+        let reg = rain_obs::Registry::new();
+        tr.publish_to(&reg);
+        assert_eq!(reg.gauge_value("sim.trace.sent"), 1);
+        assert_eq!(reg.gauge_value("sim.trace.dropped.loss"), 1);
+        assert_eq!(reg.gauge_value("sim.trace.bytes_delivered"), 640);
+        // Republishing after more traffic overwrites rather than accumulates.
+        tr.sent += 1;
+        tr.publish_to(&reg);
+        assert_eq!(reg.gauge_value("sim.trace.sent"), 2);
     }
 }
