@@ -69,9 +69,6 @@ impl VideoSystem {
         let registry = Registry::new();
         let mut store = DistributedStore::with_groups(code, config);
         store.attach_registry(&registry);
-        // Health comes from the registry counters; the per-report outcome
-        // vectors would be dead weight on every block retrieve.
-        store.set_outcome_capture(false);
         VideoSystem {
             store,
             block_size,
@@ -121,7 +118,6 @@ impl VideoSystem {
         // after a coordinator crash, exactly like the old in-memory tally.
         let registry = Registry::new();
         store.attach_registry(&registry);
-        store.set_outcome_capture(false);
         let mut blocks_per_video: std::collections::BTreeMap<String, usize> =
             std::collections::BTreeMap::new();
         for name in store.object_names() {

@@ -173,9 +173,6 @@ impl RainCheck {
         let registry = Registry::new();
         let mut store = DistributedStore::with_groups(code, GroupConfig::small_objects().logged());
         store.attach_registry(&registry);
-        // Restore health is read from the registry counters; skip the
-        // per-report outcome vectors entirely.
-        store.set_outcome_capture(false);
         RainCheck {
             store,
             nodes_up: vec![true; n],
@@ -360,7 +357,6 @@ impl RainCheck {
         // after a coordinator crash, like the old in-memory tally did.
         let registry = Registry::new();
         store.attach_registry(&registry);
-        store.set_outcome_capture(false);
         let mut rc = RainCheck {
             store,
             nodes_up: Vec::new(),

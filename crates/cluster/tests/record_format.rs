@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use rain_cluster::{MetaLog, MetaRecord, MetaUnit};
 use rain_storage::{
-    CheckpointPlacement, CheckpointState, GroupSnapshot, LogBackend, ObjSpan, WalError, WalRecord,
+    CheckpointState, CodingGroup, LogBackend, ObjSpan, Placement, WalError, WalRecord,
     WriteAheadLog,
 };
 
@@ -76,30 +76,34 @@ fn every_shard_wal_record_frames_to_its_golden_bytes() {
             objects: vec![
                 (
                     "a".into(),
-                    CheckpointPlacement::Grouped {
+                    Placement::Grouped {
                         group: 1,
                         span: ObjSpan { offset: 4, len: 3 },
                     },
                 ),
-                ("big".into(), CheckpointPlacement::Whole),
+                ("big".into(), Placement::Whole),
             ],
             groups: vec![
-                GroupSnapshot {
-                    group: 1,
-                    sealed: true,
-                    packed_len: 7,
-                    live_bytes: 3,
-                    live_objects: 1,
-                    data: Vec::new(),
-                },
-                GroupSnapshot {
-                    group: 2,
-                    sealed: false,
-                    packed_len: 2,
-                    live_bytes: 2,
-                    live_objects: 1,
-                    data: vec![9, 8],
-                },
+                (
+                    1,
+                    CodingGroup {
+                        sealed: true,
+                        packed_len: 7,
+                        live_bytes: 3,
+                        live_objects: 1,
+                        data: Vec::new(),
+                    },
+                ),
+                (
+                    2,
+                    CodingGroup {
+                        sealed: false,
+                        packed_len: 2,
+                        live_bytes: 2,
+                        live_objects: 1,
+                        data: vec![9, 8],
+                    },
+                ),
             ],
         },
         state_crc_ok: true,

@@ -7,8 +7,9 @@
 //! Decoding returns a record or `None`, replay returns records, a torn tail
 //! or [`WalError::Corrupt`] — and nothing panics or allocates by an
 //! unchecked length. A metalog view or checkpoint record is also checked
-//! with every edge ring size planted in it. Seeded with [`DetRng`], so a
-//! failure replays exactly.
+//! with every edge ring size planted in it, and the shard-WAL samples with
+//! edge group ids and spans. Seeded with [`DetRng`], so a failure replays
+//! exactly.
 
 use std::fmt::Debug;
 
@@ -16,8 +17,8 @@ use rain_cluster::{MetaRecord, MetaUnit, MAX_VNODES};
 use rain_sim::DetRng;
 use rain_storage::wal::crc32;
 use rain_storage::{
-    write_frame, CheckpointPlacement, CheckpointState, GroupSnapshot, LogBackend, LogRecord,
-    MemLog, ObjSpan, RecordLog, WalError, WalRecord,
+    write_frame, CheckpointState, CodingGroup, LogBackend, LogRecord, MemLog, ObjSpan, Placement,
+    RecordLog, WalError, WalRecord,
 };
 
 fn wal_samples() -> Vec<WalRecord> {
@@ -49,21 +50,23 @@ fn wal_samples() -> Vec<WalRecord> {
                 objects: vec![
                     (
                         "a".into(),
-                        CheckpointPlacement::Grouped {
+                        Placement::Grouped {
                             group: 1,
                             span: ObjSpan { offset: 4, len: 3 },
                         },
                     ),
-                    ("big".into(), CheckpointPlacement::Whole),
+                    ("big".into(), Placement::Whole),
                 ],
-                groups: vec![GroupSnapshot {
-                    group: 2,
-                    sealed: false,
-                    packed_len: 2,
-                    live_bytes: 2,
-                    live_objects: 1,
-                    data: vec![9, 8],
-                }],
+                groups: vec![(
+                    2,
+                    CodingGroup {
+                        sealed: false,
+                        packed_len: 2,
+                        live_bytes: 2,
+                        live_objects: 1,
+                        data: vec![9, 8],
+                    },
+                )],
             },
             state_crc_ok: true,
         },
@@ -246,6 +249,73 @@ fn plant_vnodes(samples: &[MetaRecord]) {
             assert_eq!(decoded.is_some(), decodes, "vnodes {vnodes} in {sample:?}");
         }
     }
+}
+
+/// Plant edge values in the group ids and spans of the shard-WAL samples.
+/// Group `u64::MAX` is the checkpoint's "no open group" sentinel, and no
+/// store could allocate a group after it; a span whose end overflows, or
+/// an import member past its block, is no object a store can serve. None
+/// of these may decode; the values just inside them must.
+fn plant_wal_fields(samples: &[WalRecord]) {
+    let check = |planted: &WalRecord, decodes: bool, what: &str| {
+        let decoded = decode_both_ways::<WalRecord>(&encode(planted));
+        assert_eq!(decoded.is_some(), decodes, "{what} in {planted:?}");
+    };
+    for sample in samples {
+        for (edge, decodes) in [(u64::MAX, false), (u64::MAX - 1, true)] {
+            let mut planted = sample.clone();
+            match &mut planted {
+                WalRecord::StoreGrouped { group, .. }
+                | WalRecord::Seal { group }
+                | WalRecord::Compact { group }
+                | WalRecord::GroupImport { group, .. }
+                | WalRecord::GroupEvict { group } => *group = edge,
+                WalRecord::Checkpoint { state, .. } => state.next_group_id = edge,
+                WalRecord::StoreWhole { .. } | WalRecord::Delete { .. } => continue,
+            }
+            check(&planted, decodes, &format!("group {edge}"));
+        }
+        match sample {
+            WalRecord::GroupImport { members, bytes, .. } => {
+                let fits = bytes.len() - members[1].1.offset;
+                for (len, decodes) in [(fits, true), (fits + 1, false)] {
+                    let mut planted = sample.clone();
+                    if let WalRecord::GroupImport { members, .. } = &mut planted {
+                        members[1].1.len = len;
+                    }
+                    check(&planted, decodes, &format!("member length {len}"));
+                }
+                let mut planted = sample.clone();
+                if let WalRecord::GroupImport { members, .. } = &mut planted {
+                    members[0].1.offset = usize::MAX;
+                }
+                check(&planted, false, "member offset usize::MAX");
+            }
+            WalRecord::Checkpoint { .. } => {
+                for (offset, decodes) in [(usize::MAX - 3, true), (usize::MAX - 2, false)] {
+                    let mut planted = sample.clone();
+                    if let WalRecord::Checkpoint { state, .. } = &mut planted {
+                        state.objects[0].1 = Placement::Grouped {
+                            group: 1,
+                            span: ObjSpan { offset, len: 3 },
+                        };
+                    }
+                    check(&planted, decodes, &format!("object offset {offset}"));
+                }
+                let mut planted = sample.clone();
+                if let WalRecord::Checkpoint { state, .. } = &mut planted {
+                    state.groups[0].0 = u64::MAX;
+                }
+                check(&planted, false, "group table id u64::MAX");
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn shard_wal_records_refuse_impossible_group_ids_and_spans() {
+    plant_wal_fields(&wal_samples());
 }
 
 #[test]

@@ -88,12 +88,12 @@ pub struct GroupConfig {
     /// ([`crate::DistributedStore::checkpoint`]), keeping replay O(live
     /// state). `0` disables auto-checkpoints (explicit calls still work).
     pub checkpoint_every: u64,
-    /// Segment size for file-backed logs opened through
-    /// [`crate::DistributedStore::with_wal_segments`] (and the cluster's
-    /// per-shard WAL directories): the log rotates sealed `wal.NNNNNN.seg`
-    /// files of roughly this many bytes, so checkpoint truncation deletes
-    /// whole segments in O(1) instead of rewriting the live log. `0` keeps
-    /// the single-file layout with rewrite-based truncation.
+    /// Segment size for the cluster's per-shard WAL directories (a
+    /// [`crate::FileLog::open_segmented`] log): the log rotates sealed
+    /// `wal.NNNNNN.seg` files of roughly this many bytes, so checkpoint
+    /// truncation deletes whole segments in O(1) instead of rewriting the
+    /// live log. `0` keeps the single-file layout with rewrite-based
+    /// truncation.
     pub segment_bytes: usize,
 }
 
@@ -171,14 +171,15 @@ pub struct ObjSpan {
 }
 
 /// One coding group: a contiguous data block shared by many small objects,
-/// encoded as a single erasure-coded unit.
+/// encoded as a single erasure-coded unit. The store's group table holds
+/// these, and a [`crate::CheckpointState`] records them as they are.
 ///
 /// The group holds only the block and live *counters*. Object spans live in
 /// the store's object table (one lookup resolves an object all the way to
 /// its bytes), so the grouped hot path touches no per-member map; the rare
 /// compaction pass recovers a group's member list by scanning that table.
-#[derive(Debug, Clone)]
-pub(crate) struct CodingGroup {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodingGroup {
     /// The packed data block. Holds the bytes only while the group is
     /// open; sealing encodes the block and drops this buffer (the bytes
     /// then live in the per-node symbols, like any stored object).
@@ -197,14 +198,14 @@ pub(crate) struct CodingGroup {
 impl CodingGroup {
     /// A fresh, open, empty group.
     #[cfg(test)]
-    pub fn open() -> Self {
+    pub(crate) fn open() -> Self {
         Self::open_with_buffer(Vec::new())
     }
 
     /// A fresh open group reusing `buffer` (cleared) as its block — the
     /// store recycles the previous group's buffer so steady-state grouped
     /// appends allocate nothing.
-    pub fn open_with_buffer(mut buffer: Vec<u8>) -> Self {
+    pub(crate) fn open_with_buffer(mut buffer: Vec<u8>) -> Self {
         buffer.clear();
         CodingGroup {
             data: buffer,
@@ -217,7 +218,7 @@ impl CodingGroup {
 
     /// Restart an emptied **open** group: discard the dead bytes but keep
     /// the buffer.
-    pub fn reset_open(&mut self) {
+    pub(crate) fn reset_open(&mut self) {
         assert!(!self.sealed, "sealed groups are dropped, not reset");
         debug_assert_eq!(self.live_objects, 0);
         self.data.clear();
@@ -230,7 +231,7 @@ impl CodingGroup {
     ///
     /// Panics if the group is already sealed — the store only ever appends
     /// to the open group.
-    pub fn append(&mut self, bytes: &[u8]) -> ObjSpan {
+    pub(crate) fn append(&mut self, bytes: &[u8]) -> ObjSpan {
         assert!(!self.sealed, "cannot append to a sealed group");
         let span = ObjSpan {
             offset: self.data.len(),
@@ -247,7 +248,7 @@ impl CodingGroup {
     /// sealed group, in the encoded symbols) but no longer counts as live.
     /// The caller owns span bookkeeping (the object table is the single
     /// source of truth), so this only adjusts the live counters.
-    pub fn tombstone(&mut self, span: ObjSpan) {
+    pub(crate) fn tombstone(&mut self, span: ObjSpan) {
         debug_assert!(self.live_objects > 0 && self.live_bytes >= span.len);
         self.live_bytes -= span.len;
         self.live_objects -= 1;
@@ -256,7 +257,7 @@ impl CodingGroup {
     /// Fraction of the packed block still referenced by live objects.
     /// An empty (or all-empty-object) block counts as fully live — there
     /// is nothing to reclaim.
-    pub fn live_fraction(&self) -> f64 {
+    pub(crate) fn live_fraction(&self) -> f64 {
         if self.packed_len == 0 {
             1.0
         } else {
@@ -265,7 +266,7 @@ impl CodingGroup {
     }
 
     /// True if a compaction pass should rewrite this group.
-    pub fn wants_compaction(&self, watermark: f64) -> bool {
+    pub(crate) fn wants_compaction(&self, watermark: f64) -> bool {
         self.sealed && self.live_objects > 0 && self.live_fraction() < watermark
     }
 }

@@ -28,7 +28,7 @@ pub mod transport;
 pub mod wal;
 
 pub use group::{
-    CompactReport, Durability, FlushReport, GroupConfig, GroupId, GroupStats, ObjSpan,
+    CodingGroup, CompactReport, Durability, FlushReport, GroupConfig, GroupId, GroupStats, ObjSpan,
 };
 pub use scenario::{
     builtin_scenarios, run_scenario, run_scenario_observed, Action, Scenario, ScenarioReport,
@@ -36,7 +36,7 @@ pub use scenario::{
 };
 pub use store::shard::{self, GroupExport};
 pub use store::{
-    CheckpointReport, DistributedStore, OutcomeTally, RecoveryReport, RetrieveReport,
+    CheckpointReport, DistributedStore, OutcomeTally, Placement, RecoveryReport, RetrieveReport,
     SelectionPolicy, StorageError, SurvivingNodes,
 };
 pub use transport::{
@@ -48,7 +48,6 @@ pub use wal::file::{
     RawLogFile, SegmentFs, SegmentedFile, StdFsFile, StdSegFs, SyncFault,
 };
 pub use wal::{
-    scan_frames, write_frame, CheckpointPlacement, CheckpointState, CrashFuse, FieldReader,
-    FieldWriter, FrameScan, GroupSnapshot, LogBackend, LogRecord, MemLog, RecordLog, WalError,
-    WalRecord, WriteAheadLog,
+    scan_frames, write_frame, CheckpointState, CrashFuse, FieldReader, FieldWriter, FrameScan,
+    LogBackend, LogRecord, MemLog, RecordLog, WalError, WalRecord, WriteAheadLog,
 };

@@ -10,10 +10,9 @@
 use rain_obs::{Counter, Histogram, Registry};
 
 /// Counter names backing [`crate::OutcomeTally`]'s registry view — one per
-/// [`crate::NodeOutcome`] variant, incremented once per node contact of
-/// every *successful* retrieve (matching what
-/// [`crate::OutcomeTally::absorb`] sees from apps that tally only served
-/// reads).
+/// [`crate::NodeOutcome`] variant, incremented once per entry of every
+/// *served* retrieve's [`crate::RetrieveReport::outcomes`] (and once per
+/// node contact of a group export's decode).
 pub(crate) const OUTCOME_OK: &str = "storage.retrieve.outcome.ok";
 pub(crate) const OUTCOME_TIMEOUT: &str = "storage.retrieve.outcome.timeout";
 pub(crate) const OUTCOME_CORRUPT: &str = "storage.retrieve.outcome.corrupt";

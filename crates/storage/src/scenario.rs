@@ -272,9 +272,6 @@ pub fn run_scenario_observed(
     let code = build_code(sc.code)?;
     let mut store = DistributedStore::with_groups(code, GroupConfig::small_objects());
     store.attach_registry(registry);
-    // The per-report outcome vectors are never read here; keep the hot path
-    // allocation-free and rely on the registry counters.
-    store.set_outcome_capture(false);
     store.set_policy(sc.policy);
     let n = sc.code.n;
     let transport: Box<dyn Transport> = match &sc.transport {

@@ -58,10 +58,7 @@ use crate::transport::{
     split_frame, DirectTransport, FaultPolicy, NodeOutcome, Transport, TransportError, TransportOp,
     TransportStats,
 };
-use crate::wal::{
-    CheckpointPlacement, CheckpointState, GroupSnapshot, RecordView, WalError, WalRecord,
-    WriteAheadLog,
-};
+use crate::wal::{CheckpointState, RecordView, WalError, WalRecord, WriteAheadLog};
 
 pub mod shard;
 
@@ -243,18 +240,24 @@ impl UnitKey {
     }
 }
 
-/// Where a stored object's bytes live. Carrying the span here keeps the
-/// grouped hot path to a single map lookup per object.
+/// Where a stored object's bytes live: the store's object-table entry, and
+/// what a [`CheckpointState`] records per object. Carrying the span here
+/// keeps the grouped hot path to a single map lookup per object.
 ///
 /// A whole placement carries no length: the frame written to the nodes is
 /// self-describing (its first 8 bytes are the original length), which is
 /// what lets log recovery rebuild whole entries without decoding anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
-    /// One erasure-coded object per key.
+pub enum Placement {
+    /// One erasure-coded object per key; the bytes are on the nodes.
     Whole,
     /// A sub-range of a coding group's packed block.
-    Grouped { group: GroupId, span: ObjSpan },
+    Grouped {
+        /// The owning group.
+        group: GroupId,
+        /// The object's span within the group block.
+        span: ObjSpan,
+    },
 }
 
 /// Statistics describing one retrieve operation.
@@ -276,17 +279,13 @@ pub struct RetrieveReport {
     /// Unrelated node failures do not mark a read of a fully available
     /// object as degraded.
     pub degraded: bool,
-    /// Per-node fate of every node this retrieve contacted: which answered
-    /// with a verified share, which timed out, returned damage, was down,
-    /// or held a stale generation.
-    ///
-    /// Populated **only** when outcome capture is on — enabled by
-    /// [`DistributedStore::attach_registry`] or explicitly with
-    /// [`DistributedStore::set_outcome_capture`]. Otherwise (and when no
-    /// node was contacted: open groups, decode-cache hits) the vector stays
-    /// empty and the hot path allocates nothing for it; the aggregate
-    /// breakdown is still available through the registry counters
-    /// (`storage.retrieve.outcome.*`, see [`OutcomeTally::from_registry`]).
+    /// Per-node fate of every node this retrieve contacted, in dispatch
+    /// order: which answered with a verified share, which timed out,
+    /// returned damage, was down, or held a stale generation. Always
+    /// filled; empty only when no node was contacted (open groups,
+    /// decode-cache hits). The registry's `storage.retrieve.outcome.*`
+    /// counters are summed from these vectors (see
+    /// [`OutcomeTally::from_registry`]).
     pub outcomes: Vec<(NodeId, NodeOutcome)>,
     /// Virtual time from dispatch until the last needed share arrived —
     /// the `k`-th verified share of a decode, or the last covering share of
@@ -330,10 +329,9 @@ pub struct OutcomeTally {
 impl OutcomeTally {
     /// The tally as a view over a store's attached registry: reads back the
     /// `storage.retrieve.*` counters the store increments on every served
-    /// retrieve. This is the allocation-free replacement for absorbing
-    /// per-report outcome vectors by hand — attach one registry per
-    /// component ([`DistributedStore::attach_registry`]) and derive its
-    /// health tally on demand.
+    /// retrieve, from that retrieve's [`RetrieveReport::outcomes`]. Attach
+    /// one registry per component ([`DistributedStore::attach_registry`])
+    /// and derive its health tally on demand.
     pub fn from_registry(registry: &Registry) -> Self {
         OutcomeTally {
             ok: registry.counter_value(metrics::OUTCOME_OK),
@@ -345,29 +343,6 @@ impl OutcomeTally {
             hedged_reads: registry.counter_value(metrics::RETRIEVE_HEDGED),
             retries: registry.counter_value(metrics::RETRIEVE_RETRIES),
         }
-    }
-
-    /// Fold one retrieve's report into the running totals. Requires the
-    /// report to carry per-node outcomes
-    /// ([`DistributedStore::set_outcome_capture`]); prefer
-    /// [`OutcomeTally::from_registry`], which needs no capture.
-    pub fn absorb(&mut self, report: &RetrieveReport) {
-        for (_, outcome) in &report.outcomes {
-            match outcome {
-                NodeOutcome::Ok => self.ok += 1,
-                NodeOutcome::Timeout => self.timeout += 1,
-                NodeOutcome::Corrupt => self.corrupt += 1,
-                NodeOutcome::Down => self.down += 1,
-                NodeOutcome::Stale => self.stale += 1,
-            }
-        }
-        if report.degraded {
-            self.degraded_reads += 1;
-        }
-        if report.hedged {
-            self.hedged_reads += 1;
-        }
-        self.retries += u64::from(report.retries);
     }
 }
 
@@ -529,9 +504,6 @@ pub struct DistributedStore {
     /// lockstep with the transport's virtual time so span durations are
     /// deterministic simulated time, not wall time.
     obs_clock: Option<Arc<VirtualClock>>,
-    /// Whether retrieves materialise [`RetrieveReport::outcomes`]. Off by
-    /// default so the undisturbed hot path allocates nothing per retrieve.
-    capture_outcomes: bool,
 }
 
 /// One symbol install that was acked past quorum but has not landed on its
@@ -608,20 +580,86 @@ impl FramePool {
     }
 }
 
-/// Result of driving one node's fetch to completion (attempts, backoff,
-/// verification) in virtual time.
-struct FetchResult {
+/// One node's stream of attempts at one operation: the node, the op, the
+/// bytes each attempt moves, and the virtual offset within the operation at
+/// which the stream starts.
+struct Stream {
+    node: usize,
+    op: TransportOp,
+    bytes: u64,
+    start: SimDuration,
+}
+
+/// How one node's stream of attempts ended.
+struct Drive {
     outcome: NodeOutcome,
-    /// Arrival time of the verified share, measured from the operation's
-    /// start; `None` unless `outcome` is [`NodeOutcome::Ok`].
-    arrival: Option<SimDuration>,
-    /// When this node's stream gave up or succeeded — the moment a backup
-    /// node can be dispatched in its place.
+    /// When the stream delivered (a verified share arrived, an install was
+    /// confirmed) or gave up — the moment a backup node can be dispatched
+    /// in its place. Measured from the operation's start.
     finished: SimDuration,
     attempts: u32,
-    /// Payload bytes hashed to verify the delivered share (zero unless
-    /// `outcome` is [`NodeOutcome::Ok`]).
-    verified: usize,
+}
+
+/// Drive `stream` to completion under `policy`: the one retry loop every
+/// fetch and install goes through. It owns the backoff between attempts
+/// (jittered from `rng`), each attempt's patience (never past the
+/// deadline) and the deadline itself. A refused or unroutable attempt ends
+/// the stream as [`NodeOutcome::Down`]: nothing changes until virtual time
+/// advances, so it is not retried. A lost or late attempt is retried, and
+/// running out of attempts or time is [`NodeOutcome::Timeout`]. A response
+/// that arrives in time goes to `respond`, with its in-flight damage flag
+/// and the attempts made so far: `Some(outcome)` ends the stream at the
+/// arrival, `None` retries from there.
+fn drive(
+    transport: &mut dyn Transport,
+    policy: &FaultPolicy,
+    rng: &mut DetRng,
+    stream: Stream,
+    mut respond: impl FnMut(&mut DetRng, bool, u32) -> Option<NodeOutcome>,
+) -> Drive {
+    let mut t = stream.start;
+    let mut attempts = 0u32;
+    while attempts < policy.max_attempts && t < policy.deadline {
+        if attempts > 0 {
+            t = t + policy.backoff_before_retry(attempts, rng);
+            if t >= policy.deadline {
+                break;
+            }
+        }
+        let patience = policy.attempt_timeout.min(SimDuration::from_micros(
+            policy.deadline.as_micros() - t.as_micros(),
+        ));
+        let fate = transport.attempt(stream.node, stream.op, stream.bytes, patience);
+        attempts += 1;
+        match fate.outcome {
+            Err(TransportError::NodeDown) | Err(TransportError::Unreachable) => {
+                return Drive {
+                    outcome: NodeOutcome::Down,
+                    finished: t + fate.latency,
+                    attempts,
+                };
+            }
+            Err(TransportError::Lost) => t = t + fate.latency,
+            // The response exists but lands after this attempt's patience:
+            // the caller has already given up on it.
+            Ok(()) if fate.latency > patience => t = t + patience,
+            Ok(()) => {
+                t = t + fate.latency;
+                if let Some(outcome) = respond(rng, fate.corrupt, attempts) {
+                    return Drive {
+                        outcome,
+                        finished: t,
+                        attempts,
+                    };
+                }
+            }
+        }
+    }
+    Drive {
+        outcome: NodeOutcome::Timeout,
+        finished: t,
+        attempts,
+    }
 }
 
 /// How much of a fetched frame to verify.
@@ -659,118 +697,11 @@ impl Verify {
     }
 }
 
-/// Fetch one share frame from `node`, retrying per the spec's policy,
-/// starting at virtual offset `start` within the operation. The share is
-/// *verified* here, as far as `verify` asks: an in-flight-corrupted
-/// response is bit-damaged and run through the real checksum (retryable —
-/// the stored copy is intact), an at-rest damaged frame or stale
-/// generation ends the stream (a retry cannot change what the node holds).
-fn fetch_share(
-    transport: &mut dyn Transport,
-    spec: &CollectSpec,
-    rng: &mut DetRng,
-    node: usize,
-    frame: &[u8],
-    verify: Verify,
-    start: SimDuration,
-) -> FetchResult {
-    let policy = spec.policy;
-    let mut t = start;
-    let mut attempts = 0u32;
-    while attempts < policy.max_attempts && t < policy.deadline {
-        if attempts > 0 {
-            t = t + policy.backoff_before_retry(attempts, rng);
-            if t >= policy.deadline {
-                break;
-            }
-        }
-        let patience = policy.attempt_timeout.min(SimDuration::from_micros(
-            policy.deadline.as_micros() - t.as_micros(),
-        ));
-        let fate = transport.attempt(node, TransportOp::Fetch, frame.len() as u64, patience);
-        attempts += 1;
-        match fate.outcome {
-            Err(TransportError::NodeDown) | Err(TransportError::Unreachable) => {
-                // Refusals and missing routes are not retried within an
-                // operation: nothing changes until virtual time advances.
-                return FetchResult {
-                    outcome: NodeOutcome::Down,
-                    arrival: None,
-                    finished: t + fate.latency,
-                    attempts,
-                    verified: 0,
-                };
-            }
-            Err(TransportError::Lost) => {
-                t = t + fate.latency;
-            }
-            Ok(()) if fate.latency > patience => {
-                // The response exists but lands after this attempt's
-                // patience: the caller has already given up on it.
-                t = t + patience;
-            }
-            Ok(()) => {
-                let arrived = t + fate.latency;
-                if fate.corrupt {
-                    // The response was damaged in flight. Run the *real*
-                    // verifier over a bit-flipped copy — detection must
-                    // come from the checksum, not from trusting the fate
-                    // flag. The node's stored frame is intact, so a retry
-                    // may well succeed. A ranged read discards the whole
-                    // response too, wherever the damage landed.
-                    let mut damaged = frame.to_vec();
-                    let idx = rng.below(damaged.len() as u64) as usize;
-                    damaged[idx] ^= 0x01;
-                    debug_assert!(open_frame(&damaged).is_none());
-                    if attempts >= policy.max_attempts {
-                        return FetchResult {
-                            outcome: NodeOutcome::Corrupt,
-                            arrival: None,
-                            finished: arrived,
-                            attempts,
-                            verified: 0,
-                        };
-                    }
-                    t = arrived;
-                    continue;
-                }
-                let (outcome, verified) = match verify.check(frame) {
-                    // At-rest damage: every retry returns the same broken
-                    // frame, so give up on this node now.
-                    None => (NodeOutcome::Corrupt, 0),
-                    Some((gen, _)) if gen != spec.expect_gen => (NodeOutcome::Stale, 0),
-                    Some((_, hashed)) => (NodeOutcome::Ok, hashed),
-                };
-                return FetchResult {
-                    outcome,
-                    arrival: (outcome == NodeOutcome::Ok).then_some(arrived),
-                    finished: arrived,
-                    attempts,
-                    verified,
-                };
-            }
-        }
-    }
-    FetchResult {
-        outcome: NodeOutcome::Timeout,
-        arrival: None,
-        finished: t,
-        attempts,
-        verified: 0,
-    }
-}
-
-/// Result of driving one symbol install to completion.
-struct InstallResult {
-    installed: bool,
-    /// When the install was confirmed (or abandoned).
-    finished: SimDuration,
-}
-
-/// Push one symbol frame to `node`, retrying per `policy`. An install whose
-/// confirmation does not arrive within an attempt's patience counts as not
-/// applied (the fate model ties application to confirmation), so retries
-/// are safe.
+/// Push one symbol frame of `bytes` bytes to `node` through [`drive`]. An
+/// install whose confirmation does not arrive within an attempt's patience
+/// counts as not applied (the fate model ties application to
+/// confirmation), so retries are safe. In-flight damage is not the
+/// installer's to see: the node's frame is checked when it is read.
 fn drive_install(
     transport: &mut dyn Transport,
     policy: &FaultPolicy,
@@ -778,54 +709,18 @@ fn drive_install(
     node: usize,
     bytes: u64,
     obs: &TransportMetrics,
-) -> InstallResult {
-    let r = drive_install_inner(transport, policy, rng, node, bytes);
-    obs.record_install(node, r.installed, r.finished.as_micros());
+) -> Drive {
+    let stream = Stream {
+        node,
+        op: TransportOp::Install,
+        bytes,
+        start: SimDuration::ZERO,
+    };
+    let r = drive(transport, policy, rng, stream, |_, _, _| {
+        Some(NodeOutcome::Ok)
+    });
+    obs.record_install(node, r.outcome == NodeOutcome::Ok, r.finished.as_micros());
     r
-}
-
-fn drive_install_inner(
-    transport: &mut dyn Transport,
-    policy: &FaultPolicy,
-    rng: &mut DetRng,
-    node: usize,
-    bytes: u64,
-) -> InstallResult {
-    let mut t = SimDuration::ZERO;
-    let mut attempts = 0u32;
-    while attempts < policy.max_attempts && t < policy.deadline {
-        if attempts > 0 {
-            t = t + policy.backoff_before_retry(attempts, rng);
-            if t >= policy.deadline {
-                break;
-            }
-        }
-        let patience = policy.attempt_timeout.min(SimDuration::from_micros(
-            policy.deadline.as_micros() - t.as_micros(),
-        ));
-        let fate = transport.attempt(node, TransportOp::Install, bytes, patience);
-        attempts += 1;
-        match fate.outcome {
-            Err(TransportError::NodeDown) | Err(TransportError::Unreachable) => {
-                return InstallResult {
-                    installed: false,
-                    finished: t + fate.latency,
-                };
-            }
-            Err(TransportError::Lost) => t = t + fate.latency,
-            Ok(()) if fate.latency > patience => t = t + patience,
-            Ok(()) => {
-                return InstallResult {
-                    installed: true,
-                    finished: t + fate.latency,
-                };
-            }
-        }
-    }
-    InstallResult {
-        installed: false,
-        finished: t,
-    }
 }
 
 /// Length of the block a group of `packed_len` bytes is encoded as: padded
@@ -843,44 +738,13 @@ fn quorum_need(n: usize, k: usize, write_slack: usize) -> usize {
     n.saturating_sub(write_slack).max(k)
 }
 
-/// Allocation-free per-outcome totals of one share collection — the
-/// aggregate the hot path always keeps, whether or not the per-node
-/// [`ShareCollection::outcomes`] vector is being captured.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct OutcomeCounts {
-    ok: u32,
-    timeout: u32,
-    corrupt: u32,
-    down: u32,
-    stale: u32,
-}
-
-impl OutcomeCounts {
-    fn note(&mut self, outcome: NodeOutcome) {
-        match outcome {
-            NodeOutcome::Ok => self.ok += 1,
-            NodeOutcome::Timeout => self.timeout += 1,
-            NodeOutcome::Corrupt => self.corrupt += 1,
-            NodeOutcome::Down => self.down += 1,
-            NodeOutcome::Stale => self.stale += 1,
-        }
-    }
-
-    /// Contacts that failed to deliver a verified share.
-    fn not_ok(&self) -> u32 {
-        self.timeout + self.corrupt + self.down + self.stale
-    }
-
-    fn add(&mut self, other: OutcomeCounts) {
-        self.ok += other.ok;
-        self.timeout += other.timeout;
-        self.corrupt += other.corrupt;
-        self.down += other.down;
-        self.stale += other.stale;
-    }
+/// True if any contact failed to deliver a verified share.
+fn any_failed(outcomes: &[(NodeId, NodeOutcome)]) -> bool {
+    outcomes.iter().any(|&(_, o)| o != NodeOutcome::Ok)
 }
 
 /// What a virtual-parallel share collection produced.
+#[derive(Default)]
 struct ShareCollection {
     /// Node indices of the `k` earliest verified arrivals — the decode set.
     /// Empty when the operation fell short of `k`.
@@ -890,12 +754,8 @@ struct ShareCollection {
     available: usize,
     /// Payload bytes hashed to verify those shares.
     bytes_verified: u64,
-    /// Fate of every node contacted, in dispatch order. Only materialised
-    /// when the collection runs with `capture` on; `counts` always holds
-    /// the aggregate.
+    /// Fate of every node contacted, in dispatch order.
     outcomes: Vec<(NodeId, NodeOutcome)>,
-    /// Per-outcome totals of every node contacted.
-    counts: OutcomeCounts,
     /// Attempts beyond each node's first, summed.
     retries: u32,
     /// True if a hedge request was dispatched.
@@ -914,8 +774,10 @@ struct CollectSpec<'a> {
     k: usize,
     unit: Unit<'a>,
     expect_gen: u64,
-    capture: bool,
     obs: &'a TransportMetrics,
+    /// Policy-ordered holders of `unit`, and the node fabric they index.
+    candidates: &'a [usize],
+    nodes: &'a [StorageNode],
     /// For a ranged read: the payload length every frame must have, and
     /// per candidate the payload bytes it serves, so only the chunks
     /// covering them are verified. `None` verifies whole frames, as a
@@ -937,39 +799,88 @@ impl CollectSpec<'_> {
     }
 }
 
-/// Collect `k` verified shares of `spec.unit` from `candidates`
-/// (policy-ordered holders) as a virtually-parallel wave: the first `k`
-/// streams dispatch at time zero; each failed stream dispatches the next
-/// unused candidate at its failure time (but only if fewer than `k` shares
-/// had arrived by then); and if the `k`-th share is still outstanding at
-/// the hedge threshold, one extra share is requested from an unused node —
-/// whichever `k` arrivals are earliest win.
+/// Fetch the share of `spec.candidates[ci]` through [`drive`], starting at
+/// virtual offset `start` within the operation, and record the contact in
+/// `col`: its fate, retries, verified bytes and end time, and the node's
+/// fetch telemetry. The share is *verified* here, as far as `spec` asks: an
+/// in-flight-corrupted response is bit-damaged and run through the real
+/// checksum (retryable — the stored copy is intact), an at-rest damaged
+/// frame or stale generation ends the stream (a retry cannot change what
+/// the node holds).
+fn fetch_share(
+    transport: &mut dyn Transport,
+    spec: &CollectSpec,
+    rng: &mut DetRng,
+    col: &mut ShareCollection,
+    ci: usize,
+    start: SimDuration,
+) -> Drive {
+    let node = spec.candidates[ci];
+    let frame = spec.nodes[node].held(spec.unit);
+    let verify = spec.verify(ci);
+    let mut verified = 0;
+    let stream = Stream {
+        node,
+        op: TransportOp::Fetch,
+        bytes: frame.len() as u64,
+        start,
+    };
+    let r = drive(
+        transport,
+        spec.policy,
+        rng,
+        stream,
+        |rng, corrupt, attempts| {
+            if corrupt {
+                // The response was damaged in flight. Run the *real* verifier
+                // over a bit-flipped copy — detection must come from the
+                // checksum, not from trusting the fate flag. The node's stored
+                // frame is intact, so a retry may well succeed. A ranged read
+                // discards the whole response too, wherever the damage landed.
+                let mut damaged = frame.to_vec();
+                let idx = rng.below(damaged.len() as u64) as usize;
+                damaged[idx] ^= 0x01;
+                debug_assert!(open_frame(&damaged).is_none());
+                return (attempts >= spec.policy.max_attempts).then_some(NodeOutcome::Corrupt);
+            }
+            Some(match verify.check(frame) {
+                // At-rest damage: every retry returns the same broken frame,
+                // so give up on this node now.
+                None => NodeOutcome::Corrupt,
+                Some((gen, _)) if gen != spec.expect_gen => NodeOutcome::Stale,
+                Some((_, hashed)) => {
+                    verified = hashed;
+                    NodeOutcome::Ok
+                }
+            })
+        },
+    );
+    col.retries += r.attempts.saturating_sub(1);
+    col.bytes_verified += verified as u64;
+    col.finished = col.finished.max(r.finished);
+    col.outcomes.push((NodeId(node), r.outcome));
+    spec.obs.record_fetch(
+        node,
+        r.outcome == NodeOutcome::Ok,
+        r.finished.as_micros().saturating_sub(start.as_micros()),
+    );
+    r
+}
+
+/// Collect `k` verified shares of `spec.unit` from `spec.candidates` as a
+/// virtually-parallel wave: the first `k` streams dispatch at time zero;
+/// each failed stream dispatches the next unused candidate at its failure
+/// time (but only if fewer than `k` shares had arrived by then); and if the
+/// `k`-th share is still outstanding at the hedge threshold, one extra
+/// share is requested from an unused node — whichever `k` arrivals are
+/// earliest win.
 fn collect_shares(
     transport: &mut dyn Transport,
     spec: &CollectSpec,
     rng: &mut DetRng,
-    candidates: &[usize],
-    nodes: &[StorageNode],
 ) -> ShareCollection {
-    let &CollectSpec {
-        policy,
-        k,
-        unit,
-        capture,
-        obs,
-        ..
-    } = spec;
-    let mut col = ShareCollection {
-        used: Vec::new(),
-        available: 0,
-        bytes_verified: 0,
-        outcomes: Vec::new(),
-        counts: OutcomeCounts::default(),
-        retries: 0,
-        hedged: false,
-        latency: SimDuration::ZERO,
-        finished: SimDuration::ZERO,
-    };
+    let (k, candidates) = (spec.k, spec.candidates);
+    let mut col = ShareCollection::default();
     // (node, arrival, dispatch order). Ties in arrival time — every tie
     // under the zero-latency direct transport — resolve in dispatch order,
     // which is the selection policy's preference order.
@@ -982,35 +893,20 @@ fn collect_shares(
         let (ci, start) = queue[qi];
         let dispatch = qi;
         qi += 1;
-        let node = candidates[ci];
-        let frame = nodes[node].held(unit);
-        let r = fetch_share(transport, spec, rng, node, frame, spec.verify(ci), start);
-        col.retries += r.attempts.saturating_sub(1);
-        col.bytes_verified += r.verified as u64;
-        col.counts.note(r.outcome);
-        col.finished = col.finished.max(r.finished);
-        obs.record_fetch(
-            node,
-            matches!(r.outcome, NodeOutcome::Ok),
-            r.finished.as_micros().saturating_sub(start.as_micros()),
-        );
-        if capture {
-            col.outcomes.push((NodeId(node), r.outcome));
+        let r = fetch_share(transport, spec, rng, &mut col, ci, start);
+        if r.outcome == NodeOutcome::Ok {
+            successes.push((candidates[ci], r.finished, dispatch));
+            continue;
         }
-        match r.arrival {
-            Some(a) => successes.push((node, a, dispatch)),
-            None => {
-                // Dispatch a backup at the failure time — unless enough
-                // shares had already arrived by then to finish the decode.
-                let arrived_by_then = successes
-                    .iter()
-                    .filter(|(_, a, _)| *a <= r.finished)
-                    .count();
-                if arrived_by_then < k && next < candidates.len() {
-                    queue.push((next, r.finished));
-                    next += 1;
-                }
-            }
+        // Dispatch a backup at the failure time — unless enough shares had
+        // already arrived by then to finish the decode.
+        let arrived_by_then = successes
+            .iter()
+            .filter(|(_, a, _)| *a <= r.finished)
+            .count();
+        if arrived_by_then < k && next < candidates.len() {
+            queue.push((next, r.finished));
+            next += 1;
         }
     }
     col.available = successes.len();
@@ -1019,26 +915,12 @@ fn collect_shares(
         // Hedge: if the decode would sit waiting on a slow share past the
         // threshold, ask one unused node for an extra share and let the
         // earliest k win.
-        if let Some(h) = policy.hedge_after {
+        if let Some(h) = spec.policy.hedge_after {
             if successes[k - 1].1 > h && next < candidates.len() {
                 col.hedged = true;
-                let node = candidates[next];
-                let frame = nodes[node].held(unit);
-                let r = fetch_share(transport, spec, rng, node, frame, spec.verify(next), h);
-                col.retries += r.attempts.saturating_sub(1);
-                col.bytes_verified += r.verified as u64;
-                col.counts.note(r.outcome);
-                col.finished = col.finished.max(r.finished);
-                obs.record_fetch(
-                    node,
-                    matches!(r.outcome, NodeOutcome::Ok),
-                    r.finished.as_micros().saturating_sub(h.as_micros()),
-                );
-                if capture {
-                    col.outcomes.push((NodeId(node), r.outcome));
-                }
-                if let Some(a) = r.arrival {
-                    successes.push((node, a, queue.len()));
+                let r = fetch_share(transport, spec, rng, &mut col, next, h);
+                if r.outcome == NodeOutcome::Ok {
+                    successes.push((candidates[next], r.finished, queue.len()));
                     successes.sort_by_key(|&(_, a, d)| (a, d));
                     col.available += 1;
                 }
@@ -1058,7 +940,6 @@ struct UnitFetch {
     bytes_per_source: usize,
     degraded: bool,
     outcomes: Vec<(NodeId, NodeOutcome)>,
-    counts: OutcomeCounts,
     latency: SimDuration,
     hedged: bool,
     retries: u32,
@@ -1072,12 +953,10 @@ impl UnitFetch {
     /// contacts come first, its time adds to the latency, and a contact
     /// that failed to deliver makes the read degraded. `hedged` is this
     /// fetch's alone: a ranged attempt has no spare node to hedge to.
-    fn after(mut self, attempt: UnitFetch) -> UnitFetch {
-        let mut outcomes = attempt.outcomes;
-        outcomes.append(&mut self.outcomes);
-        self.outcomes = outcomes;
-        self.counts.add(attempt.counts);
-        self.degraded |= attempt.counts.not_ok() > 0;
+    fn after(mut self, mut attempt: UnitFetch) -> UnitFetch {
+        self.degraded |= any_failed(&attempt.outcomes);
+        attempt.outcomes.append(&mut self.outcomes);
+        self.outcomes = attempt.outcomes;
         self.latency = attempt.latency + self.latency;
         self.retries += attempt.retries;
         self.bytes_verified += attempt.bytes_verified;
@@ -1158,28 +1037,6 @@ impl DistributedStore {
         Ok(Self::with_wal(code, config, Box::new(file)))
     }
 
-    /// Create a store whose write-ahead log is a *segmented* directory at
-    /// `dir`: sealed `wal.NNNNNN.seg` files of roughly
-    /// `config.segment_bytes` bytes each (64 KiB if the knob is `0`), so
-    /// checkpoint truncation unlinks whole segments instead of rewriting
-    /// the log. Like [`DistributedStore::with_wal_file`], this appends
-    /// after existing contents without replaying them — recover through
-    /// [`DistributedStore::recover`] to reuse a previous run's log.
-    pub fn with_wal_segments(
-        code: Arc<dyn ErasureCode>,
-        config: GroupConfig,
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<Self, StorageError> {
-        let seg = if config.segment_bytes > 0 {
-            config.segment_bytes
-        } else {
-            64 * 1024
-        };
-        let file = crate::wal::file::FileLog::open_segmented(dir, config.fsync, seg)
-            .map_err(StorageError::Wal)?;
-        Ok(Self::with_wal(code, config, Box::new(file)))
-    }
-
     /// The common constructor core: no log attached.
     fn bare(code: Arc<dyn ErasureCode>, config: GroupConfig) -> Self {
         let n = code.n();
@@ -1218,7 +1075,6 @@ impl DistributedStore {
             obs: StoreMetrics::default(),
             node_obs: TransportMetrics::default(),
             obs_clock: None,
-            capture_outcomes: false,
         }
     }
 
@@ -1333,8 +1189,7 @@ impl DistributedStore {
     /// (names under `storage.*`, spans under `span.store.*`). The recorder's
     /// clock is a [`VirtualClock`] kept in lockstep with the transport's
     /// virtual time, so a deterministic simulation renders bit-identical
-    /// span trees and histograms on every run. Also enables per-report
-    /// outcome capture (see [`DistributedStore::set_outcome_capture`]).
+    /// span trees and histograms on every run.
     pub fn attach_registry(&mut self, registry: &Registry) {
         let clock = Arc::new(VirtualClock::new());
         clock.set_micros(self.transport.now().as_micros());
@@ -1342,7 +1197,6 @@ impl DistributedStore {
         self.obs_clock = Some(clock);
         self.obs = StoreMetrics::new(registry);
         self.node_obs = TransportMetrics::new(registry, self.nodes.len());
-        self.capture_outcomes = true;
     }
 
     /// Install a caller-built recorder — e.g. one on a
@@ -1368,13 +1222,6 @@ impl DistributedStore {
     /// The recorder currently attached ([`Recorder::disabled`] by default).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
-    }
-
-    /// Opt in or out of materialising [`RetrieveReport::outcomes`]. Off by
-    /// default (the hot path then allocates nothing per retrieve);
-    /// [`DistributedStore::attach_registry`] switches it on.
-    pub fn set_outcome_capture(&mut self, capture: bool) {
-        self.capture_outcomes = capture;
     }
 
     /// Publish the point-in-time state metrics into the attached registry
@@ -1452,16 +1299,21 @@ impl DistributedStore {
         self.sync_obs_clock();
     }
 
-    /// Fold one *served* retrieve's per-node outcome totals into the
-    /// registry counters backing [`OutcomeTally::from_registry`]. Called
-    /// only where a successful [`RetrieveReport`] is produced, mirroring
-    /// what apps historically fed to [`OutcomeTally::absorb`].
-    fn note_outcomes(&self, counts: OutcomeCounts) {
-        self.obs.outcome_ok.add(u64::from(counts.ok));
-        self.obs.outcome_timeout.add(u64::from(counts.timeout));
-        self.obs.outcome_corrupt.add(u64::from(counts.corrupt));
-        self.obs.outcome_down.add(u64::from(counts.down));
-        self.obs.outcome_stale.add(u64::from(counts.stale));
+    /// Count one *served* read's per-node outcomes into the registry
+    /// counters backing [`OutcomeTally::from_registry`]. Called only where
+    /// a successful read's contacts are final (a [`RetrieveReport`], a
+    /// group export), so a failed read counts nothing.
+    fn note_outcomes(&self, outcomes: &[(NodeId, NodeOutcome)]) {
+        for &(_, outcome) in outcomes {
+            match outcome {
+                NodeOutcome::Ok => &self.obs.outcome_ok,
+                NodeOutcome::Timeout => &self.obs.outcome_timeout,
+                NodeOutcome::Corrupt => &self.obs.outcome_corrupt,
+                NodeOutcome::Down => &self.obs.outcome_down,
+                NodeOutcome::Stale => &self.obs.outcome_stale,
+            }
+            .inc();
+        }
     }
 
     /// Advance the transport's virtual clock (firing any scheduled faults
@@ -1529,7 +1381,7 @@ impl DistributedStore {
                 p.frame.len() as u64,
                 &self.node_obs,
             );
-            if drive.installed {
+            if drive.outcome == NodeOutcome::Ok {
                 if let Some(old) = self.nodes[p.node].put_frame(unit, p.frame) {
                     self.frames.give(old);
                 }
@@ -1692,38 +1544,21 @@ impl DistributedStore {
 
     /// Capture the coordinator's logical state for a checkpoint record.
     /// Objects are sorted by name and groups by id so equal states encode
-    /// to equal bytes.
+    /// to equal bytes. A sealed group's block moved into its frames when it
+    /// sealed, so only an open group carries bytes.
     fn checkpoint_state(&self) -> CheckpointState {
-        let mut objects: Vec<(String, CheckpointPlacement)> = self
+        let mut objects: Vec<(String, Placement)> = self
             .objects
             .iter()
-            .map(|(name, placement)| {
-                let placement = match placement {
-                    Placement::Whole => CheckpointPlacement::Whole,
-                    Placement::Grouped { group, span } => CheckpointPlacement::Grouped {
-                        group: *group,
-                        span: *span,
-                    },
-                };
-                (name.clone(), placement)
-            })
+            .map(|(name, &placement)| (name.clone(), placement))
             .collect();
         objects.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut groups: Vec<GroupSnapshot> = self
+        let mut groups: Vec<(GroupId, CodingGroup)> = self
             .groups
             .iter()
-            .map(|(&gid, g)| GroupSnapshot {
-                group: gid,
-                sealed: g.sealed,
-                packed_len: g.packed_len,
-                live_bytes: g.live_bytes,
-                live_objects: g.live_objects,
-                // Sealed blocks live erasure-coded on the nodes; only the
-                // open buffer exists nowhere but coordinator memory.
-                data: if g.sealed { Vec::new() } else { g.data.clone() },
-            })
+            .map(|(&gid, g)| (gid, g.clone()))
             .collect();
-        groups.sort_by_key(|g| g.group);
+        groups.sort_by_key(|&(gid, _)| gid);
         CheckpointState {
             next_group_id: self.next_group_id,
             open_group: self.open_group,
@@ -1738,40 +1573,39 @@ impl DistributedStore {
     /// earlier checkpoint or a from-genesis replay).
     fn restore_from_checkpoint(&mut self, state: &CheckpointState) -> Result<(), StorageError> {
         let invalid = |reason: String| StorageError::Recovery { reason };
+        let group = |id: GroupId| state.groups.iter().find(|(gid, _)| *gid == id);
         let mut seen = std::collections::HashSet::new();
-        for g in &state.groups {
-            if !seen.insert(g.group) {
-                return Err(invalid(format!("checkpoint repeats group {}", g.group)));
+        for &(gid, ref g) in &state.groups {
+            if !seen.insert(gid) {
+                return Err(invalid(format!("checkpoint repeats group {gid}")));
             }
-            if g.group >= state.next_group_id {
+            if gid >= state.next_group_id {
                 return Err(invalid(format!(
-                    "checkpoint group {} is at or past next_group_id {}",
-                    g.group, state.next_group_id
+                    "checkpoint group {gid} is at or past next_group_id {}",
+                    state.next_group_id
                 )));
             }
             if g.sealed && !g.data.is_empty() {
                 return Err(invalid(format!(
-                    "checkpoint sealed group {} carries block bytes",
-                    g.group
+                    "checkpoint sealed group {gid} carries block bytes"
                 )));
             }
             if !g.sealed && g.data.len() != g.packed_len {
                 return Err(invalid(format!(
-                    "checkpoint open group {} has {} block bytes for packed_len {}",
-                    g.group,
+                    "checkpoint open group {gid} has {} block bytes for packed_len {}",
                     g.data.len(),
                     g.packed_len
                 )));
             }
             if g.live_bytes > g.packed_len {
                 return Err(invalid(format!(
-                    "checkpoint group {} claims {} live of {} packed bytes",
-                    g.group, g.live_bytes, g.packed_len
+                    "checkpoint group {gid} claims {} live of {} packed bytes",
+                    g.live_bytes, g.packed_len
                 )));
             }
         }
         if let Some(open) = state.open_group {
-            let Some(g) = state.groups.iter().find(|g| g.group == open) else {
+            let Some((_, g)) = group(open) else {
                 return Err(invalid(format!(
                     "checkpoint open group {open} is not in the group directory"
                 )));
@@ -1785,54 +1619,28 @@ impl DistributedStore {
             if !names.insert(name.as_str()) {
                 return Err(invalid(format!("checkpoint repeats object {name:?}")));
             }
-            if let CheckpointPlacement::Grouped { group, span } = placement {
-                let Some(g) = state.groups.iter().find(|g| g.group == *group) else {
+            if let &Placement::Grouped { group: gid, span } = placement {
+                let Some((_, g)) = group(gid) else {
                     return Err(invalid(format!(
-                        "checkpoint object {name:?} references unknown group {group}"
+                        "checkpoint object {name:?} references unknown group {gid}"
                     )));
                 };
-                if span.offset + span.len > g.packed_len {
+                if span
+                    .offset
+                    .checked_add(span.len)
+                    .is_none_or(|end| end > g.packed_len)
+                {
                     return Err(invalid(format!(
-                        "checkpoint object {name:?} span ends at {} in group {} of \
+                        "checkpoint object {name:?} span {}+{} overruns group {gid} of \
                          packed_len {}",
-                        span.offset + span.len,
-                        group,
-                        g.packed_len
+                        span.offset, span.len, g.packed_len
                     )));
                 }
             }
         }
         // Validated — apply.
-        self.objects = state
-            .objects
-            .iter()
-            .map(|(name, placement)| {
-                let placement = match placement {
-                    CheckpointPlacement::Whole => Placement::Whole,
-                    CheckpointPlacement::Grouped { group, span } => Placement::Grouped {
-                        group: *group,
-                        span: *span,
-                    },
-                };
-                (name.clone(), placement)
-            })
-            .collect();
-        self.groups = state
-            .groups
-            .iter()
-            .map(|g| {
-                (
-                    g.group,
-                    CodingGroup {
-                        data: g.data.clone(),
-                        packed_len: g.packed_len,
-                        live_bytes: g.live_bytes,
-                        live_objects: g.live_objects,
-                        sealed: g.sealed,
-                    },
-                )
-            })
-            .collect();
+        self.objects = state.objects.iter().cloned().collect();
+        self.groups = state.groups.iter().cloned().collect();
         self.open_group = state.open_group;
         self.next_group_id = state.next_group_id;
         Ok(())
@@ -1987,7 +1795,7 @@ impl DistributedStore {
                 frame.len() as u64,
                 &self.node_obs,
             );
-            if drive.installed {
+            if drive.outcome == NodeOutcome::Ok {
                 match (park, self.nodes[i].put_frame(unit, frame), unit) {
                     (Some(tag), Some(old), Unit::Whole(name)) => {
                         self.nodes[i].limbo.push((name.to_string(), tag, old));
@@ -2340,7 +2148,7 @@ impl DistributedStore {
 
     /// Telemetry of one served node read, and its report.
     fn finish_read(&self, data: Vec<u8>, fetch: UnitFetch) -> (Vec<u8>, RetrieveReport) {
-        self.note_outcomes(fetch.counts);
+        self.note_outcomes(&fetch.outcomes);
         self.obs.bytes_verified.add(fetch.bytes_verified);
         (data, fetch.into_report())
     }
@@ -2421,19 +2229,17 @@ impl DistributedStore {
                 k: sources.len(),
                 unit,
                 expect_gen,
-                capture: self.capture_outcomes,
                 obs: &self.node_obs,
+                candidates: &sources,
+                nodes: &self.nodes,
                 ranged: Some((share_len, &ranges)),
             },
             &mut self.policy_rng,
-            &sources,
-            &self.nodes,
         );
         transport_span.field("shares", col.available as u64);
         drop(transport_span);
         let mut fetch = UnitFetch {
             outcomes: col.outcomes,
-            counts: col.counts,
             retries: col.retries,
             bytes_verified: col.bytes_verified,
             ..UnitFetch::default()
@@ -2503,13 +2309,12 @@ impl DistributedStore {
                 k,
                 unit,
                 expect_gen,
-                capture: self.capture_outcomes,
                 obs: &self.node_obs,
+                candidates,
+                nodes: &self.nodes,
                 ranged: None,
             },
             &mut self.policy_rng,
-            candidates,
-            &self.nodes,
         );
         transport_span.field("shares", col.available as u64);
         if col.used.len() < k {
@@ -2544,13 +2349,11 @@ impl DistributedStore {
             let block = std::mem::take(&mut self.io_buf);
             self.io_buf = self.decode_cache.insert(gid, block).unwrap_or_default();
         }
-        let degraded = view_degraded || col.counts.not_ok() > 0;
         Ok(UnitFetch {
             sources: col.used,
             bytes_per_source,
-            degraded,
+            degraded: view_degraded || any_failed(&col.outcomes),
             outcomes: col.outcomes,
-            counts: col.counts,
             latency: col.latency,
             hedged: col.hedged,
             retries: col.retries,
@@ -3199,7 +3002,7 @@ impl DistributedStore {
             frame.len() as u64,
             &self.node_obs,
         );
-        if drive.installed {
+        if drive.outcome == NodeOutcome::Ok {
             if let Some(old) = self.nodes[node].put_frame(unit, frame) {
                 self.frames.give(old);
             }
@@ -3769,7 +3572,6 @@ mod tests {
             // Damage in the covered chunk: the ranged read refuses the
             // frame and the decode serves the bytes.
             let mut s = chunked_store(spec, 1);
-            s.set_outcome_capture(true);
             damage_payload(&mut s, share, range.start);
             let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
             assert_eq!(out, want, "{spec:?}");
@@ -3783,7 +3585,6 @@ mod tests {
 
             // Damage in another chunk of the same frame: served ranged.
             let mut s = chunked_store(spec, 1);
-            s.set_outcome_capture(true);
             damage_payload(&mut s, share, other * FRAME_CHUNK);
             let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
             assert_eq!(out, want, "{spec:?}");
@@ -3793,7 +3594,6 @@ mod tests {
             // A full decode verifies every chunk: the second read of the
             // group decodes, asks node 0 first, and refuses its frame.
             let mut s = chunked_store(spec, 1);
-            s.set_outcome_capture(true);
             let last = frame_payload_len(group_frame(&mut s, 0).len()).unwrap() - 1;
             damage_payload(&mut s, 0, last);
             s.retrieve("g0o0", SelectionPolicy::FirstK).ok();
@@ -4932,7 +4732,6 @@ mod tests {
             // it first — the generation check must reject its share and fall
             // back to a backup node, never mix it into the decode.
             s.set_distance(NodeId(5), 0).unwrap();
-            s.set_outcome_capture(true);
             let (out, rep) = s.retrieve("obj", SelectionPolicy::Nearest).unwrap();
             assert_eq!(out, vec![2u8; 48]);
             assert!(rep.degraded);
@@ -4952,7 +4751,6 @@ mod tests {
                 hedge_after: Some(SimDuration::from_micros(500)),
                 ..FaultPolicy::default()
             });
-            s.set_outcome_capture(true);
             let (out, rep) = s.retrieve("obj", SelectionPolicy::FirstK).unwrap();
             assert_eq!(out, vec![7u8; 64]);
             assert!(rep.hedged);
@@ -4975,7 +4773,6 @@ mod tests {
                 hedge_after: Some(SimDuration::from_micros(500)),
                 ..FaultPolicy::default()
             });
-            s.set_outcome_capture(true);
             let (out, rep) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
             assert_eq!(out, want);
             assert!(!rep.hedged);

@@ -108,7 +108,7 @@ impl DistributedStore {
         let unit = Unit::Group(gid);
         let holders = self.pick_holders(policy, unit, None);
         let fetch = self.decode_unit(unit, &holders)?;
-        self.note_outcomes(fetch.counts);
+        self.note_outcomes(&fetch.outcomes);
         let block_full = self
             .decode_cache
             .get(gid)

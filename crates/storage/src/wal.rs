@@ -55,7 +55,9 @@
 //! always corruption. A log whose final frame is truncated mid-write (a
 //! torn tail) replays cleanly up to the last complete record; damage to a
 //! frame *followed by more bytes* is real corruption and fails the replay
-//! with [`WalError::Corrupt`].
+//! with [`WalError::Corrupt`]. So does a record whose checksums hold but
+//! whose fields no store could have written: group id `u64::MAX`, a span
+//! whose end overflows, an imported member past its block.
 //!
 //! [`crc32`] is the IEEE CRC-32 (polynomial `0xEDB88320`, reflected)
 //! computed slicing-by-8: eight compile-time tables advance it eight bytes
@@ -106,7 +108,8 @@ pub mod file;
 
 use std::marker::PhantomData;
 
-use crate::group::{GroupId, ObjSpan};
+use crate::group::{CodingGroup, GroupId, ObjSpan};
+use crate::store::Placement;
 use rain_sim::SimDuration;
 
 /// Why a log operation failed.
@@ -281,43 +284,6 @@ impl LogBackend for MemLog {
     }
 }
 
-/// Where a checkpointed object lives — the serializable twin of the store's
-/// internal placement entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointPlacement {
-    /// Individually erasure-coded; the bytes are on the nodes.
-    Whole,
-    /// Packed into a coding group at the given span.
-    Grouped {
-        /// The owning group.
-        group: GroupId,
-        /// The object's span within the group block.
-        span: ObjSpan,
-    },
-}
-
-/// One coding group's logical state inside a [`WalRecord::Checkpoint`].
-///
-/// Sealed groups carry **no block bytes** — their data is erasure-coded on
-/// the nodes and a checkpoint must never duplicate node symbol payloads.
-/// Open groups carry their buffered block, which exists nowhere but
-/// coordinator memory and the log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupSnapshot {
-    /// The group id.
-    pub group: GroupId,
-    /// Whether the group has been encoded onto the nodes.
-    pub sealed: bool,
-    /// Bytes packed into the block (live + tombstoned).
-    pub packed_len: usize,
-    /// Live (non-tombstoned) bytes.
-    pub live_bytes: usize,
-    /// Live member count.
-    pub live_objects: usize,
-    /// The buffered block for open groups; empty for sealed groups.
-    pub data: Vec<u8>,
-}
-
 /// The coordinator's full logical state at one instant: what a
 /// [`WalRecord::Checkpoint`] carries so replay can restore it and redo only
 /// the log suffix.
@@ -329,9 +295,13 @@ pub struct CheckpointState {
     pub open_group: Option<GroupId>,
     /// Every known object and its placement, sorted by name (deterministic
     /// encoding — equal states checkpoint to equal bytes).
-    pub objects: Vec<(String, CheckpointPlacement)>,
-    /// Every known group, sorted by id.
-    pub groups: Vec<GroupSnapshot>,
+    pub objects: Vec<(String, Placement)>,
+    /// Every known group by id, sorted by id. A sealed group carries **no
+    /// block bytes**: its data is erasure-coded on the nodes, and a
+    /// checkpoint must never duplicate node symbol payloads. An open group
+    /// carries its buffered block, which exists nowhere but coordinator
+    /// memory and the log.
+    pub groups: Vec<(GroupId, CodingGroup)>,
 }
 
 impl CheckpointState {
@@ -342,8 +312,8 @@ impl CheckpointState {
         out.write_list(&self.objects, |out, (name, placement)| {
             out.write_str(name);
             match placement {
-                CheckpointPlacement::Whole => out.push(0),
-                CheckpointPlacement::Grouped { group, span } => {
+                Placement::Whole => out.push(0),
+                Placement::Grouped { group, span } => {
                     out.push(1);
                     out.write_u64(*group);
                     out.write_usize(span.offset);
@@ -351,8 +321,8 @@ impl CheckpointState {
                 }
             }
         });
-        out.write_list(&self.groups, |out, g| {
-            out.write_u64(g.group);
+        out.write_list(&self.groups, |out, (gid, g)| {
+            out.write_u64(*gid);
             out.push(g.sealed as u8);
             out.write_usize(g.packed_len);
             out.write_usize(g.live_bytes);
@@ -363,26 +333,25 @@ impl CheckpointState {
 
     fn decode_body(c: &mut FieldReader<'_>) -> Option<CheckpointState> {
         Some(CheckpointState {
-            next_group_id: c.u64()?,
+            // At `u64::MAX` the store could not allocate another group:
+            // the allocation's increment would overflow.
+            next_group_id: group_id(c)?,
             open_group: Some(c.u64()?).filter(|&g| g != u64::MAX),
             objects: c.list(|c| {
                 let name = c.str()?;
                 let placement = match c.u8()? {
-                    0 => CheckpointPlacement::Whole,
-                    1 => CheckpointPlacement::Grouped {
-                        group: c.u64()?,
-                        span: ObjSpan {
-                            offset: c.usize()?,
-                            len: c.usize()?,
-                        },
+                    0 => Placement::Whole,
+                    1 => Placement::Grouped {
+                        group: group_id(c)?,
+                        span: span(c)?,
                     },
                     _ => return None,
                 };
                 Some((name, placement))
             })?,
             groups: c.list(|c| {
-                Some(GroupSnapshot {
-                    group: c.u64()?,
+                let gid = group_id(c)?;
+                let group = CodingGroup {
                     sealed: match c.u8()? {
                         0 => false,
                         1 => true,
@@ -392,10 +361,25 @@ impl CheckpointState {
                     live_bytes: c.usize()?,
                     live_objects: c.usize()?,
                     data: c.bytes()?,
-                })
+                };
+                Some((gid, group))
             })?,
         })
     }
+}
+
+/// Read a group id. `u64::MAX` is refused: it is the checkpoint's "no open
+/// group" sentinel, and a store that allocated it could not allocate the
+/// next.
+fn group_id(c: &mut FieldReader<'_>) -> Option<GroupId> {
+    c.u64().filter(|&g| g != u64::MAX)
+}
+
+/// Read an object span, refusing one whose end does not fit in a `usize`.
+fn span(c: &mut FieldReader<'_>) -> Option<ObjSpan> {
+    let (offset, len) = (c.usize()?, c.usize()?);
+    offset.checked_add(len)?;
+    Some(ObjSpan { offset, len })
 }
 
 /// One logged mutation. See the module docs for the byte format.
@@ -785,25 +769,34 @@ impl LogRecord for WalRecord {
             TAG_STORE_WHOLE => WalRecord::StoreWhole { object: c.str()? },
             TAG_STORE_GROUPED => WalRecord::StoreGrouped {
                 object: c.str()?,
-                group: c.u64()?,
+                group: group_id(c)?,
                 bytes: c.bytes()?,
             },
             TAG_DELETE => WalRecord::Delete { object: c.str()? },
-            TAG_SEAL => WalRecord::Seal { group: c.u64()? },
-            TAG_COMPACT => WalRecord::Compact { group: c.u64()? },
-            TAG_GROUP_IMPORT => WalRecord::GroupImport {
-                group: c.u64()?,
-                members: c.list(|c| {
-                    let name = c.str()?;
-                    let span = ObjSpan {
-                        offset: c.usize()?,
-                        len: c.usize()?,
-                    };
-                    Some((name, span))
-                })?,
-                bytes: c.bytes()?,
+            TAG_SEAL => WalRecord::Seal {
+                group: group_id(c)?,
             },
-            TAG_GROUP_EVICT => WalRecord::GroupEvict { group: c.u64()? },
+            TAG_COMPACT => WalRecord::Compact {
+                group: group_id(c)?,
+            },
+            TAG_GROUP_IMPORT => {
+                let group = group_id(c)?;
+                let members = c.list(|c| Some((c.str()?, span(c)?)))?;
+                let bytes = c.bytes()?;
+                // Every member is served by slicing its span out of the
+                // block, so a span past the block is no import.
+                if members.iter().any(|(_, s)| s.offset + s.len > bytes.len()) {
+                    return None;
+                }
+                WalRecord::GroupImport {
+                    group,
+                    members,
+                    bytes,
+                }
+            }
+            TAG_GROUP_EVICT => WalRecord::GroupEvict {
+                group: group_id(c)?,
+            },
             TAG_CHECKPOINT => {
                 let declared = c.u32()?;
                 let computed = crc32(c.rest());
@@ -1284,30 +1277,34 @@ mod tests {
                     objects: vec![
                         (
                             "a".into(),
-                            CheckpointPlacement::Grouped {
+                            Placement::Grouped {
                                 group: 0,
                                 span: ObjSpan { offset: 0, len: 3 },
                             },
                         ),
-                        ("big".into(), CheckpointPlacement::Whole),
+                        ("big".into(), Placement::Whole),
                     ],
                     groups: vec![
-                        GroupSnapshot {
-                            group: 0,
-                            sealed: true,
-                            packed_len: 3,
-                            live_bytes: 3,
-                            live_objects: 1,
-                            data: Vec::new(),
-                        },
-                        GroupSnapshot {
-                            group: 1,
-                            sealed: false,
-                            packed_len: 2,
-                            live_bytes: 2,
-                            live_objects: 1,
-                            data: vec![9, 9],
-                        },
+                        (
+                            0,
+                            CodingGroup {
+                                sealed: true,
+                                packed_len: 3,
+                                live_bytes: 3,
+                                live_objects: 1,
+                                data: Vec::new(),
+                            },
+                        ),
+                        (
+                            1,
+                            CodingGroup {
+                                sealed: false,
+                                packed_len: 2,
+                                live_bytes: 2,
+                                live_objects: 1,
+                                data: vec![9, 9],
+                            },
+                        ),
                     ],
                 },
                 state_crc_ok: true,
