@@ -962,8 +962,8 @@ fn bench_recovery(smoke: bool) -> Json {
             let path = dir.join(format!("replay-{ops}-{checkpoint_every}.wal"));
             let _ = std::fs::remove_file(&path);
             let config = recovery_bench_config(checkpoint_every, FsyncPolicy::EveryN(8));
-            let mut store = DistributedStore::with_wal_file(code.clone(), config, &path)
-                .expect("open bench wal");
+            let log = FileLog::open(&path, config.fsync).expect("open bench wal");
+            let mut store = DistributedStore::with_wal(code.clone(), config, Box::new(log));
             for i in 0..ops {
                 store.store(&format!("obj-{}", i % 8), &payload).unwrap();
             }
@@ -1036,8 +1036,8 @@ fn bench_recovery(smoke: bool) -> Json {
         let path = dir.join(format!("policy-{label}.wal"));
         let _ = std::fs::remove_file(&path);
         let config = recovery_bench_config(0, policy);
-        let mut store =
-            DistributedStore::with_wal_file(code.clone(), config, &path).expect("open bench wal");
+        let log = FileLog::open(&path, config.fsync).expect("open bench wal");
+        let mut store = DistributedStore::with_wal(code.clone(), config, Box::new(log));
         let started = std::time::Instant::now();
         for i in 0..ops {
             store.store(&format!("obj-{}", i % 8), &payload).unwrap();

@@ -44,5 +44,6 @@ pub use scenario::{
 };
 pub use store::{
     ClusterError, ClusterRead, ClusterRecoveryReport, ClusterStats, ClusterStore, ClusterSurvivors,
+    ShardFactory,
 };
 pub use view::MembershipView;

@@ -43,17 +43,18 @@
 //! owned by its (possibly dead) shard, and reads of it report honest
 //! unavailability until the shard returns — never wrong bytes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use rain_codes::{build_code, CodeSpec};
+use rain_codes::{build_code, CodeSpec, ErasureCode};
 use rain_obs::{span, Recorder, Registry, VirtualClock};
 use rain_sim::{NodeId, SimDuration};
 use rain_storage::wal::file::FileLog;
-use rain_storage::wal::{MemLog, WalError, WriteAheadLog};
+use rain_storage::wal::{LogBackend, MemLog, WalError, WriteAheadLog};
 use rain_storage::{
-    DistributedStore, GroupConfig, GroupId, RecoveryReport, RetrieveReport, SelectionPolicy,
-    StorageError, SurvivingNodes,
+    DirectTransport, DistributedStore, GroupConfig, GroupId, RecoveryReport, RetrieveReport,
+    SelectionPolicy, StorageError, SurvivingNodes, Transport,
 };
 
 use crate::metalog::{MetaLog, MetaRecord, MetaUnit};
@@ -62,6 +63,70 @@ use crate::view::MembershipView;
 
 fn wal_err(e: WalError) -> ClusterError {
     ClusterError::Storage(StorageError::Wal(e))
+}
+
+/// The refusal of a restart from disk by a cluster that keeps no logs.
+fn no_disk_logs() -> ClusterError {
+    ClusterError::Storage(StorageError::Recovery {
+        reason: "a restart from disk needs a cluster whose factory keeps logs".to_string(),
+    })
+}
+
+/// Supplies what each of a [`ClusterStore`]'s shards is built from: its
+/// erasure code, its log, and the transport to its storage nodes. Every
+/// shard the cluster builds — at genesis, on a join, on a restart from
+/// disk, in a full recovery — is built from one factory, so a lossy
+/// transport or a faulty file slipped in here sits under all of them.
+pub trait ShardFactory {
+    /// The erasure code shard `s` stores its objects with.
+    fn code(&self, s: ShardId) -> Result<Arc<dyn ErasureCode>, StorageError>;
+
+    /// Open, creating it if absent, the log `name`: `cluster.meta` for the
+    /// cluster metalog, `shard-<s>.wal` for shard `s`. `None` means the
+    /// cluster keeps nothing across a restart, so its shards log to memory
+    /// and it has no metalog.
+    fn log(
+        &self,
+        name: &str,
+        config: &GroupConfig,
+    ) -> Result<Option<Box<dyn LogBackend>>, WalError>;
+
+    /// The transport shard `s` reaches its storage nodes through.
+    fn transport(&self, _s: ShardId) -> Box<dyn Transport> {
+        Box::new(DirectTransport::new())
+    }
+}
+
+/// The factory behind [`ClusterStore::new`], [`ClusterStore::with_wal_dir`]
+/// and [`ClusterStore::recover_from_disk`]: one code spec for every shard,
+/// and each log a file in `dir` (synced per [`GroupConfig::fsync`]; a
+/// directory `<name>.d` of `wal.NNNNNN.seg` segments instead when
+/// [`GroupConfig::segment_bytes`] is non-zero), or no logs without `dir`.
+struct SpecFactory {
+    spec: CodeSpec,
+    dir: Option<PathBuf>,
+}
+
+impl ShardFactory for SpecFactory {
+    fn code(&self, _s: ShardId) -> Result<Arc<dyn ErasureCode>, StorageError> {
+        Ok(build_code(self.spec)?)
+    }
+
+    fn log(
+        &self,
+        name: &str,
+        config: &GroupConfig,
+    ) -> Result<Option<Box<dyn LogBackend>>, WalError> {
+        let (fsync, segment_bytes) = (config.fsync, config.segment_bytes);
+        let log = match &self.dir {
+            None => return Ok(None),
+            Some(dir) if segment_bytes > 0 => {
+                FileLog::open_segmented(dir.join(format!("{name}.d")), fsync, segment_bytes)?
+            }
+            Some(dir) => FileLog::open(dir.join(name), fsync)?,
+        };
+        Ok(Some(Box::new(log)))
+    }
 }
 
 /// Errors surfaced by the cluster routing layer.
@@ -248,7 +313,8 @@ struct Handover {
 
 /// A sharded, epoch-stamped front-end over many coordinator shards.
 pub struct ClusterStore {
-    spec: CodeSpec,
+    /// Builds every shard: its code, its log, its transport.
+    factory: Box<dyn ShardFactory>,
     config: GroupConfig,
     shards: BTreeMap<ShardId, DistributedStore>,
     up: BTreeMap<ShardId, bool>,
@@ -265,18 +331,10 @@ pub struct ClusterStore {
     recorder: Recorder,
     registry: Option<Registry>,
     clock: Option<Arc<VirtualClock>>,
-    /// When set, each shard's WAL is the file `shard-<id>.wal` in this
-    /// directory (synced per [`GroupConfig::fsync`]; a directory of
-    /// `wal.NNNNNN.seg` segments instead when
-    /// [`GroupConfig::segment_bytes`] is non-zero), the cluster's control
-    /// state is write-ahead logged to `cluster.meta` alongside them, and
-    /// [`ClusterStore::restart_shard_from_disk`] /
-    /// [`ClusterStore::recover_from_disk`] can rebuild a shard — or the
-    /// whole cluster — purely from disk.
-    wal_dir: Option<std::path::PathBuf>,
     /// The cluster metalog (see [`crate::metalog`]): directory mutations,
     /// handover phases, and epoch bumps are appended here **before** they
-    /// are applied. `None` without a WAL directory.
+    /// are applied. `None` when the factory keeps no logs; such a cluster
+    /// cannot restart a shard or itself from disk.
     meta: Option<MetaLog>,
     /// True while some placement unit is known to sit away from where the
     /// committed ring wants it — a transfer was skipped (shard down), or a
@@ -296,37 +354,42 @@ impl ClusterStore {
         members: &[ShardId],
         vnodes: usize,
     ) -> Result<Self, ClusterError> {
-        Self::build(spec, config, members, vnodes, None)
+        Self::with_factory(SpecFactory { spec, dir: None }, config, members, vnodes)
     }
 
     /// Like [`ClusterStore::new`], but every shard's WAL is a file in
     /// `dir` (`shard-<id>.wal`, created as needed), synced according to
-    /// `config.fsync`. A shard can then be rebuilt from nothing but its
-    /// on-disk log via [`ClusterStore::restart_shard_from_disk`].
+    /// `config.fsync`, beside the metalog `cluster.meta`. A shard can then
+    /// be rebuilt from nothing but its on-disk log via
+    /// [`ClusterStore::restart_shard_from_disk`].
     pub fn with_wal_dir(
         spec: CodeSpec,
         config: GroupConfig,
         members: &[ShardId],
         vnodes: usize,
-        dir: impl Into<std::path::PathBuf>,
+        dir: impl Into<PathBuf>,
     ) -> Result<Self, ClusterError> {
-        Self::build(spec, config, members, vnodes, Some(dir.into()))
+        let dir = Some(dir.into());
+        Self::with_factory(SpecFactory { spec, dir }, config, members, vnodes)
     }
 
-    fn build(
-        spec: CodeSpec,
+    /// A cluster over `members` shards, each built by `factory`, routed by
+    /// a ring with `vnodes` points per shard. When the factory keeps logs,
+    /// the genesis view is the metalog's first record.
+    pub fn with_factory(
+        factory: impl ShardFactory + 'static,
         config: GroupConfig,
         members: &[ShardId],
         vnodes: usize,
-        wal_dir: Option<std::path::PathBuf>,
     ) -> Result<Self, ClusterError> {
         if !vnodes_in_range(vnodes) {
             return Err(ClusterError::BadVnodes(vnodes));
         }
         let view = MembershipView::genesis(members, vnodes);
-        let mut cluster = Self::bare(spec, config, view, wal_dir);
-        if cluster.wal_dir.is_some() {
-            let mut meta = MetaLog::new(cluster.open_log("cluster.meta")?);
+        let mut cluster = Self::bare(Box::new(factory), config, view);
+        let meta_log = cluster.factory.log("cluster.meta", &config);
+        if let Some(log) = meta_log.map_err(wal_err)? {
+            let mut meta = MetaLog::new(log);
             // The genesis view is the first committed fact: a restart must
             // know the member set and vnode count before anything else.
             meta.append(&MetaRecord::ViewCommit {
@@ -344,14 +407,9 @@ impl ClusterStore {
     }
 
     /// A cluster with `view` and no shards, directory or metalog yet.
-    fn bare(
-        spec: CodeSpec,
-        config: GroupConfig,
-        view: MembershipView,
-        wal_dir: Option<std::path::PathBuf>,
-    ) -> Self {
+    fn bare(factory: Box<dyn ShardFactory>, config: GroupConfig, view: MembershipView) -> Self {
         ClusterStore {
-            spec,
+            factory,
             config,
             shards: BTreeMap::new(),
             up: BTreeMap::new(),
@@ -363,48 +421,47 @@ impl ClusterStore {
             recorder: Recorder::disabled(),
             registry: None,
             clock: None,
-            wal_dir,
             meta: None,
             pending_replan: false,
         }
     }
 
-    /// Open (creating if absent) the log `name` in the WAL directory: the
-    /// file `name`, or the segment directory `name.d` when
-    /// [`GroupConfig::segment_bytes`] asks for O(1) truncation. The
-    /// metalog is `cluster.meta`, shard `s`'s WAL `shard-<s>.wal`.
-    fn open_log(&self, name: &str) -> Result<Box<FileLog>, ClusterError> {
-        let dir = self.wal_dir.as_ref().expect("caller checked wal_dir");
-        let (fsync, segment_bytes) = (self.config.fsync, self.config.segment_bytes);
-        if segment_bytes > 0 {
-            FileLog::open_segmented(dir.join(format!("{name}.d")), fsync, segment_bytes)
-        } else {
-            FileLog::open(dir.join(name), fsync)
-        }
-        .map(Box::new)
-        .map_err(wal_err)
-    }
-
-    /// Open shard `s`'s on-disk WAL.
-    fn open_shard_log(&self, s: ShardId) -> Result<Box<FileLog>, ClusterError> {
-        self.open_log(&format!("shard-{s}.wal"))
-    }
-
-    fn ensure_shard(&mut self, s: ShardId) -> Result<(), ClusterError> {
-        if self.shards.contains_key(&s) {
-            return Ok(());
-        }
-        let code = build_code(self.spec).map_err(StorageError::from)?;
-        let mut store = if self.wal_dir.is_some() {
-            DistributedStore::with_wal(code, self.config, self.open_shard_log(s)?)
-        } else {
-            DistributedStore::with_wal(code, self.config, Box::new(MemLog::new()))
+    /// Build shard `s` through the factory and install it, up. With no
+    /// survivors it is a fresh store over the shard's log (memory when the
+    /// factory keeps none); with survivors it is replayed from that log
+    /// against them. Either way it gets the factory's transport and the
+    /// cluster's registry.
+    fn build_shard(
+        &mut self,
+        s: ShardId,
+        survivors: Option<SurvivingNodes>,
+    ) -> Result<RecoveryReport, ClusterError> {
+        let code = self.factory.code(s)?;
+        let log = self.factory.log(&format!("shard-{s}.wal"), &self.config);
+        let (mut store, report) = match (survivors, log.map_err(wal_err)?) {
+            (None, log) => {
+                let log = log.unwrap_or_else(|| Box::new(MemLog::new()));
+                let store = DistributedStore::with_wal(code, self.config, log);
+                (store, RecoveryReport::default())
+            }
+            (Some(nodes), Some(log)) => {
+                DistributedStore::recover(code, self.config, nodes, WriteAheadLog::new(log))?
+            }
+            (Some(_), None) => return Err(no_disk_logs()),
         };
+        store.set_transport(self.factory.transport(s));
         if let Some(reg) = &self.registry {
             store.attach_registry(reg);
         }
         self.shards.insert(s, store);
         self.up.insert(s, true);
+        Ok(report)
+    }
+
+    fn ensure_shard(&mut self, s: ShardId) -> Result<(), ClusterError> {
+        if !self.shards.contains_key(&s) {
+            self.build_shard(s, None)?;
+        }
         Ok(())
     }
 
@@ -414,28 +471,20 @@ impl ClusterStore {
     /// and rebuilt by replaying the shard's on-disk log against its
     /// surviving node fabric. The shard comes back up on success.
     ///
-    /// Errors if the cluster was not built with
-    /// [`ClusterStore::with_wal_dir`] or the shard does not exist.
+    /// Errors, leaving the shard as it was, if the cluster keeps no logs
+    /// (built by [`ClusterStore::new`], or by a factory that gave it no
+    /// metalog) or the shard does not exist.
     pub fn restart_shard_from_disk(&mut self, s: ShardId) -> Result<RecoveryReport, ClusterError> {
-        if self.wal_dir.is_none() {
-            return Err(ClusterError::Storage(StorageError::Recovery {
-                reason: "restart_from_disk needs a file-backed cluster (with_wal_dir)".to_string(),
-            }));
+        // Refuse before tearing anything down: a shard crashed here could
+        // not be rebuilt without a log to replay.
+        if self.meta.is_none() {
+            return Err(no_disk_logs());
         }
         let store = self.shards.remove(&s).ok_or(ClusterError::ShardDown(s))?;
         // The returned in-memory WAL handle is dropped on the floor:
         // recovery must read the log back from the filesystem.
         let (nodes, _discarded) = store.crash();
-        let wal = WriteAheadLog::new(self.open_shard_log(s)?);
-        let code = build_code(self.spec).map_err(StorageError::from)?;
-        let (mut rebuilt, report) = DistributedStore::recover(code, self.config, nodes, wal)
-            .map_err(ClusterError::Storage)?;
-        if let Some(reg) = &self.registry {
-            rebuilt.attach_registry(reg);
-        }
-        self.shards.insert(s, rebuilt);
-        self.up.insert(s, true);
-        Ok(report)
+        self.build_shard(s, Some(nodes))
     }
 
     /// Attach a telemetry registry: every shard records its store metrics
@@ -545,9 +594,11 @@ impl ClusterStore {
         }
     }
 
-    /// Mark a failed shard up again (its coordinator state survived — the
-    /// per-shard WAL crash/recovery path is exercised at the
-    /// [`DistributedStore`] level).
+    /// Mark a failed shard up again. Its coordinator state survived; one
+    /// that must be rebuilt from its log goes through
+    /// [`ClusterStore::restart_shard_from_disk`] instead. A shard that
+    /// recovered dark serves only what it writes from here on: its log
+    /// replayed, but the machines holding its older symbols are gone.
     pub fn recover_shard(&mut self, s: ShardId) {
         if let Some(up) = self.up.get_mut(&s) {
             *up = true;
@@ -1324,8 +1375,10 @@ impl ClusterStore {
     /// 2. **Per-shard replay** — every surviving shard coordinator is
     ///    rebuilt from its own on-disk log against its node fabric, exactly
     ///    like [`ClusterStore::restart_shard_from_disk`]. A shard with no
-    ///    survivors comes back *down* (its keys read as honest
-    ///    [`ClusterError::ShardDown`]).
+    ///    survivors replays its log against a blank fabric and comes back
+    ///    *down* (its keys read as honest [`ClusterError::ShardDown`]);
+    ///    once [`ClusterStore::recover_shard`] brings it up, what it writes
+    ///    lands in that log and survives the next restart.
     /// 3. **Reconciliation sweep** — cross-log drift from the crash point
     ///    is healed: copies on shards the directory does not credit are
     ///    evicted (rollback/commit-redo strays), durable objects the
@@ -1337,13 +1390,26 @@ impl ClusterStore {
     pub fn recover_from_disk(
         spec: CodeSpec,
         config: GroupConfig,
-        dir: impl Into<std::path::PathBuf>,
+        dir: impl Into<PathBuf>,
+        survivors: ClusterSurvivors,
+    ) -> Result<(Self, ClusterRecoveryReport), ClusterError> {
+        let dir = Some(dir.into());
+        Self::recover_with_factory(SpecFactory { spec, dir }, config, survivors)
+    }
+
+    /// [`ClusterStore::recover_from_disk`] with every log reopened and
+    /// every shard rebuilt through `factory`. Errors if the factory keeps
+    /// no metalog.
+    pub fn recover_with_factory(
+        factory: impl ShardFactory + 'static,
+        config: GroupConfig,
         survivors: ClusterSurvivors,
     ) -> Result<(Self, ClusterRecoveryReport), ClusterError> {
         let placeholder = MembershipView::genesis(&[0], 1); // replaced below
-        let mut cluster = Self::bare(spec, config, placeholder, Some(dir.into()));
+        let mut cluster = Self::bare(Box::new(factory), config, placeholder);
         // 1. Metalog replay.
-        let mut meta = MetaLog::new(cluster.open_log("cluster.meta")?);
+        let meta_log = cluster.factory.log("cluster.meta", &config);
+        let mut meta = MetaLog::new(meta_log.map_err(wal_err)?.ok_or_else(no_disk_logs)?);
         let replay = meta.replay().map_err(wal_err)?;
         // The fold restarts at every checkpoint, so the newest one is where
         // this replay restarted from; the checkpoint cadence resumes there.
@@ -1373,31 +1439,24 @@ impl ClusterStore {
         cluster.directory = state.directory;
         cluster.pkeys = state.pkeys;
         cluster.meta = Some(meta);
-        // 2. Per-shard replay against the surviving node fabrics.
-        for (s, nodes) in survivors.nodes {
-            let wal = WriteAheadLog::new(cluster.open_shard_log(s)?);
-            let code = build_code(cluster.spec).map_err(StorageError::from)?;
-            let (store, shard_report) = DistributedStore::recover(code, cluster.config, nodes, wal)
-                .map_err(ClusterError::Storage)?;
-            cluster.shards.insert(s, store);
-            cluster.up.insert(s, true);
-            report.shard_reports.insert(s, shard_report);
-        }
-        // Shards the control state references but nothing survived of:
-        // they exist (so routing can name them) but come back down.
-        let referenced: Vec<ShardId> = cluster
-            .view
-            .members()
-            .iter()
+        // 2. Per-shard replay: every shard with survivors, and every shard
+        // the control state names. One whose machines never came back
+        // replays its own log against a blank fabric and stays down;
+        // brought back up, it keeps logging to disk.
+        let mut nodes = survivors.nodes;
+        let shards: BTreeSet<ShardId> = nodes
+            .keys()
+            .chain(cluster.view.members())
+            .chain(cluster.directory.values())
             .copied()
-            .chain(cluster.directory.values().copied())
             .collect();
-        for s in referenced {
-            if !cluster.shards.contains_key(&s) {
-                let code = build_code(cluster.spec).map_err(StorageError::from)?;
-                let store =
-                    DistributedStore::with_wal(code, cluster.config, Box::new(MemLog::new()));
-                cluster.shards.insert(s, store);
+        for s in shards {
+            if let Some(surviving) = nodes.remove(&s) {
+                let shard_report = cluster.build_shard(s, Some(surviving))?;
+                report.shard_reports.insert(s, shard_report);
+            } else {
+                let (blank, _) = DistributedStore::new(cluster.factory.code(s)?).crash();
+                cluster.build_shard(s, Some(blank))?;
                 cluster.up.insert(s, false);
             }
         }

@@ -422,6 +422,57 @@ fn a_shard_whose_machines_never_return_recovers_honestly_dark() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shard that recovered dark still logs to disk: brought back up, it
+/// acks new writes, and those survive the next full restart instead of
+/// dying with an in-memory log.
+#[test]
+fn a_dark_shard_brought_back_up_keeps_its_new_writes_across_a_restart() {
+    let dir = wal_dir("dark-writes");
+    let config = config().with_fsync(FsyncPolicy::Always);
+    let (cluster, mut acked) = churned_cluster(&dir, FsyncPolicy::Always, 0);
+    let mut survivors = cluster.crash();
+    assert!(survivors.lose_shard(1), "shard 1 had survivors to lose");
+    let (mut cluster, _) =
+        ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+    assert!(!cluster.shard_up(1), "shard 1 recovers dark");
+
+    cluster.recover_shard(1);
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(
+        wrong.is_empty(),
+        "wrong bytes from the blank shard: {wrong:?}"
+    );
+    assert_eq!(exact + unavailable, acked.len());
+    let epoch = cluster.epoch();
+    let mut fresh = HashMap::new();
+    for i in 200..400u32 {
+        let key = format!("new-{i}");
+        if fresh.len() < 21 && cluster.view().owner_of(&key) == Some(1) {
+            let data = payload(i, 24 + (i as usize % 80));
+            cluster.store(&key, &data, epoch).unwrap();
+            fresh.insert(key, data);
+        }
+    }
+    assert_eq!(fresh.len(), 21, "enough keys land on shard 1");
+    assert_eq!(sweep(&mut cluster, &fresh).0, fresh.len());
+
+    let survivors = cluster.crash();
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+    let (exact, _, wrong) = sweep(&mut cluster, &fresh);
+    assert!(wrong.is_empty(), "wrong bytes after restart: {wrong:?}");
+    assert_eq!(
+        exact,
+        fresh.len(),
+        "acked writes on shard 1 survive: {report:?}"
+    );
+    acked.extend(fresh);
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(wrong.is_empty(), "wrong bytes after restart: {wrong:?}");
+    assert_eq!(exact + unavailable, acked.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_torn_final_metalog_record_is_tolerated() {
     let dir = wal_dir("torn-meta");

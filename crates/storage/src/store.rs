@@ -1022,21 +1022,6 @@ impl DistributedStore {
         store
     }
 
-    /// Create a store whose write-ahead log lives in the file at `path`
-    /// (created if absent, appended to if present), synced according to
-    /// `config.fsync`. To *reuse* an existing log's contents, recover
-    /// through [`DistributedStore::recover`] instead — this constructor
-    /// appends after whatever the file already holds without replaying it.
-    pub fn with_wal_file(
-        code: Arc<dyn ErasureCode>,
-        config: GroupConfig,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Self, StorageError> {
-        let file =
-            crate::wal::file::FileLog::open(path, config.fsync).map_err(StorageError::Wal)?;
-        Ok(Self::with_wal(code, config, Box::new(file)))
-    }
-
     /// The common constructor core: no log attached.
     fn bare(code: Arc<dyn ErasureCode>, config: GroupConfig) -> Self {
         let n = code.n();
