@@ -1,4 +1,4 @@
-//! # rain-checkpoint — RAINCheck, distributed checkpoint / rollback-recovery
+//! RAINCheck: distributed checkpoint / rollback-recovery.
 //!
 //! Section 5.3 of *Computing in the RAIN*: jobs run on the cluster's nodes
 //! under the direction of a leader (elected with `rain-election`); each job
@@ -13,8 +13,6 @@
 //! Job state here is a running digest of the executed steps, so the tests
 //! can verify that recovery is *correct* (the final state equals the state
 //! of an uninterrupted run), not merely that progress counters reach the end.
-
-#![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -13,24 +13,22 @@
 //!   answers each request with no external load balancer (experiment E13);
 //! * [`rainwall`] — **Rainwall**: virtual-IP pools over gateway clusters,
 //!   request-based load balancing that avoids the hot-potato effect, and
-//!   roughly two-second fail-over (experiments E15–E17).
+//!   roughly two-second fail-over (experiments E15–E17);
+//! * [`checkpoint`] — **RAINCheck**: jobs checkpoint their state through the
+//!   erasure-coded store and resume elsewhere when a node fails
+//!   (experiment E14).
 //!
-//! The RAINCheck distributed checkpointing system of Section 5.3 lives in
-//! its own crate, `rain-checkpoint` (experiment E14).
-//!
-//! [`sharded`] is deployment glue rather than a paper application: one
-//! handle ([`ShardedRain`]) that puts any of the above on the sharded
-//! multi-coordinator cluster of `rain-cluster`, with membership-driven
-//! rebalancing reconciled automatically.
+//! The sharded deployment that runs the store over many coordinators, with
+//! membership-driven rebalancing, is `rain_cluster::ShardedRain`.
 
 #![warn(missing_docs)]
 
+pub mod checkpoint;
 pub mod rainwall;
-pub mod sharded;
 pub mod snow;
 pub mod video;
 
+pub use checkpoint::RainCheck;
 pub use rainwall::{BalancePolicy, ClusterStats, Rainwall, RainwallConfig, VirtualIp};
-pub use sharded::ShardedRain;
 pub use snow::{Served, SnowCluster};
 pub use video::{VideoClient, VideoSystem};

@@ -1,12 +1,12 @@
 //! Deterministic membership-churn scenarios over the full sharded stack.
 //!
-//! A churn scenario drives both planes at once: the [`ControlPlane`] runs
-//! the token-ring membership and leader election on simulated time, and
-//! every transition its leader commits is executed by the
-//! [`ClusterStore`] as a two-phase handover. Workload keys follow a
-//! zipfian popularity curve over a mixed small/large size distribution
-//! ([`ZipfSampler`] / [`SizeMix`]), so the hot keys keep getting
-//! overwritten *while* the groups that pack them are mid-migration.
+//! A churn scenario drives one [`ShardedRain`]: its control plane runs the
+//! token-ring membership and leader election on simulated time, and every
+//! transition its leader commits is executed by its [`ClusterStore`] as a
+//! two-phase handover. Workload keys follow a zipfian popularity curve
+//! over a mixed small/large size distribution ([`ZipfSampler`] /
+//! [`SizeMix`]), so the hot keys keep getting overwritten *while* the
+//! groups that pack them are mid-migration.
 //!
 //! The scripted run is the acceptance story for the cluster layer:
 //!
@@ -27,14 +27,12 @@
 use std::collections::BTreeMap;
 
 use rain_codes::CodeSpec;
-use rain_election::ElectionConfig;
-use rain_membership::MemberConfig;
 use rain_obs::Registry;
 use rain_sim::{DetRng, SimDuration};
 use rain_storage::{GroupConfig, SelectionPolicy, SizeMix, StorageError, ZipfSampler};
 
-use crate::control::ControlPlane;
 use crate::ring::ShardId;
+use crate::sharded::ShardedRain;
 use crate::store::{ClusterError, ClusterStore};
 
 /// Parameters of a churn scenario run.
@@ -127,8 +125,7 @@ pub struct ChurnReport {
 type Model = BTreeMap<String, Vec<u8>>;
 
 struct Driver {
-    cluster: ClusterStore,
-    control: ControlPlane,
+    rain: ShardedRain,
     model: Model,
     rng: DetRng,
     zipf: ZipfSampler,
@@ -156,9 +153,11 @@ fn payload(obj: usize, version: u64, len: usize) -> Vec<u8> {
 impl Driver {
     /// One tick of simulated time on both planes.
     fn tick(&mut self) {
-        let step = SimDuration::from_millis(100);
-        self.control.tick(step);
-        self.cluster.advance_time(step);
+        self.rain.tick(SimDuration::from_millis(100));
+    }
+
+    fn cluster(&mut self) -> &mut ClusterStore {
+        self.rain.cluster_mut()
     }
 
     fn settle(&mut self, secs: u64) {
@@ -176,7 +175,7 @@ impl Driver {
     ) -> Vec<ShardId> {
         for _ in 0..max_secs * 10 {
             self.tick();
-            if let Some(members) = self.control.poll_transition() {
+            if let Some(members) = self.rain.poll_transition() {
                 if want(&members) {
                     return members;
                 }
@@ -194,8 +193,8 @@ impl Driver {
         let len = self.mix.sample(&mut self.rng);
         self.version += 1;
         let data = payload(obj, self.version, len);
-        let epoch = self.cluster.epoch();
-        match self.cluster.store(&key, &data, epoch) {
+        let epoch = self.cluster().epoch();
+        match self.cluster().store(&key, &data, epoch) {
             Ok(()) => {
                 self.model.insert(key, data);
                 self.writes_ok += 1;
@@ -209,7 +208,7 @@ impl Driver {
     /// honestly unavailable, wrong bytes, or missing. Every fifth read is
     /// stamped with the previous epoch to exercise directory forwarding.
     fn sweep(&mut self) {
-        let epoch = self.cluster.epoch();
+        let epoch = self.cluster().epoch();
         let keys: Vec<String> = self.model.keys().cloned().collect();
         for (i, key) in keys.iter().enumerate() {
             let stamp = if i % 5 == 4 && epoch > 1 {
@@ -218,7 +217,7 @@ impl Driver {
                 epoch
             };
             self.retrieves += 1;
-            match self.cluster.retrieve(key, SelectionPolicy::FirstK, stamp) {
+            match self.cluster().retrieve(key, SelectionPolicy::FirstK, stamp) {
                 Ok(read) => {
                     if read.bytes == self.model[key] {
                         self.bit_exact += 1;
@@ -242,7 +241,7 @@ impl Driver {
     /// after every transferred unit so dual-write paths stay exercised.
     fn drain_transfers(&mut self) {
         while self
-            .cluster
+            .cluster()
             .transfer_next()
             .expect("transfer must not error")
             .is_some()
@@ -263,18 +262,11 @@ pub fn run_churn_scenario_observed(spec: &ChurnSpec, registry: &Registry) -> Chu
     )
     .expect("bcode_6_4 builds");
     cluster.attach_registry(registry);
-    let control = ControlPlane::new(
-        5,
-        3,
-        MemberConfig::default(),
-        ElectionConfig::default(),
-        spec.seed,
-    );
+    let rain = ShardedRain::new(cluster, 5, spec.seed).expect("members 0..3 of 5");
     let rng = DetRng::new(spec.seed).fork(0xC0DE);
     let zipf = ZipfSampler::new(spec.objects, spec.zipf_exponent);
     let mut d = Driver {
-        cluster,
-        control,
+        rain,
         model: Model::new(),
         rng,
         zipf,
@@ -295,31 +287,30 @@ pub fn run_churn_scenario_observed(spec: &ChurnSpec, registry: &Registry) -> Chu
     for i in 0..spec.objects {
         let len = d.mix.sample(&mut d.rng);
         let data = payload(i, 0, len);
-        let epoch = d.cluster.epoch();
-        d.cluster
+        let epoch = d.cluster().epoch();
+        d.cluster()
             .store(&object_name(i), &data, epoch)
             .expect("seeding on a healthy cluster");
         d.model.insert(object_name(i), data);
         d.writes_ok += 1;
     }
-    d.cluster.flush_all();
+    d.cluster().flush_all();
     d.sweep();
 
     // Phase 1: shard 3 joins. The leader watches the token ring converge
     // on the wider view, then the data plane rebalances group-by-group
     // and commits epoch 2.
-    d.control.join(3, 0);
+    d.rain.join(3, 0).expect("shard 3 exists");
     let members = d.await_transition(20, |m| m.contains(&3));
-    d.cluster
+    d.cluster()
         .begin_handover(&members)
         .expect("no handover in flight");
     d.drain_transfers();
     // A client still on the genesis epoch: its write bounces with the
     // current epoch, the retry with a fresh stamp lands.
-    let stale = d.cluster.store("obj-000", b"stale attempt", 0);
+    let stale = d.cluster().store("obj-000", b"stale attempt", 0);
     assert!(matches!(stale, Err(ClusterError::StaleEpoch { .. })));
-    d.cluster.commit_handover().expect("commit epoch 2");
-    d.control.mark_committed(&members);
+    d.cluster().commit_handover().expect("commit epoch 2");
     d.zipf_overwrite();
     d.sweep();
 
@@ -327,51 +318,50 @@ pub fn run_churn_scenario_observed(spec: &ChurnSpec, registry: &Registry) -> Chu
     // together. The survivors re-elect, exclude it, and commit epoch 3.
     // Units stranded on shard 0 are skipped and stay honestly
     // unavailable until its data plane returns.
-    d.control.crash(0);
-    d.cluster.fail_shard(0);
+    d.rain.crash(0).expect("shard 0 exists");
     let members = d.await_transition(40, |m| !m.contains(&0));
-    d.cluster
+    d.cluster()
         .begin_handover(&members)
         .expect("no handover in flight");
     d.drain_transfers();
-    d.cluster.commit_handover().expect("commit epoch 3");
-    d.control.mark_committed(&members);
+    d.cluster().commit_handover().expect("commit epoch 3");
     d.sweep();
 
     // Shard 0's storage nodes come back (its controller stays dead, so
     // the view does not change): the stranded units read bit-exact again.
-    d.cluster.recover_shard(0);
+    d.cluster().recover_shard(0);
     d.sweep();
 
     // Phase 3: shard 4 joins but crashes mid-handover. The transition
     // aborts, destination copies are evicted, and the committed view
     // keeps serving everything acked.
-    d.control.join(4, 1);
+    d.rain.join(4, 1).expect("shard 4 exists");
     let members = d.await_transition(20, |m| m.contains(&4));
     let planned = d
-        .cluster
+        .cluster()
         .begin_handover(&members)
         .expect("no handover in flight");
     for _ in 0..planned / 2 {
-        d.cluster.transfer_next().expect("transfer must not error");
+        d.cluster()
+            .transfer_next()
+            .expect("transfer must not error");
         d.zipf_overwrite();
         d.tick();
     }
-    d.control.crash(4);
-    d.cluster.fail_shard(4);
-    d.cluster
+    d.rain.crash(4).expect("shard 4 exists");
+    d.cluster()
         .abort_handover()
         .expect("abort in flight handover");
     d.sweep();
 
-    d.cluster.publish_gauges();
-    d.control.publish_gauges(registry);
+    d.cluster().publish_gauges();
+    d.rain.publish_gauges(registry);
 
-    let stats = d.cluster.stats();
+    let stats = d.cluster().stats();
     let units_moved = stats.groups_moved + stats.wholes_moved;
     ChurnReport {
         name: spec.name.to_string(),
-        final_epoch: d.cluster.epoch(),
+        final_epoch: d.cluster().epoch(),
         writes_ok: d.writes_ok,
         writes_unavailable: d.writes_unavailable,
         stale_writes_rejected: stats.stale_writes_rejected,
@@ -392,9 +382,9 @@ pub fn run_churn_scenario_observed(spec: &ChurnSpec, registry: &Registry) -> Chu
         },
         transfer_skips: stats.transfer_skips,
         handover_aborts: stats.handover_aborts,
-        leader_changes: d.control.leader_changes(),
-        regenerations: d.control.regenerations(),
-        tokens_received: d.control.tokens_received(),
+        leader_changes: d.rain.leader_changes(),
+        regenerations: d.rain.regenerations(),
+        tokens_received: d.rain.tokens_received(),
     }
 }
 

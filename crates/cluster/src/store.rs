@@ -151,6 +151,11 @@ pub enum ClusterError {
     /// The ring was asked for zero or more than [`crate::MAX_VNODES`]
     /// points per shard.
     BadVnodes(usize),
+    /// The shard is not one of the deployment's `0..total`.
+    UnknownShard(ShardId),
+    /// A [`crate::ShardedRain`] must start from members `0..m` with
+    /// `1 <= m <= total`; the cluster's committed view has these.
+    BadMembers(Vec<ShardId>),
     /// The owning shard failed the operation.
     Storage(StorageError),
 }
@@ -166,6 +171,8 @@ impl std::fmt::Display for ClusterError {
             ClusterError::HandoverInProgress => write!(f, "a handover is already in progress"),
             ClusterError::NoHandover => write!(f, "no handover is in progress"),
             ClusterError::BadVnodes(v) => write!(f, "{v} virtual nodes per shard is out of range"),
+            ClusterError::UnknownShard(s) => write!(f, "shard {s} is not in the deployment"),
+            ClusterError::BadMembers(m) => write!(f, "members {m:?} are not shards 0..m"),
             ClusterError::Storage(e) => write!(f, "storage error: {e}"),
         }
     }
