@@ -21,10 +21,11 @@ use crate::matrix::solve_gf2_sparse;
 use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
-    locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols, CodeKind,
-    ErasureCode,
+    copy_parts, locate_cell_len, validate_decode_out, validate_encode_cols, validate_parts,
+    CodeKind, ErasureCode, ENCODE_WINDOW,
 };
 use crate::xor::xor_into;
+use std::cmp::Ordering;
 
 /// XOR cell `src` into cell `dst` within one flat buffer of `cell_len`-byte
 /// cells. The cells must be distinct; `split_at_mut` proves disjointness.
@@ -42,6 +43,40 @@ fn xor_cells(buf: &mut [u8], cell_len: usize, dst: usize, src: usize) {
             &mut hi[..cell_len],
             &lo[src * cell_len..(src + 1) * cell_len],
         );
+    }
+}
+
+/// Set the `len`-byte run at `dst` (`(column, offset)`) to the XOR of the
+/// runs at `srcs`, none of which overlaps it: the first is copied, the rest
+/// are XORed in. A run is one encode window, so the output stays in L1
+/// across the passes.
+fn xor_runs(
+    shares: &mut [&mut [u8]],
+    dst: (usize, usize),
+    srcs: impl Iterator<Item = (usize, usize)>,
+    len: usize,
+) {
+    let (left, rest) = shares.split_at_mut(dst.0);
+    let (column, right) = rest.split_first_mut().expect("dst names a column");
+    let (above, rest) = column.split_at_mut(dst.1);
+    let (out, below) = rest.split_at_mut(len);
+    let mut first = true;
+    for (c, at) in srcs {
+        let src = match c.cmp(&dst.0) {
+            Ordering::Less => &left[c][at..at + len],
+            Ordering::Greater => &right[c - dst.0 - 1][at..at + len],
+            Ordering::Equal if at < dst.1 => &above[at..at + len],
+            Ordering::Equal => &below[at - dst.1 - len..][..len],
+        };
+        if first {
+            out.copy_from_slice(src);
+            first = false;
+        } else {
+            xor_into(out, src);
+        }
+    }
+    if first {
+        out.fill(0);
     }
 }
 
@@ -238,7 +273,8 @@ pub struct DecodeTrace {
 pub struct ArrayCode {
     kind: CodeKind,
     layout: ArrayLayout,
-    parity_column_of_eq: Vec<usize>,
+    /// `(column, slot)` of every parity cell, indexed by equation.
+    parity_cell_at: Vec<(usize, usize)>,
     /// `(column, slot)` of every data cell, indexed by data-cell number.
     data_cell_at: Vec<(usize, usize)>,
 }
@@ -250,20 +286,20 @@ impl ArrayCode {
         layout
             .validate()
             .map_err(|reason| CodeError::UnsupportedParameters { reason })?;
-        let mut parity_column_of_eq = vec![0usize; layout.equations.len()];
+        let mut parity_cell_at = vec![(0usize, 0usize); layout.equations.len()];
         let mut data_cell_at = vec![(0usize, 0usize); layout.num_data_cells()];
         for (c, col) in layout.column_cells.iter().enumerate() {
             for (slot, cell) in col.iter().enumerate() {
                 match *cell {
                     Cell::Data(i) => data_cell_at[i] = (c, slot),
-                    Cell::Parity(p) => parity_column_of_eq[p] = c,
+                    Cell::Parity(p) => parity_cell_at[p] = (c, slot),
                 }
             }
         }
         Ok(ArrayCode {
             kind,
             layout,
-            parity_column_of_eq,
+            parity_cell_at,
             data_cell_at,
         })
     }
@@ -390,7 +426,7 @@ impl ArrayCode {
                     t.chain.push(ChainStep {
                         recovered_data_cell: target,
                         equation: eq_idx,
-                        parity_column: self.parity_column_of_eq[eq_idx],
+                        parity_column: self.parity_cell_at[eq_idx].0,
                     });
                 }
                 progressed = true;
@@ -463,7 +499,7 @@ impl ErasureCode for ArrayCode {
         self.layout.num_data_cells()
     }
 
-    /// Where data byte `offset` sits: `encode_slices` copies every data
+    /// Where data byte `offset` sits: the encode copies every data
     /// cell verbatim into one slot of one column, so the byte is at
     /// `slot * cell_len + offset % cell_len` of that column, and the run
     /// lasts to the end of the cell.
@@ -474,29 +510,44 @@ impl ErasureCode for ArrayCode {
         Some((column, slot * cell_len + within, cell_len - within))
     }
 
-    /// Encode `data` into `n` pre-sized column slices without allocating.
-    /// Each slice must be `(data.len() / num_data_cells) * cells_per_column`
-    /// bytes; every byte is overwritten.
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        validate_data_len(data.len(), self.data_len_unit())?;
-        let d = self.layout.num_data_cells();
-        let cell_len = data.len() / d;
-        let r = self.layout.cells_per_column();
-        validate_encode_cols(shares, self.n(), r * cell_len)?;
-        for (c, col) in self.layout.column_cells.iter().enumerate() {
-            for (slot, cell) in col.iter().enumerate() {
-                let dst = &mut shares[c][slot * cell_len..(slot + 1) * cell_len];
-                match *cell {
-                    Cell::Data(i) => {
-                        dst.copy_from_slice(&data[i * cell_len..(i + 1) * cell_len]);
-                    }
-                    Cell::Parity(p) => {
-                        dst.fill(0);
-                        for &dc in &self.layout.equations[p] {
-                            xor_into(dst, &data[dc * cell_len..(dc + 1) * cell_len]);
-                        }
-                    }
-                }
+        self.encode_parts(&[], data, data.len(), shares)
+    }
+
+    /// Encode into `n` pre-sized column slices of
+    /// `(padded_len / num_data_cells) * cells_per_column` bytes without
+    /// allocating or staging the input. The cells advance together one
+    /// window at a time: each data cell's window is copied from the parts
+    /// into the slot [`ErasureCode::locate`] names, then each parity cell's
+    /// window is the XOR of its equation's data runs, read back from the
+    /// shares while they are still in cache.
+    fn encode_parts(
+        &self,
+        prefix: &[u8],
+        body: &[u8],
+        padded_len: usize,
+        shares: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        validate_parts(prefix.len() + body.len(), padded_len, self.data_len_unit())?;
+        let cell_len = padded_len / self.data_cell_at.len();
+        validate_encode_cols(shares, self.n(), self.layout.cells_per_column() * cell_len)?;
+        for w in (0..cell_len).step_by(ENCODE_WINDOW) {
+            let len = ENCODE_WINDOW.min(cell_len - w);
+            for (i, &(column, slot)) in self.data_cell_at.iter().enumerate() {
+                let at = slot * cell_len + w;
+                copy_parts(
+                    &mut shares[column][at..at + len],
+                    i * cell_len + w,
+                    prefix,
+                    body,
+                );
+            }
+            for (eq, &(column, slot)) in self.layout.equations.iter().zip(&self.parity_cell_at) {
+                let runs = eq.iter().map(|&dc| {
+                    let (c, s) = self.data_cell_at[dc];
+                    (c, s * cell_len + w)
+                });
+                xor_runs(shares, (column, slot * cell_len + w), runs, len);
             }
         }
         Ok(())

@@ -20,8 +20,8 @@ use crate::matrix::GfMatrix;
 use crate::metrics::{CodeCost, CodeMetrics};
 use crate::share::ShareView;
 use crate::traits::{
-    locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols, CodeKind,
-    ErasureCode,
+    copy_parts, locate_cell_len, validate_decode_out, validate_encode_cols, validate_parts,
+    CodeKind, ErasureCode, ENCODE_WINDOW,
 };
 
 /// Capacity of the per-code repair coefficient-row cache. A repair storm
@@ -232,19 +232,36 @@ impl ErasureCode for ReedSolomon {
     }
 
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        validate_data_len(data.len(), self.k)?;
-        let symbol_len = data.len() / self.k;
-        validate_encode_cols(shares, self.n, symbol_len)?;
-        let data_symbol = |i: usize| &data[i * symbol_len..(i + 1) * symbol_len];
+        self.encode_parts(&[], data, data.len(), shares)
+    }
 
-        // Systematic part: identity rows copy the data straight through.
-        for (row, share) in shares.iter_mut().enumerate().take(self.k) {
-            share.copy_from_slice(data_symbol(row));
-        }
-        for (row, tables) in self.parity_tables.iter().enumerate() {
-            shares[self.k + row].fill(0);
-            for (col, table) in tables.iter().enumerate() {
-                table.mul_acc(shares[self.k + row], data_symbol(col));
+    /// Systematic encode without staging the input: data symbol `i` is
+    /// input bytes `i * symbol_len..`, copied from the parts into share
+    /// `i`, and each parity row is accumulated from those shares with one
+    /// `mul_acc` per data symbol, a window at a time so the data is still
+    /// in cache.
+    fn encode_parts(
+        &self,
+        prefix: &[u8],
+        body: &[u8],
+        padded_len: usize,
+        shares: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        validate_parts(prefix.len() + body.len(), padded_len, self.k)?;
+        let symbol_len = padded_len / self.k;
+        validate_encode_cols(shares, self.n, symbol_len)?;
+        let (data, parity) = shares.split_at_mut(self.k);
+        for w in (0..symbol_len).step_by(ENCODE_WINDOW) {
+            let window = w..(w + ENCODE_WINDOW).min(symbol_len);
+            for (i, share) in data.iter_mut().enumerate() {
+                copy_parts(&mut share[window.clone()], i * symbol_len + w, prefix, body);
+            }
+            for (share, tables) in parity.iter_mut().zip(&self.parity_tables) {
+                let out = &mut share[window.clone()];
+                out.fill(0);
+                for (table, src) in tables.iter().zip(data.iter()) {
+                    table.mul_acc(out, &src[window.clone()]);
+                }
             }
         }
         Ok(())

@@ -8,8 +8,8 @@ use crate::error::CodeError;
 use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
-    locate_cell_len, validate_data_len, validate_decode_out, validate_encode_cols, CodeKind,
-    ErasureCode,
+    copy_parts, locate_cell_len, validate_decode_out, validate_encode_cols, validate_parts,
+    CodeKind, ErasureCode,
 };
 
 /// RAID-1-style mirroring: every node stores a full copy of the data.
@@ -50,10 +50,21 @@ impl ErasureCode for Mirroring {
     }
 
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        validate_data_len(data.len(), 1)?;
-        validate_encode_cols(shares, self.copies, data.len())?;
+        self.encode_parts(&[], data, data.len(), shares)
+    }
+
+    /// Every copy is written straight from the parts.
+    fn encode_parts(
+        &self,
+        prefix: &[u8],
+        body: &[u8],
+        padded_len: usize,
+        shares: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        validate_parts(prefix.len() + body.len(), padded_len, 1)?;
+        validate_encode_cols(shares, self.copies, padded_len)?;
         for copy in shares.iter_mut() {
-            copy.copy_from_slice(data);
+            copy_parts(copy, 0, prefix, body);
         }
         Ok(())
     }

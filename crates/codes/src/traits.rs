@@ -1,13 +1,21 @@
 //! The common erasure-code interface used by the storage layer.
 //!
-//! Every entry point works on caller-owned buffers.
-//! [`ErasureCode::encode_slices`], [`ErasureCode::decode_slices`] and
-//! [`ErasureCode::repair`] are what an implementation provides: they take
-//! pre-sized column slices, a borrowed [`ShareView`] and a flat output
-//! slice, and never allocate share storage. [`ErasureCode::encode_into`] /
-//! [`ErasureCode::decode_into`] are what callers use: they size a reusable
-//! [`ShareSet`] / output `Vec` for you, so steady-state loops allocate
-//! nothing after the first call.
+//! Every entry point works on caller-owned buffers. A code implements
+//! [`ErasureCode::encode_parts`], [`ErasureCode::decode_slices`] and
+//! [`ErasureCode::repair`], plus [`ErasureCode::encode_slices`] as the
+//! one-line `encode_parts(&[], data, data.len(), shares)`, so each code
+//! has one encode. They take pre-sized column slices, a borrowed
+//! [`ShareView`] and a flat output slice, and never allocate share storage.
+//! `encode_parts` takes its input in parts (a prefix, the caller's bytes,
+//! and a zero-padded length) and writes them straight into the shares: the
+//! store encodes an object with its length prefix from the caller's
+//! buffer, with no staging copy. Its provided default stages the parts into
+//! one buffer and calls `encode_slices`; it exists for wrappers, which
+//! implement `encode_slices` by forwarding.
+//!
+//! [`ErasureCode::encode_into`] / [`ErasureCode::decode_into`] are what
+//! most other callers use: they size a reusable [`ShareSet`] / output `Vec`
+//! for you, so steady-state loops allocate nothing after the first call.
 //!
 //! [`ErasureCode::repair`] reconstructs a **single lost share** directly,
 //! without round-tripping through the full data block — the operation node
@@ -116,8 +124,9 @@ pub trait ErasureCode: Send + Sync {
 
     /// Encode `data` into `n` pre-sized column slices, each
     /// `share_len_for(data.len())` bytes. Every byte of every slice is
-    /// overwritten. This is the lowest-level entry point; most callers want
-    /// [`ErasureCode::encode_into`].
+    /// overwritten. A code implements it as
+    /// `self.encode_parts(&[], data, data.len(), shares)`; a wrapper
+    /// forwards it. Most callers want [`ErasureCode::encode_into`].
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError>;
 
     /// Reconstruct the original data from surviving shares into `out`,
@@ -140,6 +149,32 @@ pub trait ErasureCode: Send + Sync {
     ) -> Result<(), CodeError>;
 
     // ---- provided ---------------------------------------------------------
+
+    /// Encode the `padded_len`-byte input `prefix ++ body ++ zeros` into
+    /// `n` pre-sized column slices of `share_len_for(padded_len)` bytes,
+    /// every byte overwritten. The shares are exactly those
+    /// [`ErasureCode::encode_slices`] makes of the concatenated input.
+    /// `padded_len` must be a valid input length no shorter than
+    /// `prefix.len() + body.len()`.
+    ///
+    /// Every code in this crate overrides this to write the parts straight
+    /// into the data runs [`ErasureCode::locate`] names and to compute
+    /// parity from those runs. This default stages the input in a buffer
+    /// and calls `encode_slices`; it is for wrappers only.
+    fn encode_parts(
+        &self,
+        prefix: &[u8],
+        body: &[u8],
+        padded_len: usize,
+        shares: &mut [&mut [u8]],
+    ) -> Result<(), CodeError> {
+        validate_parts(prefix.len() + body.len(), padded_len, self.data_len_unit())?;
+        let mut staged = Vec::with_capacity(padded_len);
+        staged.extend_from_slice(prefix);
+        staged.extend_from_slice(body);
+        staged.resize(padded_len, 0);
+        self.encode_slices(&staged, shares)
+    }
 
     /// Encode `data` into a reusable [`ShareSet`]. The set is re-laid out
     /// for this call (allocating only if it grew past its retained
@@ -169,6 +204,47 @@ pub(crate) fn validate_data_len(data_len: usize, unit: usize) -> Result<(), Code
         });
     }
     Ok(())
+}
+
+/// Validate an [`ErasureCode::encode_parts`] input: `padded_len` is a
+/// valid input length and holds the `input_len` bytes of the parts.
+pub(crate) fn validate_parts(
+    input_len: usize,
+    padded_len: usize,
+    unit: usize,
+) -> Result<(), CodeError> {
+    validate_data_len(padded_len, unit)?;
+    if input_len > padded_len {
+        return Err(CodeError::BadDataLength {
+            got: input_len,
+            unit,
+        });
+    }
+    Ok(())
+}
+
+/// Bytes at which each encode pass advances through a cell or symbol: the
+/// data runs a window copies are still in L1 when its parity reads them.
+pub(crate) const ENCODE_WINDOW: usize = 4096;
+
+/// Copy bytes `offset..offset + dst.len()` of the input
+/// `prefix ++ body ++ zeros` into `dst`.
+pub(crate) fn copy_parts(mut dst: &mut [u8], mut offset: usize, prefix: &[u8], body: &[u8]) {
+    for part in [prefix, body] {
+        if dst.is_empty() {
+            return;
+        }
+        let Some(rest) = part.get(offset..) else {
+            offset -= part.len();
+            continue;
+        };
+        let run = rest.len().min(dst.len());
+        let (head, tail) = dst.split_at_mut(run);
+        head.copy_from_slice(&rest[..run]);
+        dst = tail;
+        offset = 0;
+    }
+    dst.fill(0);
 }
 
 /// Data-cell length (`data_len / unit`) for a `locate` call, or `None` when
@@ -234,6 +310,26 @@ mod tests {
             validate_encode_cols(&cols, 2, 4),
             Err(CodeError::InconsistentShareLength)
         ));
+    }
+
+    #[test]
+    fn copy_parts_reads_across_prefix_body_and_padding() {
+        let input: Vec<u8> = [&[1u8, 2, 3][..], &[4, 5], &[0, 0, 0]].concat();
+        for offset in 0..input.len() {
+            for len in 0..=input.len() - offset {
+                let mut dst = vec![0xaa; len];
+                copy_parts(&mut dst, offset, &[1, 2, 3], &[4, 5]);
+                assert_eq!(dst, &input[offset..offset + len], "{offset}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_parts_needs_room_for_the_input() {
+        assert!(validate_parts(8, 12, 4).is_ok());
+        assert!(validate_parts(13, 12, 4).is_err());
+        assert!(validate_parts(8, 10, 4).is_err());
+        assert!(validate_parts(0, 0, 4).is_err());
     }
 
     #[test]

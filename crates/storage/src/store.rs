@@ -429,8 +429,11 @@ pub struct DistributedStore {
     objects: HashMap<String, Placement>,
     /// Frame buffers for the next encode or repair to fill in place.
     frames: FramePool,
-    /// Reusable framed-input / decoded-output buffer.
+    /// Reusable decoded-output buffer (and an import's padded block).
     io_buf: Vec<u8>,
+    /// When each install of the current [`DistributedStore::install_unit`]
+    /// was confirmed; kept for its allocation.
+    finishes: Vec<SimDuration>,
     /// Recycled block buffer handed to the next open group, so sealing one
     /// group and opening the next allocates nothing in steady state.
     spare_block: Vec<u8>,
@@ -521,12 +524,29 @@ struct PendingInstall {
 /// Frame buffers freed when a node's frame is replaced outright, kept for
 /// the next encode or repair to write into. At most one encode's worth is
 /// kept, and a buffer is reused only for a frame close to its size, so a
-/// node never holds much more than its frame.
+/// node never holds much more than its frame. The pool also keeps the two
+/// tables an encode needs (the frame list and the payload slices), so a
+/// steady-state encode allocates nothing.
 #[derive(Debug)]
 struct FramePool {
     spare: Vec<Vec<u8>>,
     /// Buffers kept at most: the node count.
     cap: usize,
+    /// The emptied frame list of the last installed encode.
+    sets: Vec<Vec<u8>>,
+    /// The emptied payload-slice table of the last encode.
+    payloads: Vec<&'static mut [u8]>,
+}
+
+/// Empty `table` and retype it for a new borrow. The `collect` runs in
+/// place (same element type, so same size and alignment), so the
+/// allocation is kept.
+fn recycle_slices<'b>(mut table: Vec<&mut [u8]>) -> Vec<&'b mut [u8]> {
+    table.clear();
+    table
+        .into_iter()
+        .map(|_| -> &'b mut [u8] { &mut [] })
+        .collect()
 }
 
 impl FramePool {
@@ -534,6 +554,8 @@ impl FramePool {
         FramePool {
             spare: Vec::new(),
             cap,
+            sets: Vec::new(),
+            payloads: Vec::new(),
         }
     }
 
@@ -558,22 +580,39 @@ impl FramePool {
         }
     }
 
-    /// Encode `block` into `code.n()` frame buffers, each share written
-    /// straight into its frame's payload region. The headers are left for
-    /// [`DistributedStore::install_unit`] to seal.
-    fn encode(&mut self, code: &dyn ErasureCode, block: &[u8]) -> Result<Vec<Vec<u8>>, CodeError> {
-        let share_len = code.share_len_for(block.len())?;
+    /// Keep the frame list of an installed encode, emptied, for the next.
+    fn give_set(&mut self, mut set: Vec<Vec<u8>>) {
+        for frame in set.drain(..) {
+            self.give(frame);
+        }
+        self.sets = set;
+    }
+
+    /// Encode the `padded_len`-byte input `prefix ++ body ++ zeros` into
+    /// `code.n()` frame buffers with one [`ErasureCode::encode_parts`]:
+    /// the code writes each share straight into its frame's payload region
+    /// from the caller's bytes, with no staging copy. The headers are left
+    /// for [`DistributedStore::install_unit`] to seal; it hands the list
+    /// back through [`FramePool::give_set`].
+    fn encode(
+        &mut self,
+        code: &dyn ErasureCode,
+        prefix: &[u8],
+        body: &[u8],
+        padded_len: usize,
+    ) -> Result<Vec<Vec<u8>>, CodeError> {
+        let share_len = code.share_len_for(padded_len)?;
         let header = frame_len(share_len) - share_len;
-        let mut frames: Vec<Vec<u8>> = (0..code.n()).map(|_| self.take(share_len)).collect();
-        let mut payloads: Vec<&mut [u8]> = frames.iter_mut().map(|f| &mut f[header..]).collect();
-        let encoded = code.encode_slices(block, &mut payloads);
-        drop(payloads);
+        let mut frames = std::mem::take(&mut self.sets);
+        frames.extend((0..code.n()).map(|_| self.take(share_len)));
+        let mut payloads = recycle_slices(std::mem::take(&mut self.payloads));
+        payloads.extend(frames.iter_mut().map(|f| &mut f[header..]));
+        let encoded = code.encode_parts(prefix, body, padded_len, &mut payloads);
+        self.payloads = recycle_slices(payloads);
         match encoded {
             Ok(()) => Ok(frames),
             Err(e) => {
-                for frame in frames {
-                    self.give(frame);
-                }
+                self.give_set(frames);
                 Err(e)
             }
         }
@@ -730,6 +769,26 @@ fn drive_install(
 fn padded_block_len(code: &dyn ErasureCode, packed_len: usize) -> usize {
     let unit = code.data_len_unit();
     packed_len.div_ceil(unit).max(1) * unit
+}
+
+/// The object bytes of a decoded whole-object block
+/// (`[len: u64 LE][bytes][padding]`), or `None` when the block is shorter
+/// than its prefix says.
+fn whole_object_bytes(block: &[u8]) -> Option<&[u8]> {
+    let (prefix, rest) = block.split_first_chunk::<8>()?;
+    let len = usize::try_from(u64::from_le_bytes(*prefix)).ok()?;
+    rest.get(..len)
+}
+
+/// Set `map[key] = value`, allocating the key only when it is new, so an
+/// overwrite loop allocates no strings.
+fn upsert<V>(map: &mut HashMap<String, V>, key: &str, value: V) {
+    match map.get_mut(key) {
+        Some(slot) => *slot = value,
+        None => {
+            map.insert(key.to_string(), value);
+        }
+    }
 }
 
 /// Installs required before a write acks: `n - write_slack`, floored at
@@ -1037,6 +1096,7 @@ impl DistributedStore {
             objects: HashMap::new(),
             frames: FramePool::new(n),
             io_buf: Vec::new(),
+            finishes: Vec::new(),
             spare_block: Vec::new(),
             group_config: config,
             groups: HashMap::new(),
@@ -1688,30 +1748,26 @@ impl DistributedStore {
     /// one symbol per node.
     fn apply_store_whole(&mut self, object: &str, data: &[u8]) -> Result<(), StorageError> {
         // Frame: original length (8 bytes LE) + data, padded to the unit.
-        // The framed input goes through a reusable buffer, and each share
-        // is encoded straight into the frame its node keeps, reusing the
-        // frames an overwrite replaces.
-        let unit = self.code.data_len_unit();
-        {
+        // Nothing is copied here: the code reads the prefix and the
+        // caller's bytes where they are and writes each share straight
+        // into the frame its node keeps, reusing the frames an overwrite
+        // replaces.
+        let (prefix, padded) = {
             let _frame = span!(self.recorder, "store.store.frame");
-            self.io_buf.clear();
-            self.io_buf
-                .extend_from_slice(&(data.len() as u64).to_le_bytes());
-            self.io_buf.extend_from_slice(data);
-            let pad = (unit - self.io_buf.len() % unit) % unit;
-            self.io_buf.extend(std::iter::repeat_n(0u8, pad));
-        }
+            let prefix = (data.len() as u64).to_le_bytes();
+            (
+                prefix,
+                padded_block_len(self.code.as_ref(), prefix.len() + data.len()),
+            )
+        };
 
         // The fallible encode runs before any state changes: a failed
         // encode must not have tombstoned the grouped predecessor (the
         // object table would point at a possibly-dropped group).
         let frames = {
-            let _encode = span!(
-                self.recorder,
-                "store.store.encode",
-                bytes = self.io_buf.len() as u64
-            );
-            self.frames.encode(self.code.as_ref(), &self.io_buf)?
+            let _encode = span!(self.recorder, "store.store.encode", bytes = padded as u64);
+            self.frames
+                .encode(self.code.as_ref(), &prefix, data, padded)?
         };
         // A grouped predecessor is tombstoned; a whole one is replaced
         // frame by frame below. Its old frames are the durable predecessor
@@ -1722,7 +1778,7 @@ impl DistributedStore {
         }
         let park = self.park_tag();
         self.install_unit(Unit::Whole(object), park, frames)?;
-        self.objects.insert(object.to_string(), Placement::Whole);
+        upsert(&mut self.objects, object, Placement::Whole);
         Ok(())
     }
 
@@ -1755,14 +1811,15 @@ impl DistributedStore {
         &mut self,
         unit: Unit,
         park: Option<u64>,
-        frames: Vec<Vec<u8>>,
+        mut frames: Vec<Vec<u8>>,
     ) -> Result<usize, StorageError> {
         let gen = self.next_epoch;
         self.next_epoch += 1;
         let n = self.nodes.len();
         let quorum = quorum_need(n, self.code.k(), self.policy.write_slack);
         let mut installed = 0usize;
-        let mut finishes: Vec<SimDuration> = Vec::new();
+        let mut finishes = std::mem::take(&mut self.finishes);
+        finishes.clear();
         let queued_from = self.pending.len();
         // A whole store times its installs as a phase of its own; a seal's
         // are part of `store.seal`.
@@ -1770,7 +1827,7 @@ impl DistributedStore {
             Unit::Whole(_) => span!(self.recorder, "store.store.install"),
             Unit::Group(_) => Recorder::disabled().span("store.seal.install"),
         };
-        for (i, mut frame) in frames.into_iter().enumerate() {
+        for (i, mut frame) in frames.drain(..).enumerate() {
             seal_in_place(gen, &mut frame);
             let drive = drive_install(
                 self.transport.as_mut(),
@@ -1800,7 +1857,9 @@ impl DistributedStore {
             }
         }
         install_span.field("installed", installed as u64);
+        self.frames.give_set(frames);
         if installed < quorum {
+            self.finishes = finishes;
             self.pending.truncate(queued_from);
             self.advance_transport(self.policy.deadline);
             self.obs.quorum_failures.inc();
@@ -1811,10 +1870,13 @@ impl DistributedStore {
         }
         finishes.sort();
         self.advance_transport(finishes[quorum - 1]);
+        self.finishes = finishes;
         match unit {
-            Unit::Whole(name) => self.whole_gens.insert(name.to_string(), gen),
-            Unit::Group(gid) => self.group_gens.insert(gid, gen),
-        };
+            Unit::Whole(name) => upsert(&mut self.whole_gens, name, gen),
+            Unit::Group(gid) => {
+                self.group_gens.insert(gid, gen);
+            }
+        }
         Ok(installed)
     }
 
@@ -1832,14 +1894,7 @@ impl DistributedStore {
         let span = group.append(data);
         let full = group.packed_len >= self.group_config.capacity;
         let placement = Placement::Grouped { group: gid, span };
-        // Overwrites reuse the existing key, so the steady-state churn loop
-        // allocates no strings.
-        match self.objects.get_mut(object) {
-            Some(slot) => *slot = placement,
-            None => {
-                self.objects.insert(object.to_string(), placement);
-            }
-        }
+        upsert(&mut self.objects, object, placement);
         if full {
             self.seal_group(gid)?;
         }
@@ -1866,7 +1921,7 @@ impl DistributedStore {
     }
 
     /// Seal the open coding group, if any: encode its packed block with a
-    /// **single** `encode_into` and install one symbol per node. Until a
+    /// **single** encode and install one symbol per node. Until a
     /// group is sealed its objects live only in the coordinator's write
     /// buffer (and the write-ahead log, when one is attached) and are *not*
     /// erasure-coded — a caller that needs the batched objects durable now
@@ -1900,16 +1955,14 @@ impl DistributedStore {
             return Ok(FlushReport::default());
         }
         let mut seal_span = span!(self.recorder, "store.seal");
-        // Pad the packed block and encode it in place — no copy into a
-        // staging buffer.
+        // Encode the packed block where it is; the code writes the padding.
         let packed_len = group.packed_len;
         let objects_committed = group.live_objects;
         let padded = padded_block_len(self.code.as_ref(), packed_len);
         let mut block = std::mem::take(&mut group.data);
-        block.resize(padded, 0);
         let sealed = self
             .frames
-            .encode(self.code.as_ref(), &block)
+            .encode(self.code.as_ref(), &[], &block, padded)
             .map_err(StorageError::from)
             .and_then(|frames| self.install_unit(Unit::Group(gid), None, frames));
         let installed = match sealed {
@@ -1918,7 +1971,6 @@ impl DistributedStore {
                 // Put the buffered objects back: the group stays open and
                 // every recorded span remains valid, so nothing is lost on a
                 // failed seal (a re-seal stamps a fresh generation).
-                block.truncate(packed_len);
                 self.groups
                     .get_mut(&gid)
                     .expect("sealing a known group")
@@ -2046,13 +2098,17 @@ impl DistributedStore {
             self.obs.decoded.inc();
             // The frame is self-describing: its first 8 bytes carry the
             // original length (which is also what lets crash recovery
-            // rebuild whole entries without decoding them).
-            let framed = &self.io_buf;
-            let stored_len =
-                u64::from_le_bytes(framed[..8].try_into().expect("frame header")) as usize;
-            debug_assert!(framed.len() >= 8 + stored_len, "frame shorter than header");
-            let data = framed[8..8 + stored_len].to_vec();
-            return Ok(self.finish_read(data, fetch));
+            // rebuild whole entries without decoding them). A prefix that
+            // claims more bytes than the block holds is a failed decode.
+            let data = whole_object_bytes(&self.io_buf).ok_or_else(|| {
+                StorageError::Code(CodeError::DecodeFailure {
+                    reason: format!(
+                        "length prefix of {object} overruns its {}-byte block",
+                        self.io_buf.len()
+                    ),
+                })
+            })?;
+            return Ok(self.finish_read(data.to_vec(), fetch));
         };
         self.retrieve_grouped(group, span, policy, allowed)
     }
@@ -3008,7 +3064,7 @@ mod tests {
     use super::*;
     use crate::transport::{seal_frame, FRAME_CHUNK};
     use proptest::prelude::*;
-    use rain_codes::{ArrayCode, BCode, CodeKind, CodeSpec};
+    use rain_codes::{ArrayCode, BCode, CodeKind, CodeSpec, ShareSet};
 
     fn store() -> DistributedStore {
         DistributedStore::new(Arc::new(BCode::table_1a()))
@@ -3023,6 +3079,37 @@ mod tests {
         assert_eq!(out, data);
         assert_eq!(report.sources.len(), 4, "k = 4 sources");
         assert!(!report.degraded);
+    }
+
+    #[test]
+    fn a_length_prefix_past_the_block_is_a_decode_failure_not_a_panic() {
+        let data = b"twenty bytes of data";
+        let padded = padded_block_len(&BCode::table_1a(), 8 + data.len());
+        // One byte past the block, and the largest claim a prefix can make.
+        for claim in [padded as u64 - 7, u64::MAX] {
+            let mut s = store();
+            s.store("obj", data).unwrap();
+            // Re-encode the block with the lying prefix and re-seal every
+            // frame under the generation the store expects, so every
+            // share verifies and the decode succeeds.
+            let gen = s.expected_gen(Unit::Whole("obj"));
+            let mut block = claim.to_le_bytes().to_vec();
+            block.extend_from_slice(data);
+            block.resize(padded, 0);
+            let mut shares = ShareSet::new();
+            s.code.encode_into(&block, &mut shares).unwrap();
+            for (node, share) in s.nodes.iter_mut().zip(shares.iter()) {
+                node.symbols.insert("obj".into(), seal_frame(gen, share));
+            }
+            let read = s.retrieve("obj", SelectionPolicy::FirstK);
+            assert!(
+                matches!(
+                    read,
+                    Err(StorageError::Code(CodeError::DecodeFailure { .. }))
+                ),
+                "claim {claim}: {read:?}"
+            );
+        }
     }
 
     #[test]
@@ -3854,7 +3941,9 @@ mod tests {
 
     /// Wraps a real code but fails encodes on demand, to exercise the
     /// seal-failure path (only reachable with a faulty code, since the
-    /// store always hands `encode_into` a valid block).
+    /// store always hands the code a valid block). It forwards only
+    /// `encode_slices`, so the store's `encode_parts` runs the trait's
+    /// staging default.
     struct FlakyCode {
         inner: ArrayCode,
         fail_encode: std::sync::atomic::AtomicBool,

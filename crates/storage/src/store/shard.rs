@@ -182,7 +182,9 @@ impl DistributedStore {
         self.io_buf.clear();
         self.io_buf.extend_from_slice(block);
         self.io_buf.resize(padded, 0);
-        let frames = self.frames.encode(self.code.as_ref(), &self.io_buf)?;
+        let frames = self
+            .frames
+            .encode(self.code.as_ref(), &[], &self.io_buf, padded)?;
         // A failed import's landed frames sit under a group id no table
         // entry will ever name; recovery's reconcile pass sweeps them.
         self.install_unit(Unit::Group(gid), None, frames)?;

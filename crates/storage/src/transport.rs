@@ -232,6 +232,42 @@ pub fn frame_payload_len(frame_len: usize) -> Option<usize> {
     (frame_chunks(payload) == chunks).then_some(payload)
 }
 
+/// Multiplier of the checksum's mix step.
+const PRIME: u64 = 0x100_0000_01b3;
+
+/// One step of the checksum: absorb word `w` into state `h`.
+#[inline(always)]
+fn mix(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(PRIME);
+    h ^ (h >> 29)
+}
+
+/// The four lane states of chunk `index` of a `payload_len`-byte payload
+/// stamped `gen`, before any payload word is absorbed.
+#[inline(always)]
+fn seed_lanes(gen: u64, index: usize, payload_len: usize) -> [u64; 4] {
+    let seed = mix(
+        mix(mix(0x9e37_79b9_7f4a_7c15, gen), index as u64),
+        payload_len as u64,
+    );
+    [
+        seed,
+        seed.rotate_left(17) ^ PRIME,
+        seed.rotate_left(31) ^ PRIME.rotate_left(24),
+        seed.rotate_left(47) ^ PRIME.rotate_left(48),
+    ]
+}
+
+/// Fold the four lanes into one state through the same injective mix.
+#[inline(always)]
+fn fold_lanes(lanes: [u64; 4]) -> u64 {
+    let mut h = lanes[0];
+    for (i, lane) in lanes.iter().enumerate().skip(1) {
+        h = mix(h, lane.rotate_left(i as u32 * 13));
+    }
+    h
+}
+
 /// Word-wide mix checksum over chunk `index` of a `payload_len`-byte share
 /// payload stamped `gen`. Not cryptographic — it exists to catch bit
 /// damage, and it must be cheap enough to sit on the store's hot path.
@@ -242,22 +278,12 @@ pub fn frame_payload_len(frame_len: usize) -> Option<usize> {
 /// latency-bound at one multiply per word); the lanes fold together
 /// through the same injective mix at the end, so damage to any input word
 /// still changes the result.
+///
+/// This is the scalar kernel and the oracle of the wide one: the frame
+/// functions hash eight full chunks at once where the CPU allows, and
+/// every sum equals this function's.
 pub fn share_checksum(gen: u64, index: usize, payload_len: usize, chunk: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mix = |h: u64, w: u64| {
-        let h = (h ^ w).wrapping_mul(PRIME);
-        h ^ (h >> 29)
-    };
-    let seed = mix(
-        mix(mix(0x9e37_79b9_7f4a_7c15, gen), index as u64),
-        payload_len as u64,
-    );
-    let mut lanes = [
-        seed,
-        seed.rotate_left(17) ^ PRIME,
-        seed.rotate_left(31) ^ PRIME.rotate_left(24),
-        seed.rotate_left(47) ^ PRIME.rotate_left(48),
-    ];
+    let mut lanes = seed_lanes(gen, index, payload_len);
     let mut blocks = chunk.chunks_exact(32);
     for b in &mut blocks {
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -265,10 +291,7 @@ pub fn share_checksum(gen: u64, index: usize, payload_len: usize, chunk: &[u8]) 
             *lane = mix(*lane, w);
         }
     }
-    let mut h = lanes[0];
-    for (i, lane) in lanes.iter().enumerate().skip(1) {
-        h = mix(h, lane.rotate_left(i as u32 * 13));
-    }
+    let mut h = fold_lanes(lanes);
     let mut tail = blocks.remainder().chunks_exact(8);
     for c in &mut tail {
         h = mix(h, u64::from_le_bytes(c.try_into().expect("exact chunk")));
@@ -282,6 +305,130 @@ pub fn share_checksum(gen: u64, index: usize, payload_len: usize, chunk: &[u8]) 
     h
 }
 
+/// Full chunks the wide kernel hashes per call.
+const WIDE_CHUNKS: usize = 8;
+
+/// The chunk-checksum kernel the frame functions run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// [`share_checksum`], one chunk at a time.
+    Scalar,
+    /// [`checksum8_avx512`] over each run of eight full chunks, the scalar
+    /// kernel for the rest.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                return Kernel::Avx512;
+            }
+        }
+        Kernel::Scalar
+    }
+}
+
+/// Checksums of the eight full chunks `first..first + 8` of a
+/// `payload_len`-byte payload stamped `gen`; `chunks` is their
+/// `8 * FRAME_CHUNK` bytes. Chunk `c`'s four lanes are one half of
+/// register `c / 2`, so the eight chunks run as 32 independent multiply
+/// chains in four registers, and no lane ever moves between registers.
+/// Seeds, mix and fold are [`share_checksum`]'s, so each sum is the same.
+///
+/// # Safety
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn checksum8_avx512(
+    gen: u64,
+    first: usize,
+    payload_len: usize,
+    chunks: &[u8],
+) -> [u64; WIDE_CHUNKS] {
+    use std::arch::x86_64::*;
+
+    assert_eq!(chunks.len(), WIDE_CHUNKS * FRAME_CHUNK);
+    let mut lanes = [0u64; 4 * WIDE_CHUNKS];
+    for (c, four) in lanes.chunks_exact_mut(4).enumerate() {
+        four.copy_from_slice(&seed_lanes(gen, first + c, payload_len));
+    }
+    let prime = _mm512_set1_epi64(PRIME as i64);
+    let mut regs: [__m512i; WIDE_CHUNKS / 2] =
+        std::array::from_fn(|r| _mm512_loadu_si512(lanes[8 * r..].as_ptr().cast()));
+    let base = chunks.as_ptr();
+    for block in (0..FRAME_CHUNK).step_by(32) {
+        for (r, reg) in regs.iter_mut().enumerate() {
+            // SAFETY: both 32-byte reads lie inside `chunks`, whose length
+            // was asserted above.
+            let (lo, hi) = unsafe {
+                (
+                    _mm256_loadu_si256(base.add(2 * r * FRAME_CHUNK + block).cast()),
+                    _mm256_loadu_si256(base.add((2 * r + 1) * FRAME_CHUNK + block).cast()),
+                )
+            };
+            let words = _mm512_inserti64x4::<1>(_mm512_castsi256_si512(lo), hi);
+            let h = _mm512_mullo_epi64(_mm512_xor_si512(*reg, words), prime);
+            *reg = _mm512_xor_si512(h, _mm512_srli_epi64::<29>(h));
+        }
+    }
+    for (r, reg) in regs.iter().enumerate() {
+        _mm512_storeu_si512(lanes[8 * r..].as_mut_ptr().cast(), *reg);
+    }
+    std::array::from_fn(|c| {
+        fold_lanes([
+            lanes[4 * c],
+            lanes[4 * c + 1],
+            lanes[4 * c + 2],
+            lanes[4 * c + 3],
+        ])
+    })
+}
+
+/// Hand the checksums of chunks `chunks` of `payload` (stamped `gen`) to
+/// `each` in index order, stopping as soon as `each` returns false.
+/// Returns whether every call returned true.
+fn chunk_sums(
+    kernel: Kernel,
+    gen: u64,
+    payload: &[u8],
+    chunks: Range<usize>,
+    mut each: impl FnMut(usize, u64) -> bool,
+) -> bool {
+    let mut index = chunks.start;
+    while index < chunks.end {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let wide_end = index + WIDE_CHUNKS;
+            if kernel == Kernel::Avx512
+                && wide_end <= chunks.end
+                && wide_end * FRAME_CHUNK <= payload.len()
+            {
+                let wide = &payload[index * FRAME_CHUNK..wide_end * FRAME_CHUNK];
+                // SAFETY: `Kernel::detect` chose `Avx512` only after finding
+                // avx512f and avx512dq on this CPU.
+                let sums = unsafe { checksum8_avx512(gen, index, payload.len(), wide) };
+                if !(index..wide_end).zip(sums).all(|(i, sum)| each(i, sum)) {
+                    return false;
+                }
+                index = wide_end;
+                continue;
+            }
+        }
+        let sum = share_checksum(gen, index, payload.len(), chunk_of(payload, index));
+        if !each(index, sum) {
+            return false;
+        }
+        index += 1;
+    }
+    true
+}
+
 /// Stamp `gen` and the chunk checksums into the header of `frame`, a
 /// buffer of [`frame_len`] bytes whose payload region (everything after
 /// the header) already holds the share. This is how the store seals the
@@ -291,14 +438,29 @@ pub fn share_checksum(gen: u64, index: usize, payload_len: usize, chunk: &[u8]) 
 ///
 /// If `frame.len()` is not a length [`frame_payload_len`] accepts.
 pub fn seal_in_place(gen: u64, frame: &mut [u8]) {
+    seal_with(Kernel::detect(), gen, frame);
+}
+
+/// [`seal_in_place`] on the scalar kernel alone: the same bytes, one
+/// [`share_checksum`] per chunk. Kept so that tests and benchmarks run the
+/// fallback on any CPU.
+///
+/// # Panics
+///
+/// If `frame.len()` is not a length [`frame_payload_len`] accepts.
+pub fn seal_in_place_scalar(gen: u64, frame: &mut [u8]) {
+    seal_with(Kernel::Scalar, gen, frame);
+}
+
+fn seal_with(kernel: Kernel, gen: u64, frame: &mut [u8]) {
     let payload_len = frame_payload_len(frame.len()).expect("a valid frame length");
     let (header, payload) = frame.split_at_mut(frame.len() - payload_len);
     header[..8].copy_from_slice(&gen.to_le_bytes());
-    let sums = header[8..].chunks_exact_mut(8);
-    for (index, sum) in sums.enumerate() {
-        let chunk = chunk_of(payload, index);
-        sum.copy_from_slice(&share_checksum(gen, index, payload_len, chunk).to_le_bytes());
-    }
+    let sums = &mut header[8..];
+    chunk_sums(kernel, gen, payload, 0..sums.len() / 8, |index, sum| {
+        sums[8 * index..8 * index + 8].copy_from_slice(&sum.to_le_bytes());
+        true
+    });
 }
 
 /// Wrap a share payload in its self-verifying frame:
@@ -321,16 +483,20 @@ fn chunk_of(payload: &[u8], index: usize) -> &[u8] {
 
 /// Check chunks `chunks` of `frame` and return `(generation, payload)`, or
 /// `None` when the length is invalid or a checked chunk does not match.
-fn verify_chunks(frame: &[u8], chunks: Range<usize>) -> Option<(u64, &[u8])> {
+fn verify_chunks(kernel: Kernel, frame: &[u8], chunks: Range<usize>) -> Option<(u64, &[u8])> {
     let (gen, payload) = split_frame(frame)?;
-    for index in chunks {
-        let at = 8 + 8 * index;
-        let sum = u64::from_le_bytes(frame[at..at + 8].try_into().expect("in the header"));
-        if share_checksum(gen, index, payload.len(), chunk_of(payload, index)) != sum {
-            return None;
-        }
-    }
-    Some((gen, payload))
+    let sums = &frame[8..frame.len() - payload.len()];
+    let stored = |index: usize| {
+        u64::from_le_bytes(
+            sums[8 * index..8 * index + 8]
+                .try_into()
+                .expect("in the header"),
+        )
+    };
+    chunk_sums(kernel, gen, payload, chunks, |index, sum| {
+        sum == stored(index)
+    })
+    .then_some((gen, payload))
 }
 
 /// Verify every chunk of a frame and return `(generation, payload)`, or
@@ -339,7 +505,7 @@ fn verify_chunks(frame: &[u8], chunks: Range<usize>) -> Option<(u64, &[u8])> {
 /// decode.
 pub fn open_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
     let chunks = frame_chunks(frame_payload_len(frame.len())?);
-    verify_chunks(frame, 0..chunks)
+    verify_chunks(Kernel::detect(), frame, 0..chunks)
 }
 
 /// The chunks a ranged read of `len` bytes at `offset` verifies: those
@@ -371,7 +537,7 @@ pub fn open_range(frame: &[u8], offset: usize, len: usize) -> Option<(u64, &[u8]
     let payload_len = frame_payload_len(frame.len())?;
     let end = offset.checked_add(len).filter(|&end| end <= payload_len)?;
     let chunks = covering_chunks(payload_len, offset, len);
-    let (gen, payload) = verify_chunks(frame, chunks)?;
+    let (gen, payload) = verify_chunks(Kernel::detect(), frame, chunks)?;
     Some((gen, &payload[offset..end]))
 }
 
