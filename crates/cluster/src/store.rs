@@ -281,6 +281,9 @@ pub struct ClusterRecoveryReport {
     /// Directory entries dropped because the recovered owner lost the
     /// bytes (un-synced WAL tail); those keys read as honestly unknown.
     pub directory_dropped: u64,
+    /// Directory entries asked of their up owner whether it still holds
+    /// them. 0 when the restart walk's counts prove no owner lost one.
+    pub owner_probes: u64,
     /// True if recovered state still references shards outside the
     /// committed view — [`ClusterStore::replan_skipped`] will re-home them.
     pub pending_replan: bool,
@@ -1492,6 +1495,13 @@ impl ClusterStore {
     ///   shard lost its un-synced WAL tail in the crash (or a logged
     ///   delete's `DirDel` was lost). Drop the entry; the key reads as
     ///   honestly unknown instead of dangling.
+    ///
+    /// One walk over the up shards' holdings finds the first two cases and
+    /// counts the holdings credited to their own shard. Each such holding
+    /// is a distinct directory entry with an up owner, so when the count
+    /// equals the number of those entries, every one is held and the third
+    /// case cannot arise: the owners are not asked. Adoption and eviction
+    /// never change what an owner holds, so the count stays true.
     fn reconcile_after_restart(
         &mut self,
         report: &mut ClusterRecoveryReport,
@@ -1500,16 +1510,24 @@ impl ClusterStore {
         // credit, in name order. Every other holding is its entry's owner
         // and needs nothing, so only these few names are copied out.
         let mut uncredited: BTreeMap<String, Vec<ShardId>> = BTreeMap::new();
+        let mut credited = 0;
         for (&s, store) in &self.shards {
-            if !self.up[&s] {
+            if !self.shard_up(s) {
                 continue;
             }
             for name in store.object_names() {
-                if self.directory.get(name) != Some(&s) {
+                if self.directory.get(name) == Some(&s) {
+                    credited += 1;
+                } else {
                     uncredited.entry(name.to_string()).or_default().push(s);
                 }
             }
         }
+        let owned_by_up = self
+            .directory
+            .values()
+            .filter(|&&o| self.shard_up(o))
+            .count();
         for (name, at) in uncredited {
             // Credited to another shard: every copy here is a stray. Not
             // in the directory at all: adopt one copy, preferring the
@@ -1533,7 +1551,10 @@ impl ClusterStore {
             };
             for &s in &at {
                 if Some(s) != keep {
-                    let holder = self.shards.get_mut(&s).expect("holder exists");
+                    let holder = self
+                        .shards
+                        .get_mut(&s)
+                        .ok_or(ClusterError::UnknownShard(s))?;
                     match holder.delete(&name) {
                         Ok(()) | Err(StorageError::UnknownObject { .. }) => {
                             report.strays_evicted += 1;
@@ -1543,19 +1564,23 @@ impl ClusterStore {
                 }
             }
         }
+        if credited == owned_by_up {
+            return Ok(());
+        }
         // Directory entries whose recovered owner lost the bytes, asked of
         // the owner itself. Sorted: the directory's iteration order follows
         // its hash seed, and the `DirDel` records (so the metalog bytes)
         // must not.
-        let mut dropped: Vec<String> = self
-            .directory
-            .iter()
-            .filter(|(name, owner)| {
-                self.up.get(owner).copied().unwrap_or(false)
-                    && !self.shards.get(owner).is_some_and(|st| st.holds(name))
-            })
-            .map(|(name, _)| name.clone())
-            .collect();
+        let mut dropped = Vec::new();
+        for (name, &owner) in &self.directory {
+            if !self.shard_up(owner) {
+                continue;
+            }
+            report.owner_probes += 1;
+            if !self.shards.get(&owner).is_some_and(|st| st.holds(name)) {
+                dropped.push(name.clone());
+            }
+        }
         dropped.sort_unstable();
         for name in dropped {
             self.meta_append(MetaRecord::DirDel { key: name.clone() })?;

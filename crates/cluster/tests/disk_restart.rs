@@ -277,6 +277,30 @@ fn the_whole_cluster_recovers_from_disk_after_a_power_loss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A restart after a clean power loss finds nothing to heal, and its counts
+/// prove it: no directory entry is asked of its owner and no shard sweeps
+/// a node frame.
+#[test]
+fn a_clean_restart_asks_no_owner_and_sweeps_no_frame() {
+    let dir = wal_dir("clean-counts");
+    let config = config().with_fsync(FsyncPolicy::Always);
+    let (cluster, _) = churned_cluster(&dir, FsyncPolicy::Always, 0);
+    let survivors = cluster.crash();
+    let (_, report) = ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+    assert_eq!(report.owner_probes, 0, "{report:?}");
+    assert_eq!(report.directory_dropped, 0);
+    for (s, shard) in &report.shard_reports {
+        assert_eq!(shard.stale_frames_swept, 0, "shard {s}: {shard:?}");
+    }
+    let verified: usize = report
+        .shard_reports
+        .values()
+        .map(|r| r.frames_verified)
+        .sum();
+    assert!(verified > 0, "the sealed units' frames were checked");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn metalog_checkpoints_compact_the_log_and_recover_identically() {
     let dir = wal_dir("ckpt");
@@ -627,6 +651,7 @@ fn recover_without_shard_1_wal(dir: &std::path::Path) -> (Vec<String>, Vec<Strin
     std::fs::remove_file(dir.join("shard-1.wal")).unwrap();
     let (_, report) = ClusterStore::recover_from_disk(spec(), config, dir, survivors).unwrap();
     assert_eq!(report.directory_dropped, lost.len() as u64);
+    assert!(report.owner_probes >= lost.len() as u64, "{report:?}");
     let dels = metalog_records(dir)[before..]
         .iter()
         .filter_map(|r| match r {

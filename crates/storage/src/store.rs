@@ -406,6 +406,12 @@ pub struct RecoveryReport {
     /// Records redone after the restored checkpoint (equals
     /// `records_replayed` when no checkpoint was restored).
     pub records_since_checkpoint: usize,
+    /// Node frames, whole and group, whose checksums recovery verified
+    /// while re-deriving generations: `k` per healthy whole object.
+    pub frames_verified: usize,
+    /// Whole-object frames dropped from the nodes because no live whole
+    /// object owns their name (0 on a clean restart).
+    pub stale_frames_swept: usize,
 }
 
 /// What one [`DistributedStore::checkpoint`] call did to the log.
@@ -2736,7 +2742,7 @@ impl DistributedStore {
         report.records_since_checkpoint = replay.records.len() - start;
         store.replaying = false;
         store.reconcile_after_replay();
-        store.rebuild_gens_from_nodes();
+        store.rebuild_gens_from_nodes(&mut report);
         report.objects_recovered = store.objects.len();
         report.open_bytes_recovered = store
             .groups
@@ -2890,28 +2896,31 @@ impl DistributedStore {
         self.next_group_id = self.next_group_id.max(gid + 1);
     }
 
-    /// Post-replay cleanup: retire groups the live run dropped without a
-    /// record, and garbage-collect node symbols orphaned by in-doubt ops
-    /// (e.g. a logged-but-unapplied grouped overwrite of a whole object
-    /// leaves the old whole symbols behind).
+    /// Post-replay cleanup of the group half: retire groups the live run
+    /// dropped without a record, and the group frames of every group that
+    /// is gone or never sealed. It runs before
+    /// [`Self::rebuild_gens_from_nodes`], which takes the group
+    /// generations and the epoch from the frames it leaves. Whole frames
+    /// orphaned by in-doubt ops (e.g. a logged-but-unapplied grouped
+    /// overwrite of a whole object leaves the old whole frames behind) are
+    /// swept by that walk.
     fn reconcile_after_replay(&mut self) {
         let open = self.open_group;
         self.groups
             .retain(|gid, g| g.sealed || g.live_objects > 0 || open == Some(*gid));
-        let (objects, groups) = (&self.objects, &self.groups);
+        let groups = &self.groups;
         for node in &mut self.nodes {
-            node.symbols
-                .retain(|name, _| objects.get(name) == Some(&Placement::Whole));
             node.group_symbols
                 .retain(|gid, _| groups.get(gid).is_some_and(|g| g.sealed));
         }
     }
 
     /// Re-derive the expected share generations from the frames the nodes
-    /// actually hold. Replay cannot reproduce the live epoch sequence
-    /// (failed-quorum attempts consume epochs without leaving a record), so
-    /// recovery trusts the fabric: per group the newest verifiable frame is
-    /// the truth, and the epoch counter resumes past everything seen — a
+    /// actually hold, and sweep the whole frames no live whole object owns.
+    /// Replay cannot reproduce the live epoch sequence (failed-quorum
+    /// attempts consume epochs without leaving a record), so recovery
+    /// trusts the fabric: per group the newest verifiable frame is the
+    /// truth, and the epoch counter resumes past everything seen — a
     /// post-recovery overwrite can never collide with a pre-crash orphan.
     ///
     /// A whole object takes the newest generation at least `k` verifiable
@@ -2921,12 +2930,23 @@ impl DistributedStore {
     /// must not fall back the same way: its older generation is a failed
     /// seal of a different (shorter) block, which the group table does not
     /// describe.
-    fn rebuild_gens_from_nodes(&mut self) {
+    ///
+    /// One walk over the whole objects does both jobs. Each object's frames
+    /// are opened newest generation first, and the walk stops once `k`
+    /// frames of one generation verify: the first generation with a
+    /// verified frame is the newest seen (and the object's share of the
+    /// epoch), the first with `k` is the newest decodable, and no older
+    /// frame can change either. A healthy object costs `k` verifications.
+    /// The same walk counts the frames each node holds under live whole
+    /// objects; only a node holding more than that has a stale frame, so
+    /// only there does the sweep look at every name.
+    fn rebuild_gens_from_nodes(&mut self, report: &mut RecoveryReport) {
         self.whole_gens.clear();
         self.group_gens.clear();
         let mut max_gen = 0u64;
         for node in &self.nodes {
             for (gid, frame) in &node.group_symbols {
+                report.frames_verified += 1;
                 if let Some((gen, _)) = open_frame(frame) {
                     let slot = self.group_gens.entry(*gid).or_insert(0);
                     *slot = (*slot).max(gen);
@@ -2934,38 +2954,60 @@ impl DistributedStore {
                 }
             }
         }
-        // `reconcile_after_replay` left whole frames only under whole
-        // objects, so walking the object table visits every one of them.
-        // `tally` holds one object's (generation, verified frames) pairs.
         let k = self.code.k();
-        let mut tally: Vec<(u64, usize)> = Vec::new();
+        let mut held = vec![0usize; self.nodes.len()];
+        // One object's frames as (header generation, frame), newest first.
+        let mut frames: Vec<(u64, &[u8])> = Vec::new();
         for (name, placement) in &self.objects {
             if *placement != Placement::Whole {
                 continue;
             }
-            tally.clear();
-            for node in &self.nodes {
-                let Some((gen, _)) = node.symbols.get(name).and_then(|f| open_frame(f)) else {
-                    continue;
-                };
-                match tally.iter_mut().find(|(g, _)| *g == gen) {
-                    Some((_, frames)) => *frames += 1,
-                    None => tally.push((gen, 1)),
+            frames.clear();
+            for (node, held) in self.nodes.iter().zip(&mut held) {
+                if let Some(frame) = node.symbols.get(name) {
+                    *held += 1;
+                    // An impossible length never verifies: one more erasure.
+                    if let Some((gen, _)) = split_frame(frame) {
+                        frames.push((gen, frame));
+                    }
                 }
-                max_gen = max_gen.max(gen);
             }
-            let newest = |decodable: bool| {
-                tally
-                    .iter()
-                    .filter(|&&(_, frames)| !decodable || frames >= k)
-                    .map(|&(gen, _)| gen)
-                    .max()
-            };
-            if let Some(gen) = newest(true).or(newest(false)) {
-                self.whole_gens.insert(name.clone(), gen);
+            frames.sort_unstable_by_key(|&(gen, _)| std::cmp::Reverse(gen));
+            // The newest generation with a verified frame, the newest with
+            // `k`, and the last verified frame's generation with its count.
+            let (mut seen, mut decodable, mut run) = (None, None, None);
+            for &(gen, frame) in &frames {
+                report.frames_verified += 1;
+                if open_frame(frame).is_none() {
+                    continue;
+                }
+                seen.get_or_insert(gen);
+                let verified = match run {
+                    Some((g, verified)) if g == gen => verified + 1,
+                    _ => 1,
+                };
+                run = Some((gen, verified));
+                if verified == k {
+                    decodable = Some(gen);
+                    break;
+                }
+            }
+            if let Some(newest) = seen {
+                max_gen = max_gen.max(newest);
+                self.whole_gens
+                    .insert(name.clone(), decodable.unwrap_or(newest));
             }
         }
         self.next_epoch = self.next_epoch.max(max_gen + 1);
+        let objects = &self.objects;
+        for (node, held) in self.nodes.iter_mut().zip(held) {
+            if node.symbols.len() != held {
+                let before = node.symbols.len();
+                node.symbols
+                    .retain(|name, _| objects.get(name) == Some(&Placement::Whole));
+                report.stale_frames_swept += before - node.symbols.len();
+            }
+        }
     }
 
     /// Re-derive and re-install every symbol a (replaced or recovered) node
@@ -3062,7 +3104,7 @@ impl DistributedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{seal_frame, FRAME_CHUNK};
+    use crate::transport::{seal_frame, FRAME_CHUNK, FRAME_HEADER};
     use proptest::prelude::*;
     use rain_codes::{ArrayCode, BCode, CodeKind, CodeSpec, ShareSet};
 
@@ -4617,6 +4659,193 @@ mod tests {
             Err(e) => panic!("unexpected error: {e}"),
             Ok(_) => panic!("mismatched fabric accepted"),
         }
+    }
+
+    /// The restart walk as it was before it verified newest first: sweep
+    /// every whole frame no live whole object owns, then open every frame
+    /// and tally the verified frames per generation. Kept as the oracle
+    /// [`DistributedStore::rebuild_gens_from_nodes`] must agree with.
+    fn exhaustive_rebuild(s: &mut DistributedStore) {
+        let objects = &s.objects;
+        for node in &mut s.nodes {
+            node.symbols
+                .retain(|name, _| objects.get(name) == Some(&Placement::Whole));
+        }
+        s.whole_gens.clear();
+        s.group_gens.clear();
+        let mut max_gen = 0u64;
+        for node in &s.nodes {
+            for (gid, frame) in &node.group_symbols {
+                if let Some((gen, _)) = open_frame(frame) {
+                    let slot = s.group_gens.entry(*gid).or_insert(0);
+                    *slot = (*slot).max(gen);
+                    max_gen = max_gen.max(gen);
+                }
+            }
+        }
+        let k = s.code.k();
+        for (name, placement) in &s.objects {
+            if *placement != Placement::Whole {
+                continue;
+            }
+            let mut tally: Vec<(u64, usize)> = Vec::new();
+            for node in &s.nodes {
+                let Some((gen, _)) = node.symbols.get(name).and_then(|f| open_frame(f)) else {
+                    continue;
+                };
+                match tally.iter_mut().find(|(g, _)| *g == gen) {
+                    Some((_, frames)) => *frames += 1,
+                    None => tally.push((gen, 1)),
+                }
+                max_gen = max_gen.max(gen);
+            }
+            let newest = |decodable: bool| {
+                tally
+                    .iter()
+                    .filter(|&&(_, frames)| !decodable || frames >= k)
+                    .map(|&(gen, _)| gen)
+                    .max()
+            };
+            if let Some(gen) = newest(true).or(newest(false)) {
+                s.whole_gens.insert(name.clone(), gen);
+            }
+        }
+        s.next_epoch = s.next_epoch.max(max_gen + 1);
+    }
+
+    /// A frame at `gen`, possibly damaged: a flipped header or payload bit,
+    /// or a length no payload produces.
+    fn fabric_frame(rng: &mut DetRng, gen: u64) -> Vec<u8> {
+        let len = *rng.pick(&[0, 7, 40, FRAME_CHUNK, FRAME_CHUNK + 5]);
+        let payload: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+        let mut frame = seal_frame(gen, &payload);
+        match rng.below(8) {
+            0 => {
+                let header = frame.len() - len;
+                let bit = rng.below(8 * header as u64) as usize;
+                frame[bit / 8] ^= 1 << (bit % 8);
+            }
+            1 if len > 0 => {
+                let at = frame.len() - len + rng.below(len as u64) as usize;
+                frame[at] ^= 1 << rng.below(8);
+            }
+            2 => frame.truncate(rng.below(FRAME_HEADER as u64) as usize),
+            _ => {}
+        }
+        frame
+    }
+
+    /// A store as replay leaves it, before the generation walk: whole and
+    /// grouped objects, and nodes holding missing, older, newer (failed
+    /// quorum) and damaged frames, plus strays under unknown and grouped
+    /// names and a few group frames.
+    fn random_fabric(code: Arc<dyn ErasureCode>, seed: u64) -> DistributedStore {
+        let mut rng = DetRng::new(seed);
+        let mut s = DistributedStore::new(code);
+        s.next_epoch = rng.range(1, 8);
+        for i in 0..rng.range(1, 12) {
+            let name = format!("o{i}");
+            if rng.chance(0.2) {
+                let span = ObjSpan { offset: 0, len: 1 };
+                s.objects
+                    .insert(name.clone(), Placement::Grouped { group: 0, span });
+                for node in &mut s.nodes {
+                    if rng.chance(0.3) {
+                        node.symbols.insert(name.clone(), fabric_frame(&mut rng, 3));
+                    }
+                }
+                continue;
+            }
+            s.objects.insert(name.clone(), Placement::Whole);
+            let base = rng.range(1, 6);
+            for node in &mut s.nodes {
+                let gen = match rng.below(6) {
+                    0 => continue,
+                    1 => base - 1,
+                    2 => base + rng.range(1, 3),
+                    _ => base,
+                };
+                node.symbols
+                    .insert(name.clone(), fabric_frame(&mut rng, gen));
+            }
+        }
+        for (i, node) in s.nodes.iter_mut().enumerate() {
+            if rng.chance(0.2) {
+                node.symbols
+                    .insert(format!("stray{i}"), fabric_frame(&mut rng, 9));
+            }
+            for gid in 0..2 {
+                if rng.chance(0.5) {
+                    let gen = rng.range(1, 10);
+                    node.group_symbols.insert(gid, fabric_frame(&mut rng, gen));
+                }
+            }
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The newest-first walk with its counted sweep leaves exactly what
+        /// the exhaustive sweep and tally leave: the same generations, the
+        /// same epoch, and the same frames on every node.
+        #[test]
+        fn prop_the_generation_walk_matches_the_exhaustive_tally(
+            seed in any::<u64>(),
+            family in 0usize..3,
+        ) {
+            let code = || -> Arc<dyn ErasureCode> {
+                match family {
+                    0 => Arc::new(rain_codes::Mirroring::new(3)),
+                    1 => Arc::new(ReedSolomon::new(6, 4).unwrap()),
+                    _ => Arc::new(BCode::table_1a()),
+                }
+            };
+            let mut walked = random_fabric(code(), seed);
+            let mut oracle = random_fabric(code(), seed);
+            let frames = |s: &DistributedStore| {
+                s.nodes.iter().map(|n| n.symbols.len()).sum::<usize>()
+            };
+            let before = frames(&oracle);
+            let mut report = RecoveryReport::default();
+            walked.rebuild_gens_from_nodes(&mut report);
+            exhaustive_rebuild(&mut oracle);
+            prop_assert_eq!(&walked.whole_gens, &oracle.whole_gens);
+            prop_assert_eq!(&walked.group_gens, &oracle.group_gens);
+            prop_assert_eq!(walked.next_epoch, oracle.next_epoch);
+            for (w, o) in walked.nodes.iter().zip(&oracle.nodes) {
+                prop_assert_eq!(&w.symbols, &o.symbols);
+                prop_assert_eq!(&w.group_symbols, &o.group_symbols);
+            }
+            prop_assert_eq!(report.stale_frames_swept, before - frames(&oracle));
+        }
+    }
+
+    #[test]
+    fn a_clean_restart_verifies_k_frames_per_object_and_sweeps_only_strays() {
+        let code = || Arc::new(ReedSolomon::new(6, 4).unwrap());
+        let config = GroupConfig::disabled().logged();
+        let mut s = DistributedStore::with_groups(code(), config);
+        for i in 0..5 {
+            s.store(&format!("o{i}"), &[i as u8; 100]).unwrap();
+        }
+        s.store("o0", &[9u8; 100]).unwrap();
+        let (nodes, wal) = s.crash();
+        let (_, rep) = DistributedStore::recover(code(), config, nodes, wal.unwrap()).unwrap();
+        assert_eq!((rep.frames_verified, rep.stale_frames_swept), (5 * 4, 0));
+
+        let mut s = DistributedStore::with_groups(code(), config);
+        for i in 0..5 {
+            s.store(&format!("o{i}"), &[i as u8; 100]).unwrap();
+        }
+        let (mut nodes, wal) = s.crash();
+        nodes.nodes[2]
+            .symbols
+            .insert("stray".to_string(), seal_frame(1, &[0; 25]));
+        let (r, rep) = DistributedStore::recover(code(), config, nodes, wal.unwrap()).unwrap();
+        assert_eq!((rep.frames_verified, rep.stale_frames_swept), (5 * 4, 1));
+        assert_eq!(r.nodes[2].symbols.len(), 5, "the stray is gone");
     }
 
     proptest! {

@@ -544,7 +544,8 @@ pub fn open_range(frame: &[u8], offset: usize, len: usize) -> Option<(u64, &[u8]
 /// Split a frame into `(generation, payload)` **without** verifying any
 /// checksum, or `None` for an impossible length. Only for frames already
 /// verified by [`open_frame`] or [`open_range`] in the same operation — it
-/// spares the hot path a second pass over the payload.
+/// spares the hot path a second pass over the payload — or to order frames
+/// by their claimed generation before opening them.
 pub fn split_frame(frame: &[u8]) -> Option<(u64, &[u8])> {
     let payload_len = frame_payload_len(frame.len())?;
     let gen = u64::from_le_bytes(frame[..8].try_into().expect("header"));
