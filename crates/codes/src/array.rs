@@ -21,8 +21,8 @@ use crate::matrix::solve_gf2_sparse;
 use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
-    copy_parts, locate_cell_len, validate_decode_out, validate_encode_cols, validate_parts,
-    CodeKind, ErasureCode, ENCODE_WINDOW,
+    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, CodeKind, ErasureCode,
+    ENCODE_WINDOW,
 };
 use crate::xor::xor_into;
 use std::cmp::Ordering;
@@ -499,17 +499,6 @@ impl ErasureCode for ArrayCode {
         self.layout.num_data_cells()
     }
 
-    /// Where data byte `offset` sits: the encode copies every data
-    /// cell verbatim into one slot of one column, so the byte is at
-    /// `slot * cell_len + offset % cell_len` of that column, and the run
-    /// lasts to the end of the cell.
-    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
-        let cell_len = locate_cell_len(data_len, offset, self.data_cell_at.len())?;
-        let (column, slot) = self.data_cell_at[offset / cell_len];
-        let within = offset % cell_len;
-        Some((column, slot * cell_len + within, cell_len - within))
-    }
-
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {
         self.encode_parts(&[], data, data.len(), shares)
     }
@@ -518,7 +507,7 @@ impl ErasureCode for ArrayCode {
     /// `(padded_len / num_data_cells) * cells_per_column` bytes without
     /// allocating or staging the input. The cells advance together one
     /// window at a time: each data cell's window is copied from the parts
-    /// into the slot [`ErasureCode::locate`] names, then each parity cell's
+    /// into its own slot (see [`Layout`](crate::Layout)), then each parity cell's
     /// window is the XOR of its equation's data runs, read back from the
     /// shares while they are still in cache.
     fn encode_parts(

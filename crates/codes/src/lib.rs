@@ -32,9 +32,11 @@
 //!   cloning) into a reusable `Vec`, and [`ErasureCode::repair`]
 //!   reconstructs a **single lost share** without round-tripping through the
 //!   full data block.
-//! * **Placement** — [`ErasureCode::locate`] names the share, offset and
-//!   run that hold an input byte verbatim, so a reader of a small range
-//!   can skip the decode while the covering share is healthy.
+//! * **Placement** — [`Layout::of`] finds, from a code's own encode, the
+//!   share and slot that keep each data cell verbatim, and
+//!   [`Layout::locate`] names the run holding an input byte, so a reader
+//!   of a small range can skip the decode while the covering share is
+//!   healthy.
 //! * **Cost** — [`ErasureCode::cost`] is the analytic cost model and
 //!   [`ErasureCode::runtime_metrics`] the counters a code keeps at runtime.
 //!
@@ -96,7 +98,7 @@ pub use reed_solomon::ReedSolomon;
 pub use replication::{Mirroring, SingleParity};
 pub use share::{ShareSet, ShareView};
 pub use spec::{build_code, CodeSpec};
-pub use traits::{CodeKind, ErasureCode};
+pub use traits::{CodeKind, ErasureCode, Layout};
 pub use xcode::XCode;
 
 #[cfg(test)]

@@ -20,8 +20,8 @@ use crate::matrix::GfMatrix;
 use crate::metrics::{CodeCost, CodeMetrics};
 use crate::share::ShareView;
 use crate::traits::{
-    copy_parts, locate_cell_len, validate_decode_out, validate_encode_cols, validate_parts,
-    CodeKind, ErasureCode, ENCODE_WINDOW,
+    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, CodeKind, ErasureCode,
+    ENCODE_WINDOW,
 };
 
 /// Capacity of the per-code repair coefficient-row cache. A repair storm
@@ -222,13 +222,6 @@ impl ErasureCode for ReedSolomon {
 
     fn data_len_unit(&self) -> usize {
         self.k
-    }
-
-    /// Systematic: data symbol `i` is share `i`.
-    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
-        let symbol_len = locate_cell_len(data_len, offset, self.k)?;
-        let within = offset % symbol_len;
-        Some((offset / symbol_len, within, symbol_len - within))
     }
 
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {

@@ -8,8 +8,7 @@ use crate::error::CodeError;
 use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
-    copy_parts, locate_cell_len, validate_decode_out, validate_encode_cols, validate_parts,
-    CodeKind, ErasureCode,
+    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, CodeKind, ErasureCode,
 };
 
 /// RAID-1-style mirroring: every node stores a full copy of the data.
@@ -42,11 +41,6 @@ impl ErasureCode for Mirroring {
 
     fn data_len_unit(&self) -> usize {
         1
-    }
-
-    /// Every copy is the input verbatim; the first is named.
-    fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
-        locate_cell_len(data_len, offset, 1).map(|len| (0, offset, len - offset))
     }
 
     fn encode_slices(&self, data: &[u8], shares: &mut [&mut [u8]]) -> Result<(), CodeError> {

@@ -1,25 +1,19 @@
 //! The common erasure-code interface used by the storage layer.
 //!
-//! Every entry point works on caller-owned buffers. A code implements
-//! [`ErasureCode::encode_parts`], [`ErasureCode::decode_slices`] and
-//! [`ErasureCode::repair`], plus [`ErasureCode::encode_slices`] as the
-//! one-line `encode_parts(&[], data, data.len(), shares)`, so each code
-//! has one encode. They take pre-sized column slices, a borrowed
-//! [`ShareView`] and a flat output slice, and never allocate share storage.
-//! `encode_parts` takes its input in parts (a prefix, the caller's bytes,
-//! and a zero-padded length) and writes them straight into the shares: the
-//! store encodes an object with its length prefix from the caller's
-//! buffer, with no staging copy. Its provided default stages the parts into
-//! one buffer and calls `encode_slices`; it exists for wrappers, which
-//! implement `encode_slices` by forwarding.
+//! Every code in this crate implements four methods, all on caller-owned
+//! buffers that it never allocates: [`ErasureCode::encode_parts`] (the one
+//! encode), [`ErasureCode::encode_slices`] (the one line
+//! `encode_parts(&[], data, data.len(), shares)`),
+//! [`ErasureCode::decode_slices`] and [`ErasureCode::repair`], which
+//! rebuilds a **single lost share** without round-tripping through the
+//! data block. Most callers use [`ErasureCode::encode_into`] and
+//! [`ErasureCode::decode_into`] instead, which size a reusable
+//! [`ShareSet`] or `Vec` for them.
 //!
-//! [`ErasureCode::encode_into`] / [`ErasureCode::decode_into`] are what
-//! most other callers use: they size a reusable [`ShareSet`] / output `Vec`
-//! for you, so steady-state loops allocate nothing after the first call.
-//!
-//! [`ErasureCode::repair`] reconstructs a **single lost share** directly,
-//! without round-tripping through the full data block — the operation node
-//! repair actually needs.
+//! A wrapper (a code that forwards to another) must forward the required
+//! methods. What a provided method answers for a wrapper that does not
+//! forward it is said on the method; which cells a code keeps verbatim is
+//! no method at all, but found from the encode by [`Layout::of`].
 
 use crate::error::CodeError;
 use crate::metrics::{CodeCost, CodeMetrics};
@@ -82,8 +76,8 @@ pub trait ErasureCode: Send + Sync {
     }
 
     /// True if the code is Maximum Distance Separable (`m = n - k` erasures
-    /// are always recoverable). All codes in this crate except none are MDS,
-    /// but the flag lets baselines opt out.
+    /// are always recoverable). Every code in this crate is; the flag lets
+    /// a baseline outside it opt out.
     fn is_mds(&self) -> bool {
         true
     }
@@ -102,22 +96,6 @@ pub trait ErasureCode: Send + Sync {
     fn share_len_for(&self, data_len: usize) -> Result<usize, CodeError> {
         validate_data_len(data_len, self.data_len_unit())?;
         Ok(data_len / self.k())
-    }
-
-    /// Where data byte `offset` of a `data_len`-byte input is stored
-    /// verbatim: `(share, offset_in_share, run)`. The `run ≥ 1` bytes of
-    /// share `share` starting at `offset_in_share` are input bytes
-    /// `offset..offset + run`, and the run never leaves the data cell
-    /// (`data_len / data_len_unit()` bytes) that holds `offset`. A reader
-    /// whose covering shares are healthy can serve a byte range from them
-    /// without decoding.
-    ///
-    /// The default, `None`, means "always decode". It is right for any code
-    /// whose share layout depends on more than the code itself and for
-    /// wrappers that do not forward this method. Implementations also
-    /// return `None` for an invalid `data_len` or an `offset ≥ data_len`.
-    fn locate(&self, _data_len: usize, _offset: usize) -> Option<(usize, usize, usize)> {
-        None
     }
 
     // ---- required ---------------------------------------------------------
@@ -158,9 +136,11 @@ pub trait ErasureCode: Send + Sync {
     /// `prefix.len() + body.len()`.
     ///
     /// Every code in this crate overrides this to write the parts straight
-    /// into the data runs [`ErasureCode::locate`] names and to compute
-    /// parity from those runs. This default stages the input in a buffer
-    /// and calls `encode_slices`; it is for wrappers only.
+    /// into the shares that keep them verbatim and to compute parity from
+    /// there. This default stages the input in a buffer and calls
+    /// `encode_slices`; it is for wrappers only. A wrapper that does not
+    /// forward it pays, and measures, a copy of the whole input that the
+    /// real code's encode never makes.
     fn encode_parts(
         &self,
         prefix: &[u8],
@@ -192,6 +172,54 @@ pub trait ErasureCode: Send + Sync {
         let share_len = shares.validate(self.n(), self.k())?;
         out.resize(share_len * self.k(), 0);
         self.decode_slices(shares, out)
+    }
+}
+
+/// Where a code keeps each data cell of its input verbatim: the data
+/// partitioning of the paper's §4.1, which lets a reader of a small range
+/// take the bytes from the covering share instead of decoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Layout {
+    /// `(share, slot)` of data cell `i`, in input order. A slot is one
+    /// `data_len / data_len_unit()`-byte cell of its share.
+    cells: Vec<(usize, usize)>,
+}
+
+impl Layout {
+    /// Encode one block of `data_len_unit()` cells, each an 8-byte tag no
+    /// other cell holds, and find each tag's first share and slot. `None`
+    /// if the encode fails or some cell is in no share verbatim: a reader
+    /// then decodes. Any wrapper must forward the encode, so none can hide
+    /// the layout. The map is taken at one cell length and holds at all,
+    /// as it does for every code whose shares are whole cells.
+    pub fn of(code: &dyn ErasureCode) -> Option<Layout> {
+        // An odd multiplier is a bijection on u64: the tags are distinct.
+        let tags: Vec<[u8; 8]> = (1..=code.data_len_unit() as u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes())
+            .collect();
+        let mut shares = ShareSet::new();
+        code.encode_into(&tags.concat(), &mut shares).ok()?;
+        let cells = tags.iter().map(|tag| {
+            shares.iter().enumerate().find_map(|(share, bytes)| {
+                Some((share, bytes.chunks_exact(8).position(|cell| cell == tag)?))
+            })
+        });
+        Some(Layout {
+            cells: cells.collect::<Option<_>>()?,
+        })
+    }
+
+    /// Where data byte `offset` of a `data_len`-byte input is stored
+    /// verbatim: `(share, offset_in_share, run)`. The `run ≥ 1` bytes of
+    /// the share from `offset_in_share` are input bytes
+    /// `offset..offset + run`, up to the end of the data cell holding
+    /// `offset`. `None` for an invalid `data_len` or `offset ≥ data_len`.
+    pub fn locate(&self, data_len: usize, offset: usize) -> Option<(usize, usize, usize)> {
+        validate_data_len(data_len, self.cells.len()).ok()?;
+        let cell_len = data_len / self.cells.len();
+        let &(share, slot) = self.cells.get(offset / cell_len)?;
+        let within = offset % cell_len;
+        Some((share, slot * cell_len + within, cell_len - within))
     }
 }
 
@@ -245,12 +273,6 @@ pub(crate) fn copy_parts(mut dst: &mut [u8], mut offset: usize, prefix: &[u8], b
         offset = 0;
     }
     dst.fill(0);
-}
-
-/// Data-cell length (`data_len / unit`) for a `locate` call, or `None` when
-/// `offset` does not address a byte of a valid input.
-pub(crate) fn locate_cell_len(data_len: usize, offset: usize, unit: usize) -> Option<usize> {
-    (validate_data_len(data_len, unit).is_ok() && offset < data_len).then(|| data_len / unit)
 }
 
 /// Validate pre-sized encode output columns: `n` slices of `share_len`.

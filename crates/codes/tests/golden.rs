@@ -1,10 +1,11 @@
 //! Golden values for every code family: the share bytes a fixed input
-//! encodes to, the analytic cost, and the `locate` answers. Round-trip tests
+//! encodes to, the analytic cost, and where [`Layout::of`] finds the input
+//! kept verbatim ([`Layout::locate`] answers). Round-trip tests
 //! cannot see a change that permutes columns or moves a cell the same way
 //! on both sides; these constants can. A failure here means the on-node
 //! share layout changed, which strands every share already written.
 
-use rain_codes::{build_code, CodeKind, CodeSpec, ShareSet};
+use rain_codes::{build_code, CodeKind, CodeSpec, Layout, ShareSet};
 
 /// Input blocks per code: five bytes per data cell.
 const BLOCKS: usize = 5;
@@ -268,7 +269,8 @@ fn every_family_keeps_its_share_bytes_cost_and_locations() {
         );
         assert_eq!(cost, g.cost, "{spec}: cost(4096)");
 
-        let locate = probe_offsets(len).map(|o| code.locate(len, o));
+        let layout = Layout::of(code.as_ref()).unwrap_or_else(|| panic!("{spec}: no layout"));
+        let locate = probe_offsets(len).map(|o| layout.locate(len, o));
         assert_eq!(locate, g.locate, "{spec}: locate");
     }
 }

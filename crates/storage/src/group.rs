@@ -21,8 +21,8 @@
 //! Reading a sealed group's object need not decode the group. Every code
 //! stores each data cell verbatim in one symbol, so a healthy read can
 //! fetch and verify only the symbol(s) holding the object's span and copy
-//! the bytes out (a *ranged* read, located by
-//! [`rain_codes::ErasureCode::locate`]). The first read of a group is
+//! the bytes out (a *ranged* read, located by the [`rain_codes::Layout`]
+//! the store finds from its code's encode). The first read of a group is
 //! ranged; a group read again soon after is decoded from any `k` symbols
 //! and cached, so a scan of co-located objects pays one decode, not one
 //! share check per object. The block is also decoded when a covering node

@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use rain_codes::{build_code, CodeError, CodeSpec, ErasureCode, ShareView};
+use rain_codes::{build_code, CodeError, CodeSpec, ErasureCode, Layout, ShareView};
 use rain_obs::{span, Recorder, Registry, VirtualClock};
 use rain_sim::{DetRng, NodeId, SimDuration};
 
@@ -99,6 +99,10 @@ pub enum StorageError {
         /// Installs the quorum required.
         needed: usize,
     },
+    /// Every group id is spent: the next would leave `next_group_id` at
+    /// `u64::MAX`, the checkpoint's "no open group" sentinel, which no
+    /// checkpoint can carry.
+    GroupIdsExhausted,
 }
 
 impl std::fmt::Display for StorageError {
@@ -116,6 +120,7 @@ impl std::fmt::Display for StorageError {
             StorageError::QuorumNotReached { installed, needed } => {
                 write!(f, "only {installed} symbols installed, quorum is {needed}")
             }
+            StorageError::GroupIdsExhausted => write!(f, "no group id left to allocate"),
         }
     }
 }
@@ -431,6 +436,9 @@ pub struct CheckpointReport {
 /// A distributed erasure-coded object store over `n` nodes.
 pub struct DistributedStore {
     code: Arc<dyn ErasureCode>,
+    /// Where `code` keeps each data cell verbatim, found once from its
+    /// encode; `None` means every group read decodes.
+    layout: Option<Layout>,
     nodes: Vec<StorageNode>,
     objects: HashMap<String, Placement>,
     /// Frame buffers for the next encode or repair to fill in place.
@@ -1091,6 +1099,7 @@ impl DistributedStore {
     fn bare(code: Arc<dyn ErasureCode>, config: GroupConfig) -> Self {
         let n = code.n();
         DistributedStore {
+            layout: Layout::of(code.as_ref()),
             code,
             nodes: (0..n)
                 .map(|i| StorageNode {
@@ -1701,19 +1710,29 @@ impl DistributedStore {
     /// appends. Creating the (empty) container is not itself logged:
     /// replay re-opens groups on their first logged append, using the same
     /// deterministic ids.
-    fn ensure_open_group(&mut self) -> GroupId {
-        match self.open_group {
-            Some(gid) => gid,
-            None => {
-                let gid = self.next_group_id;
-                self.next_group_id += 1;
-                let buffer = std::mem::take(&mut self.spare_block);
-                self.groups
-                    .insert(gid, CodingGroup::open_with_buffer(buffer));
-                self.open_group = Some(gid);
-                gid
-            }
+    fn ensure_open_group(&mut self) -> Result<GroupId, StorageError> {
+        if let Some(gid) = self.open_group {
+            return Ok(gid);
         }
+        let gid = self.next_group_id;
+        self.note_group_id(gid)?;
+        let buffer = std::mem::take(&mut self.spare_block);
+        self.groups
+            .insert(gid, CodingGroup::open_with_buffer(buffer));
+        self.open_group = Some(gid);
+        Ok(gid)
+    }
+
+    /// Record that group `gid` exists (allocated, imported or replayed), so
+    /// the next allocation is past it. Refused, changing nothing, when the
+    /// id after `gid` would be the `u64::MAX` sentinel.
+    fn note_group_id(&mut self, gid: GroupId) -> Result<(), StorageError> {
+        let next = gid
+            .checked_add(1)
+            .filter(|&next| next != GroupId::MAX)
+            .ok_or(StorageError::GroupIdsExhausted)?;
+        self.next_group_id = self.next_group_id.max(next);
+        Ok(())
     }
 
     /// Store a block under `object`. Objects strictly smaller than the
@@ -1737,7 +1756,7 @@ impl DistributedStore {
         // frame buffer: the Volatile hot path allocates nothing for them,
         // and a logged store copies the payload once (into the frame).
         if grouped {
-            let gid = self.ensure_open_group();
+            let gid = self.ensure_open_group()?;
             self.log(RecordView::StoreGrouped {
                 object,
                 group: gid,
@@ -2201,15 +2220,15 @@ impl DistributedStore {
     }
 
     /// Serve `span` of sealed group `gid` from the shares that hold it
-    /// verbatim ([`ErasureCode::locate`]): the covering shares are
+    /// verbatim (the store's [`Layout`]): the covering shares are
     /// collected like a decode's (with no spare to fall back on), each
     /// checked for generation and for the checksums of the chunks holding
     /// its piece of the span, and each payload must be the `padded block /
     /// k` bytes the group table implies. Every source is charged one full
     /// share, since its node ships the whole frame.
     ///
-    /// Returns `None`, having contacted nobody, when the code names no
-    /// location or a covering node is not among `candidates` (the reachable
+    /// Returns `None`, having contacted nobody, when the code has no layout
+    /// or a covering node is not among `candidates` (the reachable
     /// holders).
     fn read_ranged(
         &mut self,
@@ -2228,7 +2247,7 @@ impl DistributedStore {
         let end = span.offset + span.len;
         let mut at = span.offset;
         while at < end {
-            let (share, offset, run) = self.code.locate(padded, at)?;
+            let (share, offset, run) = self.layout.as_ref()?.locate(padded, at)?;
             if !candidates.contains(&share) {
                 return None;
             }
@@ -2768,7 +2787,7 @@ impl DistributedStore {
                 group,
                 bytes,
             } => {
-                self.replay_open_group(*group);
+                self.replay_open_group(*group)?;
                 if self.groups.get(group).is_some_and(|g| g.sealed) {
                     // The live run only ever appends to open groups, so
                     // this can only mean the replay sealed the group at a
@@ -2876,10 +2895,11 @@ impl DistributedStore {
     /// run allocated. The live run only ever appends to one open group, so
     /// a new id here means the previous open group was retired without a
     /// record (an empty flush) — finish that retirement the same way.
-    fn replay_open_group(&mut self, gid: GroupId) {
+    fn replay_open_group(&mut self, gid: GroupId) -> Result<(), StorageError> {
         if self.open_group == Some(gid) {
-            return;
+            return Ok(());
         }
+        self.note_group_id(gid)?;
         if let Some(prev) = self.open_group.take() {
             if self
                 .groups
@@ -2893,7 +2913,7 @@ impl DistributedStore {
             .entry(gid)
             .or_insert_with(|| CodingGroup::open_with_buffer(Vec::new()));
         self.open_group = Some(gid);
-        self.next_group_id = self.next_group_id.max(gid + 1);
+        Ok(())
     }
 
     /// Post-replay cleanup of the group half: retire groups the live run
@@ -3394,9 +3414,16 @@ mod tests {
         s
     }
 
+    /// Where the code of `s` keeps byte `at` of a `len`-byte block:
+    /// `(share, offset, run)`.
+    fn locate(s: &DistributedStore, len: usize, at: usize) -> (usize, usize, usize) {
+        let layout = s.layout.as_ref().expect("the code has a layout");
+        layout.locate(len, at).expect("a byte of the block")
+    }
+
     /// The node holding object `o{i}` of [`one_cell_store`].
     fn data_node(s: &DistributedStore, i: usize) -> usize {
-        s.code.locate(240, 20 * i).expect("B-Code locates").0
+        locate(s, 240, 20 * i).0
     }
 
     #[test]
@@ -3494,7 +3521,7 @@ mod tests {
         let registry = Registry::new();
         s.attach_registry(&registry);
         let i: usize = name[1..].parse().unwrap();
-        let (_, offset, _) = s.code.locate(240, 20 * i).unwrap();
+        let (_, offset, _) = locate(&s, 240, 20 * i);
         damage(
             s.nodes[5].group_symbols.values_mut().next().unwrap(),
             offset,
@@ -3606,7 +3633,7 @@ mod tests {
         let mut cover: Vec<(usize, Range<usize>)> = Vec::new();
         let (mut at, end) = (i * CHUNKED_OBJECT, (i + 1) * CHUNKED_OBJECT);
         while at < end {
-            let (share, offset, run) = s.code.locate(padded, at).unwrap();
+            let (share, offset, run) = locate(s, padded, at);
             let take = run.min(end - at);
             match cover.iter_mut().find(|(sh, _)| *sh == share) {
                 Some((_, r)) => *r = r.start.min(offset)..r.end.max(offset + take),
@@ -3983,15 +4010,25 @@ mod tests {
 
     /// Wraps a real code but fails encodes on demand, to exercise the
     /// seal-failure path (only reachable with a faulty code, since the
-    /// store always hands the code a valid block). It forwards only
-    /// `encode_slices`, so the store's `encode_parts` runs the trait's
-    /// staging default.
+    /// store always hands the code a valid block), and counts decodes. It
+    /// forwards only the required methods, so the store's `encode_parts`
+    /// runs the trait's staging default.
     struct FlakyCode {
         inner: ArrayCode,
         fail_encode: std::sync::atomic::AtomicBool,
+        decodes: std::sync::atomic::AtomicUsize,
     }
 
     impl FlakyCode {
+        /// A working wrapper around the (6, 4) B-Code.
+        fn new() -> Arc<Self> {
+            Arc::new(FlakyCode {
+                inner: BCode::table_1a(),
+                fail_encode: std::sync::atomic::AtomicBool::new(false),
+                decodes: std::sync::atomic::AtomicUsize::new(0),
+            })
+        }
+
         fn set_failing(&self, failing: bool) {
             self.fail_encode
                 .store(failing, std::sync::atomic::Ordering::Relaxed);
@@ -4023,6 +4060,8 @@ mod tests {
             self.inner.encode_slices(data, shares)
         }
         fn decode_slices(&self, shares: &ShareView<'_>, out: &mut [u8]) -> Result<(), CodeError> {
+            self.decodes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.decode_slices(shares, out)
         }
         fn repair(
@@ -4036,11 +4075,32 @@ mod tests {
     }
 
     #[test]
+    fn a_wrapper_code_keeps_the_ranged_path() {
+        // The wrapper forwards the encode, so the store finds the B-Code's
+        // layout through it: a cold get of a sealed grouped object reads
+        // exactly the shares holding its two cells, and nothing decodes.
+        let code = FlakyCode::new();
+        let mut s = DistributedStore::with_groups(code.clone(), grouped_config());
+        for i in 0..6 {
+            s.store(&format!("o{i}"), &[i as u8; 40]).unwrap();
+        }
+        s.flush().unwrap();
+        let (out, report) = s.retrieve("o2", SelectionPolicy::FirstK).unwrap();
+        assert_eq!(out, [2u8; 40]);
+        let mut covering: Vec<NodeId> =
+            [80, 100].map(|cell| NodeId(locate(&s, 240, cell).0)).into();
+        covering.dedup();
+        assert_eq!(report.sources, covering, "served ranged");
+        assert_eq!(
+            code.decodes.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "nothing decoded"
+        );
+    }
+
+    #[test]
     fn failed_seal_keeps_the_open_group_intact() {
-        let code = Arc::new(FlakyCode {
-            inner: BCode::table_1a(),
-            fail_encode: std::sync::atomic::AtomicBool::new(false),
-        });
+        let code = FlakyCode::new();
         let mut s = DistributedStore::with_groups(code.clone(), grouped_config());
         s.store("a", &[1u8; 40]).unwrap();
         s.store("b", &[2u8; 40]).unwrap();
@@ -4067,10 +4127,7 @@ mod tests {
         // The overwrite's fallible encode runs before the predecessor is
         // tombstoned: if it fails, the old grouped copy must still be
         // retrievable (not a dangling placement into a dropped group).
-        let code = Arc::new(FlakyCode {
-            inner: BCode::table_1a(),
-            fail_encode: std::sync::atomic::AtomicBool::new(false),
-        });
+        let code = FlakyCode::new();
         let mut s = DistributedStore::with_groups(code.clone(), grouped_config());
         s.store("x", &[3u8; 40]).unwrap();
         s.flush().unwrap(); // "x" is the sole live member of a sealed group

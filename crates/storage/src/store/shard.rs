@@ -175,7 +175,7 @@ impl DistributedStore {
         members: &[(String, ObjSpan)],
         block: &[u8],
     ) -> Result<(), StorageError> {
-        self.next_group_id = self.next_group_id.max(gid + 1);
+        self.note_group_id(gid)?;
         // Pad to the code's input unit and encode — one encode for the
         // whole group, identical to a seal.
         let padded = padded_block_len(self.code.as_ref(), block.len());

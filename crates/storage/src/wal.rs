@@ -333,8 +333,9 @@ impl CheckpointState {
 
     fn decode_body(c: &mut FieldReader<'_>) -> Option<CheckpointState> {
         Some(CheckpointState {
-            // At `u64::MAX` the store could not allocate another group:
-            // the allocation's increment would overflow.
+            // The store never moves its next id onto `u64::MAX` (it
+            // refuses with `GroupIdsExhausted`), so no checkpoint of it
+            // carries that value.
             next_group_id: group_id(c)?,
             open_group: Some(c.u64()?).filter(|&g| g != u64::MAX),
             objects: c.list(|c| {

@@ -13,7 +13,7 @@
 //! single cell. Each is read twice: as the first read of a store of its
 //! own, where a healthy read is ranged — served from the shares that hold
 //! the object verbatim, so it must report exactly the shares
-//! `ErasureCode::locate` names for its span — and in a row with the others
+//! the code's [`Layout`] names for its span — and in a row with the others
 //! from one store, where the group is decoded once and cached.
 //!
 //! Proptest randomises the payloads; the faulty-node combinations are
@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rain_codes::{build_code, CodeKind, CodeSpec, ErasureCode};
+use rain_codes::{build_code, CodeKind, CodeSpec, ErasureCode, Layout};
 use rain_sim::NodeId;
 use rain_storage::{DistributedStore, GroupConfig, RetrieveReport, SelectionPolicy, StorageError};
 
@@ -47,16 +47,21 @@ fn fill(seed: u64, len: usize) -> Vec<u8> {
 /// Bytes either side of the cell boundary the straddling object crosses.
 const STRADDLE: usize = 16;
 
-/// The grouped objects, in packing order, for a code and a `tiny` payload
-/// at offset 0, plus the block length they fill exactly (a multiple of the
-/// code's unit, so the sealed block is this long with no padding).
-fn grouped_objects(code: &dyn ErasureCode, tiny: &[u8]) -> (Vec<(&'static str, Vec<u8>)>, usize) {
+/// The grouped objects, in packing order, for a code's layout and a `tiny`
+/// payload at offset 0, plus the block length they fill exactly (a
+/// multiple of the code's unit, so the sealed block is this long with no
+/// padding).
+fn grouped_objects(
+    code: &dyn ErasureCode,
+    layout: &Layout,
+    tiny: &[u8],
+) -> (Vec<(&'static str, Vec<u8>)>, usize) {
     let unit = code.data_len_unit();
     let block = 4800usize.div_ceil(unit) * unit;
     // The first cell boundary at least STRADDLE past `tiny`. A mirror has
     // one cell, the whole block; its "boundary" is then an arbitrary point.
     let probe = tiny.len() + STRADDLE;
-    let (_, _, run) = code.locate(block, probe).expect("every family locates");
+    let (_, _, run) = layout.locate(block, probe).expect("every family locates");
     let boundary = (probe + run).min(block - 1024);
     let mut objects = vec![
         ("tiny", tiny.to_vec()),
@@ -71,12 +76,12 @@ fn grouped_objects(code: &dyn ErasureCode, tiny: &[u8]) -> (Vec<(&'static str, V
     (objects, block)
 }
 
-/// The distinct shares `locate` names for `len` bytes at `offset`.
-fn covering(code: &dyn ErasureCode, block: usize, offset: usize, len: usize) -> Vec<usize> {
+/// The distinct shares `layout` names for `len` bytes at `offset`.
+fn covering(layout: &Layout, block: usize, offset: usize, len: usize) -> Vec<usize> {
     let mut shares = Vec::new();
     let mut at = offset;
     while at < offset + len {
-        let (share, _, run) = code.locate(block, at).expect("in range");
+        let (share, _, run) = layout.locate(block, at).expect("in range");
         if !shares.contains(&share) {
             shares.push(share);
         }
@@ -185,7 +190,8 @@ fn check_read(
 /// Check one `(family, faulty-set)` pair. `mask` encodes the faulty nodes.
 fn check_subset(spec: CodeSpec, mask: u32, whole: &[u8], tiny: &[u8]) -> Result<(), TestCaseError> {
     let code = build_code(spec).expect("reference spec must build");
-    let (grouped, block) = grouped_objects(code.as_ref(), tiny);
+    let layout = Layout::of(code.as_ref()).expect("every family has a layout");
+    let (grouped, block) = grouped_objects(code.as_ref(), &layout, tiny);
     let mut spans = Vec::new();
     let mut offset = 0;
     for (_, bytes) in &grouped {
@@ -196,7 +202,7 @@ fn check_subset(spec: CodeSpec, mask: u32, whole: &[u8], tiny: &[u8]) -> Result<
     if spec.kind != CodeKind::Mirroring {
         // The straddling object's first cell ends halfway through it.
         let (at, _) = spans[2];
-        let first_run = code.locate(block, at).map(|(_, _, run)| run);
+        let first_run = layout.locate(block, at).map(|(_, _, run)| run);
         prop_assert!(
             first_run == Some(STRADDLE),
             "{:?}: no cell boundary crossed",
@@ -212,7 +218,7 @@ fn check_subset(spec: CodeSpec, mask: u32, whole: &[u8], tiny: &[u8]) -> Result<
     for ((name, bytes), &(at, len)) in grouped.iter().zip(&spans) {
         let mut store = loaded_store(&code, None, &grouped, mask);
         let got = store.retrieve(name, SelectionPolicy::LeastLoaded);
-        let want_sources = covering(code.as_ref(), block, at, len);
+        let want_sources = covering(&layout, block, at, len);
         if *name == "one-cell" {
             prop_assert_eq!(want_sources.len(), 1);
         }

@@ -5,7 +5,9 @@
 //!
 //! Each test appends one such record to the log a crashed store leaves
 //! behind and recovers. Should recovery accept the record, the test then
-//! runs the operation the impossible value breaks, and fails.
+//! runs the operation the impossible value breaks, and fails. The last
+//! test plants the highest `next_group_id` a store can write, and checks
+//! that running out of group ids is a typed error, not an overflow.
 
 use std::sync::Arc;
 
@@ -128,4 +130,39 @@ fn an_import_member_past_its_block_is_corrupt() {
     assert_corrupt(recover_with(record), |mut store| {
         store.retrieve("m", SelectionPolicy::FirstK).ok();
     });
+}
+
+#[test]
+fn grouped_puts_past_the_last_group_id_are_refused() {
+    let span = ObjSpan {
+        offset: 0,
+        len: 100,
+    };
+    let mut store = recover_with(checkpoint(u64::MAX - 1, span))
+        .expect("the highest next_group_id a checkpoint carries recovers");
+    // Opening a group would leave next_group_id at the sentinel. Each put
+    // is flushed, so each would open a group of its own.
+    for name in ["b", "c"] {
+        assert!(
+            matches!(
+                store.store(name, &[2u8; 10]),
+                Err(StorageError::GroupIdsExhausted)
+            ),
+            "grouped put of {name}"
+        );
+        store.flush().expect("flush");
+    }
+    store
+        .store("whole", &[3u8; 2000])
+        .expect("a whole put needs no group");
+    store.checkpoint().expect("checkpoint");
+    let (nodes, wal) = store.crash();
+    let wal = wal.expect("a logged store keeps its log");
+    let (mut store, _) = DistributedStore::recover(code(), config(), nodes, wal)
+        .expect("the store's own checkpoint recovers");
+    for (name, bytes) in [("a", vec![1u8; 100]), ("whole", vec![3u8; 2000])] {
+        let got = store.retrieve(name, SelectionPolicy::FirstK).unwrap().0;
+        assert_eq!(got, bytes, "{name}");
+    }
+    assert!(store.retrieve("b", SelectionPolicy::FirstK).is_err());
 }
