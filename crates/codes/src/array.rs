@@ -21,30 +21,12 @@ use crate::matrix::solve_gf2_sparse;
 use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
-    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, CodeKind, ErasureCode,
-    ENCODE_WINDOW,
+    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, validate_range,
+    CodeKind, ErasureCode, ENCODE_WINDOW,
 };
 use crate::xor::xor_into;
 use std::cmp::Ordering;
-
-/// XOR cell `src` into cell `dst` within one flat buffer of `cell_len`-byte
-/// cells. The cells must be distinct; `split_at_mut` proves disjointness.
-fn xor_cells(buf: &mut [u8], cell_len: usize, dst: usize, src: usize) {
-    debug_assert_ne!(dst, src);
-    if dst < src {
-        let (lo, hi) = buf.split_at_mut(src * cell_len);
-        xor_into(
-            &mut lo[dst * cell_len..(dst + 1) * cell_len],
-            &hi[..cell_len],
-        );
-    } else {
-        let (lo, hi) = buf.split_at_mut(dst * cell_len);
-        xor_into(
-            &mut hi[..cell_len],
-            &lo[src * cell_len..(src + 1) * cell_len],
-        );
-    }
-}
+use std::ops::Range;
 
 /// Set the `len`-byte run at `dst` (`(column, offset)`) to the XOR of the
 /// runs at `srcs`, none of which overlaps it: the first is copied, the rest
@@ -326,20 +308,51 @@ impl ArrayCode {
         // Sized for the happy case; a share length not divisible by the cell
         // count is rejected inside decode_slices_impl before `out` is used.
         let mut out = vec![0u8; (share_len / r) * self.layout.num_data_cells()];
-        let mut trace = DecodeTrace::default();
-        self.decode_slices_impl(shares, &mut out, Some(&mut trace))?;
+        let trace = self.decode_slices_impl(shares, &mut out)?;
         Ok((out, trace))
     }
 
-    /// Shared decode path: peel (recording chains into `trace` when given),
-    /// then the GF(2) Gaussian fallback.
+    /// Shared decode path: copy the surviving data cells into `out`, then
+    /// rebuild the lost ones in place by the decoding chains and, if they
+    /// stall, the GF(2) Gaussian fallback. Returns what was done.
     fn decode_slices_impl(
         &self,
         shares: &ShareView<'_>,
         out: &mut [u8],
-        mut trace: Option<&mut DecodeTrace>,
-    ) -> Result<(), CodeError> {
-        let share_len = shares.validate(self.n(), self.k())?;
+    ) -> Result<DecodeTrace, CodeError> {
+        let src = self.survivors(shares, None)?;
+        let cell_len = src.cell_len;
+        let d = src.data.len();
+        validate_decode_out(out.len(), d * cell_len)?;
+        let (chain, seeds) = self.peel(&src);
+        for (cell, from) in out.chunks_exact_mut(cell_len.max(1)).zip(&seeds) {
+            if let Some(from) = from {
+                cell.copy_from_slice(from);
+            }
+        }
+        let slots = Slots {
+            slot: (0..d).collect(),
+            stride: cell_len,
+            lo: 0,
+        };
+        let used_gaussian_fallback = self.rebuild(&src, &chain, &seeds, out, &slots)?;
+        Ok(DecodeTrace {
+            chain,
+            used_gaussian_fallback,
+        })
+    }
+
+    /// Validate `shares` (ignoring slot `skip`, a repair's target) and
+    /// borrow every cell of every surviving share.
+    fn survivors<'a>(
+        &self,
+        shares: &ShareView<'a>,
+        skip: Option<usize>,
+    ) -> Result<Survivors<'a>, CodeError> {
+        let share_len = match skip {
+            Some(missing) => shares.validate_excluding(self.n(), self.k(), missing)?,
+            None => shares.validate(self.n(), self.k())?,
+        };
         let r = self.layout.cells_per_column();
         if !share_len.is_multiple_of(r) {
             return Err(CodeError::DecodeFailure {
@@ -347,121 +360,168 @@ impl ArrayCode {
             });
         }
         let cell_len = share_len / r;
-        let d = self.layout.num_data_cells();
-        validate_decode_out(out.len(), d * cell_len)?;
-
-        // Copy known data cells into place; borrow available parity values.
-        let mut known = vec![false; d];
-        let mut parity_src: Vec<Option<&[u8]>> = vec![None; self.layout.equations.len()];
+        let mut src = Survivors {
+            cell_len,
+            data: vec![None; self.data_cell_at.len()],
+            parity: vec![None; self.parity_cell_at.len()],
+        };
         for (c, share) in shares.iter().enumerate() {
-            let Some(buf) = share else { continue };
+            let Some(buf) = share.filter(|_| skip != Some(c)) else {
+                continue;
+            };
             for (slot, cell) in self.layout.column_cells[c].iter().enumerate() {
                 let bytes = &buf[slot * cell_len..(slot + 1) * cell_len];
                 match *cell {
-                    Cell::Data(i) => {
-                        out[i * cell_len..(i + 1) * cell_len].copy_from_slice(bytes);
-                        known[i] = true;
-                    }
-                    Cell::Parity(p) => parity_src[p] = Some(bytes),
+                    Cell::Data(i) => src.data[i] = Some(bytes),
+                    Cell::Parity(p) => src.parity[p] = Some(bytes),
                 }
             }
         }
-        if known.iter().all(|&is_known| is_known) {
-            return Ok(());
-        }
-
-        self.peel_slices(out, &mut known, &parity_src, cell_len, &mut trace);
-
-        // If peeling stalled, finish with Gaussian elimination over GF(2).
-        let still_missing: Vec<usize> = (0..d).filter(|&i| !known[i]).collect();
-        if !still_missing.is_empty() {
-            if let Some(t) = trace {
-                t.used_gaussian_fallback = true;
-            }
-            self.gaussian_finish(out, &known, &parity_src, cell_len, &still_missing)?;
-        }
-        Ok(())
+        Ok(src)
     }
 
-    /// Peeling decoder: repeatedly find a surviving parity equation with
-    /// exactly one unknown data cell and solve it **in place** in `out`.
-    /// This is the "decoding chain" procedure of Section 4.1.
-    fn peel_slices(
-        &self,
-        out: &mut [u8],
-        known: &mut [bool],
-        parity_src: &[Option<&[u8]>],
-        cell_len: usize,
-        trace: &mut Option<&mut DecodeTrace>,
-    ) {
+    /// The decoding chains of Section 4.1 for the data cells `src` lacks:
+    /// repeatedly take a surviving parity equation with exactly one unknown
+    /// cell, which that equation then determines. Also returns what each
+    /// data cell's rebuilt bytes start as: a surviving cell itself, a cell
+    /// a step recovers that step's parity (the equation's other cells are
+    /// XORed in by [`ArrayCode::rebuild`]), and `None` for a cell left to
+    /// the Gaussian fallback because no equation had it as its single
+    /// unknown.
+    fn peel<'a>(&self, src: &Survivors<'a>) -> (Vec<ChainStep>, Vec<Option<&'a [u8]>>) {
+        let mut seeds = src.data.clone();
+        let mut chain = Vec::new();
         loop {
             let mut progressed = false;
-            for (eq_idx, eq) in self.layout.equations.iter().enumerate() {
-                let Some(parity) = parity_src[eq_idx] else {
+            for (eq_idx, (eq, parity)) in self.layout.equations.iter().zip(&src.parity).enumerate()
+            {
+                let Some(parity) = parity else {
                     continue;
                 };
-                let mut unknowns = 0;
-                let mut target = usize::MAX;
-                for &dc in eq {
-                    if !known[dc] {
-                        unknowns += 1;
-                        target = dc;
-                    }
-                }
-                if unknowns != 1 {
+                let mut unknown = eq.iter().filter(|&&dc| seeds[dc].is_none());
+                let (Some(&target), None) = (unknown.next(), unknown.next()) else {
                     continue;
-                }
-                {
-                    let cell = &mut out[target * cell_len..(target + 1) * cell_len];
-                    cell.fill(0);
-                    xor_into(cell, parity);
-                }
-                for &dc in eq {
-                    if dc != target {
-                        xor_cells(out, cell_len, target, dc);
-                    }
-                }
-                known[target] = true;
-                if let Some(t) = trace {
-                    t.chain.push(ChainStep {
-                        recovered_data_cell: target,
-                        equation: eq_idx,
-                        parity_column: self.parity_cell_at[eq_idx].0,
-                    });
-                }
+                };
+                seeds[target] = Some(parity);
+                chain.push(ChainStep {
+                    recovered_data_cell: target,
+                    equation: eq_idx,
+                    parity_column: self.parity_cell_at[eq_idx].0,
+                });
                 progressed = true;
             }
             if !progressed {
-                break;
+                return (chain, seeds);
             }
         }
     }
 
+    /// Rebuild the lost data cells in `buf` (laid out by `slots`), where
+    /// each cell a step of `chain` recovers already holds that step's
+    /// parity: XOR the step's other cells in, one [`ENCODE_WINDOW`] of the
+    /// slots' span at a time, so each step reads the runs earlier steps
+    /// wrote while they are still in cache. Then solve the cells with no
+    /// seed by Gaussian elimination. Returns whether that fallback
+    /// ran; it needs whole-cell slots.
+    fn rebuild(
+        &self,
+        src: &Survivors<'_>,
+        chain: &[ChainStep],
+        seeds: &[Option<&[u8]>],
+        buf: &mut [u8],
+        slots: &Slots,
+    ) -> Result<bool, CodeError> {
+        let span = slots.lo..slots.lo + slots.stride;
+        for w in span.clone().step_by(ENCODE_WINDOW) {
+            let window = w..(w + ENCODE_WINDOW).min(span.end);
+            for step in chain {
+                let target = step.recovered_data_cell;
+                let eq = &self.layout.equations[step.equation];
+                let runs = eq
+                    .iter()
+                    .filter(|&&dc| dc != target)
+                    .map(|&dc| match src.data[dc] {
+                        Some(cell) => Run::Share(&cell[window.clone()]),
+                        None => Run::Scratch(slots.at(dc, window.start)),
+                    });
+                xor_window(buf, slots.at(target, window.start), window.len(), runs);
+            }
+        }
+        if seeds.iter().all(Option::is_some) {
+            return Ok(false);
+        }
+        debug_assert_eq!(span, 0..src.cell_len, "the fallback solves whole cells");
+        self.gaussian_finish(src, seeds, buf, slots)?;
+        Ok(true)
+    }
+
+    /// Rebuild every data cell `src` lacks over the cell-local bytes `span`
+    /// (whole cells when the chains stall), into scratch that holds just
+    /// those cells, each started from its chain parity. Returns the scratch
+    /// and its layout.
+    fn rebuild_lost(
+        &self,
+        src: &Survivors<'_>,
+        span: Range<usize>,
+    ) -> Result<(Vec<u8>, Slots), CodeError> {
+        let (chain, seeds) = self.peel(src);
+        let span = if seeds.iter().all(Option::is_some) {
+            span
+        } else {
+            0..src.cell_len
+        };
+        let lost = src.data.iter().filter(|cell| cell.is_none()).count();
+        let mut buf = Vec::with_capacity(lost * span.len());
+        let mut slot = vec![usize::MAX; seeds.len()];
+        let lost_seeds = seeds
+            .iter()
+            .enumerate()
+            .filter(|&(dc, _)| src.data[dc].is_none());
+        for (next, (dc, seed)) in lost_seeds.enumerate() {
+            slot[dc] = next;
+            match seed {
+                Some(parity) => buf.extend_from_slice(&parity[span.clone()]),
+                None => buf.resize(buf.len() + span.len(), 0),
+            }
+        }
+        let slots = Slots {
+            slot,
+            stride: span.len(),
+            lo: span.start,
+        };
+        self.rebuild(src, &chain, &seeds, &mut buf, &slots)?;
+        Ok((buf, slots))
+    }
+
     /// Gaussian-elimination fallback for erasure patterns where peeling
-    /// stalls (every surviving equation has >= 2 unknowns).
+    /// stalls (every surviving equation has >= 2 unknowns): solve the cells
+    /// with no seed over GF(2), reading the others from the survivors or
+    /// from `buf`, and write each solution to its slot in `buf`.
     fn gaussian_finish(
         &self,
-        out: &mut [u8],
-        known: &[bool],
-        parity_src: &[Option<&[u8]>],
-        cell_len: usize,
-        missing: &[usize],
+        src: &Survivors<'_>,
+        seeds: &[Option<&[u8]>],
+        buf: &mut [u8],
+        slots: &Slots,
     ) -> Result<(), CodeError> {
+        let cell_len = src.cell_len;
+        let missing: Vec<usize> = (0..seeds.len()).filter(|&dc| seeds[dc].is_none()).collect();
         let unknown_index: std::collections::HashMap<usize, usize> =
             missing.iter().enumerate().map(|(i, &dc)| (dc, i)).collect();
         let mut eqs: Vec<Vec<usize>> = Vec::new();
         let mut rhs: Vec<Vec<u8>> = Vec::new();
-        for (eq_idx, eq) in self.layout.equations.iter().enumerate() {
-            let Some(parity) = parity_src[eq_idx] else {
+        for (eq, parity) in self.layout.equations.iter().zip(&src.parity) {
+            let Some(parity) = parity else {
                 continue;
             };
             let mut unknowns = Vec::new();
             let mut value = parity.to_vec();
             for &dc in eq {
-                if known[dc] {
-                    xor_into(&mut value, &out[dc * cell_len..(dc + 1) * cell_len]);
+                if let Some(&idx) = unknown_index.get(&dc) {
+                    unknowns.push(idx);
                 } else {
-                    unknowns.push(unknown_index[&dc]);
+                    let cell = src.data[dc].unwrap_or_else(|| &buf[slots.at(dc, 0)..][..cell_len]);
+                    xor_into(&mut value, cell);
                 }
             }
             if !unknowns.is_empty() {
@@ -474,10 +534,58 @@ impl ArrayCode {
                 reason: "surviving parity equations do not determine the lost data".into(),
             }
         })?;
-        for (i, &dc) in missing.iter().enumerate() {
-            out[dc * cell_len..(dc + 1) * cell_len].copy_from_slice(&solution[i]);
+        for (value, &dc) in solution.iter().zip(&missing) {
+            buf[slots.at(dc, 0)..][..cell_len].copy_from_slice(value);
         }
         Ok(())
+    }
+}
+
+/// The cells of the surviving shares a decode or repair reads, borrowed
+/// from the shares.
+struct Survivors<'a> {
+    cell_len: usize,
+    /// Data cell `i`, if a surviving share keeps it.
+    data: Vec<Option<&'a [u8]>>,
+    /// Parity cell `p`, if a surviving share keeps it.
+    parity: Vec<Option<&'a [u8]>>,
+}
+
+/// Where lost data cells are rebuilt in a buffer: bytes
+/// `lo..lo + stride` of cell `dc` sit at `slot[dc] * stride`.
+#[derive(Default)]
+struct Slots {
+    slot: Vec<usize>,
+    stride: usize,
+    lo: usize,
+}
+
+impl Slots {
+    /// Index in the buffer of byte `offset` of lost cell `dc`.
+    fn at(&self, dc: usize, offset: usize) -> usize {
+        self.slot[dc] * self.stride + offset - self.lo
+    }
+}
+
+/// One source run of a decoding step: in a surviving share, or at an index
+/// of the rebuild buffer.
+enum Run<'a> {
+    Share(&'a [u8]),
+    Scratch(usize),
+}
+
+/// XOR `runs`, none of which overlaps it, into the `len`-byte run at
+/// `buf[dst..]`.
+fn xor_window<'a>(buf: &mut [u8], dst: usize, len: usize, runs: impl Iterator<Item = Run<'a>>) {
+    let (before, rest) = buf.split_at_mut(dst);
+    let (out, after) = rest.split_at_mut(len);
+    for run in runs {
+        let bytes = match run {
+            Run::Share(bytes) => bytes,
+            Run::Scratch(at) if at < dst => &before[at..at + len],
+            Run::Scratch(at) => &after[at - dst - len..][..len],
+        };
+        xor_into(out, bytes);
     }
 }
 
@@ -544,10 +652,48 @@ impl ErasureCode for ArrayCode {
 
     /// Decode surviving shares into the pre-sized `out` slice
     /// (`num_data_cells * cell_len` bytes, fully overwritten), discarding
-    /// the trace. No share storage is allocated; the Gaussian fallback (rare
-    /// two-column stalls) is the only allocating path.
+    /// the trace. The lost cells are rebuilt in place in `out`; the Gaussian
+    /// fallback (rare two-column stalls) is the only allocating path.
     fn decode_slices(&self, shares: &ShareView<'_>, out: &mut [u8]) -> Result<(), CodeError> {
-        self.decode_slices_impl(shares, out, None)
+        self.decode_slices_impl(shares, out).map(drop)
+    }
+
+    /// Append bytes `range` of the decoded input. Cells the range covers
+    /// are appended in input order, each from its surviving share or, if
+    /// lost, from scratch that holds only the lost cells, rebuilt by the
+    /// decoding chains over just the cell-local bytes the range needs.
+    /// When every covered cell survives there is no scratch.
+    fn decode_append(
+        &self,
+        shares: &ShareView<'_>,
+        range: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        let src = self.survivors(shares, None)?;
+        let cell_len = src.cell_len;
+        validate_range(&range, src.data.len() * cell_len)?;
+        if range.is_empty() {
+            return Ok(());
+        }
+        let cells = range.start / cell_len..(range.end - 1) / cell_len + 1;
+        let (rebuilt, slots) = if cells.clone().all(|i| src.data[i].is_some()) {
+            (Vec::new(), Slots::default())
+        } else if cells.len() == 1 {
+            let span = range.start % cell_len..(range.end - 1) % cell_len + 1;
+            self.rebuild_lost(&src, span)?
+        } else {
+            self.rebuild_lost(&src, 0..cell_len)?
+        };
+        out.reserve(range.len());
+        for i in cells {
+            let base = i * cell_len;
+            let run = range.start.max(base) - base..range.end.min(base + cell_len) - base;
+            out.extend_from_slice(match src.data[i] {
+                Some(cell) => &cell[run],
+                None => &rebuilt[slots.at(i, run.start)..][..run.len()],
+            });
+        }
+        Ok(())
     }
 
     /// Reconstruct the single column `missing`: only the erased data cells
@@ -559,143 +705,19 @@ impl ErasureCode for ArrayCode {
         missing: usize,
         out: &mut [u8],
     ) -> Result<(), CodeError> {
-        let share_len = shares.validate_excluding(self.n(), self.k(), missing)?;
-        let r = self.layout.cells_per_column();
-        if !share_len.is_multiple_of(r) {
-            return Err(CodeError::DecodeFailure {
-                reason: format!("share length {share_len} not divisible by {r} cells"),
-            });
-        }
-        let cell_len = share_len / r;
-        validate_decode_out(out.len(), share_len)?;
-
-        // Borrow known data cells and parity values from the survivors.
-        let d = self.layout.num_data_cells();
-        let mut data_src: Vec<Option<&[u8]>> = vec![None; d];
-        let mut parity_src: Vec<Option<&[u8]>> = vec![None; self.layout.equations.len()];
-        for (c, share) in shares.iter().enumerate() {
-            if c == missing {
-                continue;
-            }
-            let Some(buf) = share else { continue };
-            for (slot, cell) in self.layout.column_cells[c].iter().enumerate() {
-                let bytes = &buf[slot * cell_len..(slot + 1) * cell_len];
-                match *cell {
-                    Cell::Data(i) => data_src[i] = Some(bytes),
-                    Cell::Parity(p) => parity_src[p] = Some(bytes),
-                }
-            }
-        }
-
-        // Recover the erased data cells into a compact scratch buffer
-        // (erased cells only — not the whole data block).
-        let mut known: Vec<bool> = (0..d).map(|i| data_src[i].is_some()).collect();
-        let mut rec_slot = vec![usize::MAX; d];
-        let mut num_missing = 0;
-        for (dc, slot) in rec_slot.iter_mut().enumerate() {
-            if !known[dc] {
-                *slot = num_missing;
-                num_missing += 1;
-            }
-        }
-        let mut recovered = vec![0u8; num_missing * cell_len];
-
-        // Peel (decoding chains), then Gaussian fallback if stalled.
-        loop {
-            let mut progressed = false;
-            for (eq_idx, eq) in self.layout.equations.iter().enumerate() {
-                let Some(parity) = parity_src[eq_idx] else {
-                    continue;
-                };
-                let mut unknowns = 0;
-                let mut target = usize::MAX;
-                for &dc in eq {
-                    if !known[dc] {
-                        unknowns += 1;
-                        target = dc;
-                    }
-                }
-                if unknowns != 1 {
-                    continue;
-                }
-                let t = rec_slot[target];
-                {
-                    let cell = &mut recovered[t * cell_len..(t + 1) * cell_len];
-                    cell.fill(0);
-                    xor_into(cell, parity);
-                }
-                for &dc in eq {
-                    if dc == target {
-                        continue;
-                    }
-                    match data_src[dc] {
-                        Some(src) => {
-                            xor_into(&mut recovered[t * cell_len..(t + 1) * cell_len], src);
-                        }
-                        None => xor_cells(&mut recovered, cell_len, t, rec_slot[dc]),
-                    }
-                }
-                known[target] = true;
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let still_missing: Vec<usize> = (0..d).filter(|&i| !known[i]).collect();
-        if !still_missing.is_empty() {
-            let unknown_index: std::collections::HashMap<usize, usize> = still_missing
-                .iter()
-                .enumerate()
-                .map(|(i, &dc)| (dc, i))
-                .collect();
-            let mut eqs: Vec<Vec<usize>> = Vec::new();
-            let mut rhs: Vec<Vec<u8>> = Vec::new();
-            for (eq_idx, eq) in self.layout.equations.iter().enumerate() {
-                let Some(parity) = parity_src[eq_idx] else {
-                    continue;
-                };
-                let mut unknowns = Vec::new();
-                let mut value = parity.to_vec();
-                for &dc in eq {
-                    if let Some(idx) = unknown_index.get(&dc) {
-                        unknowns.push(*idx);
-                    } else if let Some(src) = data_src[dc] {
-                        xor_into(&mut value, src);
-                    } else {
-                        let s = rec_slot[dc];
-                        xor_into(&mut value, &recovered[s * cell_len..(s + 1) * cell_len]);
-                    }
-                }
-                if !unknowns.is_empty() {
-                    eqs.push(unknowns);
-                    rhs.push(value);
-                }
-            }
-            let solution = solve_gf2_sparse(still_missing.len(), &eqs, &rhs).ok_or_else(|| {
-                CodeError::DecodeFailure {
-                    reason: "surviving parity equations do not determine the lost share".into(),
-                }
-            })?;
-            for (i, &dc) in still_missing.iter().enumerate() {
-                let s = rec_slot[dc];
-                recovered[s * cell_len..(s + 1) * cell_len].copy_from_slice(&solution[i]);
-            }
-        }
-
-        // Emit the target column: data cells from the recovered scratch,
-        // parity cells re-evaluated from their equations.
+        let src = self.survivors(shares, Some(missing))?;
+        let cell_len = src.cell_len;
+        validate_decode_out(out.len(), self.layout.cells_per_column() * cell_len)?;
+        let (rebuilt, slots) = self.rebuild_lost(&src, 0..cell_len)?;
         let cell_of = |dc: usize| -> &[u8] {
-            match data_src[dc] {
-                Some(src) => src,
-                None => {
-                    let s = rec_slot[dc];
-                    &recovered[s * cell_len..(s + 1) * cell_len]
-                }
-            }
+            src.data[dc].unwrap_or_else(|| &rebuilt[slots.at(dc, 0)..][..cell_len])
         };
-        for (slot, cell) in self.layout.column_cells[missing].iter().enumerate() {
-            let dst = &mut out[slot * cell_len..(slot + 1) * cell_len];
+        // Emit the target column: data cells from the survivors or the
+        // rebuilt scratch, parity cells re-evaluated from their equations.
+        for (cell, dst) in self.layout.column_cells[missing]
+            .iter()
+            .zip(out.chunks_exact_mut(cell_len.max(1)))
+        {
             match *cell {
                 Cell::Data(i) => dst.copy_from_slice(cell_of(i)),
                 Cell::Parity(p) => {

@@ -48,6 +48,15 @@ pub enum CodeError {
         /// Minimum number of shares needed (`k`).
         needed: usize,
     },
+    /// A decode was asked for bytes outside its input.
+    BadRange {
+        /// First byte asked for.
+        start: usize,
+        /// One past the last byte asked for.
+        end: usize,
+        /// Length of the decoded input.
+        len: usize,
+    },
     /// The surviving shares are sufficient in number but the decoder could
     /// not solve for the missing data (should not happen for MDS codes).
     DecodeFailure {
@@ -85,6 +94,9 @@ impl fmt::Display for CodeError {
                 f,
                 "only {available} shares available but {needed} are needed"
             ),
+            CodeError::BadRange { start, end, len } => {
+                write!(f, "range {start}..{end} is outside the {len}-byte input")
+            }
             CodeError::DecodeFailure { reason } => write!(f, "decode failure: {reason}"),
         }
     }

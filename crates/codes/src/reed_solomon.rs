@@ -12,7 +12,7 @@
 //! reconstruct the data by inverting the corresponding `k x k` submatrix.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::error::CodeError;
 use crate::gf256::{Gf256, MulTable};
@@ -20,9 +20,10 @@ use crate::matrix::GfMatrix;
 use crate::metrics::{CodeCost, CodeMetrics};
 use crate::share::ShareView;
 use crate::traits::{
-    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, CodeKind, ErasureCode,
-    ENCODE_WINDOW,
+    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, validate_range,
+    CodeKind, ErasureCode, ENCODE_WINDOW,
 };
+use std::ops::Range;
 
 /// Capacity of the per-code repair coefficient-row cache. A repair storm
 /// hits one (or a handful of) erasure patterns over and over; 16 rows cover
@@ -70,11 +71,25 @@ pub struct ReedSolomon {
     repair_row_hits: AtomicU64,
     /// Repairs that inverted the survivor submatrix and folded a fresh row.
     repair_row_misses: AtomicU64,
+    /// The survivor rows and inverse of the last decode that lost a
+    /// systematic symbol. A whole-object get decodes its prefix and then
+    /// its object from the same shares, and the reads of a degraded
+    /// cluster repeat one pattern, so the next such decode usually reuses
+    /// it instead of inverting again.
+    last_inverse: Mutex<Option<Arc<Inverse>>>,
+}
+
+/// The first `k` surviving rows of a decode, and the inverse of their
+/// generator submatrix, whose row `i` rebuilds data symbol `i` from them.
+#[derive(Debug)]
+struct Inverse {
+    rows: Vec<usize>,
+    inv: GfMatrix,
 }
 
 impl Clone for ReedSolomon {
-    /// Clones share the code, not the cache: the clone starts with an empty
-    /// repair-row LRU and zeroed hit/miss counters.
+    /// Clones share the code, not the caches: the clone starts with an
+    /// empty repair-row LRU, zeroed hit/miss counters and no inverse.
     fn clone(&self) -> Self {
         ReedSolomon {
             n: self.n,
@@ -85,6 +100,7 @@ impl Clone for ReedSolomon {
             repair_rows: Mutex::new(RepairRowCache::default()),
             repair_row_hits: AtomicU64::new(0),
             repair_row_misses: AtomicU64::new(0),
+            last_inverse: Mutex::new(None),
         }
     }
 }
@@ -123,6 +139,7 @@ impl ReedSolomon {
             repair_rows: Mutex::new(RepairRowCache::default()),
             repair_row_hits: AtomicU64::new(0),
             repair_row_misses: AtomicU64::new(0),
+            last_inverse: Mutex::new(None),
         })
     }
 
@@ -151,6 +168,58 @@ impl ReedSolomon {
                 (coeff != 0).then(|| (row, self.gf.mul_table(coeff)))
             })
             .collect())
+    }
+
+    /// If a systematic symbol in `symbols` is lost: the inverse for the
+    /// first `k` surviving rows, reused from the last such decode when its
+    /// rows are the same.
+    fn inverse_for_lost(
+        &self,
+        shares: &ShareView<'_>,
+        mut symbols: Range<usize>,
+    ) -> Result<Option<Arc<Inverse>>, CodeError> {
+        if symbols.all(|i| shares.share(i).is_some()) {
+            return Ok(None);
+        }
+        let survivors = || {
+            (0..self.n)
+                .filter(|&i| shares.share(i).is_some())
+                .take(self.k)
+        };
+        // Invert outside the lock, as the repair rows are.
+        let last = self.last_inverse.lock().expect("inverse lock").clone();
+        if let Some(inverse) = last.filter(|l| l.rows.iter().copied().eq(survivors())) {
+            return Ok(Some(inverse));
+        }
+        let rows: Vec<usize> = survivors().collect();
+        let inv = self
+            .generator
+            .select_rows(&rows)
+            .invert(&self.gf)
+            .ok_or_else(|| CodeError::DecodeFailure {
+                reason: "selected generator rows are singular (should be impossible for RS)".into(),
+            })?;
+        let inverse = Arc::new(Inverse { rows, inv });
+        *self.last_inverse.lock().expect("inverse lock") = Some(inverse.clone());
+        Ok(Some(inverse))
+    }
+
+    /// Accumulate bytes `run` of lost data symbol `i` into the zeroed `out`
+    /// from the survivor rows of `inverse`.
+    fn rebuild_run(
+        &self,
+        shares: &ShareView<'_>,
+        inverse: Option<&Inverse>,
+        i: usize,
+        run: Range<usize>,
+        out: &mut [u8],
+    ) {
+        let inverse = inverse.expect("inverted for every lost symbol");
+        for (j, &row) in inverse.rows.iter().enumerate() {
+            let share = shares.share(row).expect("chosen rows are present");
+            self.gf
+                .mul_acc_slice(out, &share[run.clone()], inverse.inv.get(i, j));
+        }
     }
 
     /// The folded coefficient row for the erasure pattern `(missing,
@@ -260,35 +329,53 @@ impl ErasureCode for ReedSolomon {
         Ok(())
     }
 
+    /// Copy the surviving systematic symbols; if any is lost, invert once
+    /// and compute only the lost symbols.
     fn decode_slices(&self, shares: &ShareView<'_>, out: &mut [u8]) -> Result<(), CodeError> {
         let symbol_len = shares.validate(self.n, self.k)?;
         validate_decode_out(out.len(), self.k * symbol_len)?;
-
-        // Fast path: all systematic symbols present.
-        if (0..self.k).all(|i| shares.share(i).is_some()) {
-            for (i, out_chunk) in out.chunks_mut(symbol_len.max(1)).enumerate().take(self.k) {
-                out_chunk.copy_from_slice(shares.share(i).expect("checked present"));
+        let inverse = self.inverse_for_lost(shares, 0..self.k)?;
+        for (i, symbol) in out.chunks_exact_mut(symbol_len.max(1)).enumerate() {
+            match shares.share(i) {
+                Some(share) => symbol.copy_from_slice(share),
+                None => {
+                    symbol.fill(0);
+                    self.rebuild_run(shares, inverse.as_deref(), i, 0..symbol_len, symbol);
+                }
             }
+        }
+        Ok(())
+    }
+
+    /// Append bytes `range` of the decoded input: each symbol's run from
+    /// its systematic share, or, for a lost symbol, computed from the
+    /// inverse (taken once per call, and only when a covered symbol is
+    /// lost) over just the run. Only a rebuilt run is zeroed, because its
+    /// multiply-accumulates need a zero start.
+    fn decode_append(
+        &self,
+        shares: &ShareView<'_>,
+        range: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        let symbol_len = shares.validate(self.n, self.k)?;
+        validate_range(&range, self.k * symbol_len)?;
+        if range.is_empty() {
             return Ok(());
         }
-
-        // General path: pick any k surviving rows, invert the corresponding
-        // submatrix of the generator, and multiply.
-        let available: Vec<usize> = (0..self.n).filter(|&i| shares.share(i).is_some()).collect();
-        let chosen = &available[..self.k];
-        let sub = self.generator.select_rows(chosen);
-        let inv = sub
-            .invert(&self.gf)
-            .ok_or_else(|| CodeError::DecodeFailure {
-                reason: "selected generator rows are singular (should be impossible for RS)".into(),
-            })?;
-
-        out.fill(0);
-        for (data_idx, out_chunk) in out.chunks_mut(symbol_len.max(1)).enumerate().take(self.k) {
-            for (j, &row) in chosen.iter().enumerate() {
-                let coeff = inv.get(data_idx, j);
-                let share = shares.share(row).expect("chosen rows are present");
-                self.gf.mul_acc_slice(out_chunk, share, coeff);
+        let symbols = range.start / symbol_len..(range.end - 1) / symbol_len + 1;
+        let inverse = self.inverse_for_lost(shares, symbols.clone())?;
+        out.reserve(range.len());
+        for i in symbols {
+            let base = i * symbol_len;
+            let run = range.start.max(base) - base..range.end.min(base + symbol_len) - base;
+            match shares.share(i) {
+                Some(share) => out.extend_from_slice(&share[run]),
+                None => {
+                    let start = out.len();
+                    out.resize(start + run.len(), 0);
+                    self.rebuild_run(shares, inverse.as_deref(), i, run, &mut out[start..]);
+                }
             }
         }
         Ok(())

@@ -8,8 +8,10 @@ use crate::error::CodeError;
 use crate::metrics::CodeCost;
 use crate::share::ShareView;
 use crate::traits::{
-    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, CodeKind, ErasureCode,
+    copy_parts, validate_decode_out, validate_encode_cols, validate_parts, validate_range,
+    CodeKind, ErasureCode,
 };
+use std::ops::Range;
 
 /// RAID-1-style mirroring: every node stores a full copy of the data.
 /// Tolerates `n - 1` erasures at a storage overhead of `n`.
@@ -72,6 +74,24 @@ impl ErasureCode for Mirroring {
             .next()
             .expect("validate guarantees at least one survivor");
         out.copy_from_slice(survivor);
+        Ok(())
+    }
+
+    /// The range is appended from the first survivor.
+    fn decode_append(
+        &self,
+        shares: &ShareView<'_>,
+        range: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        let share_len = shares.validate(self.copies, 1)?;
+        validate_range(&range, share_len)?;
+        let survivor = shares
+            .iter()
+            .flatten()
+            .next()
+            .expect("validate guarantees at least one survivor");
+        out.extend_from_slice(&survivor[range]);
         Ok(())
     }
 

@@ -1,23 +1,36 @@
 //! The common erasure-code interface used by the storage layer.
 //!
-//! Every code in this crate implements four methods, all on caller-owned
-//! buffers that it never allocates: [`ErasureCode::encode_parts`] (the one
-//! encode), [`ErasureCode::encode_slices`] (the one line
-//! `encode_parts(&[], data, data.len(), shares)`),
-//! [`ErasureCode::decode_slices`] and [`ErasureCode::repair`], which
-//! rebuilds a **single lost share** without round-tripping through the
-//! data block. Most callers use [`ErasureCode::encode_into`] and
-//! [`ErasureCode::decode_into`] instead, which size a reusable
-//! [`ShareSet`] or `Vec` for them.
+//! Every code in this crate implements these methods, all on caller-owned
+//! buffers:
+//!
+//! * the four required ones: [`ErasureCode::encode_slices`] (the one line
+//!   `encode_parts(&[], data, data.len(), shares)`),
+//!   [`ErasureCode::decode_slices`], and [`ErasureCode::repair`], which
+//!   rebuilds a **single lost share** without round-tripping through the
+//!   data block, plus the metadata (`kind`, `n`, `k`, `data_len_unit`,
+//!   `cost`);
+//! * two provided ones it overrides: [`ErasureCode::encode_parts`], the one
+//!   encode, which writes the caller's bytes straight into the shares, and
+//!   [`ErasureCode::decode_append`], the one decode of a byte range, which
+//!   appends it straight from the verified shares and rebuilds only the
+//!   lost data the range needs.
+//!
+//! Most other callers use [`ErasureCode::encode_into`] and
+//! [`ErasureCode::decode_into`] instead, which size a reusable [`ShareSet`]
+//! or `Vec` for them.
 //!
 //! A wrapper (a code that forwards to another) must forward the required
 //! methods. What a provided method answers for a wrapper that does not
-//! forward it is said on the method; which cells a code keeps verbatim is
-//! no method at all, but found from the encode by [`Layout::of`].
+//! forward it is said on the method: a wrapper that forwards neither
+//! `encode_parts` nor `decode_append` stages a copy of the whole input on
+//! each put and each get, and measures that copy, which the real code never
+//! makes. Which cells a code keeps verbatim is no method at all, but found
+//! from the encode by [`Layout::of`].
 
 use crate::error::CodeError;
 use crate::metrics::{CodeCost, CodeMetrics};
 use crate::share::{ShareSet, ShareView};
+use std::ops::Range;
 
 /// Identifies which family a code object belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -173,6 +186,32 @@ pub trait ErasureCode: Send + Sync {
         out.resize(share_len * self.k(), 0);
         self.decode_slices(shares, out)
     }
+
+    /// Append bytes `range` of the decoded input (`share_len * k` bytes) to
+    /// `out`, leaving the bytes already there as they are. A range past the
+    /// input is [`CodeError::BadRange`].
+    ///
+    /// Every code in this crate overrides this to copy each byte of the
+    /// range once, from the share that keeps it verbatim where that share
+    /// survives, and to rebuild only the lost data the range covers; `out`
+    /// is never staged, and no byte of it is zero-filled except a lost
+    /// Reed-Solomon run, whose multiply-accumulates need a zero start. This
+    /// default decodes the whole input
+    /// into a staging buffer with `decode_into` and copies the range out;
+    /// it is for wrappers only. A wrapper that does not forward it pays, and
+    /// measures, that staging copy.
+    fn decode_append(
+        &self,
+        shares: &ShareView<'_>,
+        range: Range<usize>,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodeError> {
+        let mut staged = Vec::new();
+        self.decode_into(shares, &mut staged)?;
+        validate_range(&range, staged.len())?;
+        out.extend_from_slice(&staged[range]);
+        Ok(())
+    }
 }
 
 /// Where a code keeps each data cell of its input verbatim: the data
@@ -234,6 +273,19 @@ pub(crate) fn validate_data_len(data_len: usize, unit: usize) -> Result<(), Code
     Ok(())
 }
 
+/// Validate an [`ErasureCode::decode_append`] range against the
+/// `len`-byte decoded input.
+pub(crate) fn validate_range(range: &Range<usize>, len: usize) -> Result<(), CodeError> {
+    if range.start > range.end || range.end > len {
+        return Err(CodeError::BadRange {
+            start: range.start,
+            end: range.end,
+            len,
+        });
+    }
+    Ok(())
+}
+
 /// Validate an [`ErasureCode::encode_parts`] input: `padded_len` is a
 /// valid input length and holds the `input_len` bytes of the parts.
 pub(crate) fn validate_parts(
@@ -251,8 +303,9 @@ pub(crate) fn validate_parts(
     Ok(())
 }
 
-/// Bytes at which each encode pass advances through a cell or symbol: the
-/// data runs a window copies are still in L1 when its parity reads them.
+/// Bytes at which each encode or decode pass advances through a cell or
+/// symbol: the runs a window writes are still in L1 when the next step of
+/// the window reads them.
 pub(crate) const ENCODE_WINDOW: usize = 4096;
 
 /// Copy bytes `offset..offset + dst.len()` of the input

@@ -6,13 +6,20 @@
 //!
 //! # Kernel design
 //!
-//! [`xor_into`] processes eight bytes per step: both slices are split into
+//! The XOR body processes eight bytes per step: both slices are split into
 //! `u64` lanes with `chunks_exact`, XORed as whole words, and a short scalar
 //! loop handles the final `len % 8` tail. Working on native-endian `u64`
-//! words keeps the kernel fully safe and portable while giving LLVM a shape
-//! it reliably auto-vectorises further (AVX2 on x86-64 — in practice the
-//! loop runs at memory bandwidth). [`is_zero`] and [`xor_many`] reuse the
-//! same lane structure.
+//! words keeps the body fully safe and portable, and gives LLVM a shape it
+//! vectorises at whatever width the compiled-for target allows.
+//!
+//! The workspace builds for baseline x86-64, where that width is SSE2's 16
+//! bytes, and sets no `target-cpu`. So [`xor_into`] and [`xor_many`] pick
+//! their kernel at run time, as `gf256`'s `mul_acc` and the share-frame
+//! checksum do: the same body compiled under `#[target_feature]` for
+//! AVX-512F where the CPU has it (64-byte vectors), else for AVX2 (32-byte
+//! vectors), else the portable build of the body. The CPU check is the only
+//! input; there is no flag or setting. [`is_zero`] reuses the lane
+//! structure.
 //!
 //! The original byte-at-a-time kernel is retained as [`scalar_xor_into`] so
 //! benchmarks and equivalence tests can compare the two in-tree; the bench
@@ -25,7 +32,7 @@
 /// Lane width of the word-wide kernels, in bytes.
 const WORD: usize = std::mem::size_of::<u64>();
 
-/// XOR `src` into `dst` element-wise, eight bytes per step.
+/// XOR `src` into `dst` element-wise with the widest kernel this CPU runs.
 /// Panics if the lengths differ.
 #[inline]
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
@@ -37,11 +44,29 @@ pub fn xor_into(dst: &mut [u8], src: &[u8]) {
     xor_into_unchecked(dst, src);
 }
 
-/// The word-wide XOR body, shared with [`xor_many`] which validates lengths
+/// The dispatched XOR, shared with [`xor_many`] which validates lengths
 /// once up front instead of per call.
 #[inline]
 fn xor_into_unchecked(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: avx512f was just detected on this CPU.
+            return unsafe { xor_avx512(dst, src) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: avx2 was just detected on this CPU.
+            return unsafe { xor_avx2(dst, src) };
+        }
+    }
+    xor_portable(dst, src);
+}
+
+/// The XOR body, eight bytes per step; inlined into each kernel so that
+/// each is vectorised for its own target features.
+#[inline(always)]
+fn xor_words(dst: &mut [u8], src: &[u8]) {
     let split = dst.len() - dst.len() % WORD;
     let (dst_words, dst_tail) = dst.split_at_mut(split);
     let (src_words, src_tail) = src.split_at(split);
@@ -56,6 +81,31 @@ fn xor_into_unchecked(dst: &mut [u8], src: &[u8]) {
     for (d, s) in dst_tail.iter_mut().zip(src_tail) {
         *d ^= *s;
     }
+}
+
+/// The body built for the baseline target: the fallback kernel.
+fn xor_portable(dst: &mut [u8], src: &[u8]) {
+    xor_words(dst, src);
+}
+
+/// The body built with 32-byte vectors.
+///
+/// # Safety
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn xor_avx2(dst: &mut [u8], src: &[u8]) {
+    xor_words(dst, src);
+}
+
+/// The body built with 64-byte vectors.
+///
+/// # Safety
+/// The CPU must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn xor_avx512(dst: &mut [u8], src: &[u8]) {
+    xor_words(dst, src);
 }
 
 /// Retained byte-at-a-time reference kernel.
@@ -139,6 +189,36 @@ mod tests {
             xor_into(&mut fast, &src);
             scalar_xor_into(&mut slow, &src);
             assert_eq!(fast, slow, "len = {len}");
+        }
+    }
+
+    #[test]
+    fn dispatched_portable_and_scalar_kernels_agree_at_every_length_and_offset() {
+        // Every length up to one 4 KiB window plus a vector tail, each at
+        // one of the 64 × 64 source and destination offsets into larger
+        // buffers, so every offset pair is used and every vector head and
+        // tail split occurs. The portable loop is called directly, so a CPU
+        // that dispatches to a wide kernel still tests the fallback.
+        let max = 4096 + 129;
+        let src_buf: Vec<u8> = (0..max + 64).map(|i| (i * 37 + 11) as u8).collect();
+        let dst_buf: Vec<u8> = (0..max + 64).map(|i| (i * 13 + 5) as u8).collect();
+        for len in 0..=max {
+            let (s, d) = (len % 64, len / 64 % 64);
+            let src = &src_buf[s..s + len];
+            let mut expect = dst_buf.clone();
+            scalar_xor_into(&mut expect[d..d + len], src);
+            let mut dispatched = dst_buf.clone();
+            xor_into(&mut dispatched[d..d + len], src);
+            assert!(
+                dispatched == expect,
+                "dispatched: len {len}, src +{s}, dst +{d}"
+            );
+            let mut portable = dst_buf.clone();
+            xor_portable(&mut portable[d..d + len], src);
+            assert!(
+                portable == expect,
+                "portable: len {len}, src +{s}, dst +{d}"
+            );
         }
     }
 

@@ -443,7 +443,8 @@ pub struct DistributedStore {
     objects: HashMap<String, Placement>,
     /// Frame buffers for the next encode or repair to fill in place.
     frames: FramePool,
-    /// Reusable decoded-output buffer (and an import's padded block).
+    /// Reusable group-decode buffer (and an import's padded block); its
+    /// block moves into the decode cache.
     io_buf: Vec<u8>,
     /// When each install of the current [`DistributedStore::install_unit`]
     /// was confirmed; kept for its allocation.
@@ -776,6 +777,17 @@ fn drive_install(
     r
 }
 
+/// The payloads of `unit`'s verified frames on `sources` of `nodes`,
+/// borrowed from the node buffers: no share is cloned.
+fn unit_view<'a>(nodes: &'a [StorageNode], unit: Unit, sources: &[usize]) -> ShareView<'a> {
+    let mut view = ShareView::missing(nodes.len());
+    for &i in sources {
+        let (_, payload) = split_frame(nodes[i].held(unit)).expect("verified share");
+        view.set(i, payload);
+    }
+    view
+}
+
 /// Length of the block a group of `packed_len` bytes is encoded as: padded
 /// to the code's input unit, and at least one unit (a group of empty
 /// objects still needs a decodable block). Each share's payload is this
@@ -783,15 +795,6 @@ fn drive_install(
 fn padded_block_len(code: &dyn ErasureCode, packed_len: usize) -> usize {
     let unit = code.data_len_unit();
     packed_len.div_ceil(unit).max(1) * unit
-}
-
-/// The object bytes of a decoded whole-object block
-/// (`[len: u64 LE][bytes][padding]`), or `None` when the block is shorter
-/// than its prefix says.
-fn whole_object_bytes(block: &[u8]) -> Option<&[u8]> {
-    let (prefix, rest) = block.split_first_chunk::<8>()?;
-    let len = usize::try_from(u64::from_le_bytes(*prefix)).ok()?;
-    rest.get(..len)
 }
 
 /// Set `map[key] = value`, allocating the key only when it is new, so an
@@ -1006,7 +1009,7 @@ fn collect_shares(
 }
 
 /// What a read fetched from the nodes: the sources and transport fates of a
-/// unit's decode ([`DistributedStore::decode_unit`]) or of a ranged read.
+/// unit's fetch ([`DistributedStore::fetch_unit`]) or of a ranged read.
 #[derive(Default)]
 struct UnitFetch {
     sources: Vec<usize>,
@@ -2117,25 +2120,48 @@ impl DistributedStore {
                 object: object.to_string(),
             })?;
         let Placement::Grouped { group, span } = placement else {
-            let unit = Unit::Whole(object);
-            let candidates = self.pick_holders(policy, unit, allowed);
-            let fetch = self.decode_unit(unit, &candidates)?;
+            let candidates = self.pick_holders(policy, Unit::Whole(object), allowed);
+            let (data, fetch) = self.read_whole(object, &candidates)?;
             self.obs.decoded.inc();
-            // The frame is self-describing: its first 8 bytes carry the
-            // original length (which is also what lets crash recovery
-            // rebuild whole entries without decoding them). A prefix that
-            // claims more bytes than the block holds is a failed decode.
-            let data = whole_object_bytes(&self.io_buf).ok_or_else(|| {
-                StorageError::Code(CodeError::DecodeFailure {
-                    reason: format!(
-                        "length prefix of {object} overruns its {}-byte block",
-                        self.io_buf.len()
-                    ),
-                })
-            })?;
-            return Ok(self.finish_read(data.to_vec(), fetch));
+            return Ok(self.finish_read(data, fetch));
         };
         self.retrieve_grouped(group, span, policy, allowed)
+    }
+
+    /// Read whole object `object` from `k` of `candidates`, verified as
+    /// [`DistributedStore::fetch_unit`] does, decoding straight from the
+    /// node buffers into the returned bytes. The block is
+    /// `[len: u64 LE][bytes][padding]`: the prefix is decoded first, then
+    /// exactly the `len` bytes after it, so neither the padding nor a
+    /// zero-filled block is ever written. The prefix is what lets crash
+    /// recovery rebuild whole entries without decoding them; one that
+    /// claims more bytes than the block holds is a failed decode.
+    fn read_whole(
+        &mut self,
+        object: &str,
+        candidates: &[usize],
+    ) -> Result<(Vec<u8>, UnitFetch), StorageError> {
+        let unit = Unit::Whole(object);
+        let fetch = self.fetch_unit(unit, candidates)?;
+        let _decode_span = span!(self.recorder, "store.retrieve.decode");
+        let view = unit_view(&self.nodes, unit, &fetch.sources);
+        let padded = fetch.bytes_per_source * self.code.k();
+        let mut prefix = Vec::with_capacity(8);
+        self.code.decode_append(&view, 0..8, &mut prefix)?;
+        let claim = prefix
+            .try_into()
+            .map(u64::from_le_bytes)
+            .ok()
+            .and_then(|len| usize::try_from(len).ok())
+            .filter(|&len| len <= padded.saturating_sub(8))
+            .ok_or_else(|| {
+                StorageError::Code(CodeError::DecodeFailure {
+                    reason: format!("length prefix of {object} overruns its {padded}-byte block"),
+                })
+            })?;
+        let mut data = Vec::with_capacity(claim);
+        self.code.decode_append(&view, 8..8 + claim, &mut data)?;
+        Ok((data, fetch))
     }
 
     /// Retrieve an object that lives in a coding group.
@@ -2152,7 +2178,7 @@ impl DistributedStore {
     ///   1. a decode-cache hit serves the span and reports no sources;
     ///   2. a group read ranged recently is read again: the block is
     ///      decoded from any `k` shares and cached
-    ///      ([`DistributedStore::decode_unit`]), so the rest of a scan of
+    ///      ([`DistributedStore::decode_group`]), so the rest of a scan of
     ///      co-located objects hits the cache;
     ///   3. otherwise a **ranged read** ([`DistributedStore::read_ranged`])
     ///      fetches and verifies only the shares that hold the span
@@ -2197,7 +2223,7 @@ impl DistributedStore {
                 None => {}
             }
         }
-        let mut fetch = self.decode_unit(Unit::Group(gid), &candidates)?;
+        let mut fetch = self.decode_group(gid, &candidates)?;
         if !fetch.sources.is_empty() {
             self.obs.decoded.inc();
         }
@@ -2207,7 +2233,7 @@ impl DistributedStore {
         let block = self
             .decode_cache
             .get(gid)
-            .expect("decode_unit just populated the cache");
+            .expect("decode_group just populated the cache");
         let data = block[span.offset..span.offset + span.len].to_vec();
         Ok(self.finish_read(data, fetch))
     }
@@ -2330,20 +2356,19 @@ impl DistributedStore {
         Some(Ranged::Served(data, fetch))
     }
 
-    /// Decode `unit` into `io_buf` from `k` of `candidates` (the reachable
-    /// holders, in policy order): collect `k` verified shares through the
-    /// transport (a virtually parallel wave with retries, backups, and
-    /// hedging; under the direct transport simply the first `k`
-    /// candidates), charge each source its payload bytes, and decode
-    /// straight out of the node buffers. Fewer than `k` candidates or
-    /// verified shares is [`StorageError::NotEnoughNodes`]; the read is
-    /// degraded when fewer than `n` shares were available to it.
+    /// Decode group `gid` into `io_buf` from `k` of `candidates` (the
+    /// reachable holders, in policy order), as fetched and verified by
+    /// [`DistributedStore::fetch_unit`], and cache the block.
     ///
-    /// A group's decoded block is cached, and a cached group is served
-    /// without touching any node (no sources, no bytes). The availability
-    /// check applies on cache hits too, so the cache never masks a group
-    /// the cluster cannot currently serve.
-    fn decode_unit(&mut self, unit: Unit, candidates: &[usize]) -> Result<UnitFetch, StorageError> {
+    /// A cached group is served without touching any node (no sources, no
+    /// bytes). The availability check applies on cache hits too, so the
+    /// cache never masks a group the cluster cannot currently serve.
+    fn decode_group(
+        &mut self,
+        gid: GroupId,
+        candidates: &[usize],
+    ) -> Result<UnitFetch, StorageError> {
+        let unit = Unit::Group(gid);
         let k = self.code.k();
         if candidates.len() < k {
             return Err(StorageError::NotEnoughNodes {
@@ -2351,16 +2376,44 @@ impl DistributedStore {
                 needed: k,
             });
         }
-        let view_degraded = candidates.len() < self.code.n();
-        if let Unit::Group(gid) = unit {
-            if self.decode_cache.touch(gid) {
-                self.obs.cache_hits.inc();
-                return Ok(UnitFetch {
-                    degraded: view_degraded,
-                    ..UnitFetch::default()
-                });
-            }
-            self.obs.cache_misses.inc();
+        if self.decode_cache.touch(gid) {
+            self.obs.cache_hits.inc();
+            return Ok(UnitFetch {
+                degraded: candidates.len() < self.code.n(),
+                ..UnitFetch::default()
+            });
+        }
+        self.obs.cache_misses.inc();
+        let fetch = self.fetch_unit(unit, candidates)?;
+        let decode_span = span!(self.recorder, "store.retrieve.decode");
+        let view = unit_view(&self.nodes, unit, &fetch.sources);
+        self.code.decode_into(&view, &mut self.io_buf)?;
+        drop(view);
+        drop(decode_span);
+        // The block moves into the cache, and the entry it evicts becomes
+        // the next decode's buffer: no copy, no allocation.
+        let block = std::mem::take(&mut self.io_buf);
+        self.io_buf = self.decode_cache.insert(gid, block).unwrap_or_default();
+        Ok(fetch)
+    }
+
+    /// Collect `k` verified shares of `unit` from `candidates` (the
+    /// reachable holders, in policy order) through the transport (a
+    /// virtually parallel wave with retries, backups, and hedging; under
+    /// the direct transport simply the first `k` candidates), and charge
+    /// each source its payload bytes. Every share is verified whole
+    /// (generation and every chunk checksum) before any decode reads it.
+    /// Fewer than `k` candidates or verified shares is
+    /// [`StorageError::NotEnoughNodes`]; the read is degraded when fewer
+    /// than `n` shares were available to it. The sources are the fetch's
+    /// `sources`; [`unit_view`] borrows their payloads.
+    fn fetch_unit(&mut self, unit: Unit, candidates: &[usize]) -> Result<UnitFetch, StorageError> {
+        let k = self.code.k();
+        if candidates.len() < k {
+            return Err(StorageError::NotEnoughNodes {
+                available: candidates.len(),
+                needed: k,
+            });
         }
         let expect_gen = self.expected_gen(unit);
         let mut transport_span = span!(
@@ -2392,33 +2445,17 @@ impl DistributedStore {
         }
         self.advance_transport(col.latency);
         drop(transport_span);
-        // Charge the payload, not the frame header; the view borrows the
-        // verified frames' payloads, so no share is cloned.
+        // Charge the payload, not the frame header.
         let mut bytes_per_source = 0;
         for &i in &col.used {
             let len = frame_payload_len(self.nodes[i].held(unit).len()).expect("verified share");
             bytes_per_source = len;
             self.nodes[i].bytes_served += len as u64;
         }
-        let decode_span = span!(self.recorder, "store.retrieve.decode");
-        let mut view = ShareView::missing(self.code.n());
-        for &i in &col.used {
-            let (_, payload) = split_frame(self.nodes[i].held(unit)).expect("verified share");
-            view.set(i, payload);
-        }
-        self.code.decode_into(&view, &mut self.io_buf)?;
-        drop(view);
-        drop(decode_span);
-        if let Unit::Group(gid) = unit {
-            // The block moves into the cache, and the entry it evicts
-            // becomes the next decode's buffer: no copy, no allocation.
-            let block = std::mem::take(&mut self.io_buf);
-            self.io_buf = self.decode_cache.insert(gid, block).unwrap_or_default();
-        }
         Ok(UnitFetch {
             sources: col.used,
             bytes_per_source,
-            degraded: view_degraded || any_failed(&col.outcomes),
+            degraded: candidates.len() < self.code.n() || any_failed(&col.outcomes),
             outcomes: col.outcomes,
             latency: col.latency,
             hedged: col.hedged,
@@ -2532,13 +2569,12 @@ impl DistributedStore {
         }
         let mut report = CompactReport::default();
         for gid in candidates {
-            let unit = Unit::Group(gid);
-            let holders = self.pick_holders(SelectionPolicy::LeastLoaded, unit, None);
-            self.decode_unit(unit, &holders)?;
+            let holders = self.pick_holders(SelectionPolicy::LeastLoaded, Unit::Group(gid), None);
+            self.decode_group(gid, &holders)?;
             let block = self
                 .decode_cache
                 .get(gid)
-                .expect("decode_unit populated the cache");
+                .expect("decode_group populated the cache");
             let members = movers.remove(&gid).unwrap_or_default();
             let moved: Vec<(String, Vec<u8>)> = members
                 .into_iter()
@@ -3171,6 +3207,53 @@ mod tests {
                 ),
                 "claim {claim}: {read:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_length_prefix_of_exactly_the_block_reads_back() {
+        // A prefix claiming every byte after it: the padding becomes data.
+        let data = b"twenty bytes of data";
+        let padded = padded_block_len(&BCode::table_1a(), 8 + data.len());
+        let mut s = store();
+        s.store("obj", data).unwrap();
+        let gen = s.expected_gen(Unit::Whole("obj"));
+        let mut block = (padded as u64 - 8).to_le_bytes().to_vec();
+        block.extend_from_slice(data);
+        block.resize(padded, 0);
+        let mut shares = ShareSet::new();
+        s.code.encode_into(&block, &mut shares).unwrap();
+        for (node, share) in s.nodes.iter_mut().zip(shares.iter()) {
+            node.symbols.insert("obj".into(), seal_frame(gen, share));
+        }
+        let (out, _) = s.retrieve("obj", SelectionPolicy::FirstK).unwrap();
+        assert_eq!(out, &block[8..]);
+    }
+
+    #[test]
+    fn a_whole_object_get_with_two_nodes_down_decodes_the_exact_bytes() {
+        // Large enough that every cell spans several decode windows.
+        let data: Vec<u8> = (0..300_007u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        let codes: [Arc<dyn ErasureCode>; 2] = [
+            Arc::new(BCode::table_1a()),
+            Arc::new(rain_codes::ReedSolomon::new(6, 4).unwrap()),
+        ];
+        for code in codes {
+            let kind = code.kind();
+            let mut s = DistributedStore::new(code);
+            s.store("obj", &data).unwrap();
+            let (out, report) = s.retrieve("obj", SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, data, "{kind:?} healthy");
+            assert_eq!(report.sources, [0, 1, 2, 3].map(NodeId), "{kind:?}");
+            assert!(!report.degraded);
+            // Down nodes 0 and 2 hold data for both families: the read
+            // rebuilds it from parity.
+            s.fail_node(NodeId(0)).unwrap();
+            s.fail_node(NodeId(2)).unwrap();
+            let (out, report) = s.retrieve("obj", SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, data, "{kind:?} degraded");
+            assert_eq!(report.sources, [1, 3, 4, 5].map(NodeId), "{kind:?}");
+            assert!(report.degraded);
         }
     }
 

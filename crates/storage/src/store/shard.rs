@@ -105,14 +105,13 @@ impl DistributedStore {
         }
         let mut span = span!(self.recorder, "store.shard.export", group = gid);
         // One decode fills the cache (or validates availability on a hit).
-        let unit = Unit::Group(gid);
-        let holders = self.pick_holders(policy, unit, None);
-        let fetch = self.decode_unit(unit, &holders)?;
+        let holders = self.pick_holders(policy, Unit::Group(gid), None);
+        let fetch = self.decode_group(gid, &holders)?;
         self.note_outcomes(&fetch.outcomes);
         let block_full = self
             .decode_cache
             .get(gid)
-            .expect("decode_unit populated the cache");
+            .expect("decode_group populated the cache");
         let mut members: Vec<(String, ObjSpan)> = self
             .objects
             .iter()
