@@ -659,8 +659,9 @@ impl ClusterStore {
     /// epoch stamps.
     pub fn store(&mut self, key: &str, data: &[u8], epoch: u64) -> Result<(), ClusterError> {
         self.check_epoch_write(epoch)?;
-        let primary = match self.directory.get(key) {
-            Some(&s) => s,
+        let known = self.directory.get(key).copied();
+        let primary = match known {
+            Some(s) => s,
             None => self.view.owner_of(key).ok_or(ClusterError::NoOwner)?,
         };
         if !self.shard_up(primary) {
@@ -670,16 +671,18 @@ impl ClusterStore {
             .get_mut(&primary)
             .expect("directory names a shard")
             .store(key, data)?;
-        if self.directory.get(key) != Some(&primary) {
+        if known.is_none() {
             // The bytes are shard-durable; record the ownership *before*
             // the directory learns it. A crash between the two leaves a
-            // durable object with no entry — recovery adopts it back.
+            // durable object with no entry — recovery adopts it back. An
+            // overwrite's entry already names its owner: no record, and
+            // no key copy.
             self.meta_append(MetaRecord::DirPut {
                 key: key.to_string(),
                 shard: primary,
             })?;
+            self.directory.insert(key.to_string(), primary);
         }
-        self.directory.insert(key.to_string(), primary);
         // During a handover, decide where the write must additionally land
         // (dual-log) and which copy must win at commit (dual override).
         let (dual_store, dual_override) = match &self.handover {

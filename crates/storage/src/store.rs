@@ -153,60 +153,234 @@ pub enum SelectionPolicy {
     Nearest,
 }
 
-/// One storage node: its symbol store plus the bookkeeping used by the
-/// selection policies.
+/// One storage node's state besides its frames (which the [`Fabric`]
+/// holds): the bookkeeping used by the selection policies.
 #[derive(Debug, Clone, Default)]
 struct StorageNode {
     up: bool,
-    /// Symbols of individually stored objects, keyed by object id.
-    symbols: HashMap<String, Vec<u8>>,
-    /// Symbols of sealed coding groups, keyed by group id — one symbol per
-    /// *group*, shared by every object packed into it.
-    group_symbols: HashMap<GroupId, Vec<u8>>,
-    /// Whole-object frames superseded while the superseding `StoreWhole`
-    /// record was still in the un-fsynced log tail: `(object, index of
-    /// that record, old frame)`, oldest first. Freed once the log reports
-    /// nothing pending; [`DistributedStore::recover`] puts a frame back
-    /// when its superseding record did not survive.
-    limbo: Vec<(String, u64, Vec<u8>)>,
     /// Total bytes served to readers (load metric).
     bytes_served: u64,
     /// Abstract distance from the reader (nearness metric).
     distance: u64,
 }
 
-impl StorageNode {
-    /// This node's frame of `unit`, if it holds one.
-    fn frame(&self, unit: Unit) -> Option<&Vec<u8>> {
-        match unit {
-            Unit::Whole(name) => self.symbols.get(name),
-            Unit::Group(gid) => self.group_symbols.get(&gid),
+/// One unit's frames across the nodes: slot `i` is node `i`'s frame.
+type Slots = [Option<Vec<u8>>];
+
+/// The frames the nodes hold, by unit: one map per unit kind from a whole
+/// object's name or a group id to the unit's row of `n` frame slots. A unit
+/// has an entry exactly while some node holds a frame of it, so a
+/// whole-object get, put or repair finds every frame it needs with one
+/// lookup and then indexes the row. The rows live in one table, `n` slots
+/// each, and an entry holds its row's index, so a path keeps the row
+/// across the store's other calls without a second lookup; a dropped
+/// unit's row is reused by the next new one.
+#[derive(Debug)]
+struct Fabric {
+    n: usize,
+    whole: HashMap<String, usize>,
+    groups: HashMap<GroupId, usize>,
+    /// Row `r` is `slots[r * n..(r + 1) * n]`.
+    slots: Vec<Option<Vec<u8>>>,
+    /// Rows no entry names; every slot of one is empty.
+    free: Vec<usize>,
+}
+
+impl Fabric {
+    fn new(n: usize) -> Self {
+        Fabric {
+            n,
+            whole: HashMap::new(),
+            groups: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 
-    /// This node's frame of `unit`, which the caller knows it holds (a
-    /// picked holder, or a source the collection verified).
-    fn held(&self, unit: Unit) -> &[u8] {
-        self.frame(unit).expect("the node holds the unit")
+    /// The row of `unit`, if some node holds a frame of it: the one lookup.
+    fn find(&self, unit: Unit) -> Option<usize> {
+        match unit {
+            Unit::Whole(name) => self.whole.get(name),
+            Unit::Group(gid) => self.groups.get(&gid),
+        }
+        .copied()
     }
 
-    /// Install `frame` as this node's frame of `unit`, returning the one it
-    /// replaces. Overwriting an existing whole object reuses its key.
-    fn put_frame(&mut self, unit: Unit, frame: Vec<u8>) -> Option<Vec<u8>> {
-        match unit {
-            Unit::Whole(name) => match self.symbols.get_mut(name) {
-                Some(slot) => Some(std::mem::replace(slot, frame)),
-                None => self.symbols.insert(name.to_string(), frame),
-            },
-            Unit::Group(gid) => self.group_symbols.insert(gid, frame),
+    /// The slots of `row`, or none for a unit no node holds.
+    fn slots(&self, row: Option<usize>) -> &Slots {
+        match row {
+            Some(row) => &self.slots[row * self.n..][..self.n],
+            None => &[],
         }
     }
 
-    fn remove_frame(&mut self, unit: Unit) {
+    fn row_mut(&mut self, row: usize) -> &mut Slots {
+        &mut self.slots[row * self.n..][..self.n]
+    }
+
+    /// The row of `unit`, given an empty one when it has none.
+    fn find_or_insert(&mut self, unit: Unit) -> usize {
+        if let Some(row) = self.find(unit) {
+            return row;
+        }
+        let row = self.free.pop().unwrap_or_else(|| {
+            self.slots.resize_with(self.slots.len() + self.n, || None);
+            self.slots.len() / self.n - 1
+        });
         match unit {
-            Unit::Whole(name) => self.symbols.remove(name),
-            Unit::Group(gid) => self.group_symbols.remove(&gid),
+            Unit::Whole(name) => self.whole.insert(name.to_string(), row),
+            Unit::Group(gid) => self.groups.insert(gid, row),
         };
+        row
+    }
+
+    /// Drop `unit`'s entry, with every frame in it.
+    fn remove(&mut self, unit: Unit) {
+        let row = match unit {
+            Unit::Whole(name) => self.whole.remove(name),
+            Unit::Group(gid) => self.groups.remove(&gid),
+        };
+        if let Some(row) = row {
+            self.row_mut(row).fill(None);
+            self.free.push(row);
+        }
+    }
+
+    /// Drop `unit`'s entry, at `row`, if no node holds a frame of it.
+    fn remove_if_empty(&mut self, unit: Unit, row: usize) {
+        if self.slots(Some(row)).iter().all(Option::is_none) {
+            self.remove(unit);
+        }
+    }
+
+    /// Keep the whole entries `keep` accepts, returning the frames dropped.
+    fn retain_whole(&mut self, mut keep: impl FnMut(&str) -> bool) -> usize {
+        let Fabric {
+            n,
+            whole,
+            slots,
+            free,
+            ..
+        } = self;
+        retain_rows(whole, slots, free, *n, |name, _| keep(name))
+    }
+
+    /// Keep the group entries `keep` accepts.
+    fn retain_groups(&mut self, mut keep: impl FnMut(GroupId) -> bool) {
+        let Fabric {
+            n,
+            groups,
+            slots,
+            free,
+            ..
+        } = self;
+        retain_rows(groups, slots, free, *n, |&gid, _| keep(gid));
+    }
+
+    /// Empty slot `node` of every entry (a blank machine holds nothing),
+    /// dropping the entries that no other node holds a frame of.
+    fn clear_node(&mut self, node: usize) {
+        let Fabric {
+            n,
+            whole,
+            groups,
+            slots,
+            free,
+        } = self;
+        let clear = |row: &mut Slots| {
+            row[node] = None;
+            true
+        };
+        retain_rows(whole, slots, free, *n, |_, row| clear(row));
+        retain_rows(groups, slots, free, *n, |_, row| clear(row));
+    }
+}
+
+/// Keep the entries of `map` that `keep` accepts (it may also edit the
+/// row) and that still hold a frame; the others' rows are emptied and
+/// freed. Returns the frames dropped.
+fn retain_rows<K>(
+    map: &mut HashMap<K, usize>,
+    slots: &mut [Option<Vec<u8>>],
+    free: &mut Vec<usize>,
+    n: usize,
+    mut keep: impl FnMut(&K, &mut Slots) -> bool,
+) -> usize {
+    let mut dropped = 0;
+    map.retain(|key, &mut row| {
+        let frames = &mut slots[row * n..][..n];
+        if keep(key, frames) && frames.iter().any(Option::is_some) {
+            return true;
+        }
+        dropped += frames.iter_mut().filter_map(Option::take).count();
+        free.push(row);
+        false
+    });
+    dropped
+}
+
+/// Node `i`'s frame in `slots`, which the caller knows it holds (a picked
+/// holder, or a source the collection verified).
+fn held(slots: &Slots, i: usize) -> &[u8] {
+    slots[i].as_deref().expect("the node holds the unit")
+}
+
+/// Whole-object frames superseded while the superseding `StoreWhole`
+/// record was still in the un-fsynced log tail, oldest first. They are
+/// recycled once the log reports nothing pending;
+/// [`DistributedStore::recover`] puts a frame back when its superseding
+/// record did not survive. Like the frames, they are on the nodes, so they
+/// survive a coordinator crash.
+#[derive(Debug, Default)]
+struct Limbo {
+    /// Each parked overwrite: the object, and the log index of its record.
+    units: Vec<(String, u64)>,
+    /// Each parked frame: its overwrite's index in `units`, its node, and
+    /// the frame.
+    frames: Vec<(usize, usize, Vec<u8>)>,
+}
+
+impl Limbo {
+    /// Park node `node`'s old frame of `name`, replaced by the overwrite
+    /// logged at `tag`. The name is kept once per overwrite.
+    fn park(&mut self, name: &str, tag: u64, node: usize, frame: Vec<u8>) {
+        if self.units.last().map(|&(_, t)| t) != Some(tag) {
+            self.units.push((name.to_string(), tag));
+        }
+        self.frames.push((self.units.len() - 1, node, frame));
+    }
+}
+
+/// An object-table entry: a [`Placement`] whose whole variant also carries
+/// the generation the object's frames must have (0 while none is known,
+/// which no frame carries). A fetched frame with any other generation is a
+/// leftover of an incomplete overwrite and is an erasure, never decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ObjectEntry {
+    Whole { gen: u64 },
+    Grouped { group: GroupId, span: ObjSpan },
+}
+
+// The generation rides in the space the placement already takes.
+const _: () = assert!(std::mem::size_of::<ObjectEntry>() == std::mem::size_of::<Placement>());
+
+impl ObjectEntry {
+    fn placement(self) -> Placement {
+        match self {
+            ObjectEntry::Whole { .. } => Placement::Whole,
+            ObjectEntry::Grouped { group, span } => Placement::Grouped { group, span },
+        }
+    }
+}
+
+impl From<Placement> for ObjectEntry {
+    /// A whole entry's generation is unknown until the restart walk reads
+    /// it from the frames.
+    fn from(placement: Placement) -> Self {
+        match placement {
+            Placement::Whole => ObjectEntry::Whole { gen: 0 },
+            Placement::Grouped { group, span } => ObjectEntry::Grouped { group, span },
+        }
     }
 }
 
@@ -358,6 +532,9 @@ impl OutcomeTally {
 #[derive(Debug)]
 pub struct SurvivingNodes {
     nodes: Vec<StorageNode>,
+    /// The frames the nodes hold, parked ones included.
+    fabric: Fabric,
+    limbo: Limbo,
     /// The code whose symbols the nodes hold (in a real deployment this is
     /// symbol metadata on the nodes); [`DistributedStore::recover`] checks
     /// it so a recovery under the wrong code fails loudly instead of
@@ -440,7 +617,10 @@ pub struct DistributedStore {
     /// encode; `None` means every group read decodes.
     layout: Option<Layout>,
     nodes: Vec<StorageNode>,
-    objects: HashMap<String, Placement>,
+    fabric: Fabric,
+    /// Superseded whole-object frames awaiting a durable log (see [`Limbo`]).
+    limbo: Limbo,
+    objects: HashMap<String, ObjectEntry>,
     /// Frame buffers for the next encode or repair to fill in place.
     frames: FramePool,
     /// Reusable group-decode buffer (and an import's padded block); its
@@ -494,12 +674,9 @@ pub struct DistributedStore {
     /// Deterministic randomness for backoff jitter (fixed seed: the
     /// store's behaviour must replay bit-identically).
     policy_rng: DetRng,
-    /// Expected share generation per whole object. A fetched share whose
-    /// frame carries any other generation is a leftover of an incomplete
-    /// overwrite and is treated as an erasure, never decoded.
-    whole_gens: HashMap<String, u64>,
     /// Expected share generation per sealed group (a re-seal after a
-    /// failed quorum stamps a fresh generation, invalidating orphans).
+    /// failed quorum stamps a fresh generation, invalidating orphans). A
+    /// whole object's is in its [`ObjectEntry`].
     group_gens: HashMap<GroupId, u64>,
     /// Source of generation stamps: globally monotone, so a re-created
     /// object can never collide with an orphaned frame of its deleted
@@ -536,16 +713,20 @@ struct PendingInstall {
     frame: Vec<u8>,
 }
 
-/// Frame buffers freed when a node's frame is replaced outright, kept for
-/// the next encode or repair to write into. At most one encode's worth is
-/// kept, and a buffer is reused only for a frame close to its size, so a
-/// node never holds much more than its frame. The pool also keeps the two
-/// tables an encode needs (the frame list and the payload slices), so a
-/// steady-state encode allocates nothing.
+/// Frame buffers freed when a node's frame is replaced outright or leaves
+/// limbo, kept for the next encode or repair to write into. At most one
+/// encode's worth is kept, plus what the last fsync window parked, and a
+/// buffer is reused only for a frame close to its size, so a node never
+/// holds much more than its frame. The pool also keeps the two tables an
+/// encode needs (the frame list and the payload slices), so a steady-state
+/// encode allocates nothing.
 #[derive(Debug)]
 struct FramePool {
     spare: Vec<Vec<u8>>,
-    /// Buffers kept at most: the node count.
+    /// One encode's worth: the node count.
+    nodes: usize,
+    /// Buffers kept at most: `nodes`, plus the frames the last reclaimed
+    /// limbo held.
     cap: usize,
     /// The emptied frame list of the last installed encode.
     sets: Vec<Vec<u8>>,
@@ -565,10 +746,11 @@ fn recycle_slices<'b>(mut table: Vec<&mut [u8]>) -> Vec<&'b mut [u8]> {
 }
 
 impl FramePool {
-    fn new(cap: usize) -> Self {
+    fn new(nodes: usize) -> Self {
         FramePool {
             spare: Vec::new(),
-            cap,
+            nodes,
+            cap: nodes,
             sets: Vec::new(),
             payloads: Vec::new(),
         }
@@ -592,6 +774,17 @@ impl FramePool {
     fn give(&mut self, frame: Vec<u8>) {
         if self.spare.len() < self.cap {
             self.spare.push(frame);
+        }
+    }
+
+    /// Keep the frames a reclaimed limbo parked: one fsync window's
+    /// overwrites, which the next window's overwrites will need again.
+    fn recycle(&mut self, parked: impl ExactSizeIterator<Item = Vec<u8>>) {
+        if parked.len() > 0 {
+            self.cap = self.nodes + parked.len();
+        }
+        for frame in parked {
+            self.give(frame);
         }
     }
 
@@ -777,12 +970,12 @@ fn drive_install(
     r
 }
 
-/// The payloads of `unit`'s verified frames on `sources` of `nodes`,
-/// borrowed from the node buffers: no share is cloned.
-fn unit_view<'a>(nodes: &'a [StorageNode], unit: Unit, sources: &[usize]) -> ShareView<'a> {
-    let mut view = ShareView::missing(nodes.len());
+/// The payloads of a unit's verified frames on `sources`, borrowed from its
+/// `n` slots: no share is cloned.
+fn unit_view<'a>(slots: &'a Slots, sources: &[usize]) -> ShareView<'a> {
+    let mut view = ShareView::missing(slots.len());
     for &i in sources {
-        let (_, payload) = split_frame(nodes[i].held(unit)).expect("verified share");
+        let (_, payload) = split_frame(held(slots, i)).expect("verified share");
         view.set(i, payload);
     }
     view
@@ -848,12 +1041,11 @@ struct ShareCollection {
 struct CollectSpec<'a> {
     policy: &'a FaultPolicy,
     k: usize,
-    unit: Unit<'a>,
     expect_gen: u64,
     obs: &'a TransportMetrics,
-    /// Policy-ordered holders of `unit`, and the node fabric they index.
+    /// Policy-ordered holders of the unit, and its slots they index.
     candidates: &'a [usize],
-    nodes: &'a [StorageNode],
+    slots: &'a Slots,
     /// For a ranged read: the payload length every frame must have, and
     /// per candidate the payload bytes it serves, so only the chunks
     /// covering them are verified. `None` verifies whole frames, as a
@@ -892,7 +1084,7 @@ fn fetch_share(
     start: SimDuration,
 ) -> Drive {
     let node = spec.candidates[ci];
-    let frame = spec.nodes[node].held(spec.unit);
+    let frame = held(spec.slots, node);
     let verify = spec.verify(ci);
     let mut verified = 0;
     let stream = Stream {
@@ -943,7 +1135,7 @@ fn fetch_share(
     r
 }
 
-/// Collect `k` verified shares of `spec.unit` from `spec.candidates` as a
+/// Collect `k` verified shares of a unit from `spec.candidates` as a
 /// virtually-parallel wave: the first `k` streams dispatch at time zero;
 /// each failed stream dispatches the next unused candidate at its failure
 /// time (but only if fewer than `k` shares had arrived by then); and if the
@@ -1111,6 +1303,8 @@ impl DistributedStore {
                     ..StorageNode::default()
                 })
                 .collect(),
+            fabric: Fabric::new(n),
+            limbo: Limbo::default(),
             objects: HashMap::new(),
             frames: FramePool::new(n),
             io_buf: Vec::new(),
@@ -1130,7 +1324,6 @@ impl DistributedStore {
             transport: Box::new(DirectTransport::new()),
             policy: FaultPolicy::default(),
             policy_rng: DetRng::new(0x5eed_0fba_c0ff_ee00),
-            whole_gens: HashMap::new(),
             group_gens: HashMap::new(),
             next_epoch: 1,
             pending: Vec::new(),
@@ -1216,10 +1409,11 @@ impl DistributedStore {
             .get_mut(node.0)
             .ok_or(StorageError::UnknownNode(node))?;
         slot.up = true;
-        slot.symbols.clear();
-        slot.group_symbols.clear();
-        slot.limbo.clear();
         slot.bytes_served = 0;
+        self.fabric.clear_node(node.0);
+        self.limbo
+            .frames
+            .retain(|&(_, parked_on, _)| parked_on != node.0);
         Ok(())
     }
 
@@ -1430,10 +1624,15 @@ impl DistributedStore {
         for p in std::mem::take(&mut self.pending) {
             let unit = p.unit.as_unit();
             let live = match unit {
-                Unit::Whole(name) => matches!(self.objects.get(name), Some(Placement::Whole)),
-                Unit::Group(gid) => self.groups.get(&gid).is_some_and(|g| g.sealed),
+                Unit::Whole(name) => {
+                    matches!(self.objects.get(name), Some(&ObjectEntry::Whole { gen }) if gen == p.gen)
+                }
+                Unit::Group(gid) => {
+                    self.groups.get(&gid).is_some_and(|g| g.sealed)
+                        && self.expected_gen(unit) == p.gen
+                }
             };
-            if !live || self.expected_gen(unit) != p.gen {
+            if !live {
                 continue;
             }
             let drive = drive_install(
@@ -1445,7 +1644,8 @@ impl DistributedStore {
                 &self.node_obs,
             );
             if drive.outcome == NodeOutcome::Ok {
-                if let Some(old) = self.nodes[p.node].put_frame(unit, p.frame) {
+                let row = self.fabric.find_or_insert(unit);
+                if let Some(old) = self.fabric.row_mut(row)[p.node].replace(p.frame) {
                     self.frames.give(old);
                 }
                 landed += 1;
@@ -1523,14 +1723,15 @@ impl DistributedStore {
 
     /// Called wherever the log may just have drained its un-fsynced tail.
     /// With nothing pending every record appended so far is durable, so
-    /// the group-bytes watermark catches up and parked frames are freed:
-    /// the records that superseded them can no longer be lost.
+    /// the group-bytes watermark catches up and parked frames go back to
+    /// the frame pool: the records that superseded them can no longer be
+    /// lost.
     fn reclaim_if_durable(&mut self) {
         if self.wal.as_ref().is_some_and(|w| w.pending_bytes() == 0) {
             self.group_bytes_durable = self.group_bytes_logged;
-            for node in &mut self.nodes {
-                node.limbo.clear();
-            }
+            self.limbo.units.clear();
+            self.frames
+                .recycle(self.limbo.frames.drain(..).map(|(_, _, frame)| frame));
         }
     }
 
@@ -1553,7 +1754,7 @@ impl DistributedStore {
     /// that replaced them — the fsynced prefix would no longer replay
     /// bit-exact. A no-op when nothing is pending (always the case under
     /// `FsyncPolicy::Always`) and during replay. Whole -> whole overwrites
-    /// park instead (see `StorageNode::limbo`); the rarer destructive
+    /// park instead (see [`Limbo`]); the rarer destructive
     /// applies still pay this fsync.
     fn destructive_apply_barrier(&mut self) -> Result<(), StorageError> {
         if self.replaying {
@@ -1613,7 +1814,7 @@ impl DistributedStore {
         let mut objects: Vec<(String, Placement)> = self
             .objects
             .iter()
-            .map(|(name, &placement)| (name.clone(), placement))
+            .map(|(name, entry)| (name.clone(), entry.placement()))
             .collect();
         objects.sort_by(|a, b| a.0.cmp(&b.0));
         let mut groups: Vec<(GroupId, CodingGroup)> = self
@@ -1702,7 +1903,11 @@ impl DistributedStore {
             }
         }
         // Validated — apply.
-        self.objects = state.objects.iter().cloned().collect();
+        self.objects = state
+            .objects
+            .iter()
+            .map(|(name, placement)| (name.clone(), ObjectEntry::from(*placement)))
+            .collect();
         self.groups = state.groups.iter().cloned().collect();
         self.open_group = state.open_group;
         self.next_group_id = state.next_group_id;
@@ -1801,12 +2006,11 @@ impl DistributedStore {
         // frame by frame below. Its old frames are the durable predecessor
         // record's replay evidence, so while this op's record is
         // un-fsynced they are parked, not dropped.
-        if let Some(&Placement::Grouped { group, span }) = self.objects.get(object) {
+        if let Some(&ObjectEntry::Grouped { group, span }) = self.objects.get(object) {
             self.tombstone_member(group, span)?;
         }
         let park = self.park_tag();
         self.install_unit(Unit::Whole(object), park, frames)?;
-        upsert(&mut self.objects, object, Placement::Whole);
         Ok(())
     }
 
@@ -1814,11 +2018,12 @@ impl DistributedStore {
     /// no frame carries).
     fn expected_gen(&self, unit: Unit) -> u64 {
         match unit {
-            Unit::Whole(name) => self.whole_gens.get(name),
-            Unit::Group(gid) => self.group_gens.get(&gid),
+            Unit::Whole(name) => match self.objects.get(name) {
+                Some(&ObjectEntry::Whole { gen }) => gen,
+                _ => 0,
+            },
+            Unit::Group(gid) => self.group_gens.get(&gid).copied().unwrap_or(0),
         }
-        .copied()
-        .unwrap_or(0)
     }
 
     /// Install `frames` (one per node, share written, header space
@@ -1829,10 +2034,12 @@ impl DistributedStore {
     /// quorum the op fails and the queued tail is withdrawn, since an
     /// unacked op must not complete itself later; frames that did land are
     /// orphans whose stale generation no decode accepts. On success the new
-    /// generation becomes the expected one, and the clock advances to the
-    /// quorum-th confirmation. Returns the installs that landed.
+    /// generation becomes the expected one (a whole object's entry in the
+    /// object table is set to it), and the clock advances to the quorum-th
+    /// confirmation. Returns the installs that landed. The unit's fabric
+    /// entry is found or made once, and dropped again if nothing landed.
     ///
-    /// With `park` set (whole objects only, see `StorageNode::limbo`), a
+    /// With `park` set (whole objects only, see [`Limbo`]), a
     /// replaced frame is parked under that log index; otherwise its buffer
     /// goes back to the frame pool.
     fn install_unit(
@@ -1855,6 +2062,7 @@ impl DistributedStore {
             Unit::Whole(_) => span!(self.recorder, "store.store.install"),
             Unit::Group(_) => Recorder::disabled().span("store.seal.install"),
         };
+        let row = self.fabric.find_or_insert(unit);
         for (i, mut frame) in frames.drain(..).enumerate() {
             seal_in_place(gen, &mut frame);
             let drive = drive_install(
@@ -1866,9 +2074,9 @@ impl DistributedStore {
                 &self.node_obs,
             );
             if drive.outcome == NodeOutcome::Ok {
-                match (park, self.nodes[i].put_frame(unit, frame), unit) {
+                match (park, self.fabric.row_mut(row)[i].replace(frame), unit) {
                     (Some(tag), Some(old), Unit::Whole(name)) => {
-                        self.nodes[i].limbo.push((name.to_string(), tag, old));
+                        self.limbo.park(name, tag, i, old);
                     }
                     (_, Some(old), _) => self.frames.give(old),
                     (_, None, _) => {}
@@ -1886,6 +2094,9 @@ impl DistributedStore {
         }
         install_span.field("installed", installed as u64);
         self.frames.give_set(frames);
+        if installed == 0 {
+            self.fabric.remove_if_empty(unit, row);
+        }
         if installed < quorum {
             self.finishes = finishes;
             self.pending.truncate(queued_from);
@@ -1900,7 +2111,7 @@ impl DistributedStore {
         self.advance_transport(finishes[quorum - 1]);
         self.finishes = finishes;
         match unit {
-            Unit::Whole(name) => upsert(&mut self.whole_gens, name, gen),
+            Unit::Whole(name) => upsert(&mut self.objects, name, ObjectEntry::Whole { gen }),
             Unit::Group(gid) => {
                 self.group_gens.insert(gid, gen);
             }
@@ -1921,8 +2132,8 @@ impl DistributedStore {
         let group = self.groups.get_mut(&gid).expect("open group exists");
         let span = group.append(data);
         let full = group.packed_len >= self.group_config.capacity;
-        let placement = Placement::Grouped { group: gid, span };
-        upsert(&mut self.objects, object, placement);
+        let entry = ObjectEntry::Grouped { group: gid, span };
+        upsert(&mut self.objects, object, entry);
         if full {
             self.seal_group(gid)?;
         }
@@ -1933,18 +2144,16 @@ impl DistributedStore {
     /// grouped predecessor is tombstoned, a whole one loses its frames.
     fn retire_for_grouped(&mut self, object: &str) -> Result<(), StorageError> {
         match self.objects.get(object) {
-            Some(&Placement::Grouped { group, span }) => self.tombstone_member(group, span),
+            Some(&ObjectEntry::Grouped { group, span }) => self.tombstone_member(group, span),
             // During replay whole symbols stay put: a later `StoreWhole`
             // record for this name may need them as its applied-ness
             // evidence. Reconciliation sweeps whatever ends up orphaned.
-            Some(Placement::Whole) if !self.replaying => {
+            Some(ObjectEntry::Whole { .. }) if !self.replaying => {
                 self.destructive_apply_barrier()?;
-                for node in &mut self.nodes {
-                    node.symbols.remove(object);
-                }
+                self.fabric.remove(Unit::Whole(object));
                 Ok(())
             }
-            Some(Placement::Whole) | None => Ok(()),
+            Some(ObjectEntry::Whole { .. }) | None => Ok(()),
         }
     }
 
@@ -2024,23 +2233,24 @@ impl DistributedStore {
         })
     }
 
-    /// All nodes that could serve `unit` right now (up, holding a frame of
-    /// it, inside the caller's allowed set), ordered by `policy`. The
-    /// caller reads from the first `k`; the full count feeds the degraded
-    /// flag.
+    /// `unit`'s fabric row, and all nodes that could serve it right now (up,
+    /// holding a frame of it, inside the caller's allowed set), ordered by
+    /// `policy`. The caller reads from the first `k`, indexing the row; the
+    /// full count feeds the degraded flag.
     fn pick_holders(
         &self,
         policy: SelectionPolicy,
         unit: Unit,
         allowed: Option<&[NodeId]>,
-    ) -> Vec<usize> {
+    ) -> (Option<usize>, Vec<usize>) {
+        let row = self.fabric.find(unit);
         let mut candidates: Vec<usize> = self
             .nodes
             .iter()
+            .zip(self.fabric.slots(row))
             .enumerate()
-            .filter(|(i, n)| {
-                n.up && n.frame(unit).is_some()
-                    && allowed.map(|a| a.contains(&NodeId(*i))).unwrap_or(true)
+            .filter(|(i, (n, frame))| {
+                n.up && frame.is_some() && allowed.map(|a| a.contains(&NodeId(*i))).unwrap_or(true)
             })
             .map(|(i, _)| i)
             .collect();
@@ -2053,7 +2263,7 @@ impl DistributedStore {
                 candidates.sort_by_key(|&i| (self.nodes[i].distance, i));
             }
         }
-        candidates
+        (row, candidates)
     }
 
     /// Retrieve an object by reading from any `k` nodes chosen by `policy`.
@@ -2113,22 +2323,27 @@ impl DistributedStore {
         policy: SelectionPolicy,
         allowed: Option<&[NodeId]>,
     ) -> Result<(Vec<u8>, RetrieveReport), StorageError> {
-        let placement = *self
+        let entry = *self
             .objects
             .get(object)
             .ok_or_else(|| StorageError::UnknownObject {
                 object: object.to_string(),
             })?;
-        let Placement::Grouped { group, span } = placement else {
-            let candidates = self.pick_holders(policy, Unit::Whole(object), allowed);
-            let (data, fetch) = self.read_whole(object, &candidates)?;
-            self.obs.decoded.inc();
-            return Ok(self.finish_read(data, fetch));
-        };
-        self.retrieve_grouped(group, span, policy, allowed)
+        match entry {
+            ObjectEntry::Whole { gen } => {
+                let (row, candidates) = self.pick_holders(policy, Unit::Whole(object), allowed);
+                let (data, fetch) = self.read_whole(object, row, gen, &candidates)?;
+                self.obs.decoded.inc();
+                Ok(self.finish_read(data, fetch))
+            }
+            ObjectEntry::Grouped { group, span } => {
+                self.retrieve_grouped(group, span, policy, allowed)
+            }
+        }
     }
 
-    /// Read whole object `object` from `k` of `candidates`, verified as
+    /// Read whole object `object`, at fabric row `row`, from `k` of
+    /// `candidates`, verified at generation `gen` as
     /// [`DistributedStore::fetch_unit`] does, decoding straight from the
     /// node buffers into the returned bytes. The block is
     /// `[len: u64 LE][bytes][padding]`: the prefix is decoded first, then
@@ -2139,12 +2354,13 @@ impl DistributedStore {
     fn read_whole(
         &mut self,
         object: &str,
+        row: Option<usize>,
+        gen: u64,
         candidates: &[usize],
     ) -> Result<(Vec<u8>, UnitFetch), StorageError> {
-        let unit = Unit::Whole(object);
-        let fetch = self.fetch_unit(unit, candidates)?;
+        let fetch = self.fetch_unit(row, gen, candidates)?;
         let _decode_span = span!(self.recorder, "store.retrieve.decode");
-        let view = unit_view(&self.nodes, unit, &fetch.sources);
+        let view = unit_view(self.fabric.slots(row), &fetch.sources);
         let padded = fetch.bytes_per_source * self.code.k();
         let mut prefix = Vec::with_capacity(8);
         self.code.decode_append(&view, 0..8, &mut prefix)?;
@@ -2201,13 +2417,13 @@ impl DistributedStore {
             return Ok((data, UnitFetch::default().into_report()));
         }
         let packed_len = group.packed_len;
-        let mut candidates = self.pick_holders(policy, Unit::Group(gid), allowed);
+        let (row, mut candidates) = self.pick_holders(policy, Unit::Group(gid), allowed);
         let mut failed = None;
         if candidates.len() >= self.code.k()
             && self.decode_cache.get(gid).is_none()
             && !self.decode_cache.read_again(gid)
         {
-            match self.read_ranged(gid, packed_len, span, &candidates) {
+            match self.read_ranged(gid, row, packed_len, span, &candidates) {
                 Some(Ranged::Served(data, mut fetch)) => {
                     fetch.degraded = candidates.len() < self.code.n();
                     self.obs.ranged.inc();
@@ -2223,7 +2439,7 @@ impl DistributedStore {
                 None => {}
             }
         }
-        let mut fetch = self.decode_group(gid, &candidates)?;
+        let mut fetch = self.decode_group(gid, row, &candidates)?;
         if !fetch.sources.is_empty() {
             self.obs.decoded.inc();
         }
@@ -2245,8 +2461,9 @@ impl DistributedStore {
         (data, fetch.into_report())
     }
 
-    /// Serve `span` of sealed group `gid` from the shares that hold it
-    /// verbatim (the store's [`Layout`]): the covering shares are
+    /// Serve `span` of sealed group `gid`, at fabric row `row`, from the
+    /// shares that hold it verbatim (the store's [`Layout`]): the covering
+    /// shares are
     /// collected like a decode's (with no spare to fall back on), each
     /// checked for generation and for the checksums of the chunks holding
     /// its piece of the span, and each payload must be the `padded block /
@@ -2259,6 +2476,7 @@ impl DistributedStore {
     fn read_ranged(
         &mut self,
         gid: GroupId,
+        row: Option<usize>,
         packed_len: usize,
         span: ObjSpan,
         candidates: &[usize],
@@ -2305,8 +2523,7 @@ impl DistributedStore {
                 .map_or(self.policy.deadline, |h| h.min(self.policy.deadline)),
             ..self.policy
         };
-        let unit = Unit::Group(gid);
-        let expect_gen = self.expected_gen(unit);
+        let expect_gen = self.expected_gen(Unit::Group(gid));
         let mut transport_span = span!(
             self.recorder,
             "store.retrieve.transport",
@@ -2319,11 +2536,10 @@ impl DistributedStore {
             &CollectSpec {
                 policy: &policy,
                 k: sources.len(),
-                unit,
                 expect_gen,
                 obs: &self.node_obs,
                 candidates: &sources,
-                nodes: &self.nodes,
+                slots: self.fabric.slots(row),
                 ranged: Some((share_len, &ranges)),
             },
             &mut self.policy_rng,
@@ -2344,8 +2560,9 @@ impl DistributedStore {
         fetch.latency = col.latency;
         self.advance_transport(fetch.latency);
         let mut data = Vec::with_capacity(span.len);
+        let slots = self.fabric.slots(row);
         for (share, offset, take) in pieces {
-            let (_, payload) = split_frame(self.nodes[share].held(unit)).expect("verified above");
+            let (_, payload) = split_frame(held(slots, share)).expect("verified above");
             data.extend_from_slice(&payload[offset..offset + take]);
         }
         for &node in &sources {
@@ -2356,8 +2573,9 @@ impl DistributedStore {
         Some(Ranged::Served(data, fetch))
     }
 
-    /// Decode group `gid` into `io_buf` from `k` of `candidates` (the
-    /// reachable holders, in policy order), as fetched and verified by
+    /// Decode group `gid`, at fabric row `row`, into `io_buf` from `k` of
+    /// `candidates` (the reachable holders, in policy order), as fetched
+    /// and verified by
     /// [`DistributedStore::fetch_unit`], and cache the block.
     ///
     /// A cached group is served without touching any node (no sources, no
@@ -2366,9 +2584,9 @@ impl DistributedStore {
     fn decode_group(
         &mut self,
         gid: GroupId,
+        row: Option<usize>,
         candidates: &[usize],
     ) -> Result<UnitFetch, StorageError> {
-        let unit = Unit::Group(gid);
         let k = self.code.k();
         if candidates.len() < k {
             return Err(StorageError::NotEnoughNodes {
@@ -2384,9 +2602,9 @@ impl DistributedStore {
             });
         }
         self.obs.cache_misses.inc();
-        let fetch = self.fetch_unit(unit, candidates)?;
+        let fetch = self.fetch_unit(row, self.expected_gen(Unit::Group(gid)), candidates)?;
         let decode_span = span!(self.recorder, "store.retrieve.decode");
-        let view = unit_view(&self.nodes, unit, &fetch.sources);
+        let view = unit_view(self.fabric.slots(row), &fetch.sources);
         self.code.decode_into(&view, &mut self.io_buf)?;
         drop(view);
         drop(decode_span);
@@ -2397,8 +2615,9 @@ impl DistributedStore {
         Ok(fetch)
     }
 
-    /// Collect `k` verified shares of `unit` from `candidates` (the
-    /// reachable holders, in policy order) through the transport (a
+    /// Collect `k` verified shares of generation `expect_gen` from
+    /// `candidates` (the reachable holders of the unit at fabric row `row`,
+    /// in policy order) through the transport (a
     /// virtually parallel wave with retries, backups, and hedging; under
     /// the direct transport simply the first `k` candidates), and charge
     /// each source its payload bytes. Every share is verified whole
@@ -2407,7 +2626,12 @@ impl DistributedStore {
     /// [`StorageError::NotEnoughNodes`]; the read is degraded when fewer
     /// than `n` shares were available to it. The sources are the fetch's
     /// `sources`; [`unit_view`] borrows their payloads.
-    fn fetch_unit(&mut self, unit: Unit, candidates: &[usize]) -> Result<UnitFetch, StorageError> {
+    fn fetch_unit(
+        &mut self,
+        row: Option<usize>,
+        expect_gen: u64,
+        candidates: &[usize],
+    ) -> Result<UnitFetch, StorageError> {
         let k = self.code.k();
         if candidates.len() < k {
             return Err(StorageError::NotEnoughNodes {
@@ -2415,7 +2639,6 @@ impl DistributedStore {
                 needed: k,
             });
         }
-        let expect_gen = self.expected_gen(unit);
         let mut transport_span = span!(
             self.recorder,
             "store.retrieve.transport",
@@ -2426,11 +2649,10 @@ impl DistributedStore {
             &CollectSpec {
                 policy: &self.policy,
                 k,
-                unit,
                 expect_gen,
                 obs: &self.node_obs,
                 candidates,
-                nodes: &self.nodes,
+                slots: self.fabric.slots(row),
                 ranged: None,
             },
             &mut self.policy_rng,
@@ -2447,8 +2669,9 @@ impl DistributedStore {
         drop(transport_span);
         // Charge the payload, not the frame header.
         let mut bytes_per_source = 0;
+        let slots = self.fabric.slots(row);
         for &i in &col.used {
-            let len = frame_payload_len(self.nodes[i].held(unit).len()).expect("verified share");
+            let len = frame_payload_len(held(slots, i).len()).expect("verified share");
             bytes_per_source = len;
             self.nodes[i].bytes_served += len as u64;
         }
@@ -2479,10 +2702,10 @@ impl DistributedStore {
             });
         }
         self.log(RecordView::Delete { object })?;
-        let placement = self.objects.remove(object).expect("checked above");
-        match placement {
-            Placement::Whole => self.delete_unit(Unit::Whole(object)),
-            Placement::Grouped { group, span } => self.tombstone_member(group, span),
+        let entry = self.objects.remove(object).expect("checked above");
+        match entry {
+            ObjectEntry::Whole { .. } => self.delete_unit(Unit::Whole(object)),
+            ObjectEntry::Grouped { group, span } => self.tombstone_member(group, span),
         }
     }
 
@@ -2511,17 +2734,19 @@ impl DistributedStore {
     /// also leaves the decode cache and the group table.
     fn delete_unit(&mut self, unit: Unit) -> Result<(), StorageError> {
         self.destructive_apply_barrier()?;
+        let row = self.fabric.find(unit);
         for i in 0..self.nodes.len() {
             let patience = self.policy.attempt_timeout;
             let fate = self.transport.attempt(i, TransportOp::Delete, 0, patience);
-            if fate.outcome.is_ok() && fate.latency <= patience {
-                self.nodes[i].remove_frame(unit);
+            if let Some(row) = row.filter(|_| fate.outcome.is_ok() && fate.latency <= patience) {
+                self.fabric.row_mut(row)[i] = None;
             }
         }
+        if let Some(row) = row {
+            self.fabric.remove_if_empty(unit, row);
+        }
         match unit {
-            Unit::Whole(name) => {
-                self.whole_gens.remove(name);
-            }
+            Unit::Whole(_) => {}
             Unit::Group(gid) => {
                 self.decode_cache.remove(gid);
                 self.groups.remove(&gid);
@@ -2557,8 +2782,8 @@ impl DistributedStore {
         // explicitly requested pass that can afford the scan.
         let mut movers: HashMap<GroupId, Vec<(String, ObjSpan)>> =
             candidates.iter().map(|&gid| (gid, Vec::new())).collect();
-        for (name, placement) in &self.objects {
-            if let Placement::Grouped { group, span } = placement {
+        for (name, entry) in &self.objects {
+            if let ObjectEntry::Grouped { group, span } = entry {
                 if let Some(members) = movers.get_mut(group) {
                     members.push((name.clone(), *span));
                 }
@@ -2569,8 +2794,9 @@ impl DistributedStore {
         }
         let mut report = CompactReport::default();
         for gid in candidates {
-            let holders = self.pick_holders(SelectionPolicy::LeastLoaded, Unit::Group(gid), None);
-            self.decode_group(gid, &holders)?;
+            let (row, holders) =
+                self.pick_holders(SelectionPolicy::LeastLoaded, Unit::Group(gid), None);
+            self.decode_group(gid, row, &holders)?;
             let block = self
                 .decode_cache
                 .get(gid)
@@ -2678,6 +2904,8 @@ impl DistributedStore {
         (
             SurvivingNodes {
                 nodes: self.nodes,
+                fabric: self.fabric,
+                limbo: self.limbo,
                 spec,
             },
             self.wal,
@@ -2738,15 +2966,17 @@ impl DistributedStore {
         let mut store = Self::bare(code, config);
         store.group_config.durability = Durability::Logged;
         store.nodes = nodes.nodes;
+        store.fabric = nodes.fabric;
         // A parked frame whose superseding record did not survive goes
         // back: the log rolled back past that overwrite, so its node state
         // must too. Walking newest first leaves the oldest such frame.
         let durable = replay.records.len() as u64;
-        for node in &mut store.nodes {
-            for (object, tag, frame) in std::mem::take(&mut node.limbo).into_iter().rev() {
-                if tag >= durable {
-                    node.symbols.insert(object, frame);
-                }
+        let Limbo { units, frames } = nodes.limbo;
+        for (unit, node, frame) in frames.into_iter().rev() {
+            let (object, tag) = &units[unit];
+            if *tag >= durable {
+                let row = store.fabric.find_or_insert(Unit::Whole(object));
+                store.fabric.row_mut(row)[node] = Some(frame);
             }
         }
         let mut report = RecoveryReport {
@@ -2854,14 +3084,16 @@ impl DistributedStore {
                 // skipping it leaves the open group fuller than the live
                 // run's, and replay then capacity-seals it at a different
                 // append than the live run did.
-                if last && !self.nodes.iter().any(|n| n.symbols.contains_key(object)) {
+                if last && self.fabric.find(Unit::Whole(object)).is_none() {
                     report.in_doubt_discarded += 1;
                     return Ok(());
                 }
-                if let Some(&Placement::Grouped { group, span }) = self.objects.get(object) {
+                if let Some(&ObjectEntry::Grouped { group, span }) = self.objects.get(object) {
                     self.tombstone_member(group, span)?;
                 }
-                self.objects.insert(object.clone(), Placement::Whole);
+                // The generation is read from the frames after replay.
+                self.objects
+                    .insert(object.clone(), ObjectEntry::Whole { gen: 0 });
                 Ok(())
             }
             WalRecord::Delete { object } => {
@@ -2870,8 +3102,8 @@ impl DistributedStore {
                 // (a later `StoreWhole` record may need them as evidence);
                 // reconciliation sweeps them if the name stays dead.
                 match self.objects.remove(object) {
-                    Some(Placement::Whole) => {}
-                    Some(Placement::Grouped { group, span }) => {
+                    Some(ObjectEntry::Whole { .. }) => {}
+                    Some(ObjectEntry::Grouped { group, span }) => {
                         self.tombstone_member(group, span)?;
                     }
                     None => {}
@@ -2965,10 +3197,8 @@ impl DistributedStore {
         self.groups
             .retain(|gid, g| g.sealed || g.live_objects > 0 || open == Some(*gid));
         let groups = &self.groups;
-        for node in &mut self.nodes {
-            node.group_symbols
-                .retain(|gid, _| groups.get(gid).is_some_and(|g| g.sealed));
-        }
+        self.fabric
+            .retain_groups(|gid| groups.get(&gid).is_some_and(|g| g.sealed));
     }
 
     /// Re-derive the expected share generations from the frames the nodes
@@ -2988,46 +3218,50 @@ impl DistributedStore {
     /// describe.
     ///
     /// One walk over the whole objects does both jobs. Each object's frames
-    /// are opened newest generation first, and the walk stops once `k`
-    /// frames of one generation verify: the first generation with a
-    /// verified frame is the newest seen (and the object's share of the
-    /// epoch), the first with `k` is the newest decodable, and no older
-    /// frame can change either. A healthy object costs `k` verifications.
-    /// The same walk counts the frames each node holds under live whole
-    /// objects; only a node holding more than that has a stale frame, so
-    /// only there does the sweep look at every name.
+    /// are found with one fabric lookup and opened newest generation
+    /// first, and the walk stops once `k` frames of one generation verify:
+    /// the first generation with a verified frame is the newest seen (and
+    /// the object's share of the epoch), the first with `k` is the newest
+    /// decodable, and no older frame can change either. A healthy object
+    /// costs `k` verifications. The same walk counts the live whole objects
+    /// that have an entry; only when the fabric has more whole entries than
+    /// that is there a stray, so only then does the sweep look at every
+    /// entry.
     fn rebuild_gens_from_nodes(&mut self, report: &mut RecoveryReport) {
-        self.whole_gens.clear();
         self.group_gens.clear();
         let mut max_gen = 0u64;
-        for node in &self.nodes {
-            for (gid, frame) in &node.group_symbols {
+        for (&gid, &row) in &self.fabric.groups {
+            for frame in self.fabric.slots(Some(row)).iter().flatten() {
                 report.frames_verified += 1;
                 if let Some((gen, _)) = open_frame(frame) {
-                    let slot = self.group_gens.entry(*gid).or_insert(0);
+                    let slot = self.group_gens.entry(gid).or_insert(0);
                     *slot = (*slot).max(gen);
                     max_gen = max_gen.max(gen);
                 }
             }
         }
         let k = self.code.k();
-        let mut held = vec![0usize; self.nodes.len()];
+        let mut held = 0usize;
         // One object's frames as (header generation, frame), newest first.
         let mut frames: Vec<(u64, &[u8])> = Vec::new();
-        for (name, placement) in &self.objects {
-            if *placement != Placement::Whole {
+        for (name, entry) in &mut self.objects {
+            let ObjectEntry::Whole { gen: expect } = entry else {
                 continue;
-            }
+            };
+            *expect = 0;
+            let Some(row) = self.fabric.find(Unit::Whole(name)) else {
+                continue;
+            };
+            held += 1;
             frames.clear();
-            for (node, held) in self.nodes.iter().zip(&mut held) {
-                if let Some(frame) = node.symbols.get(name) {
-                    *held += 1;
-                    // An impossible length never verifies: one more erasure.
-                    if let Some((gen, _)) = split_frame(frame) {
-                        frames.push((gen, frame));
-                    }
-                }
-            }
+            // An impossible length never verifies: one more erasure.
+            frames.extend(
+                self.fabric
+                    .slots(Some(row))
+                    .iter()
+                    .flatten()
+                    .filter_map(|frame| split_frame(frame).map(|(gen, _)| (gen, &frame[..]))),
+            );
             frames.sort_unstable_by_key(|&(gen, _)| std::cmp::Reverse(gen));
             // The newest generation with a verified frame, the newest with
             // `k`, and the last verified frame's generation with its count.
@@ -3050,19 +3284,15 @@ impl DistributedStore {
             }
             if let Some(newest) = seen {
                 max_gen = max_gen.max(newest);
-                self.whole_gens
-                    .insert(name.clone(), decodable.unwrap_or(newest));
+                *expect = decodable.unwrap_or(newest);
             }
         }
         self.next_epoch = self.next_epoch.max(max_gen + 1);
-        let objects = &self.objects;
-        for (node, held) in self.nodes.iter_mut().zip(held) {
-            if node.symbols.len() != held {
-                let before = node.symbols.len();
-                node.symbols
-                    .retain(|name, _| objects.get(name) == Some(&Placement::Whole));
-                report.stale_frames_swept += before - node.symbols.len();
-            }
+        if self.fabric.whole.len() != held {
+            let objects = &self.objects;
+            report.stale_frames_swept += self
+                .fabric
+                .retain_whole(|name| matches!(objects.get(name), Some(ObjectEntry::Whole { .. })));
         }
     }
 
@@ -3101,8 +3331,15 @@ impl DistributedStore {
     /// false when the node already holds a verified current frame.
     fn repair_unit(&mut self, node: usize, unit: Unit) -> Result<bool, StorageError> {
         let gen = self.expected_gen(unit);
-        if self.nodes[node]
-            .frame(unit)
+        let Some(row) = self.fabric.find(unit) else {
+            return Err(StorageError::NotEnoughNodes {
+                available: 0,
+                needed: self.code.k(),
+            });
+        };
+        let slots = self.fabric.slots(Some(row));
+        if slots[node]
+            .as_deref()
             .is_some_and(|f| open_frame(f).is_some_and(|(g, _)| g == gen))
         {
             return Ok(false);
@@ -3110,11 +3347,11 @@ impl DistributedStore {
         let mut view = ShareView::missing(self.code.n());
         let mut available = 0;
         let mut share_len = 0;
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (i, (n, frame)) in self.nodes.iter().zip(slots).enumerate() {
             if i == node || !n.up {
                 continue;
             }
-            if let Some((g, payload)) = n.frame(unit).and_then(|f| open_frame(f)) {
+            if let Some((g, payload)) = frame.as_deref().and_then(open_frame) {
                 if g == gen {
                     view.set(i, payload);
                     available += 1;
@@ -3142,7 +3379,7 @@ impl DistributedStore {
             &self.node_obs,
         );
         if drive.outcome == NodeOutcome::Ok {
-            if let Some(old) = self.nodes[node].put_frame(unit, frame) {
+            if let Some(old) = self.fabric.row_mut(row)[node].replace(frame) {
                 self.frames.give(old);
             }
         } else {
@@ -3196,8 +3433,9 @@ mod tests {
             block.resize(padded, 0);
             let mut shares = ShareSet::new();
             s.code.encode_into(&block, &mut shares).unwrap();
-            for (node, share) in s.nodes.iter_mut().zip(shares.iter()) {
-                node.symbols.insert("obj".into(), seal_frame(gen, share));
+            let row = s.fabric.find(Unit::Whole("obj")).unwrap();
+            for (slot, share) in s.fabric.row_mut(row).iter_mut().zip(shares.iter()) {
+                *slot = Some(seal_frame(gen, share));
             }
             let read = s.retrieve("obj", SelectionPolicy::FirstK);
             assert!(
@@ -3223,8 +3461,9 @@ mod tests {
         block.resize(padded, 0);
         let mut shares = ShareSet::new();
         s.code.encode_into(&block, &mut shares).unwrap();
-        for (node, share) in s.nodes.iter_mut().zip(shares.iter()) {
-            node.symbols.insert("obj".into(), seal_frame(gen, share));
+        let row = s.fabric.find(Unit::Whole("obj")).unwrap();
+        for (slot, share) in s.fabric.row_mut(row).iter_mut().zip(shares.iter()) {
+            *slot = Some(seal_frame(gen, share));
         }
         let (out, _) = s.retrieve("obj", SelectionPolicy::FirstK).unwrap();
         assert_eq!(out, &block[8..]);
@@ -3605,10 +3844,7 @@ mod tests {
         s.attach_registry(&registry);
         let i: usize = name[1..].parse().unwrap();
         let (_, offset, _) = locate(&s, 240, 20 * i);
-        damage(
-            s.nodes[5].group_symbols.values_mut().next().unwrap(),
-            offset,
-        );
+        damage(group_frame(&mut s, 5), offset);
         let (out, report) = s.retrieve(&name, SelectionPolicy::FirstK).unwrap();
         assert_eq!(out, want_bytes);
         assert!(report.degraded);
@@ -3731,8 +3967,10 @@ mod tests {
         range.start / FRAME_CHUNK..(range.end - 1) / FRAME_CHUNK + 1
     }
 
+    /// Node `node`'s frame of the only group.
     fn group_frame(s: &mut DistributedStore, node: usize) -> &mut Vec<u8> {
-        s.nodes[node].group_symbols.values_mut().next().unwrap()
+        let row = *s.fabric.groups.values().next().unwrap();
+        s.fabric.row_mut(row)[node].as_mut().unwrap()
     }
 
     /// Flip a bit of payload byte `at` in `node`'s frame of the only group.
@@ -4801,36 +5039,66 @@ mod tests {
         }
     }
 
+    /// Units node `node` holds a frame of: (whole objects, groups).
+    fn units_held(fabric: &Fabric, node: usize) -> (usize, usize) {
+        let count = |rows: &mut dyn Iterator<Item = usize>| {
+            rows.filter(|&row| fabric.slots(Some(row))[node].is_some())
+                .count()
+        };
+        (
+            count(&mut fabric.whole.values().copied()),
+            count(&mut fabric.groups.values().copied()),
+        )
+    }
+
+    /// Put `frame` in node `node`'s slot of `unit`.
+    fn plant(s: &mut DistributedStore, unit: Unit, node: usize, frame: Vec<u8>) {
+        let row = s.fabric.find_or_insert(unit);
+        s.fabric.row_mut(row)[node] = Some(frame);
+    }
+
+    type Frames = Vec<Option<Vec<u8>>>;
+
+    /// The fabric as plain maps, whatever rows its entries sit in.
+    fn fabric_maps(f: &Fabric) -> (HashMap<String, Frames>, HashMap<GroupId, Frames>) {
+        let slots = |row: usize| f.slots(Some(row)).to_vec();
+        (
+            f.whole
+                .iter()
+                .map(|(k, &r)| (k.clone(), slots(r)))
+                .collect(),
+            f.groups.iter().map(|(&k, &r)| (k, slots(r))).collect(),
+        )
+    }
+
     /// The restart walk as it was before it verified newest first: sweep
     /// every whole frame no live whole object owns, then open every frame
     /// and tally the verified frames per generation. Kept as the oracle
     /// [`DistributedStore::rebuild_gens_from_nodes`] must agree with.
     fn exhaustive_rebuild(s: &mut DistributedStore) {
         let objects = &s.objects;
-        for node in &mut s.nodes {
-            node.symbols
-                .retain(|name, _| objects.get(name) == Some(&Placement::Whole));
-        }
-        s.whole_gens.clear();
+        s.fabric
+            .retain_whole(|name| matches!(objects.get(name), Some(ObjectEntry::Whole { .. })));
         s.group_gens.clear();
         let mut max_gen = 0u64;
-        for node in &s.nodes {
-            for (gid, frame) in &node.group_symbols {
+        for (&gid, &row) in &s.fabric.groups {
+            for frame in s.fabric.slots(Some(row)).iter().flatten() {
                 if let Some((gen, _)) = open_frame(frame) {
-                    let slot = s.group_gens.entry(*gid).or_insert(0);
+                    let slot = s.group_gens.entry(gid).or_insert(0);
                     *slot = (*slot).max(gen);
                     max_gen = max_gen.max(gen);
                 }
             }
         }
         let k = s.code.k();
-        for (name, placement) in &s.objects {
-            if *placement != Placement::Whole {
+        for (name, entry) in &mut s.objects {
+            let ObjectEntry::Whole { gen: expect } = entry else {
                 continue;
-            }
+            };
             let mut tally: Vec<(u64, usize)> = Vec::new();
-            for node in &s.nodes {
-                let Some((gen, _)) = node.symbols.get(name).and_then(|f| open_frame(f)) else {
+            let row = s.fabric.find(Unit::Whole(name));
+            for frame in s.fabric.slots(row) {
+                let Some((gen, _)) = frame.as_deref().and_then(open_frame) else {
                     continue;
                 };
                 match tally.iter_mut().find(|(g, _)| *g == gen) {
@@ -4846,9 +5114,7 @@ mod tests {
                     .map(|&(gen, _)| gen)
                     .max()
             };
-            if let Some(gen) = newest(true).or(newest(false)) {
-                s.whole_gens.insert(name.clone(), gen);
-            }
+            *expect = newest(true).or(newest(false)).unwrap_or(0);
         }
         s.next_epoch = s.next_epoch.max(max_gen + 1);
     }
@@ -4882,42 +5148,48 @@ mod tests {
     fn random_fabric(code: Arc<dyn ErasureCode>, seed: u64) -> DistributedStore {
         let mut rng = DetRng::new(seed);
         let mut s = DistributedStore::new(code);
+        let n = s.nodes.len();
         s.next_epoch = rng.range(1, 8);
         for i in 0..rng.range(1, 12) {
             let name = format!("o{i}");
             if rng.chance(0.2) {
                 let span = ObjSpan { offset: 0, len: 1 };
                 s.objects
-                    .insert(name.clone(), Placement::Grouped { group: 0, span });
-                for node in &mut s.nodes {
+                    .insert(name.clone(), ObjectEntry::Grouped { group: 0, span });
+                for node in 0..n {
                     if rng.chance(0.3) {
-                        node.symbols.insert(name.clone(), fabric_frame(&mut rng, 3));
+                        plant(&mut s, Unit::Whole(&name), node, fabric_frame(&mut rng, 3));
                     }
                 }
                 continue;
             }
-            s.objects.insert(name.clone(), Placement::Whole);
+            s.objects
+                .insert(name.clone(), ObjectEntry::Whole { gen: 0 });
             let base = rng.range(1, 6);
-            for node in &mut s.nodes {
+            for node in 0..n {
                 let gen = match rng.below(6) {
                     0 => continue,
                     1 => base - 1,
                     2 => base + rng.range(1, 3),
                     _ => base,
                 };
-                node.symbols
-                    .insert(name.clone(), fabric_frame(&mut rng, gen));
+                plant(
+                    &mut s,
+                    Unit::Whole(&name),
+                    node,
+                    fabric_frame(&mut rng, gen),
+                );
             }
         }
-        for (i, node) in s.nodes.iter_mut().enumerate() {
+        for node in 0..n {
             if rng.chance(0.2) {
-                node.symbols
-                    .insert(format!("stray{i}"), fabric_frame(&mut rng, 9));
+                let stray = format!("stray{node}");
+                plant(&mut s, Unit::Whole(&stray), node, fabric_frame(&mut rng, 9));
             }
             for gid in 0..2 {
                 if rng.chance(0.5) {
                     let gen = rng.range(1, 10);
-                    node.group_symbols.insert(gid, fabric_frame(&mut rng, gen));
+                    plant(&mut s, Unit::Group(gid), node, fabric_frame(&mut rng, gen));
                 }
             }
         }
@@ -4945,19 +5217,18 @@ mod tests {
             let mut walked = random_fabric(code(), seed);
             let mut oracle = random_fabric(code(), seed);
             let frames = |s: &DistributedStore| {
-                s.nodes.iter().map(|n| n.symbols.len()).sum::<usize>()
+                s.fabric.whole.values().map(|&row| {
+                    s.fabric.slots(Some(row)).iter().flatten().count()
+                }).sum::<usize>()
             };
             let before = frames(&oracle);
             let mut report = RecoveryReport::default();
             walked.rebuild_gens_from_nodes(&mut report);
             exhaustive_rebuild(&mut oracle);
-            prop_assert_eq!(&walked.whole_gens, &oracle.whole_gens);
+            prop_assert_eq!(&walked.objects, &oracle.objects);
             prop_assert_eq!(&walked.group_gens, &oracle.group_gens);
             prop_assert_eq!(walked.next_epoch, oracle.next_epoch);
-            for (w, o) in walked.nodes.iter().zip(&oracle.nodes) {
-                prop_assert_eq!(&w.symbols, &o.symbols);
-                prop_assert_eq!(&w.group_symbols, &o.group_symbols);
-            }
+            prop_assert_eq!(fabric_maps(&walked.fabric), fabric_maps(&oracle.fabric));
             prop_assert_eq!(report.stale_frames_swept, before - frames(&oracle));
         }
     }
@@ -4980,12 +5251,123 @@ mod tests {
             s.store(&format!("o{i}"), &[i as u8; 100]).unwrap();
         }
         let (mut nodes, wal) = s.crash();
-        nodes.nodes[2]
-            .symbols
-            .insert("stray".to_string(), seal_frame(1, &[0; 25]));
+        let row = nodes.fabric.find_or_insert(Unit::Whole("stray"));
+        nodes.fabric.row_mut(row)[2] = Some(seal_frame(1, &[0; 25]));
         let (r, rep) = DistributedStore::recover(code(), config, nodes, wal.unwrap()).unwrap();
         assert_eq!((rep.frames_verified, rep.stale_frames_swept), (5 * 4, 1));
-        assert_eq!(r.nodes[2].symbols.len(), 5, "the stray is gone");
+        assert_eq!(units_held(&r.fabric, 2).0, 5, "the stray is gone");
+    }
+
+    /// A live whole object with no frame left and a stray make as many
+    /// whole entries as live whole objects: the walk must count the
+    /// objects it found frames for, or it would keep the stray.
+    #[test]
+    fn a_restart_sweeps_a_stray_beside_an_object_that_lost_every_frame() {
+        let code = || Arc::new(ReedSolomon::new(6, 4).unwrap());
+        let config = GroupConfig::disabled().logged();
+        let mut s = DistributedStore::with_groups(code(), config);
+        s.store("lost", &[1u8; 100]).unwrap();
+        s.store("kept", &[2u8; 100]).unwrap();
+        let (mut nodes, wal) = s.crash();
+        nodes.fabric.remove(Unit::Whole("lost"));
+        let row = nodes.fabric.find_or_insert(Unit::Whole("stray"));
+        nodes.fabric.row_mut(row)[2] = Some(seal_frame(1, &[0; 25]));
+        let (r, rep) = DistributedStore::recover(code(), config, nodes, wal.unwrap()).unwrap();
+        assert_eq!((rep.frames_verified, rep.stale_frames_swept), (4, 1));
+        assert!(r.fabric.find(Unit::Whole("stray")).is_none());
+        assert!(r.holds("lost"), "its record survives; its bytes do not");
+    }
+
+    /// The fabric's shape: its rows split into the entries' rows and the
+    /// free list; an entry's row has `n` slots and at least one frame, and
+    /// a free row none, so no node holds a frame of a unit without an entry.
+    fn check_fabric(s: &DistributedStore) -> Result<(), TestCaseError> {
+        let f = &s.fabric;
+        prop_assert_eq!(f.slots.len() % f.n, 0);
+        let mut owners = vec![0usize; f.slots.len() / f.n];
+        for &row in f.whole.values().chain(f.groups.values()) {
+            owners[row] += 1;
+            prop_assert_eq!(f.slots(Some(row)).len(), s.nodes.len());
+            prop_assert!(f.slots(Some(row)).iter().any(Option::is_some));
+        }
+        for &row in &f.free {
+            owners[row] += 1;
+            prop_assert!(f.slots(Some(row)).iter().all(Option::is_none));
+        }
+        prop_assert!(owners.iter().all(|&o| o == 1), "rows {:?}", owners);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whole and grouped puts, overwrites and deletes, interleaved with
+        /// node failures, replacement and repair, flushes, compaction and
+        /// crash + recover under a relaxed fsync (so limbo parks and puts
+        /// back), keep the fabric's shape. A replaced node holds nothing,
+        /// parked frames included, and a repair that succeeds leaves it
+        /// holding every live unit.
+        #[test]
+        fn prop_the_fabric_keeps_its_invariants(seed in any::<u64>()) {
+            let code = || Arc::new(ReedSolomon::new(6, 4).unwrap());
+            let config = grouped_config().logged();
+            let (file, _) = crate::FaultyFile::new(crate::FaultSpec::default());
+            let log = crate::FileLog::with_raw(Box::new(file), crate::FsyncPolicy::EveryN(3))
+                .unwrap();
+            let mut s = DistributedStore::with_wal(code(), config, Box::new(log));
+            let mut rng = DetRng::new(seed);
+            let unavailable = |e: &StorageError| matches!(e, StorageError::NotEnoughNodes { .. });
+            for _ in 0..80 {
+                let key = format!("k{}", rng.below(10));
+                let node = rng.below(6) as usize;
+                match rng.below(16) {
+                    0..=6 => {
+                        let len = if rng.chance(0.5) { rng.below(64) } else { rng.range(64, 300) };
+                        s.store(&key, &vec![len as u8; len as usize]).unwrap();
+                    }
+                    7 => {
+                        if s.holds(&key) {
+                            s.delete(&key).unwrap();
+                        }
+                    }
+                    8 => s.fail_node(NodeId(node)).unwrap(),
+                    9 => s.recover_node(NodeId(node)).unwrap(),
+                    10 => {
+                        s.replace_node(NodeId(node)).unwrap();
+                        prop_assert_eq!(units_held(&s.fabric, node), (0, 0));
+                        prop_assert!(s.limbo.frames.iter().all(|&(_, n, _)| n != node));
+                    }
+                    11 => match s.repair_node(NodeId(node)) {
+                        Ok(_) => {
+                            let groups = s.sealed_group_ids().len();
+                            let whole = s.whole_object_names().len();
+                            prop_assert_eq!(units_held(&s.fabric, node), (whole, groups));
+                        }
+                        Err(e) => prop_assert!(unavailable(&e), "{e}"),
+                    },
+                    12 => drop(s.flush().unwrap()),
+                    13 => {
+                        if let Err(e) = s.compact() {
+                            prop_assert!(unavailable(&e), "{e}");
+                        }
+                    }
+                    14 => {
+                        let (nodes, wal) = s.crash();
+                        s = DistributedStore::recover(code(), config, nodes, wal.unwrap())
+                            .unwrap()
+                            .0;
+                    }
+                    _ => {
+                        // Every machine swapped: no unit keeps an entry.
+                        for node in 0..6 {
+                            s.replace_node(NodeId(node)).unwrap();
+                        }
+                        prop_assert!(s.fabric.whole.is_empty() && s.fabric.groups.is_empty());
+                    }
+                }
+                check_fabric(&s)?;
+            }
+        }
     }
 
     proptest! {
@@ -5244,8 +5626,8 @@ mod tests {
                 s.advance_time(SimDuration::from_secs(2));
                 let (landed, remaining) = s.complete_writes();
                 assert_eq!((landed, remaining), (1, 0), "superseded install dropped");
-                let held = s.nodes[0].symbols.len() + s.nodes[0].group_symbols.len();
-                assert_eq!(held, 1, "node 0 holds the current unit only");
+                let (whole, groups) = units_held(&s.fabric, 0);
+                assert_eq!(whole + groups, 1, "node 0 holds the current unit only");
                 // Node 0 must now hold the *new* generation: a decode that
                 // includes it returns the overwrite, not a mix. (A group is
                 // read twice: one of the two reads decodes from `k`.)

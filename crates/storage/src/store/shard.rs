@@ -29,7 +29,7 @@
 
 use rain_obs::span;
 
-use super::{padded_block_len, DistributedStore, Placement, SelectionPolicy, StorageError, Unit};
+use super::{padded_block_len, DistributedStore, ObjectEntry, SelectionPolicy, StorageError, Unit};
 use crate::group::{CodingGroup, GroupId, ObjSpan};
 use crate::wal::RecordView;
 
@@ -71,7 +71,7 @@ impl DistributedStore {
         let mut names: Vec<String> = self
             .objects
             .iter()
-            .filter(|(_, p)| matches!(p, Placement::Whole))
+            .filter(|(_, p)| matches!(p, ObjectEntry::Whole { .. }))
             .map(|(name, _)| name.clone())
             .collect();
         names.sort_unstable();
@@ -84,7 +84,7 @@ impl DistributedStore {
         let mut names: Vec<String> = self
             .objects
             .iter()
-            .filter(|(_, p)| matches!(p, Placement::Grouped { group, .. } if *group == gid))
+            .filter(|(_, p)| matches!(p, ObjectEntry::Grouped { group, .. } if *group == gid))
             .map(|(name, _)| name.clone())
             .collect();
         names.sort_unstable();
@@ -105,8 +105,8 @@ impl DistributedStore {
         }
         let mut span = span!(self.recorder, "store.shard.export", group = gid);
         // One decode fills the cache (or validates availability on a hit).
-        let holders = self.pick_holders(policy, Unit::Group(gid), None);
-        let fetch = self.decode_group(gid, &holders)?;
+        let (row, holders) = self.pick_holders(policy, Unit::Group(gid), None);
+        let fetch = self.decode_group(gid, row, &holders)?;
         self.note_outcomes(&fetch.outcomes);
         let block_full = self
             .decode_cache
@@ -116,7 +116,9 @@ impl DistributedStore {
             .objects
             .iter()
             .filter_map(|(name, p)| match p {
-                Placement::Grouped { group, span } if *group == gid => Some((name.clone(), *span)),
+                ObjectEntry::Grouped { group, span } if *group == gid => {
+                    Some((name.clone(), *span))
+                }
                 _ => None,
             })
             .collect();
@@ -206,7 +208,7 @@ impl DistributedStore {
             self.retire_for_grouped(name)?;
             self.objects.insert(
                 name.clone(),
-                Placement::Grouped {
+                ObjectEntry::Grouped {
                     group: gid,
                     span: *member_span,
                 },
@@ -237,7 +239,7 @@ impl DistributedStore {
         let members: Vec<String> = self
             .objects
             .iter()
-            .filter(|(_, p)| matches!(p, Placement::Grouped { group, .. } if *group == gid))
+            .filter(|(_, p)| matches!(p, ObjectEntry::Grouped { group, .. } if *group == gid))
             .map(|(name, _)| name.clone())
             .collect();
         for name in &members {
