@@ -40,7 +40,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use rain_storage::{FieldReader, FieldWriter, GroupId, LogRecord, RecordLog};
+use rain_storage::{FieldReader, FieldWriter, GroupId, LogRecord, Named, RecordLog};
 
 use crate::ring::{vnodes_in_range, ShardId};
 use crate::view::MembershipView;
@@ -142,7 +142,11 @@ pub enum MetaRecord {
         members: Vec<ShardId>,
         /// Ring points per shard.
         vnodes: usize,
-        /// Every directory entry, sorted by key.
+        /// Every directory entry. A checkpoint writes them in the canonical
+        /// order of [`rain_storage::sort_canonical`] (ascending
+        /// [`rain_storage::name_hash`] of the key, ties by key), so equal
+        /// directories checkpoint to equal bytes; replay accepts any order,
+        /// so a key-ordered checkpoint restores too.
         directory: Vec<(String, ShardId)>,
         /// Every placement-key assignment, sorted by (shard, gid).
         pkeys: Vec<(ShardId, GroupId, String)>,
@@ -168,6 +172,55 @@ fn vnodes(c: &mut FieldReader<'_>) -> Option<usize> {
     c.usize().filter(|&v| vnodes_in_range(v))
 }
 
+/// What a metalog append serializes from: an owned record, or a checkpoint
+/// borrowed from the cluster's live tables. Both checkpoint forms write the
+/// same bytes for the same entries in the same order.
+#[derive(Debug, Clone, Copy)]
+pub enum MetaView<'a> {
+    /// Any record, owned by the caller.
+    Record(&'a MetaRecord),
+    /// A [`MetaRecord::Checkpoint`] read from the live tables, without
+    /// copying a key.
+    Checkpoint {
+        /// The committed epoch.
+        epoch: u64,
+        /// The committed member shards, sorted.
+        members: &'a [ShardId],
+        /// Ring points per shard.
+        vnodes: usize,
+        /// Every directory entry, in canonical order (see
+        /// [`rain_storage::sort_canonical`]).
+        directory: &'a [Named<'a, ShardId>],
+        /// Every placement-key assignment, sorted by (shard, gid).
+        pkeys: &'a [(ShardId, GroupId, &'a str)],
+    },
+}
+
+/// Write a checkpoint record, tag first. Owned and borrowed checkpoints
+/// both come through here.
+fn encode_checkpoint<'a>(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    vnodes: usize,
+    members: &[ShardId],
+    directory: impl ExactSizeIterator<Item = (&'a str, ShardId)>,
+    pkeys: impl ExactSizeIterator<Item = (ShardId, GroupId, &'a str)>,
+) {
+    out.push(TAG_CHECKPOINT);
+    out.write_u64(epoch);
+    out.write_usize(vnodes);
+    out.write_list(members, |out, &s| out.write_usize(s));
+    out.write_list(directory, |out, (key, shard)| {
+        out.write_usize(shard);
+        out.write_str(key);
+    });
+    out.write_list(pkeys, |out, (shard, gid, pkey)| {
+        out.write_usize(shard);
+        out.write_u64(gid);
+        out.write_str(pkey);
+    });
+}
+
 /// The cluster's control-state write-ahead log, on any
 /// [`rain_storage::LogBackend`] — typically a [`rain_storage::FileLog`]
 /// (single-file or segmented) under a real cluster, a
@@ -175,13 +228,32 @@ fn vnodes(c: &mut FieldReader<'_>) -> Option<usize> {
 pub type MetaLog = RecordLog<MetaRecord>;
 
 impl LogRecord for MetaRecord {
-    type View<'a> = &'a MetaRecord;
+    type View<'a> = MetaView<'a>;
 
-    fn view(&self) -> &MetaRecord {
-        self
+    fn view(&self) -> MetaView<'_> {
+        MetaView::Record(self)
     }
 
-    fn encode(record: &MetaRecord, out: &mut Vec<u8>) {
+    fn encode(view: MetaView<'_>, out: &mut Vec<u8>) {
+        let record = match view {
+            MetaView::Record(record) => record,
+            MetaView::Checkpoint {
+                epoch,
+                members,
+                vnodes,
+                directory,
+                pkeys,
+            } => {
+                return encode_checkpoint(
+                    out,
+                    epoch,
+                    vnodes,
+                    members,
+                    directory.iter().map(|e| (e.name, e.value)),
+                    pkeys.iter().copied(),
+                )
+            }
+        };
         match record {
             MetaRecord::ViewCommit {
                 epoch,
@@ -246,21 +318,16 @@ impl LogRecord for MetaRecord {
                 vnodes,
                 directory,
                 pkeys,
-            } => {
-                out.push(TAG_CHECKPOINT);
-                out.write_u64(*epoch);
-                out.write_usize(*vnodes);
-                out.write_list(members, |out, &s| out.write_usize(s));
-                out.write_list(directory, |out, (key, shard)| {
-                    out.write_usize(*shard);
-                    out.write_str(key);
-                });
-                out.write_list(pkeys, |out, (shard, gid, pkey)| {
-                    out.write_usize(*shard);
-                    out.write_u64(*gid);
-                    out.write_str(pkey);
-                });
-            }
+            } => encode_checkpoint(
+                out,
+                *epoch,
+                *vnodes,
+                members,
+                directory.iter().map(|(key, shard)| (key.as_str(), *shard)),
+                pkeys
+                    .iter()
+                    .map(|(shard, gid, pkey)| (*shard, *gid, pkey.as_str())),
+            ),
         }
     }
 
@@ -316,8 +383,11 @@ impl LogRecord for MetaRecord {
         })
     }
 
-    fn is_checkpoint(record: &MetaRecord) -> bool {
-        matches!(record, MetaRecord::Checkpoint { .. })
+    fn is_checkpoint(view: MetaView<'_>) -> bool {
+        matches!(
+            view,
+            MetaView::Record(MetaRecord::Checkpoint { .. }) | MetaView::Checkpoint { .. }
+        )
     }
 }
 
@@ -521,7 +591,7 @@ mod tests {
     fn every_record_round_trips_through_the_codec() {
         for record in sample_records() {
             let mut payload = Vec::new();
-            MetaRecord::encode(&record, &mut payload);
+            MetaRecord::encode(record.view(), &mut payload);
             assert_eq!(MetaRecord::from_payload(&payload), Some(record));
         }
     }

@@ -53,11 +53,11 @@ use rain_sim::{NodeId, SimDuration};
 use rain_storage::wal::file::FileLog;
 use rain_storage::wal::{LogBackend, MemLog, WalError, WriteAheadLog};
 use rain_storage::{
-    DirectTransport, DistributedStore, GroupConfig, GroupId, RecoveryReport, RetrieveReport,
-    SelectionPolicy, StorageError, SurvivingNodes, Transport,
+    sort_canonical, DirectTransport, DistributedStore, GroupConfig, GroupId, Named, RecoveryReport,
+    RetrieveReport, SelectionPolicy, StorageError, SurvivingNodes, Transport,
 };
 
-use crate::metalog::{MetaLog, MetaRecord, MetaUnit};
+use crate::metalog::{MetaLog, MetaRecord, MetaUnit, MetaView};
 use crate::ring::{vnodes_in_range, ShardId};
 use crate::view::MembershipView;
 
@@ -524,39 +524,31 @@ impl ClusterStore {
         meta.append(&record).map_err(wal_err)?;
         let every = self.config.checkpoint_every;
         if every > 0 && self.handover.is_none() && meta.since_checkpoint() >= every {
-            let ckpt = self.meta_checkpoint_record();
-            self.meta
-                .as_mut()
-                .expect("checked above")
-                .append(&ckpt)
-                .map_err(wal_err)?;
+            // The checkpoint is encoded straight from the live tables:
+            // directory keys in canonical order, pkeys by (shard, gid), so
+            // equal control states encode to equal bytes.
+            let mut directory: Vec<Named<ShardId>> = self
+                .directory
+                .iter()
+                .map(|(key, &s)| Named::new(key, s))
+                .collect();
+            sort_canonical(&mut directory);
+            let mut pkeys: Vec<(ShardId, GroupId, &str)> = self
+                .pkeys
+                .iter()
+                .map(|(&(s, g), p)| (s, g, p.as_str()))
+                .collect();
+            pkeys.sort_unstable_by_key(|&(s, g, _)| (s, g));
+            meta.append_borrowed(MetaView::Checkpoint {
+                epoch: self.view.epoch(),
+                members: self.view.members(),
+                vnodes: self.view.ring().vnodes(),
+                directory: &directory,
+                pkeys: &pkeys,
+            })
+            .map_err(wal_err)?;
         }
         Ok(())
-    }
-
-    /// Snapshot the committed control state into a checkpoint record:
-    /// view, directory, and pkey assignments, each sorted so the record is
-    /// deterministic.
-    fn meta_checkpoint_record(&self) -> MetaRecord {
-        let mut directory: Vec<(String, ShardId)> = self
-            .directory
-            .iter()
-            .map(|(k, &s)| (k.clone(), s))
-            .collect();
-        directory.sort();
-        let mut pkeys: Vec<(ShardId, GroupId, String)> = self
-            .pkeys
-            .iter()
-            .map(|(&(s, g), p)| (s, g, p.clone()))
-            .collect();
-        pkeys.sort();
-        MetaRecord::Checkpoint {
-            epoch: self.view.epoch(),
-            members: self.view.members().to_vec(),
-            vnodes: self.view.ring().vnodes(),
-            directory,
-            pkeys,
-        }
     }
 
     /// The committed epoch.

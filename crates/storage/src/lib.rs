@@ -48,6 +48,7 @@ pub use wal::file::{
     RawLogFile, SegmentFs, SegmentedFile, StdFsFile, StdSegFs, SyncFault,
 };
 pub use wal::{
-    scan_frames, write_frame, CheckpointState, CrashFuse, FieldReader, FieldWriter, FrameScan,
-    LogBackend, LogRecord, MemLog, RecordLog, WalError, WalRecord, WriteAheadLog,
+    name_hash, scan_frames, sort_canonical, write_frame, CheckpointState, CheckpointView,
+    CrashFuse, FieldReader, FieldWriter, FrameScan, LogBackend, LogRecord, MemLog, Named,
+    RecordLog, WalError, WalRecord, WriteAheadLog,
 };

@@ -38,6 +38,7 @@
 //!   replaced while a record needs them (a seal replaces only the orphans
 //!   of a failed one), and dropping a group takes the fsync barrier.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -58,7 +59,10 @@ use crate::transport::{
     split_frame, DirectTransport, FaultPolicy, NodeOutcome, Transport, TransportError, TransportOp,
     TransportStats,
 };
-use crate::wal::{CheckpointState, RecordView, WalError, WalRecord, WriteAheadLog};
+use crate::wal::{
+    sort_canonical, CheckpointState, CheckpointView, Named, RecordView, WalError, WalRecord,
+    WriteAheadLog,
+};
 
 pub mod shard;
 
@@ -713,11 +717,11 @@ struct PendingInstall {
     frame: Vec<u8>,
 }
 
-/// Frame buffers freed when a node's frame is replaced outright or leaves
-/// limbo, kept for the next encode or repair to write into. At most one
-/// encode's worth is kept, plus what the last fsync window parked, and a
-/// buffer is reused only for a frame close to its size, so a node never
-/// holds much more than its frame. The pool also keeps the two tables an
+/// Frame buffers freed when a node's frame is replaced outright, leaves
+/// limbo or is deleted, kept for the next encode or repair to write into.
+/// At most one encode's worth is kept, plus what the last fsync window
+/// parked, and a buffer is reused only for a frame close to its size, so a
+/// node never holds much more than its frame. The pool also keeps the two tables an
 /// encode needs (the frame list and the payload slices), so a steady-state
 /// encode allocates nothing.
 #[derive(Debug)]
@@ -1784,11 +1788,29 @@ impl DistributedStore {
         if self.wal.is_none() {
             return Ok(CheckpointReport::default());
         }
-        let state = self.checkpoint_state();
+        // The record is encoded straight from the live tables: objects in
+        // canonical order, groups by id, so equal states encode to equal
+        // bytes. A sealed group's block moved into its frames when it
+        // sealed, so only an open group carries bytes.
+        let mut objects: Vec<Named<Placement>> = self
+            .objects
+            .iter()
+            .map(|(name, entry)| Named::new(name, entry.placement()))
+            .collect();
+        sort_canonical(&mut objects);
+        let mut groups: Vec<(GroupId, &CodingGroup)> =
+            self.groups.iter().map(|(&gid, g)| (gid, g)).collect();
+        groups.sort_unstable_by_key(|&(gid, _)| gid);
+        let state = CheckpointView {
+            next_group_id: self.next_group_id,
+            open_group: self.open_group,
+            objects: &objects,
+            groups: &groups,
+        };
         let wal = self.wal.as_mut().expect("checked above");
         let before = wal.bytes_appended();
         // Returns once the checkpoint is durable.
-        wal.append_view(RecordView::Checkpoint { state: &state })?;
+        wal.append_view(RecordView::LiveCheckpoint { state })?;
         let checkpoint_bytes = (wal.bytes_appended() - before) as usize;
         self.obs.wal_appends.inc();
         self.obs.wal_append_bytes.add(checkpoint_bytes as u64);
@@ -1806,41 +1828,16 @@ impl DistributedStore {
         })
     }
 
-    /// Capture the coordinator's logical state for a checkpoint record.
-    /// Objects are sorted by name and groups by id so equal states encode
-    /// to equal bytes. A sealed group's block moved into its frames when it
-    /// sealed, so only an open group carries bytes.
-    fn checkpoint_state(&self) -> CheckpointState {
-        let mut objects: Vec<(String, Placement)> = self
-            .objects
-            .iter()
-            .map(|(name, entry)| (name.clone(), entry.placement()))
-            .collect();
-        objects.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut groups: Vec<(GroupId, CodingGroup)> = self
-            .groups
-            .iter()
-            .map(|(&gid, g)| (gid, g.clone()))
-            .collect();
-        groups.sort_by_key(|&(gid, _)| gid);
-        CheckpointState {
-            next_group_id: self.next_group_id,
-            open_group: self.open_group,
-            objects,
-            groups,
-        }
-    }
-
-    /// Install a decoded checkpoint snapshot as the store's logical state.
-    /// Validates the whole snapshot before touching anything, so a failure
-    /// leaves the store exactly as it was (recovery then falls back to an
-    /// earlier checkpoint or a from-genesis replay).
-    fn restore_from_checkpoint(&mut self, state: &CheckpointState) -> Result<(), StorageError> {
+    /// Install a decoded checkpoint snapshot as the store's logical state,
+    /// moving its names and groups in. Validates the whole snapshot before
+    /// touching anything, so a failure leaves the store exactly as it was
+    /// (recovery then falls back to an earlier checkpoint or a from-genesis
+    /// replay).
+    fn restore_from_checkpoint(&mut self, state: CheckpointState) -> Result<(), StorageError> {
         let invalid = |reason: String| StorageError::Recovery { reason };
-        let group = |id: GroupId| state.groups.iter().find(|(gid, _)| *gid == id);
-        let mut seen = std::collections::HashSet::new();
-        for &(gid, ref g) in &state.groups {
-            if !seen.insert(gid) {
+        let mut groups: HashMap<GroupId, CodingGroup> = HashMap::with_capacity(state.groups.len());
+        for (gid, g) in state.groups {
+            if groups.contains_key(&gid) {
                 return Err(invalid(format!("checkpoint repeats group {gid}")));
             }
             if gid >= state.next_group_id {
@@ -1867,9 +1864,10 @@ impl DistributedStore {
                     g.live_bytes, g.packed_len
                 )));
             }
+            groups.insert(gid, g);
         }
         if let Some(open) = state.open_group {
-            let Some((_, g)) = group(open) else {
+            let Some(g) = groups.get(&open) else {
                 return Err(invalid(format!(
                     "checkpoint open group {open} is not in the group directory"
                 )));
@@ -1878,13 +1876,20 @@ impl DistributedStore {
                 return Err(invalid(format!("checkpoint open group {open} is sealed")));
             }
         }
-        let mut names = std::collections::HashSet::new();
-        for (name, placement) in &state.objects {
-            if !names.insert(name.as_str()) {
-                return Err(invalid(format!("checkpoint repeats object {name:?}")));
-            }
-            if let &Placement::Grouped { group: gid, span } = placement {
-                let Some((_, g)) = group(gid) else {
+        let mut objects = HashMap::with_capacity(state.objects.len());
+        for (name, placement) in state.objects {
+            let slot = match objects.entry(name) {
+                Entry::Occupied(seen) => {
+                    return Err(invalid(format!(
+                        "checkpoint repeats object {:?}",
+                        seen.key()
+                    )))
+                }
+                Entry::Vacant(slot) => slot,
+            };
+            if let Placement::Grouped { group: gid, span } = placement {
+                let name = slot.key();
+                let Some(g) = groups.get(&gid) else {
                     return Err(invalid(format!(
                         "checkpoint object {name:?} references unknown group {gid}"
                     )));
@@ -1901,14 +1906,11 @@ impl DistributedStore {
                     )));
                 }
             }
+            slot.insert(ObjectEntry::from(placement));
         }
         // Validated — apply.
-        self.objects = state
-            .objects
-            .iter()
-            .map(|(name, placement)| (name.clone(), ObjectEntry::from(*placement)))
-            .collect();
-        self.groups = state.groups.iter().cloned().collect();
+        self.objects = objects;
+        self.groups = groups;
         self.open_group = state.open_group;
         self.next_group_id = state.next_group_id;
         Ok(())
@@ -1994,23 +1996,27 @@ impl DistributedStore {
             )
         };
 
-        // The fallible encode runs before any state changes: a failed
-        // encode must not have tombstoned the grouped predecessor (the
-        // object table would point at a possibly-dropped group).
         let frames = {
             let _encode = span!(self.recorder, "store.store.encode", bytes = padded as u64);
             self.frames
                 .encode(self.code.as_ref(), &prefix, data, padded)?
         };
-        // A grouped predecessor is tombstoned; a whole one is replaced
-        // frame by frame below. Its old frames are the durable predecessor
-        // record's replay evidence, so while this op's record is
-        // un-fsynced they are parked, not dropped.
-        if let Some(&ObjectEntry::Grouped { group, span }) = self.objects.get(object) {
-            self.tombstone_member(group, span)?;
-        }
+        // A whole predecessor is replaced frame by frame below. Its old
+        // frames are the durable predecessor record's replay evidence, so
+        // while this op's record is un-fsynced they are parked, not
+        // dropped. A grouped predecessor is tombstoned only once the
+        // install reached its quorum: a failed encode or install leaves the
+        // old copy readable, and the object table never names a group the
+        // tombstone may have dropped.
+        let grouped = match self.objects.get(object) {
+            Some(&ObjectEntry::Grouped { group, span }) => Some((group, span)),
+            _ => None,
+        };
         let park = self.park_tag();
         self.install_unit(Unit::Whole(object), park, frames)?;
+        if let Some((group, span)) = grouped {
+            self.tombstone_member(group, span)?;
+        }
         Ok(())
     }
 
@@ -2730,8 +2736,9 @@ impl DistributedStore {
     /// generation stamp renders harmless: a re-created object or group gets
     /// a fresh epoch, so the orphan reads as stale, never as data. Runs
     /// behind the durability barrier, since the frames are the replay
-    /// evidence of every durable record that targeted the unit. A group
-    /// also leaves the decode cache and the group table.
+    /// evidence of every durable record that targeted the unit. The frames
+    /// removed go back to the frame pool. A group also leaves the decode
+    /// cache and the group table.
     fn delete_unit(&mut self, unit: Unit) -> Result<(), StorageError> {
         self.destructive_apply_barrier()?;
         let row = self.fabric.find(unit);
@@ -2739,7 +2746,9 @@ impl DistributedStore {
             let patience = self.policy.attempt_timeout;
             let fate = self.transport.attempt(i, TransportOp::Delete, 0, patience);
             if let Some(row) = row.filter(|_| fate.outcome.is_ok() && fate.latency <= patience) {
-                self.fabric.row_mut(row)[i] = None;
+                if let Some(frame) = self.fabric.row_mut(row)[i].take() {
+                    self.frames.give(frame);
+                }
             }
         }
         if let Some(row) = row {
@@ -2962,7 +2971,7 @@ impl DistributedStore {
                 ),
             });
         }
-        let replay = wal.replay()?;
+        let mut replay = wal.replay()?;
         let mut store = Self::bare(code, config);
         store.group_config.durability = Durability::Logged;
         store.nodes = nodes.nodes;
@@ -2992,8 +3001,10 @@ impl DistributedStore {
         // the whole log is redone from genesis, exactly as before
         // checkpoints existed. (A *torn* newest checkpoint never reaches
         // this loop — its partial frame is part of the torn tail.)
+        // The snapshot moves out of the replay: nothing reads a
+        // checkpoint record after this loop.
         let mut restored = None;
-        for (i, record) in replay.records.iter().enumerate().rev() {
+        for (i, record) in replay.records.iter_mut().enumerate().rev() {
             let WalRecord::Checkpoint {
                 state,
                 state_crc_ok,
@@ -3001,11 +3012,11 @@ impl DistributedStore {
             else {
                 continue;
             };
-            if !state_crc_ok {
+            if !*state_crc_ok {
                 report.checkpoint_fallbacks += 1;
                 continue;
             }
-            match store.restore_from_checkpoint(state) {
+            match store.restore_from_checkpoint(std::mem::take(state)) {
                 Ok(()) => {
                     report.checkpoint_restored = true;
                     restored = Some(i);
@@ -5519,6 +5530,55 @@ mod tests {
                     "unacked tail withdrawn"
                 );
             }
+        }
+
+        /// A whole overwrite of a grouped object that misses its quorum
+        /// leaves the grouped copy in place. Were the old copy tombstoned
+        /// before the install, the failed install would leave the object
+        /// table naming the group the tombstone dropped, and the next
+        /// retrieve or delete would panic.
+        #[test]
+        fn a_failed_whole_overwrite_of_a_grouped_object_keeps_the_old_copy() {
+            let config = GroupConfig {
+                threshold: 64,
+                capacity: 256,
+                ..GroupConfig::disabled()
+            };
+            let code = Arc::new(ReedSolomon::new(6, 4).unwrap());
+            let mut s = DistributedStore::with_groups(code, config);
+            s.store("obj", &[7u8; 10]).unwrap();
+            s.flush().unwrap(); // sealed alone: the group's last member
+            let mut plan = FaultPlan::none();
+            for i in 0..3 {
+                plan = plan
+                    .at(SimTime::ZERO, Fault::NodeCrash(NodeId(i)))
+                    .at(SimTime::from_secs(1), Fault::NodeRecover(NodeId(i)));
+            }
+            s.set_transport(Box::new(ChaosTransport::new(6, 7).with_plan(plan)));
+            assert_eq!(
+                s.store("obj", &[8u8; 100]).unwrap_err(),
+                StorageError::QuorumNotReached {
+                    installed: 3,
+                    needed: 6
+                }
+            );
+            assert!(matches!(
+                s.retrieve("obj", SelectionPolicy::FirstK),
+                Err(StorageError::NotEnoughNodes { .. })
+            ));
+            s.advance_time(SimDuration::from_secs(2));
+            let (out, _) = s.retrieve("obj", SelectionPolicy::FirstK).unwrap();
+            assert_eq!(out, [7u8; 10], "the failed overwrite left the old copy");
+            s.delete("obj").unwrap();
+            assert_eq!(
+                s.group_stats().sealed_groups,
+                0,
+                "the delete dropped the group"
+            );
+            assert!(matches!(
+                s.retrieve("obj", SelectionPolicy::FirstK),
+                Err(StorageError::UnknownObject { .. })
+            ));
         }
 
         #[test]

@@ -59,11 +59,20 @@
 //! whose fields no store could have written: group id `u64::MAX`, a span
 //! whose end overflows, an imported member past its block.
 //!
-//! [`crc32`] is the IEEE CRC-32 (polynomial `0xEDB88320`, reflected)
-//! computed slicing-by-8: eight compile-time tables advance it eight bytes
-//! per step, several times faster than a byte loop. The value is
-//! the same as the classic one-table byte loop, so the frame format does
-//! not depend on how it is computed.
+//! [`crc32`] is the IEEE CRC-32 (polynomial `0xEDB88320`, reflected). Every
+//! checksum the log takes goes through it: the frame header and payload
+//! CRCs on each append, the checkpoint's state CRC, and replay's frame
+//! scan. It picks its kernel at run time, as the XOR and share-frame
+//! kernels do, with the CPU check as the only input. Where the CPU has
+//! PCLMULQDQ, a buffer of 64 bytes or more is folded 64 bytes per step by
+//! carry-less multiplication (four 128-bit lanes, folded to one, then a
+//! Barrett reduction; the method of Intel's "Fast CRC Computation for
+//! Generic Polynomials Using PCLMULQDQ Instruction"), and the last
+//! `len % 16` bytes go through slicing-by-8. Elsewhere slicing-by-8 does it
+//! all: eight compile-time tables advance the CRC eight bytes per step.
+//! Both give the value of the classic one-table byte loop, so the frame
+//! format does not depend on how it is computed; the tests pin the two
+//! kernels to each other and to the byte loop.
 //!
 //! ## Checkpoints and prefix truncation
 //!
@@ -78,6 +87,14 @@
 //! embedded state checksum, recovery falls back to the one before it and
 //! replays the longer suffix. Replay is O(live state + records since the
 //! last two checkpoints), not O(history).
+//!
+//! The store writes a checkpoint in one pass over its live tables: it
+//! borrows them into a [`CheckpointView`] and encodes from that, copying
+//! no name. Named entries go in canonical order ([`sort_canonical`]:
+//! ascending [`name_hash`], ties by name), groups by id, so equal states
+//! checkpoint to equal bytes. Replay decodes into the owned
+//! [`CheckpointState`], which encodes to the same bytes, and accepts any
+//! entry order.
 //!
 //! ## One log, two tag spaces
 //!
@@ -293,8 +310,11 @@ pub struct CheckpointState {
     pub next_group_id: GroupId,
     /// The currently open group, if any.
     pub open_group: Option<GroupId>,
-    /// Every known object and its placement, sorted by name (deterministic
-    /// encoding — equal states checkpoint to equal bytes).
+    /// Every known object and its placement. A checkpoint writes them in
+    /// the canonical order of [`sort_canonical`] (ascending [`name_hash`],
+    /// ties by name), so equal states checkpoint to equal bytes whatever
+    /// order the store's table holds them in; replay accepts any order, so
+    /// a name-ordered checkpoint restores too.
     pub objects: Vec<(String, Placement)>,
     /// Every known group by id, sorted by id. A sealed group carries **no
     /// block bytes**: its data is erasure-coded on the nodes, and a
@@ -305,32 +325,6 @@ pub struct CheckpointState {
 }
 
 impl CheckpointState {
-    /// Serialize the state fields (everything the embedded checksum covers).
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        out.write_u64(self.next_group_id);
-        out.write_u64(self.open_group.unwrap_or(u64::MAX));
-        out.write_list(&self.objects, |out, (name, placement)| {
-            out.write_str(name);
-            match placement {
-                Placement::Whole => out.push(0),
-                Placement::Grouped { group, span } => {
-                    out.push(1);
-                    out.write_u64(*group);
-                    out.write_usize(span.offset);
-                    out.write_usize(span.len);
-                }
-            }
-        });
-        out.write_list(&self.groups, |out, (gid, g)| {
-            out.write_u64(*gid);
-            out.push(g.sealed as u8);
-            out.write_usize(g.packed_len);
-            out.write_usize(g.live_bytes);
-            out.write_usize(g.live_objects);
-            out.write_bytes(&g.data);
-        });
-    }
-
     fn decode_body(c: &mut FieldReader<'_>) -> Option<CheckpointState> {
         Some(CheckpointState {
             // The store never moves its next id onto `u64::MAX` (it
@@ -367,6 +361,104 @@ impl CheckpointState {
             })?,
         })
     }
+}
+
+/// A [`WalRecord::Checkpoint`] body borrowed from the coordinator's live
+/// tables: what the store encodes a checkpoint from, without copying a
+/// name or a group. It encodes to the same bytes as a [`CheckpointState`]
+/// holding the same entries in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointView<'a> {
+    /// The next group id the store would allocate.
+    pub next_group_id: GroupId,
+    /// The currently open group, if any.
+    pub open_group: Option<GroupId>,
+    /// Every known object and its placement, in canonical order (see
+    /// [`sort_canonical`]).
+    pub objects: &'a [Named<'a, Placement>],
+    /// Every known group, sorted by id (see [`CheckpointState::groups`]).
+    pub groups: &'a [(GroupId, &'a CodingGroup)],
+}
+
+/// A seedless 64-bit hash of a name (FNV-1a): the key that puts checkpoint
+/// entries in canonical order. It depends on nothing but the bytes, so the
+/// order is the same in every process and with every Rust release (which
+/// `std`'s `DefaultHasher` does not promise).
+pub fn name_hash(name: &str) -> u64 {
+    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One entry of a live table borrowed for a checkpoint: a name, its value,
+/// and the name's [`name_hash`], computed once for the sort.
+#[derive(Debug, Clone, Copy)]
+pub struct Named<'a, T> {
+    /// [`name_hash`] of `name`.
+    pub hash: u64,
+    /// The entry's name.
+    pub name: &'a str,
+    /// What the table maps it to.
+    pub value: T,
+}
+
+impl<'a, T> Named<'a, T> {
+    /// `name` and `value`, with the name hashed.
+    pub fn new(name: &'a str, value: T) -> Self {
+        Named {
+            hash: name_hash(name),
+            name,
+            value,
+        }
+    }
+}
+
+/// Put checkpoint entries in canonical order: ascending [`name_hash`],
+/// ties broken by name. Names are unique within a table, so the order is
+/// total, and reaching it compares one `u64` per step almost always, where
+/// sorting by name compares strings.
+pub fn sort_canonical<T>(entries: &mut [Named<'_, T>]) {
+    entries.sort_unstable_by(|a, b| a.hash.cmp(&b.hash).then_with(|| a.name.cmp(b.name)));
+}
+
+/// Write a checkpoint record, tag first: the state checksum, then the
+/// state. Owned and borrowed checkpoints both come through here.
+fn encode_checkpoint<'a>(
+    out: &mut Vec<u8>,
+    next_group_id: GroupId,
+    open_group: Option<GroupId>,
+    objects: impl ExactSizeIterator<Item = (&'a str, Placement)>,
+    groups: impl ExactSizeIterator<Item = (GroupId, &'a CodingGroup)>,
+) {
+    out.push(TAG_CHECKPOINT);
+    // Reserve the state-checksum slot, encode the body after it, then
+    // patch the checksum in — no temporary buffer.
+    let crc_at = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    out.write_u64(next_group_id);
+    out.write_u64(open_group.unwrap_or(u64::MAX));
+    out.write_list(objects, |out, (name, placement)| {
+        out.write_str(name);
+        match placement {
+            Placement::Whole => out.push(0),
+            Placement::Grouped { group, span } => {
+                out.push(1);
+                out.write_u64(group);
+                out.write_usize(span.offset);
+                out.write_usize(span.len);
+            }
+        }
+    });
+    out.write_list(groups, |out, (gid, g)| {
+        out.write_u64(gid);
+        out.push(g.sealed as u8);
+        out.write_usize(g.packed_len);
+        out.write_usize(g.live_bytes);
+        out.write_usize(g.live_objects);
+        out.write_bytes(&g.data);
+    });
+    let crc = crc32(&out[crc_at + 4..]);
+    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Read a group id. `u64::MAX` is refused: it is the checkpoint's "no open
@@ -513,10 +605,16 @@ pub enum RecordView<'a> {
         /// The group being dropped.
         group: GroupId,
     },
-    /// See [`WalRecord::Checkpoint`].
+    /// See [`WalRecord::Checkpoint`]: an owned snapshot.
     Checkpoint {
         /// The snapshotted state.
         state: &'a CheckpointState,
+    },
+    /// See [`WalRecord::Checkpoint`]: a snapshot borrowed from the live
+    /// tables. Same tag and bytes as the owned form.
+    LiveCheckpoint {
+        /// The snapshotted state.
+        state: CheckpointView<'a>,
     },
 }
 
@@ -542,7 +640,10 @@ pub trait FieldWriter {
     /// Append `s` as length-prefixed UTF-8.
     fn write_str(&mut self, s: &str);
     /// Append the item count, then each item through `item`.
-    fn write_list<T>(&mut self, items: &[T], item: impl FnMut(&mut Self, &T));
+    fn write_list<I>(&mut self, items: I, item: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator;
 }
 
 impl FieldWriter for Vec<u8> {
@@ -563,7 +664,12 @@ impl FieldWriter for Vec<u8> {
         self.write_bytes(s.as_bytes());
     }
 
-    fn write_list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+    fn write_list<I>(&mut self, items: I, mut item: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let items = items.into_iter();
         self.extend_from_slice(&(items.len() as u32).to_le_bytes());
         for x in items {
             item(self, x);
@@ -752,16 +858,20 @@ impl LogRecord for WalRecord {
                 out.push(TAG_GROUP_EVICT);
                 out.write_u64(group);
             }
-            RecordView::Checkpoint { state } => {
-                out.push(TAG_CHECKPOINT);
-                // Reserve the state-checksum slot, encode the body after
-                // it, then patch the checksum in — no temporary buffer.
-                let crc_at = out.len();
-                out.extend_from_slice(&[0u8; 4]);
-                state.encode_body(out);
-                let crc = crc32(&out[crc_at + 4..]);
-                out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-            }
+            RecordView::Checkpoint { state } => encode_checkpoint(
+                out,
+                state.next_group_id,
+                state.open_group,
+                state.objects.iter().map(|(name, p)| (name.as_str(), *p)),
+                state.groups.iter().map(|(gid, g)| (*gid, g)),
+            ),
+            RecordView::LiveCheckpoint { state } => encode_checkpoint(
+                out,
+                state.next_group_id,
+                state.open_group,
+                state.objects.iter().map(|e| (e.name, e.value)),
+                state.groups.iter().copied(),
+            ),
         }
     }
 
@@ -811,7 +921,10 @@ impl LogRecord for WalRecord {
     }
 
     fn is_checkpoint(view: RecordView<'_>) -> bool {
-        matches!(view, RecordView::Checkpoint { .. })
+        matches!(
+            view,
+            RecordView::Checkpoint { .. } | RecordView::LiveCheckpoint { .. }
+        )
     }
 }
 
@@ -854,12 +967,28 @@ static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 /// Frame header bytes: payload length, header CRC, payload CRC.
 const HEADER_LEN: usize = 12;
 
-/// IEEE CRC-32 of `bytes` (the checksum guarding each log frame), eight
-/// bytes per step (slicing-by-8); the tail shorter than eight bytes goes
-/// through the one-byte table.
+/// IEEE CRC-32 of `bytes` (the checksum guarding each log frame), with
+/// the fastest kernel this CPU runs: carry-less multiplication over all
+/// but the last `len % 16` bytes of a buffer of at least 64 bytes where
+/// the CPU has PCLMULQDQ, slicing-by-8 for the rest.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if bytes.len() >= CLMUL_MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+            let (bulk, tail) = bytes.split_at(bytes.len() - bytes.len() % 16);
+            // SAFETY: pclmulqdq was just detected on this CPU.
+            let state = unsafe { crc32_clmul(!0, bulk) };
+            return !slicing_by_8(state, tail);
+        }
+    }
+    !slicing_by_8(!0, bytes)
+}
+
+/// Advance the CRC register `c` (pre- and post-inversion left to the
+/// caller) over `bytes`, eight bytes per step; the tail shorter than eight
+/// bytes goes through the one-byte table. The portable kernel.
+fn slicing_by_8(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -876,7 +1005,76 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// The shortest buffer the carry-less kernel takes: one 64-byte step.
+const CLMUL_MIN_LEN: usize = 64;
+
+/// Advance the CRC register `c` over `bytes` (a multiple of 16 bytes, at
+/// least [`CLMUL_MIN_LEN`]) by carry-less multiplication. Four 128-bit
+/// lanes each fold 16 bytes per step (multiplying a lane by `x^512 mod P`
+/// moves it 64 bytes on), the four fold into one (`x^128 mod P`), the
+/// 128-bit remainder folds to 64 bits, and a Barrett reduction leaves the
+/// 32-bit register. The constants are the bit-reflected ones of the
+/// reflected IEEE polynomial, as in Intel's white paper "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction".
+///
+/// # Safety
+/// The CPU must support `pclmulqdq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq")]
+unsafe fn crc32_clmul(c: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+
+    assert!(bytes.len() >= CLMUL_MIN_LEN && bytes.len().is_multiple_of(16));
+    // `_mm_set_epi64x` takes the high half first.
+    let k1k2 = _mm_set_epi64x(0x1_c6e4_1596, 0x1_5444_2bd4);
+    let k3k4 = _mm_set_epi64x(0x0_ccaa_009e, 0x1_7519_97d0);
+    let k5 = _mm_set_epi64x(0, 0x1_63cd_6124);
+    let poly = _mm_set_epi64x(0x1_f701_1641, 0x1_db71_0641);
+    // SAFETY: every caller passes at least 16 bytes.
+    let load = |b: &[u8]| unsafe { _mm_loadu_si128(b.as_ptr().cast()) };
+    // One fold: `x`'s low half times `k`'s low, its high half times `k`'s
+    // high, plus the 16 bytes the product lands on.
+    let fold = |x: __m128i, k: __m128i, onto: __m128i| {
+        _mm_xor_si128(
+            _mm_xor_si128(
+                _mm_clmulepi64_si128::<0x00>(x, k),
+                _mm_clmulepi64_si128::<0x11>(x, k),
+            ),
+            onto,
+        )
+    };
+    let (first, rest) = bytes.split_at(64);
+    let mut lanes: [__m128i; 4] = std::array::from_fn(|j| load(&first[16 * j..]));
+    lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(c as i32));
+    let mut blocks = rest.chunks_exact(64);
+    for block in &mut blocks {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            *lane = fold(*lane, k1k2, load(&block[16 * j..]));
+        }
+    }
+    let mut x = lanes[1..]
+        .iter()
+        .fold(lanes[0], |x, &lane| fold(x, k3k4, lane));
+    for chunk in blocks.remainder().chunks_exact(16) {
+        x = fold(x, k3k4, load(chunk));
+    }
+    // 128 bits to 64.
+    let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+    x = _mm_xor_si128(
+        _mm_srli_si128::<8>(x),
+        _mm_clmulepi64_si128::<0x10>(x, k3k4),
+    );
+    x = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5),
+        _mm_srli_si128::<4>(x),
+    );
+    // Barrett reduction to 32 bits.
+    let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly);
+    let r = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), poly);
+    _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, r))) as u32
 }
 
 /// Patch the frame header (payload length + header CRC + payload CRC) into
@@ -1124,7 +1322,13 @@ impl<R: LogRecord> RecordLog<R> {
     /// Frame and persist one record. A checkpoint is synced, then the
     /// prefix in front of the previous checkpoint is dropped.
     pub fn append(&mut self, record: &R) -> Result<(), WalError> {
-        self.append_view(record.view())?;
+        self.append_borrowed(record.view())
+    }
+
+    /// [`RecordLog::append`] from a borrowed view, such as a checkpoint
+    /// read straight from the caller's live tables.
+    pub fn append_borrowed(&mut self, view: R::View<'_>) -> Result<(), WalError> {
+        self.append_view(view)?;
         self.drop_superseded().map(|_| ())
     }
 
@@ -1323,10 +1527,16 @@ mod tests {
         !c
     }
 
+    /// The portable kernel, as a whole CRC.
+    fn crc32_portable(bytes: &[u8]) -> u32 {
+        !slicing_by_8(!0, bytes)
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_portable(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
@@ -1338,11 +1548,61 @@ mod tests {
             for len in 0..=4096 {
                 let bytes = &buf[start..start + len];
                 assert_eq!(
-                    crc32(bytes),
+                    crc32_portable(bytes),
                     crc32_bytewise(bytes),
                     "start {start}, len {len}"
                 );
             }
+        }
+    }
+
+    /// Every length up to one 4 KiB buffer plus two folding steps and a
+    /// tail, at 16 start offsets: the dispatched kernel (carry-less
+    /// multiplication from 64 bytes on, where the CPU has it) equals
+    /// slicing-by-8 across every lane split and tail length.
+    #[test]
+    fn crc32_dispatched_kernel_matches_slicing_by_8_at_every_length_and_offset() {
+        let mut rng = rain_sim::DetRng::new(0x5EED);
+        let buf: Vec<u8> = (0..4096 + 129 + 16).map(|_| rng.below(256) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=4096 + 129 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_portable(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    /// The carry-less kernel on its own, from the CRC register a previous
+    /// run left: chaining it over two pieces equals one pass.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32_clmul_kernel_continues_from_any_register() {
+        if !std::arch::is_x86_feature_detected!("pclmulqdq") {
+            return;
+        }
+        let buf: Vec<u8> = (0..1024u32).map(|i| (i * 31 + 7) as u8).collect();
+        for split in (CLMUL_MIN_LEN..=buf.len() - CLMUL_MIN_LEN).step_by(16) {
+            let (a, b) = buf.split_at(split);
+            // SAFETY: pclmulqdq was just detected on this CPU.
+            let chained = unsafe { crc32_clmul(crc32_clmul(!0, a), b) };
+            assert_eq!(!chained, crc32_portable(&buf), "split {split}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random buffers of random length: the dispatched kernel equals
+        /// slicing-by-8.
+        #[test]
+        fn prop_crc32_dispatched_kernel_matches_slicing_by_8(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20_000),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_portable(&bytes));
         }
     }
 
@@ -1612,12 +1872,11 @@ mod tests {
             WalRecord::Checkpoint { state, .. } => state.clone(),
             _ => unreachable!("sample 6 is the checkpoint"),
         };
-        let mut payload = vec![TAG_CHECKPOINT];
-        let crc_at = payload.len();
-        payload.extend_from_slice(&[0u8; 4]);
-        state.encode_body(&mut payload);
-        let bad_crc = crc32(&payload[crc_at + 4..]) ^ 1;
-        payload[crc_at..crc_at + 4].copy_from_slice(&bad_crc.to_le_bytes());
+        let mut payload = Vec::new();
+        WalRecord::encode(RecordView::Checkpoint { state: &state }, &mut payload);
+        // Flip the low bit of the state checksum, the four bytes after the
+        // tag.
+        payload[1] ^= 1;
         let len_bytes = (payload.len() as u32).to_le_bytes();
         let mut frame = Vec::new();
         frame.extend_from_slice(&len_bytes);
