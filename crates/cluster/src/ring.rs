@@ -37,9 +37,6 @@ pub(crate) fn vnodes_in_range(vnodes: usize) -> bool {
     (1..=MAX_VNODES).contains(&vnodes)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Mix the final bits so a one-byte change avalanches across the whole
 /// word (the 64-bit finalizer popularized by MurmurHash3).
 fn fmix64(mut h: u64) -> u64 {
@@ -51,14 +48,10 @@ fn fmix64(mut h: u64) -> u64 {
     h
 }
 
-/// 64-bit FNV-1a over `bytes`, avalanche-finalized for ring placement.
+/// 64-bit FNV-1a over `bytes` ([`rain_storage::name_hash`]),
+/// avalanche-finalized for ring placement.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    fmix64(h)
+    fmix64(rain_storage::name_hash(bytes))
 }
 
 /// A consistent-hash ring over a set of shards.

@@ -155,6 +155,13 @@ fn every_shard_wal_record_frames_to_its_golden_bytes() {
             "0900000096904c5c037788ca070500000000000000",
         ),
         (
+            "AbortWhole",
+            wal_frame(&WalRecord::AbortWhole {
+                object: "big".into(),
+            }),
+            "08000000f3f7f0e484e53f670903000000626967",
+        ),
+        (
             "Checkpoint",
             wal_frame(&checkpoint),
             concat!(

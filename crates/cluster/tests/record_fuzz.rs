@@ -32,6 +32,9 @@ fn wal_samples() -> Vec<WalRecord> {
             bytes: vec![1, 2, 3],
         },
         WalRecord::Delete { object: "a".into() },
+        WalRecord::AbortWhole {
+            object: "big".into(),
+        },
         WalRecord::Seal { group: 1 },
         WalRecord::Compact { group: 1 },
         WalRecord::GroupImport {
@@ -271,7 +274,9 @@ fn plant_wal_fields(samples: &[WalRecord]) {
                 | WalRecord::GroupImport { group, .. }
                 | WalRecord::GroupEvict { group } => *group = edge,
                 WalRecord::Checkpoint { state, .. } => state.next_group_id = edge,
-                WalRecord::StoreWhole { .. } | WalRecord::Delete { .. } => continue,
+                WalRecord::StoreWhole { .. }
+                | WalRecord::Delete { .. }
+                | WalRecord::AbortWhole { .. } => continue,
             }
             check(&planted, decodes, &format!("group {edge}"));
         }

@@ -1999,7 +1999,7 @@ impl DistributedStore {
         let frames = {
             let _encode = span!(self.recorder, "store.store.encode", bytes = padded as u64);
             self.frames
-                .encode(self.code.as_ref(), &prefix, data, padded)?
+                .encode(self.code.as_ref(), &prefix, data, padded)
         };
         // A whole predecessor is replaced frame by frame below. Its old
         // frames are the durable predecessor record's replay evidence, so
@@ -2013,7 +2013,15 @@ impl DistributedStore {
             _ => None,
         };
         let park = self.park_tag();
-        self.install_unit(Unit::Whole(object), park, frames)?;
+        let installed = frames
+            .map_err(StorageError::from)
+            .and_then(|frames| self.install_unit(Unit::Whole(object), park, frames));
+        if let Err(err) = installed {
+            // The op changed no table, but its record is in the log:
+            // withdraw it, or replay would redo what the live run did not.
+            self.log(RecordView::AbortWhole { object })?;
+            return Err(err);
+        }
         if let Some((group, span)) = grouped {
             self.tombstone_member(group, span)?;
         }
@@ -3031,9 +3039,8 @@ impl DistributedStore {
             }
         }
         let start = restored.map_or(0, |i| i + 1);
-        let last_index = replay.records.len().saturating_sub(1);
         for (i, record) in replay.records.iter().enumerate().skip(start) {
-            store.replay_record(record, i == last_index, &mut report)?;
+            store.replay_record(record, &replay.records[i + 1..], &mut report)?;
         }
         report.records_since_checkpoint = replay.records.len() - start;
         store.replaying = false;
@@ -3051,11 +3058,12 @@ impl DistributedStore {
         Ok((store, report))
     }
 
-    /// Redo one logged mutation during recovery.
+    /// Redo one logged mutation during recovery; `rest` is the log after
+    /// it.
     fn replay_record(
         &mut self,
         record: &WalRecord,
-        last: bool,
+        rest: &[WalRecord],
         report: &mut RecoveryReport,
     ) -> Result<(), StorageError> {
         match record {
@@ -3082,6 +3090,15 @@ impl DistributedStore {
                 self.apply_store_grouped(object, bytes, *group)
             }
             WalRecord::StoreWhole { object } => {
+                // A store whose install missed its quorum is withdrawn by
+                // the next record (checkpoints aside): the live run changed
+                // nothing, so neither does replay.
+                let next = rest
+                    .iter()
+                    .find(|r| !matches!(r, WalRecord::Checkpoint { .. }));
+                if matches!(next, Some(WalRecord::AbortWhole { object: o }) if o == object) {
+                    return Ok(());
+                }
                 // The record carries no data — the bytes live in the node
                 // symbols. If no node holds a symbol and this is the final
                 // record, the crash landed between the log append and the
@@ -3089,13 +3106,14 @@ impl DistributedStore {
                 // any predecessor intact. For any earlier record, absent
                 // symbols mean a later *applied* op removed them — a benign
                 // supersession whose later record re-establishes the final
-                // placement. That op itself WAS applied by the live run,
-                // though, so its open-group side effect — tombstoning a
-                // grouped predecessor — must still be redone below:
+                // placement. That op itself reached its quorum in the live
+                // run (it was not withdrawn), so its open-group side effect
+                // — tombstoning a grouped predecessor — must still be
+                // redone below:
                 // skipping it leaves the open group fuller than the live
                 // run's, and replay then capacity-seals it at a different
                 // append than the live run did.
-                if last && self.fabric.find(Unit::Whole(object)).is_none() {
+                if rest.is_empty() && self.fabric.find(Unit::Whole(object)).is_none() {
                     report.in_doubt_discarded += 1;
                     return Ok(());
                 }
@@ -3158,6 +3176,9 @@ impl DistributedStore {
                 self.apply_group_evict(*group)?;
                 Ok(())
             }
+            // Its `StoreWhole` record was skipped above, or precedes the
+            // restored checkpoint.
+            WalRecord::AbortWhole { .. } => Ok(()),
             WalRecord::Checkpoint { .. } => {
                 // Reached only when recovery restored an *earlier*
                 // checkpoint (or none): this snapshot describes state the
@@ -5579,6 +5600,65 @@ mod tests {
                 s.retrieve("obj", SelectionPolicy::FirstK),
                 Err(StorageError::UnknownObject { .. })
             ));
+        }
+
+        /// The logged twin of the test above, across a coordinator crash:
+        /// the failed overwrite's `StoreWhole` record is withdrawn, so
+        /// replay keeps the grouped copy as the live run did, whether that
+        /// copy sits in a sealed group or is the only live member of the
+        /// open one (where a replayed tombstone would rewind the open block
+        /// and shift every later span).
+        #[test]
+        fn a_failed_whole_overwrite_of_a_grouped_object_survives_a_restart() {
+            let config = GroupConfig {
+                threshold: 64,
+                capacity: 256,
+                ..GroupConfig::disabled()
+            }
+            .logged();
+            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
+            for sealed in [true, false] {
+                let mut s = DistributedStore::with_groups(code.clone(), config);
+                s.store("obj", &[7u8; 10]).unwrap();
+                if sealed {
+                    s.flush().unwrap();
+                }
+                let mut plan = FaultPlan::none();
+                for i in 0..3 {
+                    plan = plan
+                        .at(SimTime::ZERO, Fault::NodeCrash(NodeId(i)))
+                        .at(SimTime::from_secs(1), Fault::NodeRecover(NodeId(i)));
+                }
+                s.set_transport(Box::new(ChaosTransport::new(6, 7).with_plan(plan)));
+                assert_eq!(
+                    s.store("obj", &[8u8; 100]).unwrap_err(),
+                    StorageError::QuorumNotReached {
+                        installed: 3,
+                        needed: 6
+                    }
+                );
+                s.advance_time(SimDuration::from_secs(2));
+                s.store("later", &[9u8; 20]).unwrap();
+                s.flush().unwrap();
+                let live = s.group_stats();
+                let (nodes, wal) = s.crash();
+                let (mut rec, report) =
+                    DistributedStore::recover(code.clone(), config, nodes, wal.unwrap()).unwrap();
+                assert_eq!(report.in_doubt_discarded, 0, "sealed: {sealed}");
+                for (name, want) in [("obj", vec![7u8; 10]), ("later", vec![9u8; 20])] {
+                    let (out, _) = rec.retrieve(name, SelectionPolicy::FirstK).unwrap();
+                    assert_eq!(out, want, "{name}, sealed: {sealed}");
+                }
+                let recovered = rec.group_stats();
+                assert_eq!(
+                    (recovered.sealed_groups, recovered.open_bytes),
+                    (live.sealed_groups, live.open_bytes),
+                    "sealed: {sealed}"
+                );
+                rec.delete("obj").unwrap();
+                rec.delete("later").unwrap();
+                assert_eq!(rec.group_stats().sealed_groups, 0, "sealed: {sealed}");
+            }
         }
 
         #[test]

@@ -42,6 +42,9 @@
 //!                                                          replay restores it
 //!                                                          and continues with
 //!                                                          the suffix
+//!   tag 9  AbortWhole   { object: str }                  — the `StoreWhole`
+//!                                                          before it missed
+//!                                                          its quorum
 //! str   := [len: u32 LE] ++ utf-8 bytes
 //! bytes := [len: u32 LE] ++ raw bytes
 //! ```
@@ -105,7 +108,7 @@
 //! with the shared [`FieldWriter`] / [`FieldReader`] codec. Two record types
 //! implement it, each in its own tag space:
 //!
-//! * [`WalRecord`], tags 1–8 above: [`WriteAheadLog`] is
+//! * [`WalRecord`], tags 1–9 above: [`WriteAheadLog`] is
 //!   `RecordLog<WalRecord>`, one per shard coordinator;
 //! * the cluster metalog's `MetaRecord` (`rain-cluster`), tags 1–9: view
 //!   commit, directory put / delete, placement key, handover prepare /
@@ -383,10 +386,11 @@ pub struct CheckpointView<'a> {
 /// A seedless 64-bit hash of a name (FNV-1a): the key that puts checkpoint
 /// entries in canonical order. It depends on nothing but the bytes, so the
 /// order is the same in every process and with every Rust release (which
-/// `std`'s `DefaultHasher` does not promise).
-pub fn name_hash(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+/// `std`'s `DefaultHasher` does not promise). It takes any bytes, so the
+/// cluster's hash ring builds on it too.
+pub fn name_hash(name: impl AsRef<[u8]>) -> u64 {
+    name.as_ref().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
@@ -553,6 +557,15 @@ pub enum WalRecord {
         /// trust this one. Always `true` for records this process built.
         state_crc_ok: bool,
     },
+    /// The whole store of `object` logged just before (checkpoints aside)
+    /// missed its write quorum, so the store failed and left the object
+    /// table as it was. Replay skips that `StoreWhole` record: redoing it
+    /// would tombstone a grouped predecessor the live run kept. Logged
+    /// after the failed install.
+    AbortWhole {
+        /// Object id.
+        object: String,
+    },
 }
 
 /// A borrowed view of one mutation, for the logging hot path: the store
@@ -616,6 +629,11 @@ pub enum RecordView<'a> {
         /// The snapshotted state.
         state: CheckpointView<'a>,
     },
+    /// See [`WalRecord::AbortWhole`].
+    AbortWhole {
+        /// Object id.
+        object: &'a str,
+    },
 }
 
 const TAG_STORE_WHOLE: u8 = 1;
@@ -626,6 +644,7 @@ const TAG_COMPACT: u8 = 5;
 const TAG_GROUP_IMPORT: u8 = 6;
 const TAG_GROUP_EVICT: u8 = 7;
 const TAG_CHECKPOINT: u8 = 8;
+const TAG_ABORT_WHOLE: u8 = 9;
 
 /// The writing half of the shared record codec, on the frame buffer
 /// itself: little-endian fixed-width integers, and `u32`-length-prefixed
@@ -809,6 +828,7 @@ impl LogRecord for WalRecord {
             },
             WalRecord::GroupEvict { group } => RecordView::GroupEvict { group: *group },
             WalRecord::Checkpoint { state, .. } => RecordView::Checkpoint { state },
+            WalRecord::AbortWhole { object } => RecordView::AbortWhole { object },
         }
     }
 
@@ -872,6 +892,10 @@ impl LogRecord for WalRecord {
                 state.objects.iter().map(|e| (e.name, e.value)),
                 state.groups.iter().copied(),
             ),
+            RecordView::AbortWhole { object } => {
+                out.push(TAG_ABORT_WHOLE);
+                out.write_str(object);
+            }
         }
     }
 
@@ -916,6 +940,7 @@ impl LogRecord for WalRecord {
                     state_crc_ok: declared == computed,
                 }
             }
+            TAG_ABORT_WHOLE => WalRecord::AbortWhole { object: c.str()? },
             _ => return None,
         })
     }

