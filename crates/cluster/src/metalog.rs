@@ -1,10 +1,10 @@
 //! The cluster **metalog**: cluster-level control state as a write-ahead
 //! log of checksummed records.
 //!
-//! PR 8 left the cluster's routing brain — the key directory, the committed
+//! PR 8 left the cluster's routing brain — the committed
 //! [`MembershipView`], handover dual overrides, and per-shard placement
 //! keys — as plain in-memory maps, so a full cluster restart could replay
-//! every per-shard WAL and still not know *where anything lives*. The
+//! every per-shard WAL and still not know *which view is committed*. The
 //! metalog closes that gap with the shard stores' own log: [`MetaLog`] is
 //! the storage crate's [`RecordLog`] over [`MetaRecord`]s, so framing,
 //! torn-tail tolerance, counters and checkpoint retention are the shard
@@ -12,19 +12,21 @@
 //! [`rain_storage::WalError::Corrupt`]. This module only defines the
 //! records (tags 1–9) and folds a replay into control state.
 //!
+//! The key directory is not logged: each shard's log says which keys it
+//! holds, and a restart rebuilds the directory from them. Where a crash
+//! leaves a key on several shards, the committed ring owner's copy wins,
+//! unless a handover left the key off its ring owner while another copy
+//! may remain: an **exception**. [`MetaRecord::DirPut`] `{ key, shard }`
+//! records one ("`key` lives on `shard`"), no later than the `ViewCommit`
+//! that creates it; [`MetaRecord::DirDel`] `{ key }` ends it, synced with
+//! the shard delete before a delete is acked. An older metalog's `DirPut`
+//! for every key replays as it is: an entry equal to the committed ring
+//! owner is not an exception.
+//!
 //! ## Record ordering discipline
 //!
-//! Every record is appended **before** the in-memory mutation it describes
-//! (log-then-apply), with two deliberate exceptions that make replay safe
-//! without cross-log transactions:
-//!
-//! * [`MetaRecord::DirPut`] is logged *after* the owning shard's store
-//!   succeeded (the shard WAL already protects the bytes) and *before* the
-//!   directory is updated. A crash between the two leaves a durable object
-//!   with no directory entry; recovery **adopts** it back.
-//! * [`MetaRecord::DirDel`] is logged *after* the shard-level delete
-//!   succeeded. Logging it first would let a crash resurrect the key: the
-//!   directory would forget the object while the shard still serves it.
+//! Every record is appended **before** the in-memory mutation it
+//! describes (log-then-apply); a `DirDel` follows its shard-level delete.
 //!
 //! A handover writes [`MetaRecord::HandoverPrepare`] before any transfer,
 //! [`MetaRecord::UnitLanded`] after each import is shard-durable, and a
@@ -78,18 +80,18 @@ pub enum MetaRecord {
         /// Ring points per shard.
         vnodes: usize,
     },
-    /// `key` is (about to be) directory-owned by `shard`. Logged after the
-    /// shard-level store succeeded.
+    /// `key` lives on `shard`, off its committed ring owner: an
+    /// exception to the placement rule (see the module docs).
     DirPut {
         /// The object key.
         key: String,
-        /// Its authoritative owner.
+        /// The shard whose copy wins.
         shard: ShardId,
     },
-    /// `key` was deleted everywhere. Logged after the shard-level delete
-    /// succeeded, before the directory forgets the key.
+    /// The exception for `key` ended. Logged after the shard-level delete
+    /// succeeded, before the exception is forgotten.
     DirDel {
-        /// The deleted key.
+        /// The key.
         key: String,
     },
     /// Group `gid` on `shard` routes by placement key `pkey`.
@@ -142,11 +144,10 @@ pub enum MetaRecord {
         members: Vec<ShardId>,
         /// Ring points per shard.
         vnodes: usize,
-        /// Every directory entry. A checkpoint writes them in the canonical
+        /// Every exception (an older metalog: every key), in the canonical
         /// order of [`rain_storage::sort_canonical`] (ascending
-        /// [`rain_storage::name_hash`] of the key, ties by key), so equal
-        /// directories checkpoint to equal bytes; replay accepts any order,
-        /// so a key-ordered checkpoint restores too.
+        /// [`rain_storage::name_hash`], ties by key), so equal states write
+        /// equal bytes; replay accepts any order.
         directory: Vec<(String, ShardId)>,
         /// Every placement-key assignment, sorted by (shard, gid).
         pkeys: Vec<(ShardId, GroupId, String)>,
@@ -188,7 +189,7 @@ pub enum MetaView<'a> {
         members: &'a [ShardId],
         /// Ring points per shard.
         vnodes: usize,
-        /// Every directory entry, in canonical order (see
+        /// Every exception, in canonical order (see
         /// [`rain_storage::sort_canonical`]).
         directory: &'a [Named<'a, ShardId>],
         /// Every placement-key assignment, sorted by (shard, gid).
@@ -401,8 +402,8 @@ impl LogRecord for MetaRecord {
 pub struct MetaState {
     /// The committed view, if any `ViewCommit`/`Checkpoint` was found.
     pub view: Option<MembershipView>,
-    /// The authoritative key directory.
-    pub directory: HashMap<String, ShardId>,
+    /// Exceptions: keys off their ring owner, and the shard whose copy wins.
+    pub exceptions: HashMap<String, ShardId>,
     /// Placement keys per (shard, group).
     pub pkeys: HashMap<(ShardId, GroupId), String>,
     /// A prepare-logged handover with no matching commit/abort: its target
@@ -425,12 +426,10 @@ pub struct PendingHandover {
 
 impl MetaState {
     /// Fold a replayed record stream into the control state it describes.
-    /// `ViewCommit` *applies* the pending handover's cutover (directory
-    /// repoints, dual collapse, pkey cleanup) exactly as
-    /// [`crate::ClusterStore::commit_handover`] would have — a crash after
-    /// the commit record but before the in-memory mutations redoes them
-    /// deterministically. The records are consumed: their keys move into
-    /// the state instead of being copied.
+    /// `ViewCommit` *applies* the pending handover's cutover exactly as
+    /// [`crate::ClusterStore::commit_handover`] does, so a crash between
+    /// the two redoes it. Entries equal to the committed ring owner (an
+    /// older metalog's) are dropped. The records' keys move into the state.
     pub fn fold(records: Vec<MetaRecord>) -> MetaState {
         let mut st = MetaState::default();
         for record in records {
@@ -444,7 +443,7 @@ impl MetaState {
                 } => {
                     st = MetaState::default();
                     st.view = Some(MembershipView::restore(epoch, &members, vnodes));
-                    st.directory = directory.into_iter().collect();
+                    st.exceptions = directory.into_iter().collect();
                     st.pkeys = pkeys.into_iter().map(|(s, g, p)| ((s, g), p)).collect();
                 }
                 MetaRecord::ViewCommit {
@@ -454,15 +453,15 @@ impl MetaState {
                 } => {
                     let committed = MembershipView::restore(epoch, &members, vnodes);
                     if let Some(pending) = st.pending.take() {
-                        st.apply_cutover(&pending);
+                        st.apply_cutover(&pending, &committed);
                     }
                     st.view = Some(committed);
                 }
                 MetaRecord::DirPut { key, shard } => {
-                    st.directory.insert(key, shard);
+                    st.exceptions.insert(key, shard);
                 }
                 MetaRecord::DirDel { key } => {
-                    st.directory.remove(&key);
+                    st.exceptions.remove(&key);
                     if let Some(p) = &mut st.pending {
                         p.dual.remove(&key);
                     }
@@ -496,46 +495,59 @@ impl MetaState {
                 }
             }
         }
+        if let Some(view) = &st.view {
+            st.exceptions
+                .retain(|key, &mut s| view.owner_of(key) != Some(s));
+        }
         st
     }
 
-    /// Roll back the pending handover, if any, and say whether there was
-    /// one. Only the placement keys its landed groups got at their
-    /// destinations go: the committed view stayed authoritative, so the
-    /// directory never repointed, and the stray copies the transition
-    /// created are swept at the shard level.
-    pub fn abort_pending(&mut self) -> bool {
-        let Some(p) = self.pending.take() else {
-            return false;
-        };
+    /// Roll back the pending handover, if any, and return it. Only the
+    /// pkeys its landed groups got go here; its copies are swept by the
+    /// directory rebuild.
+    pub fn abort_pending(&mut self) -> Option<PendingHandover> {
+        let p = self.pending.take()?;
         for (_, to, unit, _) in &p.landed {
             if let MetaUnit::Group { new_gid, .. } = unit {
                 self.pkeys.remove(&(*to, *new_gid));
             }
         }
-        true
+        Some(p)
     }
 
-    /// Redo the cutover a `ViewCommit` record authorised: landed units'
-    /// member keys repoint from source to destination, dual-written keys
-    /// collapse onto their override shard, and the source side's pkeys are
-    /// dropped.
-    fn apply_cutover(&mut self, pending: &PendingHandover) {
+    /// Redo the cutover a `ViewCommit` record authorised over `committed`:
+    /// an exception naming a landed unit's source moves with the unit, a
+    /// dual-written key lives on its override shard, and the source side's
+    /// pkeys are dropped.
+    fn apply_cutover(&mut self, pending: &PendingHandover, committed: &MembershipView) {
         for (from, to, unit, members) in &pending.landed {
             for m in members {
-                if self.directory.get(m) == Some(from) {
-                    self.directory.insert(m.clone(), *to);
+                if self.exceptions.get(m) == Some(from) {
+                    place_key(&mut self.exceptions, committed, m, *to);
                 }
             }
             if let MetaUnit::Group { gid, .. } = unit {
                 self.pkeys.remove(&(*from, *gid));
             }
         }
-        for (key, t) in &pending.dual {
-            if self.directory.contains_key(key) {
-                self.directory.insert(key.clone(), *t);
-            }
+        for (key, &t) in &pending.dual {
+            place_key(&mut self.exceptions, committed, key, t);
         }
+    }
+}
+
+/// Record in `exceptions` that `key` lives on `s` under `view`: an
+/// exception unless `s` is the key's ring owner.
+pub(crate) fn place_key(
+    exceptions: &mut HashMap<String, ShardId>,
+    view: &MembershipView,
+    key: &str,
+    s: ShardId,
+) {
+    if view.owner_of(key) == Some(s) {
+        exceptions.remove(key);
+    } else {
+        exceptions.insert(key.to_string(), s);
     }
 }
 
@@ -626,6 +638,14 @@ mod tests {
 
     #[test]
     fn fold_applies_commit_and_rolls_back_unfinished_handovers() {
+        // "k" lives off its ring owner, on `off`; its whole unit then moves
+        // to the joining shard 2, and the exception with it (unless 2 is
+        // its new ring owner). "d" is dual-written with an override off its
+        // new ring owner.
+        let v1 = MembershipView::restore(1, &[0, 1], 8);
+        let off = 1 - v1.owner_of("k").unwrap();
+        let v2 = MembershipView::restore(2, &[0, 1, 2], 8);
+        let pinned = (v2.owner_of("d").unwrap() + 1) % 3;
         let records = vec![
             MetaRecord::ViewCommit {
                 epoch: 1,
@@ -634,16 +654,20 @@ mod tests {
             },
             MetaRecord::DirPut {
                 key: "k".into(),
-                shard: 0,
+                shard: off,
             },
             MetaRecord::HandoverPrepare {
                 members: vec![0, 1, 2],
             },
             MetaRecord::UnitLanded {
-                from: 0,
+                from: off,
                 to: 2,
                 unit: MetaUnit::Whole { name: "k".into() },
                 members: vec!["k".into()],
+            },
+            MetaRecord::DualOverride {
+                key: "d".into(),
+                shard: pinned,
             },
             MetaRecord::ViewCommit {
                 epoch: 2,
@@ -653,16 +677,25 @@ mod tests {
         ];
         let st = MetaState::fold(records.clone());
         assert_eq!(st.view.as_ref().unwrap().epoch(), 2);
-        assert_eq!(st.directory.get("k"), Some(&2), "commit repoints");
+        let mut expect: HashMap<String, ShardId> = [("d".to_string(), pinned)].into();
+        if v2.owner_of("k") != Some(2) {
+            expect.insert("k".to_string(), 2);
+        }
+        assert_eq!(st.exceptions, expect);
         assert!(st.pending.is_none());
 
         // Same prefix, but the commit never made it to the log: the landed
         // unit must be reported as pending so recovery rolls it back.
-        let st = MetaState::fold(records[..4].to_vec());
+        let st = MetaState::fold(records[..5].to_vec());
         assert_eq!(st.view.as_ref().unwrap().epoch(), 1);
-        assert_eq!(st.directory.get("k"), Some(&0), "no repoint without commit");
+        assert_eq!(
+            st.exceptions.get("k"),
+            Some(&off),
+            "no cutover without commit"
+        );
         let pending = st.pending.expect("prepare without commit is pending");
         assert_eq!(pending.landed.len(), 1);
+        assert_eq!(pending.dual.get("d"), Some(&pinned));
     }
 
     #[test]
@@ -670,10 +703,12 @@ mod tests {
         let mut log = MetaLog::in_memory();
         log.append(&MetaRecord::ViewCommit {
             epoch: 1,
-            members: vec![0],
+            members: vec![0, 1],
             vnodes: 4,
         })
         .unwrap();
+        // An older metalog's directory: every key on shard 0, which is the
+        // ring owner of some of them and an exception for the rest.
         for i in 0..10 {
             log.append(&MetaRecord::DirPut {
                 key: format!("k{i}"),
@@ -683,7 +718,7 @@ mod tests {
         }
         let ckpt = MetaRecord::Checkpoint {
             epoch: 1,
-            members: vec![0],
+            members: vec![0, 1],
             vnodes: 4,
             directory: (0..10).map(|i| (format!("k{i}"), 0)).collect(),
             pkeys: vec![],
@@ -691,14 +726,21 @@ mod tests {
         log.append(&ckpt).unwrap();
         log.append(&ckpt).unwrap();
         // The prefix before the first checkpoint is gone; replay starts at
-        // a checkpoint and still reconstructs every key.
+        // a checkpoint and keeps exactly the entries off their ring owner.
         let replay = log.replay().unwrap();
         assert!(
             matches!(replay.records[0], MetaRecord::Checkpoint { .. }),
             "pre-checkpoint records must have been dropped"
         );
         let st = MetaState::fold(replay.records);
-        assert_eq!(st.directory.len(), 10);
-        assert_eq!(st.view.unwrap().epoch(), 1);
+        let view = st.view.unwrap();
+        assert_eq!(view.epoch(), 1);
+        let off: Vec<String> = (0..10)
+            .map(|i| format!("k{i}"))
+            .filter(|k| view.owner_of(k) != Some(0))
+            .collect();
+        assert!(!off.is_empty() && off.len() < 10, "{off:?}");
+        assert_eq!(st.exceptions.len(), off.len());
+        assert!(off.iter().all(|k| st.exceptions.get(k) == Some(&0)));
     }
 }

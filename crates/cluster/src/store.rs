@@ -43,6 +43,7 @@
 //! owned by its (possibly dead) shard, and reads of it report honest
 //! unavailability until the shard returns — never wrong bytes.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -57,7 +58,7 @@ use rain_storage::{
     RetrieveReport, SelectionPolicy, StorageError, SurvivingNodes, Transport,
 };
 
-use crate::metalog::{MetaLog, MetaRecord, MetaUnit, MetaView};
+use crate::metalog::{place_key, MetaLog, MetaRecord, MetaUnit, MetaView, PendingHandover};
 use crate::ring::{vnodes_in_range, ShardId};
 use crate::view::MembershipView;
 
@@ -70,6 +71,17 @@ fn no_disk_logs() -> ClusterError {
     ClusterError::Storage(StorageError::Recovery {
         reason: "a restart from disk needs a cluster whose factory keeps logs".to_string(),
     })
+}
+
+/// A transfer step's result, `None` for the errors that only skip it: the
+/// unit unreadable at its source right now, or its install short of quorum.
+fn skippable<T>(r: Result<T, StorageError>) -> Result<Option<T>, ClusterError> {
+    match r {
+        Ok(v) => Ok(Some(v)),
+        Err(StorageError::NotEnoughNodes { .. } | StorageError::UnknownGroup(_)) => Ok(None),
+        Err(StorageError::UnknownObject { .. } | StorageError::QuorumNotReached { .. }) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
 }
 
 /// Supplies what each of a [`ClusterStore`]'s shards is built from: its
@@ -272,17 +284,15 @@ pub struct ClusterRecoveryReport {
     pub handover_rolled_back: bool,
     /// Per-shard WAL replay reports for every shard that had survivors.
     pub shard_reports: BTreeMap<ShardId, RecoveryReport>,
-    /// Durable copies deleted because the directory credits a different
-    /// shard — leftovers of rolled-back or crash-interrupted transfers.
+    /// Durable copies deleted because another shard's copy of the key won
+    /// — leftovers of rolled-back or crash-interrupted transfers.
     pub strays_evicted: u64,
-    /// Durable objects the directory never learned (the shard committed,
-    /// the crash ate the `DirPut`), re-adopted into the directory.
+    /// Always 0: the directory is rebuilt from the shards' object tables.
     pub adopted: u64,
-    /// Directory entries dropped because the recovered owner lost the
-    /// bytes (un-synced WAL tail); those keys read as honestly unknown.
+    /// Exceptions dropped because the shard they name no longer holds the
+    /// key (it lost an un-synced tail, or a rollback evicted the copy).
     pub directory_dropped: u64,
-    /// Directory entries asked of their up owner whether it still holds
-    /// them. 0 when the restart walk's counts prove no owner lost one.
+    /// Always 0: every directory entry comes from what its owner holds.
     pub owner_probes: u64,
     /// True if recovered state still references shards outside the
     /// committed view — [`ClusterStore::replan_skipped`] will re-home them.
@@ -330,8 +340,12 @@ pub struct ClusterStore {
     up: BTreeMap<ShardId, bool>,
     view: MembershipView,
     /// Authoritative object location. Placement of new keys comes from the
-    /// ring; the directory is what lets *groups* (not keys) migrate.
+    /// ring; the directory is what lets *groups* (not keys) migrate. A
+    /// restart rebuilds it from the shards.
     directory: HashMap<String, ShardId>,
+    /// Keys off their ring owner while another copy may remain, logged
+    /// (see [`crate::metalog`]); almost always empty.
+    exceptions: HashMap<String, ShardId>,
     /// Placement key per sealed group, probed so the group's ring position
     /// is its sealing shard — the trick that gives consistent-hashing
     /// minimal movement at group granularity.
@@ -341,9 +355,9 @@ pub struct ClusterStore {
     recorder: Recorder,
     registry: Option<Registry>,
     clock: Option<Arc<VirtualClock>>,
-    /// The cluster metalog (see [`crate::metalog`]): directory mutations,
-    /// handover phases, and epoch bumps are appended here **before** they
-    /// are applied. `None` when the factory keeps no logs; such a cluster
+    /// The cluster metalog (see [`crate::metalog`]): exceptions, handover
+    /// phases, and epoch bumps are appended here **before** they are
+    /// applied. `None` when the factory keeps no logs; such a cluster
     /// cannot restart a shard or itself from disk.
     meta: Option<MetaLog>,
     /// True while some placement unit is known to sit away from where the
@@ -425,6 +439,7 @@ impl ClusterStore {
             up: BTreeMap::new(),
             view,
             directory: HashMap::new(),
+            exceptions: HashMap::new(),
             pkeys: HashMap::new(),
             handover: None,
             stats: ClusterStats::default(),
@@ -512,23 +527,38 @@ impl ClusterStore {
         self.publish_gauges();
     }
 
-    /// Append one metalog record (a no-op without a WAL directory), then
-    /// auto-checkpoint the control state if the
-    /// [`GroupConfig::checkpoint_every`] interval has elapsed. Checkpoints
-    /// are only taken between handovers: transition records must stay in
-    /// the log until their commit or abort is durable.
+    /// Append one metalog record (a no-op without a WAL directory).
     fn meta_append(&mut self, record: MetaRecord) -> Result<(), ClusterError> {
+        match &mut self.meta {
+            Some(meta) => meta.append(&record).map_err(wal_err),
+            None => Ok(()),
+        }
+    }
+
+    /// Log exceptions (see [`crate::metalog`]) and apply them.
+    fn put_exceptions(&mut self, pinned: Vec<(String, ShardId)>) -> Result<(), ClusterError> {
+        for (key, shard) in pinned {
+            let copy = key.clone();
+            self.meta_append(MetaRecord::DirPut { key: copy, shard })?;
+            self.exceptions.insert(key, shard);
+        }
+        Ok(())
+    }
+
+    /// Checkpoint the control state if [`GroupConfig::checkpoint_every`]
+    /// records were appended, once they are applied and never mid-handover
+    /// (transition records stay until their commit or abort is durable).
+    fn checkpoint_if_due(&mut self) -> Result<(), ClusterError> {
         let Some(meta) = &mut self.meta else {
             return Ok(());
         };
-        meta.append(&record).map_err(wal_err)?;
         let every = self.config.checkpoint_every;
         if every > 0 && self.handover.is_none() && meta.since_checkpoint() >= every {
             // The checkpoint is encoded straight from the live tables:
-            // directory keys in canonical order, pkeys by (shard, gid), so
+            // exception keys in canonical order, pkeys by (shard, gid), so
             // equal control states encode to equal bytes.
             let mut directory: Vec<Named<ShardId>> = self
-                .directory
+                .exceptions
                 .iter()
                 .map(|(key, &s)| Named::new(key, s))
                 .collect();
@@ -664,16 +694,13 @@ impl ClusterStore {
             .expect("directory names a shard")
             .store(key, data)?;
         if known.is_none() {
-            // The bytes are shard-durable; record the ownership *before*
-            // the directory learns it. A crash between the two leaves a
-            // durable object with no entry — recovery adopts it back. An
-            // overwrite's entry already names its owner: no record, and
-            // no key copy.
-            self.meta_append(MetaRecord::DirPut {
-                key: key.to_string(),
-                shard: primary,
-            })?;
+            // A new key lives on its ring owner: nothing to log, unless a
+            // deleted key's exception outlived it (see `delete`). An
+            // overwrite's entry already names its owner: no key copy.
             self.directory.insert(key.to_string(), primary);
+            if self.exceptions.contains_key(key) {
+                self.end_exception(key, &[primary])?;
+            }
         }
         // During a handover, decide where the write must additionally land
         // (dual-log) and which copy must win at commit (dual override).
@@ -833,14 +860,16 @@ impl ClusterStore {
             .get_mut(&primary)
             .expect("directory names a shard")
             .delete(key)?;
-        // Logged *after* the shard-level delete: logging first would let a
-        // crash resurrect the key (directory forgets it while the shard
-        // still serves it), logging after merely re-deletes at recovery.
-        self.meta_append(MetaRecord::DirDel {
-            key: key.to_string(),
-        })?;
+        // An exception or dual override outranks the ring owner's copy.
+        let dual = self.handover.as_ref().map(|h| &h.dual);
+        let logged = self.exceptions.contains_key(key) || dual.is_some_and(|d| d.contains_key(key));
+        let mut extra: Vec<ShardId> = self
+            .view
+            .owner_of(key)
+            .filter(|_| logged)
+            .into_iter()
+            .collect();
         self.directory.remove(key);
-        let mut extra: Vec<ShardId> = Vec::new();
         if let Some(h) = &mut self.handover {
             if let Some(t) = h.dual.remove(key) {
                 extra.push(t);
@@ -849,14 +878,37 @@ impl ClusterStore {
                 extra.push(d);
             }
         }
-        for s in extra {
-            if s != primary && self.shard_up(s) {
-                match self.shards.get_mut(&s).expect("named shard").delete(key) {
-                    Ok(()) | Err(StorageError::UnknownObject { .. }) => {}
-                    Err(e) => return Err(e.into()),
-                }
+        for &s in extra.iter().filter(|&&s| s != primary) {
+            self.drop_copy(s, key)?;
+        }
+        if logged {
+            extra.push(primary);
+            self.end_exception(key, &extra)?;
+        }
+        self.checkpoint_if_due()
+    }
+
+    /// End `key`'s exception once the shards in `touched` are durable, and
+    /// sync that before the ack. If the ring owner is down, its copy
+    /// outlives the delete: the exception stays, so a restart evicts that
+    /// copy too, and a re-create ends it.
+    fn end_exception(&mut self, key: &str, touched: &[ShardId]) -> Result<(), ClusterError> {
+        for &s in touched {
+            if self.shard_up(s) {
+                self.shards.get_mut(&s).expect("named shard").sync_wal()?;
             }
         }
+        let owner = self.view.owner_of(key);
+        if self.exceptions.contains_key(key) && owner.is_some_and(|r| !self.shard_up(r)) {
+            return Ok(());
+        }
+        self.meta_append(MetaRecord::DirDel {
+            key: key.to_string(),
+        })?;
+        if let Some(meta) = &mut self.meta {
+            meta.sync().map_err(wal_err)?;
+        }
+        self.exceptions.remove(key);
         Ok(())
     }
 
@@ -1002,8 +1054,7 @@ impl ClusterStore {
         let src_up = self.up.get(&mv.from).copied().unwrap_or(false);
         let dst_up = self.up.get(&mv.to).copied().unwrap_or(false);
         if !src_up || !dst_up {
-            self.stats.transfer_skips += 1;
-            return Ok(Some(0));
+            return self.skip_transfer();
         }
         let mut span = span!(
             self.recorder,
@@ -1013,28 +1064,14 @@ impl ClusterStore {
         );
         let landed = match &mv.kind {
             UnitKind::Group { gid } => {
-                let export = match self
-                    .shards
-                    .get_mut(&mv.from)
-                    .expect("move names a shard")
-                    .export_group(*gid, SelectionPolicy::FirstK)
-                {
-                    Ok(e) => e,
-                    Err(StorageError::NotEnoughNodes { .. })
-                    | Err(StorageError::UnknownGroup(_)) => {
-                        self.stats.transfer_skips += 1;
-                        return Ok(Some(0));
-                    }
-                    Err(e) => return Err(e.into()),
+                let src = self.shards.get_mut(&mv.from).expect("move names a shard");
+                let Some(export) = skippable(src.export_group(*gid, SelectionPolicy::FirstK))?
+                else {
+                    return self.skip_transfer();
                 };
                 let dst = self.shards.get_mut(&mv.to).expect("move names a shard");
-                let new_gid = match dst.import_group(&export) {
-                    Ok(g) => g,
-                    Err(StorageError::QuorumNotReached { .. }) => {
-                        self.stats.transfer_skips += 1;
-                        return Ok(Some(0));
-                    }
-                    Err(e) => return Err(e.into()),
+                let Some(new_gid) = skippable(dst.import_group(&export))? else {
+                    return self.skip_transfer();
                 };
                 let symbols = dst.num_nodes() as u64;
                 self.stats.groups_moved += 1;
@@ -1047,28 +1084,14 @@ impl ClusterStore {
                 (members, Some(new_gid), symbols, Some(pkey))
             }
             UnitKind::Whole { name } => {
-                let bytes = match self
-                    .shards
-                    .get_mut(&mv.from)
-                    .expect("move names a shard")
-                    .retrieve(name, SelectionPolicy::FirstK)
-                {
-                    Ok((bytes, _)) => bytes,
-                    Err(StorageError::NotEnoughNodes { .. })
-                    | Err(StorageError::UnknownObject { .. }) => {
-                        self.stats.transfer_skips += 1;
-                        return Ok(Some(0));
-                    }
-                    Err(e) => return Err(e.into()),
+                let src = self.shards.get_mut(&mv.from).expect("move names a shard");
+                let Some((bytes, _)) = skippable(src.retrieve(name, SelectionPolicy::FirstK))?
+                else {
+                    return self.skip_transfer();
                 };
                 let dst = self.shards.get_mut(&mv.to).expect("move names a shard");
-                match dst.store(name, &bytes) {
-                    Ok(()) => {}
-                    Err(StorageError::QuorumNotReached { .. }) => {
-                        self.stats.transfer_skips += 1;
-                        return Ok(Some(0));
-                    }
-                    Err(e) => return Err(e.into()),
+                if skippable(dst.store(name, &bytes))?.is_none() {
+                    return self.skip_transfer();
                 }
                 let symbols = dst.num_nodes() as u64;
                 self.stats.wholes_moved += 1;
@@ -1113,6 +1136,12 @@ impl ClusterStore {
         Ok(Some(symbols))
     }
 
+    /// Count a planned unit move skipped (see [`ClusterStats::transfer_skips`]).
+    fn skip_transfer(&mut self) -> Result<Option<u64>, ClusterError> {
+        self.stats.transfer_skips += 1;
+        Ok(Some(0))
+    }
+
     /// Cut over to the target view: finish remaining transfers, evict old
     /// copies of every landed unit, repoint the directory, collapse
     /// dual-written keys onto their new owner, and advance the epoch.
@@ -1122,6 +1151,21 @@ impl ClusterStore {
             return Err(ClusterError::NoHandover);
         }
         while self.transfer_next()?.is_some() {}
+        // A down source keeps its landed units' old copies: a member moved
+        // off its new ring owner is an exception.
+        let mut pinned = Vec::new();
+        let h = self.handover.as_ref().expect("checked above");
+        for mv in h.moves.iter().filter(|mv| !self.shard_up(mv.from)) {
+            for m in mv.landed.iter().flat_map(|(members, _)| members) {
+                if self.directory.get(m) == Some(&mv.from)
+                    && !h.dual.contains_key(m)
+                    && h.target.owner_of(m) != Some(mv.to)
+                {
+                    pinned.push((m.clone(), mv.to));
+                }
+            }
+        }
+        self.put_exceptions(pinned)?;
         // The single commit record, logged before any cutover mutation: a
         // crash anywhere past this point replays the record and redoes the
         // cutover deterministically from the logged transition state.
@@ -1147,38 +1191,15 @@ impl ClusterStore {
             };
             match &mv.kind {
                 UnitKind::Group { gid } => {
-                    if self.shard_up(mv.from) {
-                        match self
-                            .shards
-                            .get_mut(&mv.from)
-                            .expect("move names a shard")
-                            .evict_group(*gid)
-                        {
-                            Ok(_) => evicted += 1,
-                            // Already gone (every member overwritten or
-                            // deleted during the transition).
-                            Err(StorageError::UnknownGroup(_)) => {}
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
+                    evicted += u64::from(self.evict_group_at(mv.from, *gid)?);
                     self.pkeys.remove(&(mv.from, *gid));
                 }
                 UnitKind::Whole { name } => {
-                    // Drop the source copy only when it is superseded. If
-                    // the dual override pins the key to the source (its
-                    // target-view owner was down at overwrite time), the
-                    // source holds the only fresh bytes — the transferred
-                    // snapshot is the copy that dies, below.
-                    if self.shard_up(mv.from) && h.dual.get(name) != Some(&mv.from) {
-                        match self
-                            .shards
-                            .get_mut(&mv.from)
-                            .expect("move names a shard")
-                            .delete(name)
-                        {
-                            Ok(()) | Err(StorageError::UnknownObject { .. }) => {}
-                            Err(e) => return Err(e.into()),
-                        }
+                    // Drop the source copy unless a dual override pins the
+                    // key there (its target-view owner was down at
+                    // overwrite time): then the transferred snapshot dies.
+                    if h.dual.get(name) != Some(&mv.from) {
+                        self.drop_copy(mv.from, name)?;
                     }
                 }
             }
@@ -1186,37 +1207,30 @@ impl ClusterStore {
                 // Only repoint members that still live where the unit was
                 // exported from: a key overwritten mid-transition left the
                 // unit at the source and is governed by the dual override
-                // below (or stayed home entirely).
+                // below (or stayed home entirely). An exception naming the
+                // source moves with the unit, as in the replayed commit.
                 if self.directory.get(m) == Some(&mv.from) {
                     self.directory.insert(m.clone(), mv.to);
                 }
+                if self.exceptions.get(m) == Some(&mv.from) {
+                    place_key(&mut self.exceptions, &h.target, m, mv.to);
+                }
             }
         }
-        // Dual-written keys collapse onto their target-view owner; every
-        // other copy (old owner, superseded unit snapshot) is dropped.
+        // Dual-written keys collapse onto their override shard; every other
+        // copy (old owner, superseded unit snapshot) is dropped. An override
+        // off the new ring owner is an exception, as the replayed commit
+        // derives it: a stale copy on a down shard may survive the drop.
         for (key, t) in &h.dual {
-            let mut holders: Vec<ShardId> = Vec::new();
-            if let Some(&cur) = self.directory.get(key) {
-                if cur != *t {
-                    holders.push(cur);
-                }
-            } else {
+            let Some(&cur) = self.directory.get(key) else {
                 continue; // deleted during the transition
-            }
-            if let Some(&d) = h.moved.get(key) {
-                if d != *t && !holders.contains(&d) {
-                    holders.push(d);
-                }
-            }
-            for s in holders {
-                if self.shard_up(s) {
-                    match self.shards.get_mut(&s).expect("named shard").delete(key) {
-                        Ok(()) | Err(StorageError::UnknownObject { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
+            };
+            let moved = h.moved.get(key).copied().filter(|&d| d != cur);
+            for s in [Some(cur), moved].into_iter().flatten().filter(|s| s != t) {
+                self.drop_copy(s, key)?;
             }
             self.directory.insert(key.clone(), *t);
+            place_key(&mut self.exceptions, &h.target, key, *t);
         }
         span.field("evicted", evicted);
         drop(span);
@@ -1228,6 +1242,7 @@ impl ClusterStore {
         self.pending_replan = h.moves.iter().any(|mv| mv.landed.is_none())
             || self.directory.values().any(|s| !self.view.contains(*s));
         self.publish_gauges();
+        self.checkpoint_if_due()?;
         Ok(self.view.epoch())
     }
 
@@ -1239,10 +1254,28 @@ impl ClusterStore {
         if self.handover.is_none() {
             return Err(ClusterError::NoHandover);
         }
+        // A transition copy on a down shard outlives the evictions below:
+        // its key's home, if off the ring owner, is an exception.
+        let h = self.handover.as_ref().expect("checked above");
+        let stranded = h
+            .moves
+            .iter()
+            .filter(|mv| !self.shard_up(mv.to))
+            .flat_map(|mv| mv.landed.iter().flat_map(|(members, _)| members))
+            .chain(
+                h.dual
+                    .keys()
+                    .filter(|k| h.target.owner_of(k).is_some_and(|t| !self.shard_up(t))),
+            );
+        let pinned: Vec<(String, ShardId)> = stranded
+            .filter_map(|k| Some((k.clone(), *self.directory.get(k)?)))
+            .filter(|(k, home)| self.view.owner_of(k) != Some(*home))
+            .collect();
+        self.put_exceptions(pinned)?;
         // Logged before the rollback evictions: replay of a prepare
         // followed by an abort reconstructs no transition state, and the
         // stray copies (if the evictions below never ran) fall to the
-        // recovery sweep.
+        // directory rebuild at restart.
         self.meta_append(MetaRecord::HandoverAbort)?;
         let h = self.handover.take().expect("checked above");
         let _span = span!(
@@ -1259,42 +1292,25 @@ impl ClusterStore {
             }
             match (&mv.kind, new_gid) {
                 (UnitKind::Group { .. }, Some(new_gid)) => {
-                    match self
-                        .shards
-                        .get_mut(&mv.to)
-                        .expect("move names a shard")
-                        .evict_group(*new_gid)
-                    {
-                        Ok(_) | Err(StorageError::UnknownGroup(_)) => {}
-                        Err(e) => return Err(e.into()),
-                    }
+                    self.evict_group_at(mv.to, *new_gid)?;
                     self.pkeys.remove(&(mv.to, *new_gid));
                 }
                 (UnitKind::Whole { name }, _) => {
-                    match self
-                        .shards
-                        .get_mut(&mv.to)
-                        .expect("move names a shard")
-                        .delete(name)
-                    {
-                        Ok(()) | Err(StorageError::UnknownObject { .. }) => {}
-                        Err(e) => return Err(e.into()),
-                    }
+                    self.drop_copy(mv.to, name)?;
                 }
                 (UnitKind::Group { .. }, None) => unreachable!("landed groups carry their id"),
             }
         }
-        for (key, t) in &h.dual {
-            if self.directory.get(key).is_some_and(|cur| cur != t) && self.shard_up(*t) {
-                match self.shards.get_mut(t).expect("named shard").delete(key) {
-                    Ok(()) | Err(StorageError::UnknownObject { .. }) => {}
-                    Err(e) => return Err(e.into()),
-                }
+        // A dual copy lives on the key's target-view owner.
+        for key in h.dual.keys() {
+            let t = h.target.owner_of(key);
+            if let Some(t) = t.filter(|t| self.directory.get(key).is_some_and(|cur| cur != t)) {
+                self.drop_copy(t, key)?;
             }
         }
         self.stats.handover_aborts += 1;
         self.publish_gauges();
-        Ok(())
+        self.checkpoint_if_due()
     }
 
     /// True while some placement unit is known to sit away from where the
@@ -1370,28 +1386,17 @@ impl ClusterStore {
         ClusterSurvivors { nodes }
     }
 
-    /// Rebuild a whole cluster from its WAL directory after a power loss:
-    ///
-    /// 1. **Metalog replay** — the committed view, directory, and pkey
-    ///    assignments are folded back from `dir/cluster.meta`; a
-    ///    prepare-logged handover with no commit is rolled back (an abort
-    ///    record is appended), and a logged commit whose cutover mutations
-    ///    never ran is redone deterministically.
-    /// 2. **Per-shard replay** — every surviving shard coordinator is
-    ///    rebuilt from its own on-disk log against its node fabric, exactly
-    ///    like [`ClusterStore::restart_shard_from_disk`]. A shard with no
-    ///    survivors replays its log against a blank fabric and comes back
-    ///    *down* (its keys read as honest [`ClusterError::ShardDown`]);
-    ///    once [`ClusterStore::recover_shard`] brings it up, what it writes
-    ///    lands in that log and survives the next restart.
-    /// 3. **Reconciliation sweep** — cross-log drift from the crash point
-    ///    is healed: copies on shards the directory does not credit are
-    ///    evicted (rollback/commit-redo strays), durable objects the
-    ///    directory never learned are adopted back, and directory entries
-    ///    whose recovered owner lost the bytes are dropped (the loss is
-    ///    surfaced, never served wrong).
-    ///
-    /// Every acked object comes back bit-exact or honestly unavailable.
+    /// Rebuild a whole cluster from its WAL directory after a power loss.
+    /// The metalog replays the committed view, pkeys and exceptions (a
+    /// prepared handover with no commit rolls back, with an abort record;
+    /// a logged commit's cutover is redone). Every shard replays its own
+    /// log against its surviving node fabric, as in
+    /// [`ClusterStore::restart_shard_from_disk`]; one with no survivors
+    /// comes back *down*, its keys honestly [`ClusterError::ShardDown`],
+    /// and keeps logging to disk once [`ClusterStore::recover_shard`]
+    /// brings it up. Then the directory is rebuilt from the shards (see
+    /// [`ClusterStore::rebuild_directory`]). Every acked object comes back
+    /// bit-exact or honestly unavailable.
     pub fn recover_from_disk(
         spec: CodeSpec,
         config: GroupConfig,
@@ -1431,28 +1436,26 @@ impl ClusterStore {
                 reason: "metalog holds no committed view".to_string(),
             }));
         };
-        // Prepare without commit: the transition rolls back exactly like
-        // an abort. Imported copies are already invisible (the directory
-        // never repointed) and fall to the sweep below; the abort record
-        // keeps the *next* replay from reconstructing the same dangling
-        // transition.
-        if state.abort_pending() {
+        // Prepare without commit: roll back. The abort record keeps the next
+        // replay from reconstructing the same dangling transition.
+        let rollback = state.abort_pending();
+        if rollback.is_some() {
             report.handover_rolled_back = true;
             meta.append(&MetaRecord::HandoverAbort).map_err(wal_err)?;
         }
+        let rollback = rollback.map(|p| (view.successor(&p.members), p));
         cluster.view = view;
-        cluster.directory = state.directory;
+        cluster.exceptions = state.exceptions;
         cluster.pkeys = state.pkeys;
         cluster.meta = Some(meta);
         // 2. Per-shard replay: every shard with survivors, and every shard
-        // the control state names. One whose machines never came back
-        // replays its own log against a blank fabric and stays down;
-        // brought back up, it keeps logging to disk.
+        // the control state names (one with no survivors stays down).
         let mut nodes = survivors.nodes;
         let shards: BTreeSet<ShardId> = nodes
             .keys()
             .chain(cluster.view.members())
-            .chain(cluster.directory.values())
+            .chain(cluster.exceptions.values())
+            .chain(cluster.pkeys.keys().map(|(s, _)| s))
             .copied()
             .collect();
         for s in shards {
@@ -1465,124 +1468,115 @@ impl ClusterStore {
                 cluster.up.insert(s, false);
             }
         }
-        // 3. Reconciliation sweep over the recovered shards.
-        cluster.reconcile_after_restart(&mut report)?;
+        // 3. The directory, from the recovered shards.
+        cluster.rebuild_directory(rollback.as_ref(), &mut report)?;
         cluster.pending_replan = cluster
             .directory
             .values()
             .any(|s| !cluster.view.contains(*s));
         report.pending_replan = cluster.pending_replan;
+        cluster.checkpoint_if_due()?;
         Ok((cluster, report))
     }
 
-    /// Heal cross-log drift after a full restart. The shard WALs and the
-    /// metalog are separate logs with no cross-log transaction, so a crash
-    /// can leave them one record apart in either direction; each case has
-    /// exactly one safe resolution:
-    ///
-    /// * object durable on a shard, directory credits a *different* shard
-    ///   — a rollback or commit-redo stray (un-evicted old copy, dual
-    ///   copy, transferred snapshot). Evict it; the credited copy rules.
-    /// * object durable on a shard, directory has *no* entry — the shard
-    ///   store committed but the `DirPut` never became durable. Adopt it:
-    ///   the write was acked only after the shard made it durable.
-    /// * directory entry whose recovered owner lacks the object — the
-    ///   shard lost its un-synced WAL tail in the crash (or a logged
-    ///   delete's `DirDel` was lost). Drop the entry; the key reads as
-    ///   honestly unknown instead of dangling.
-    ///
-    /// One walk over the up shards' holdings finds the first two cases and
-    /// counts the holdings credited to their own shard. Each such holding
-    /// is a distinct directory entry with an up owner, so when the count
-    /// equals the number of those entries, every one is held and the third
-    /// case cannot arise: the owners are not asked. Adoption and eviction
-    /// never change what an owner holds, so the count stays true.
-    fn reconcile_after_restart(
+    /// Rebuild the directory from the recovered shards' object tables, dark
+    /// shards included (their keys read as honestly unavailable). Of a key
+    /// a crash left on several shards, the copy a rolled-back handover
+    /// started from is kept, else the one an exception names, else the ring
+    /// owner's, else the lowest shard's (without an exception the copies
+    /// are equal); the rest are evicted from up shards. An exception whose
+    /// shard lost the key outranked every copy: all go, and the key reads
+    /// as unknown. Exceptions that no longer hold end, in key order.
+    fn rebuild_directory(
         &mut self,
+        rollback: Option<&(MembershipView, PendingHandover)>,
         report: &mut ClusterRecoveryReport,
     ) -> Result<(), ClusterError> {
-        // Holdings on recovered (up) shards that the directory does not
-        // credit, in name order. Every other holding is its entry's owner
-        // and needs nothing, so only these few names are copied out.
-        let mut uncredited: BTreeMap<String, Vec<ShardId>> = BTreeMap::new();
-        let mut credited = 0;
+        let mut shared: BTreeMap<String, Vec<ShardId>> = BTreeMap::new();
+        self.directory
+            .reserve(self.shards.values().map(|st| st.num_objects()).sum());
         for (&s, store) in &self.shards {
-            if !self.shard_up(s) {
-                continue;
-            }
             for name in store.object_names() {
-                if self.directory.get(name) == Some(&s) {
-                    credited += 1;
-                } else {
-                    uncredited.entry(name.to_string()).or_default().push(s);
+                match self.directory.entry(name.to_string()) {
+                    Entry::Vacant(slot) => _ = slot.insert(s),
+                    Entry::Occupied(slot) => shared
+                        .entry(slot.key().clone())
+                        .or_insert_with(|| vec![*slot.get()])
+                        .push(s),
                 }
             }
         }
-        let owned_by_up = self
-            .directory
-            .values()
-            .filter(|&&o| self.shard_up(o))
-            .count();
-        for (name, at) in uncredited {
-            // Credited to another shard: every copy here is a stray. Not
-            // in the directory at all: adopt one copy, preferring the
-            // committed ring's pick (an interrupted dual write can leave
-            // two), and evict the rest.
-            let keep = if self.directory.contains_key(&name) {
-                None
-            } else {
-                let keep = self
-                    .view
-                    .owner_of(&name)
-                    .filter(|o| at.contains(o))
-                    .unwrap_or(at[0]);
-                self.meta_append(MetaRecord::DirPut {
-                    key: name.clone(),
-                    shard: keep,
-                })?;
-                self.directory.insert(name.clone(), keep);
-                report.adopted += 1;
-                Some(keep)
-            };
-            for &s in &at {
-                if Some(s) != keep {
-                    let holder = self
-                        .shards
-                        .get_mut(&s)
-                        .ok_or(ClusterError::UnknownShard(s))?;
-                    match holder.delete(&name) {
-                        Ok(()) | Err(StorageError::UnknownObject { .. }) => {
-                            report.strays_evicted += 1;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
+        let mut landed_at: HashMap<&str, Vec<ShardId>> = HashMap::new();
+        for (_, to, _, members) in rollback.iter().flat_map(|(_, p)| &p.landed) {
+            for m in members {
+                landed_at.entry(m).or_default().push(*to);
+            }
+        }
+        for (key, holders) in shared {
+            let mut pool = holders.clone();
+            if let Some((target, p)) = rollback {
+                pool.retain(|s| !landed_at.get(key.as_str()).is_some_and(|to| to.contains(s)));
+                if pool.len() > 1 && p.dual.contains_key(&key) {
+                    pool.retain(|&s| target.owner_of(&key) != Some(s));
+                }
+                if pool.is_empty() {
+                    pool = holders.clone();
                 }
             }
-        }
-        if credited == owned_by_up {
-            return Ok(());
-        }
-        // Directory entries whose recovered owner lost the bytes, asked of
-        // the owner itself. Sorted: the directory's iteration order follows
-        // its hash seed, and the `DirDel` records (so the metalog bytes)
-        // must not.
-        let mut dropped = Vec::new();
-        for (name, &owner) in &self.directory {
-            if !self.shard_up(owner) {
-                continue;
+            let keep = [self.exceptions.get(&key).copied(), self.view.owner_of(&key)]
+                .into_iter()
+                .flatten()
+                .find(|s| pool.contains(s))
+                .unwrap_or(pool[0]);
+            for s in holders.into_iter().filter(|&s| s != keep) {
+                report.strays_evicted += u64::from(self.drop_copy(s, &key)?);
             }
-            report.owner_probes += 1;
-            if !self.shards.get(&owner).is_some_and(|st| st.holds(name)) {
-                dropped.push(name.clone());
-            }
+            self.directory.insert(key, keep);
         }
-        dropped.sort_unstable();
-        for name in dropped {
-            self.meta_append(MetaRecord::DirDel { key: name.clone() })?;
-            self.directory.remove(&name);
+        let mut ended: Vec<String> = self
+            .exceptions
+            .iter()
+            .filter(|&(key, s)| self.directory.get(key) != Some(s))
+            .map(|(key, _)| key.clone())
+            .collect();
+        ended.sort_unstable();
+        for key in ended {
+            let s = self.exceptions.remove(&key).expect("listed above");
+            if !self.shards.get(&s).is_some_and(|st| st.holds(&key)) {
+                if let Some(kept) = self.directory.remove(&key) {
+                    report.strays_evicted += u64::from(self.drop_copy(kept, &key)?);
+                }
+            }
+            self.meta_append(MetaRecord::DirDel { key })?;
             report.directory_dropped += 1;
         }
         Ok(())
+    }
+
+    /// Evict group `gid` from shard `s` if it is up, and say whether it was
+    /// there (every member may have been overwritten or deleted since).
+    fn evict_group_at(&mut self, s: ShardId, gid: GroupId) -> Result<bool, ClusterError> {
+        if !self.shard_up(s) {
+            return Ok(false);
+        }
+        match self.shards.get_mut(&s).map(|st| st.evict_group(gid)) {
+            Some(Ok(_)) => Ok(true),
+            Some(Err(StorageError::UnknownGroup(_))) | None => Ok(false),
+            Some(Err(e)) => Err(e.into()),
+        }
+    }
+
+    /// Delete `key` from shard `s` if it is up (a copy already gone is
+    /// fine), and say whether it was.
+    fn drop_copy(&mut self, s: ShardId, key: &str) -> Result<bool, ClusterError> {
+        if !self.shard_up(s) {
+            return Ok(false);
+        }
+        match self.shards.get_mut(&s).map(|st| st.delete(key)) {
+            Some(Ok(()) | Err(StorageError::UnknownObject { .. })) => Ok(true),
+            Some(Err(e)) => Err(e.into()),
+            None => Ok(false),
+        }
     }
 
     /// Publish the cluster gauges: `cluster.epoch`, per-shard object
@@ -1598,28 +1592,22 @@ impl ClusterStore {
             reg.gauge(&format!("cluster.shard{s}.objects"))
                 .set(store.num_objects() as i64);
         }
-        reg.gauge("cluster.epoch_commits")
-            .set(self.stats.epoch_commits as i64);
-        reg.gauge("cluster.handover_aborts")
-            .set(self.stats.handover_aborts as i64);
-        reg.gauge("cluster.groups_moved")
-            .set(self.stats.groups_moved as i64);
-        reg.gauge("cluster.wholes_moved")
-            .set(self.stats.wholes_moved as i64);
-        reg.gauge("cluster.symbols_transferred")
-            .set(self.stats.symbols_transferred as i64);
-        reg.gauge("cluster.transfer_skips")
-            .set(self.stats.transfer_skips as i64);
-        reg.gauge("cluster.stale_writes_rejected")
-            .set(self.stats.stale_writes_rejected as i64);
-        reg.gauge("cluster.forwarded_reads")
-            .set(self.stats.forwarded_reads as i64);
-        reg.gauge("cluster.future_stamped_reads")
-            .set(self.stats.future_stamped_reads as i64);
-        reg.gauge("cluster.dual_writes")
-            .set(self.stats.dual_writes as i64);
-        reg.gauge("cluster.handover.replanned")
-            .set(self.stats.handover_replanned as i64);
+        let st = &self.stats;
+        for (name, value) in [
+            ("cluster.epoch_commits", st.epoch_commits),
+            ("cluster.handover_aborts", st.handover_aborts),
+            ("cluster.groups_moved", st.groups_moved),
+            ("cluster.wholes_moved", st.wholes_moved),
+            ("cluster.symbols_transferred", st.symbols_transferred),
+            ("cluster.transfer_skips", st.transfer_skips),
+            ("cluster.stale_writes_rejected", st.stale_writes_rejected),
+            ("cluster.forwarded_reads", st.forwarded_reads),
+            ("cluster.future_stamped_reads", st.future_stamped_reads),
+            ("cluster.dual_writes", st.dual_writes),
+            ("cluster.handover.replanned", st.handover_replanned),
+        ] {
+            reg.gauge(name).set(value as i64);
+        }
         reg.gauge("cluster.handover.pending_replan")
             .set(i64::from(self.pending_replan));
     }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rain_cluster::{ClusterError, ClusterStore, MetaLog, MetaRecord, ShardId, MAX_VNODES};
-use rain_codes::CodeSpec;
+use rain_codes::{CodeKind, CodeSpec};
 use rain_sim::SimDuration;
 use rain_storage::{
     FileLog, FsyncPolicy, GroupConfig, LogBackend, MemLog, SelectionPolicy, StorageError, WalError,
@@ -618,6 +618,133 @@ fn a_segmented_cluster_recovers_from_its_segment_directories() {
 
 // ---- cross-log reconciliation ---------------------------------------------
 
+/// A metalog checkpoint after every record: each is taken once the record
+/// it follows is applied, so a restart finds the key just put, and not the
+/// key just deleted, with nothing to adopt, drop or ask an owner about.
+#[test]
+fn a_checkpoint_after_every_record_keeps_the_put_and_forgets_the_delete() {
+    let dir = wal_dir("ckpt-every");
+    let rs = CodeSpec::new(CodeKind::ReedSolomon, 6, 4);
+    let config = config()
+        .with_fsync(FsyncPolicy::Always)
+        .with_checkpoint_every(1);
+    let mut cluster = ClusterStore::with_wal_dir(rs, config, &[0, 1, 2], 8, &dir).unwrap();
+    cluster.store("a", &payload(1, 40), 1).unwrap();
+    let survivors = cluster.crash();
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(rs, config, &dir, survivors).unwrap();
+    assert_eq!(report.adopted, 0, "{report:?}");
+    let read = cluster.retrieve("a", SelectionPolicy::FirstK, 1).unwrap();
+    assert_eq!(read.bytes, payload(1, 40));
+
+    cluster.store("b", &payload(2, 40), 1).unwrap();
+    cluster.delete("a", 1).unwrap();
+    let survivors = cluster.crash();
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(rs, config, &dir, survivors).unwrap();
+    assert_eq!(report.directory_dropped, 0, "{report:?}");
+    assert_eq!(report.owner_probes, 0, "{report:?}");
+    assert!(matches!(
+        cluster.retrieve("a", SelectionPolicy::FirstK, 1),
+        Err(ClusterError::Storage(StorageError::UnknownObject { .. }))
+    ));
+    let read = cluster.retrieve("b", SelectionPolicy::FirstK, 1).unwrap();
+    assert_eq!(read.bytes, payload(2, 40));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The exceptions in the newest metalog checkpoint of `dir`.
+fn checkpointed_exceptions(dir: &std::path::Path) -> HashMap<String, ShardId> {
+    let records = metalog_records(dir);
+    let last = records
+        .iter()
+        .rev()
+        .find_map(|r| match r {
+            MetaRecord::Checkpoint { directory, .. } => Some(directory.clone()),
+            _ => None,
+        })
+        .expect("the metalog holds a checkpoint");
+    last.into_iter().collect()
+}
+
+/// A join whose joiner is down while the keys it is to own are
+/// overwritten: each override pins its key to its old owner, an exception,
+/// and the joiner keeps stale copies. With a metalog checkpoint after every
+/// record, one follows the commit that makes the exceptions and one the
+/// `DirDel` that ends an exception when its key is deleted. Each carries
+/// exactly the exceptions in force, and the restart serves the fresh
+/// copies, evicts the stale ones, and keeps the deleted key deleted.
+#[test]
+fn a_checkpoint_right_after_an_exception_record_carries_it() {
+    let dir = wal_dir("ckpt-exception");
+    let rs = CodeSpec::new(CodeKind::ReedSolomon, 6, 4);
+    let config = config()
+        .with_fsync(FsyncPolicy::Always)
+        .with_checkpoint_every(1);
+    let mut cluster = ClusterStore::with_wal_dir(rs, config, &[0, 1, 2], 8, &dir).unwrap();
+    let mut acked = HashMap::new();
+    for i in 0..30u32 {
+        let data = payload(
+            i,
+            if i % 5 == 0 {
+                120
+            } else {
+                24 + i as usize % 32
+            },
+        );
+        cluster.store(&format!("obj-{i}"), &data, 1).unwrap();
+        acked.insert(format!("obj-{i}"), data);
+    }
+    cluster.flush_all();
+    cluster.begin_handover(&[0, 1, 2, 3]).unwrap();
+    while cluster.transfer_next().unwrap().is_some() {}
+    let target = cluster.view().successor(&[0, 1, 2, 3]);
+    let mut pinned: Vec<String> = acked
+        .keys()
+        .filter(|k| target.owner_of(k) == Some(3))
+        .cloned()
+        .collect();
+    pinned.sort();
+    assert!(pinned.len() >= 2, "{pinned:?}");
+    cluster.fail_shard(3);
+    let mut homes = HashMap::new();
+    for (n, key) in pinned.iter().enumerate() {
+        let data = payload(500 + n as u32, 40);
+        cluster.store(key, &data, 1).unwrap();
+        acked.insert(key.clone(), data);
+        let home = cluster.directory().find(|(k, _)| k == key).unwrap().1;
+        homes.insert(key.clone(), home);
+    }
+    cluster.commit_handover().unwrap();
+    assert_eq!(checkpointed_exceptions(&dir), homes);
+    let stale = pinned
+        .iter()
+        .filter(|k| cluster.shard(3).unwrap().holds(k))
+        .count();
+    assert!(stale > 0, "the joiner keeps a stale copy");
+
+    cluster.recover_shard(3);
+    let gone = pinned[0].clone();
+    cluster.delete(&gone, 2).unwrap();
+    acked.remove(&gone);
+    homes.remove(&gone);
+    assert_eq!(checkpointed_exceptions(&dir), homes);
+
+    let survivors = cluster.crash();
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(rs, config, &dir, survivors).unwrap();
+    assert_eq!(report.directory_dropped, 0, "{report:?}");
+    assert!(report.strays_evicted > 0, "{report:?}");
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(wrong.is_empty(), "stale copies served: {wrong:?}");
+    assert_eq!((exact, unavailable), (acked.len(), 0));
+    assert!(matches!(
+        cluster.retrieve(&gone, SelectionPolicy::FirstK, 2),
+        Err(ClusterError::Storage(StorageError::UnknownObject { .. }))
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The records in `dir/cluster.meta`, as a fresh replay reads them.
 fn metalog_records(dir: &std::path::Path) -> Vec<MetaRecord> {
     let mut backend = MemLog::new();
@@ -628,9 +755,11 @@ fn metalog_records(dir: &std::path::Path) -> Vec<MetaRecord> {
 }
 
 /// Store 90 keys under `Always`, crash, delete shard 1's WAL and recover
-/// from disk. Returns the keys shard 1 held (sorted), the keys of the
-/// `DirDel` records recovery appended, and the metalog bytes afterwards.
-fn recover_without_shard_1_wal(dir: &std::path::Path) -> (Vec<String>, Vec<String>, Vec<u8>) {
+/// from disk. Returns the keys shard 1 held (sorted), the recovered
+/// cluster, and the metalog bytes before and after the restart.
+fn recover_without_shard_1_wal(
+    dir: &std::path::Path,
+) -> (Vec<String>, ClusterStore, Vec<u8>, Vec<u8>) {
     let config = config().with_fsync(FsyncPolicy::Always);
     let mut cluster = ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], 8, dir).unwrap();
     let epoch = cluster.epoch();
@@ -645,39 +774,42 @@ fn recover_without_shard_1_wal(dir: &std::path::Path) -> (Vec<String>, Vec<Strin
         .map(String::from)
         .collect();
     lost.sort();
-    let before = metalog_records(dir).len();
+    let before = std::fs::read(dir.join("cluster.meta")).unwrap();
 
     let survivors = cluster.crash();
     std::fs::remove_file(dir.join("shard-1.wal")).unwrap();
-    let (_, report) = ClusterStore::recover_from_disk(spec(), config, dir, survivors).unwrap();
-    assert_eq!(report.directory_dropped, lost.len() as u64);
-    assert!(report.owner_probes >= lost.len() as u64, "{report:?}");
-    let dels = metalog_records(dir)[before..]
-        .iter()
-        .filter_map(|r| match r {
-            MetaRecord::DirDel { key } => Some(key.clone()),
-            _ => None,
-        })
-        .collect();
-    (lost, dels, std::fs::read(dir.join("cluster.meta")).unwrap())
+    let (cluster, report) =
+        ClusterStore::recover_from_disk(spec(), config, dir, survivors).unwrap();
+    assert_eq!(report.directory_dropped, 0, "{report:?}");
+    assert_eq!(report.owner_probes, 0, "{report:?}");
+    let after = std::fs::read(dir.join("cluster.meta")).unwrap();
+    (lost, cluster, before, after)
 }
 
-/// The entries recovery drops come out of a `HashMap`, whose iteration
-/// order follows its random hash seed. Recovery sorts them, so the
-/// `DirDel` records it appends, and with them the metalog, are the same on
-/// every run.
+/// The directory comes from the shards, so a shard whose WAL is gone takes
+/// its keys with it: they read as honestly unknown (not unavailable, as
+/// they did while the metalog listed every key). Nothing is dropped, so
+/// the restart logs nothing, and two identical runs leave byte-identical
+/// metalogs.
 #[test]
-fn recovery_drops_a_lost_shards_entries_in_key_order_on_every_run() {
-    let (dir_a, dir_b) = (wal_dir("dirdel-a"), wal_dir("dirdel-b"));
-    let (lost, dels, meta_a) = recover_without_shard_1_wal(&dir_a);
+fn a_lost_shard_wal_makes_its_keys_unknown_and_logs_nothing() {
+    let (dir_a, dir_b) = (wal_dir("lost-wal-a"), wal_dir("lost-wal-b"));
+    let (lost, mut cluster, before, meta_a) = recover_without_shard_1_wal(&dir_a);
     assert!(lost.len() >= 20, "shard 1 held only {} keys", lost.len());
-    assert!(
-        dels.windows(2).all(|w| w[0] < w[1]),
-        "DirDel keys must be strictly ascending: {dels:?}"
-    );
-    assert_eq!(dels, lost, "every key shard 1 owned is dropped, once");
+    assert_eq!(before, meta_a, "the restart appended no metalog record");
+    assert_eq!(cluster.num_objects(), 90 - lost.len());
+    for key in &lost {
+        let read = cluster.retrieve(key, SelectionPolicy::FirstK, cluster.epoch());
+        assert!(
+            matches!(
+                read,
+                Err(ClusterError::Storage(StorageError::UnknownObject { .. }))
+            ),
+            "{key}: {read:?}"
+        );
+    }
 
-    let (_, _, meta_b) = recover_without_shard_1_wal(&dir_b);
+    let (_, _, _, meta_b) = recover_without_shard_1_wal(&dir_b);
     assert!(
         meta_a == meta_b,
         "two identical runs must leave byte-identical metalogs"
@@ -686,13 +818,13 @@ fn recovery_drops_a_lost_shards_entries_in_key_order_on_every_run() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
-/// One restart that meets all three kinds of cross-log drift at once: a
-/// prepared handover's copies at a joining shard (strays), shard writes
-/// whose `DirPut` was still in the metalog's batch (adoptions), and a shard
-/// whose WAL is gone (dropped entries). Afterwards the directory and the
-/// shards agree in both directions.
+/// One restart that meets three kinds of cross-log drift at once: a
+/// prepared handover's copies at a joining shard (strays), shard writes the
+/// metalog batch never heard of (kept: the directory comes from the
+/// shards), and a shard whose WAL is gone (its keys forgotten). Afterwards
+/// the directory and the shards agree in both directions.
 #[test]
-fn one_restart_evicts_strays_adopts_orphans_and_drops_lost_entries() {
+fn one_restart_evicts_strays_keeps_unlogged_keys_and_forgets_a_lost_wal() {
     let dir = wal_dir("three-outcomes");
     // Interval fsync: a log commits only once virtual time has moved
     // `tick` past its last commit, so each phase below picks what is
@@ -716,14 +848,20 @@ fn one_restart_evicts_strays_adopts_orphans_and_drops_lost_entries() {
     cluster.flush_all();
     cluster.advance_time(tick);
 
-    // 2. Ten more keys: the shards sync them, but their `DirPut` records
-    //    stay in the metalog's batch and die with it.
+    // 2. Ten more keys: the shards sync them; the metalog logs nothing
+    //    for a new key.
     for i in 60..70 {
         put(&mut cluster, i);
     }
     for s in [0, 1, 2] {
         cluster.shard_mut(s).unwrap().sync_wal().unwrap();
     }
+    let on_shard_2: Vec<String> = cluster
+        .shard(2)
+        .unwrap()
+        .object_names()
+        .map(String::from)
+        .collect();
 
     // 3. A handover toward a joining shard 3 lands two units there, and
     //    shard 3 syncs them. Its prepare never reaches the metalog.
@@ -738,8 +876,8 @@ fn one_restart_evicts_strays_adopts_orphans_and_drops_lost_entries() {
     let (mut cluster, report) =
         ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
     assert!(report.strays_evicted > 0, "{report:?}");
-    assert!(report.adopted > 0, "{report:?}");
-    assert!(report.directory_dropped > 0, "{report:?}");
+    assert_eq!(report.adopted, 0, "{report:?}");
+    assert_eq!(report.directory_dropped, 0, "{report:?}");
 
     let directory: HashMap<String, ShardId> = cluster
         .directory()
@@ -768,5 +906,15 @@ fn one_restart_evicts_strays_adopts_orphans_and_drops_lost_entries() {
         acked.len(),
         "every read is bit-exact or honestly unknown"
     );
+    // Only what shard 2 alone held is gone; every other key, the ten the
+    // metalog never heard of included, reads back.
+    assert!(unavailable > 0 && unavailable <= on_shard_2.len());
+    for i in 60..70 {
+        let key = format!("obj-{i}");
+        if !on_shard_2.contains(&key) {
+            let read = cluster.retrieve(&key, SelectionPolicy::FirstK, epoch);
+            assert_eq!(read.unwrap().bytes, acked[&key], "{key}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

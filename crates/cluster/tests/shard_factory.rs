@@ -319,9 +319,11 @@ fn run_until_power_loss(meta_faults: FaultSpec) -> Run {
 
 #[test]
 fn a_torn_metalog_write_at_any_boundary_recovers_without_wrong_bytes() {
+    // The genesis view, the join's placement keys, prepare, landings and
+    // commit, and a checkpoint: new keys and deletes log nothing.
     let total = run_until_power_loss(FaultSpec::default()).meta_writes;
     assert!(
-        total >= 20,
+        total >= 8,
         "the workload wrote only {total} metalog records"
     );
     let mut recovered = 0;
