@@ -19,14 +19,19 @@
 //! may remain: an **exception**. [`MetaRecord::DirPut`] `{ key, shard }`
 //! records one ("`key` lives on `shard`"), no later than the `ViewCommit`
 //! that creates it; [`MetaRecord::DirDel`] `{ key }` ends it, synced with
-//! the shard delete before a delete is acked. An older metalog's `DirPut`
+//! the shard deletes before a delete is acked. While a copy of a deleted
+//! exception key sits on a down shard, the exception outlives the delete,
+//! naming a shard without the key: a restart evicts every copy of such a
+//! key, and ends the exception once none is left. An older metalog's `DirPut`
 //! for every key replays as it is: an entry equal to the committed ring
 //! owner is not an exception.
 //!
 //! ## Record ordering discipline
 //!
 //! Every record is appended **before** the in-memory mutation it
-//! describes (log-then-apply); a `DirDel` follows its shard-level delete.
+//! describes (log-then-apply); a `DirDel` follows its shard-level delete,
+//! and a `HandoverAbort` its rollback's evictions, once they are synced
+//! (until then, replay rolls the handover back the same way).
 //!
 //! A handover writes [`MetaRecord::HandoverPrepare`] before any transfer,
 //! [`MetaRecord::UnitLanded`] after each import is shard-durable, and a
@@ -131,8 +136,9 @@ pub enum MetaRecord {
         shard: ShardId,
     },
     /// The in-flight handover was abandoned; the committed view stays
-    /// authoritative. Also appended by recovery itself when it finds a
-    /// prepare with no commit.
+    /// authoritative. Logged once the rollback's evictions are durable;
+    /// also appended by recovery itself when it finds a prepare with no
+    /// commit.
     HandoverAbort,
     /// A full snapshot of the committed control state. Replay restarts
     /// from the newest complete checkpoint; older records become dead

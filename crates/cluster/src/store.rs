@@ -73,13 +73,16 @@ fn no_disk_logs() -> ClusterError {
     })
 }
 
-/// A transfer step's result, `None` for the errors that only skip it: the
-/// unit unreadable at its source right now, or its install short of quorum.
-fn skippable<T>(r: Result<T, StorageError>) -> Result<Option<T>, ClusterError> {
+/// A transfer step's result, `None` for an error `skips` accepts: one that
+/// only skips the unit's move for now (the unit unreadable at its source,
+/// or its install short of quorum). Any other error fails the step.
+fn skippable<T>(
+    r: Result<T, StorageError>,
+    skips: fn(&StorageError) -> bool,
+) -> Result<Option<T>, ClusterError> {
     match r {
         Ok(v) => Ok(Some(v)),
-        Err(StorageError::NotEnoughNodes { .. } | StorageError::UnknownGroup(_)) => Ok(None),
-        Err(StorageError::UnknownObject { .. } | StorageError::QuorumNotReached { .. }) => Ok(None),
+        Err(e) if skips(&e) => Ok(None),
         Err(e) => Err(e.into()),
     }
 }
@@ -106,6 +109,14 @@ pub trait ShardFactory {
     /// The transport shard `s` reaches its storage nodes through.
     fn transport(&self, _s: ShardId) -> Box<dyn Transport> {
         Box::new(DirectTransport::new())
+    }
+
+    /// The shards whose logs this factory keeps. A full restart rebuilds
+    /// each, so a shard no metalog record names any more (one that left
+    /// the view while down) still lists its keys. The default lists none:
+    /// the restart then rebuilds the shards the control state names.
+    fn logged_shards(&self) -> Result<Vec<ShardId>, WalError> {
+        Ok(Vec::new())
     }
 }
 
@@ -138,6 +149,24 @@ impl ShardFactory for SpecFactory {
             Some(dir) => FileLog::open(dir.join(name), fsync)?,
         };
         Ok(Some(Box::new(log)))
+    }
+
+    fn logged_shards(&self) -> Result<Vec<ShardId>, WalError> {
+        let Some(dir) = &self.dir else {
+            return Ok(Vec::new());
+        };
+        let entries = std::fs::read_dir(dir)
+            .map_err(|e| WalError::Backend(format!("list {}: {e}", dir.display())))?;
+        Ok(entries
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                let id = name.strip_prefix("shard-")?;
+                let id = id
+                    .strip_suffix(".wal")
+                    .or_else(|| id.strip_suffix(".wal.d"))?;
+                id.parse().ok()
+            })
+            .collect())
     }
 }
 
@@ -289,8 +318,8 @@ pub struct ClusterRecoveryReport {
     pub strays_evicted: u64,
     /// Always 0: the directory is rebuilt from the shards' object tables.
     pub adopted: u64,
-    /// Exceptions dropped because the shard they name no longer holds the
-    /// key (it lost an un-synced tail, or a rollback evicted the copy).
+    /// Exceptions ended: the shard one names no longer holds its key and
+    /// no other copy is left, or a rolled-back handover's copy won.
     pub directory_dropped: u64,
     /// Always 0: every directory entry comes from what its owner holds.
     pub owner_probes: u64,
@@ -415,13 +444,17 @@ impl ClusterStore {
         if let Some(log) = meta_log.map_err(wal_err)? {
             let mut meta = MetaLog::new(log);
             // The genesis view is the first committed fact: a restart must
-            // know the member set and vnode count before anything else.
+            // know the member set and vnode count before anything else. It
+            // is synced, whatever the policy: the metalog may log nothing
+            // more for a long time, and a write the shards made durable is
+            // unreachable without it.
             meta.append(&MetaRecord::ViewCommit {
                 epoch: cluster.view.epoch(),
                 members: cluster.view.members().to_vec(),
                 vnodes: cluster.view.ring().vnodes(),
             })
             .map_err(wal_err)?;
+            meta.sync().map_err(wal_err)?;
             cluster.meta = Some(meta);
         }
         for &s in cluster.view.members().to_vec().iter() {
@@ -535,14 +568,41 @@ impl ClusterStore {
         }
     }
 
-    /// Log exceptions (see [`crate::metalog`]) and apply them.
-    fn put_exceptions(&mut self, pinned: Vec<(String, ShardId)>) -> Result<(), ClusterError> {
-        for (key, shard) in pinned {
-            let copy = key.clone();
-            self.meta_append(MetaRecord::DirPut { key: copy, shard })?;
-            self.exceptions.insert(key, shard);
+    /// Log where `key` lives off its ring owner (see [`crate::metalog`]),
+    /// or with `None` that its exception ended, and apply it.
+    fn set_exception(&mut self, key: &str, home: Option<ShardId>) -> Result<(), ClusterError> {
+        let key = key.to_string();
+        match home {
+            Some(shard) => {
+                self.meta_append(MetaRecord::DirPut {
+                    key: key.clone(),
+                    shard,
+                })?;
+                self.exceptions.insert(key, shard);
+            }
+            None => {
+                self.meta_append(MetaRecord::DirDel { key: key.clone() })?;
+                self.exceptions.remove(&key);
+            }
         }
         Ok(())
+    }
+
+    /// Make every up shard's log and the metalog durable. Free when
+    /// nothing is pending (every append under `FsyncPolicy::Always`); under
+    /// a relaxed policy it orders what a handover or a restart keeps,
+    /// evicts and logs, so no power loss can keep a later write without
+    /// an earlier one it depends on.
+    fn sync_all(&mut self) -> Result<(), ClusterError> {
+        for (s, store) in self.shards.iter_mut() {
+            if self.up.get(s).copied().unwrap_or(false) {
+                store.sync_wal()?;
+            }
+        }
+        match &mut self.meta {
+            Some(meta) => meta.sync().map_err(wal_err),
+            None => Ok(()),
+        }
     }
 
     /// Checkpoint the control state if [`GroupConfig::checkpoint_every`]
@@ -699,7 +759,7 @@ impl ClusterStore {
             // overwrite's entry already names its owner: no key copy.
             self.directory.insert(key.to_string(), primary);
             if self.exceptions.contains_key(key) {
-                self.end_exception(key, &[primary])?;
+                self.end_exception(key)?;
             }
         }
         // During a handover, decide where the write must additionally land
@@ -860,56 +920,39 @@ impl ClusterStore {
             .get_mut(&primary)
             .expect("directory names a shard")
             .delete(key)?;
-        // An exception or dual override outranks the ring owner's copy.
-        let dual = self.handover.as_ref().map(|h| &h.dual);
-        let logged = self.exceptions.contains_key(key) || dual.is_some_and(|d| d.contains_key(key));
-        let mut extra: Vec<ShardId> = self
-            .view
-            .owner_of(key)
-            .filter(|_| logged)
-            .into_iter()
-            .collect();
         self.directory.remove(key);
+        let mut logged = self.exceptions.contains_key(key);
+        let mut extra: Vec<ShardId> = Vec::new();
         if let Some(h) = &mut self.handover {
-            if let Some(t) = h.dual.remove(key) {
-                extra.push(t);
-            }
-            if let Some(d) = h.moved.remove(key) {
-                extra.push(d);
-            }
-        }
-        for &s in extra.iter().filter(|&&s| s != primary) {
-            self.drop_copy(s, key)?;
+            logged |= h.dual.remove(key).is_some();
+            extra.extend(h.moved.remove(key));
         }
         if logged {
-            extra.push(primary);
-            self.end_exception(key, &extra)?;
+            // An exception or dual override outranks every other copy, so
+            // every copy goes.
+            let holders = self.shards.iter().filter(|(_, st)| st.holds(key));
+            extra.extend(holders.map(|(&s, _)| s));
+        }
+        for s in extra.into_iter().filter(|&s| s != primary) {
+            self.drop_copy(s, key)?;
+        }
+        if self.exceptions.contains_key(key) && self.shards.values().any(|st| st.holds(key)) {
+            // A copy on a down shard outlives the delete. The exception
+            // stays, naming a shard without the key, so a restart evicts
+            // that copy too; a re-create ends it.
+            self.sync_all()?;
+        } else if logged {
+            self.end_exception(key)?;
         }
         self.checkpoint_if_due()
     }
 
-    /// End `key`'s exception once the shards in `touched` are durable, and
-    /// sync that before the ack. If the ring owner is down, its copy
-    /// outlives the delete: the exception stays, so a restart evicts that
-    /// copy too, and a re-create ends it.
-    fn end_exception(&mut self, key: &str, touched: &[ShardId]) -> Result<(), ClusterError> {
-        for &s in touched {
-            if self.shard_up(s) {
-                self.shards.get_mut(&s).expect("named shard").sync_wal()?;
-            }
-        }
-        let owner = self.view.owner_of(key);
-        if self.exceptions.contains_key(key) && owner.is_some_and(|r| !self.shard_up(r)) {
-            return Ok(());
-        }
-        self.meta_append(MetaRecord::DirDel {
-            key: key.to_string(),
-        })?;
-        if let Some(meta) = &mut self.meta {
-            meta.sync().map_err(wal_err)?;
-        }
-        self.exceptions.remove(key);
-        Ok(())
+    /// End `key`'s exception once what the caller just wrote is durable,
+    /// and make the end durable before the ack.
+    fn end_exception(&mut self, key: &str) -> Result<(), ClusterError> {
+        self.sync_all()?;
+        self.set_exception(key, None)?;
+        self.sync_all()
     }
 
     /// Repair one storage node inside one shard (routed admin operation).
@@ -1065,12 +1108,22 @@ impl ClusterStore {
         let landed = match &mv.kind {
             UnitKind::Group { gid } => {
                 let src = self.shards.get_mut(&mv.from).expect("move names a shard");
-                let Some(export) = skippable(src.export_group(*gid, SelectionPolicy::FirstK))?
+                let export = src.export_group(*gid, SelectionPolicy::FirstK);
+                let Some(export) = skippable(export, |e| {
+                    matches!(
+                        e,
+                        StorageError::NotEnoughNodes { .. } | StorageError::UnknownGroup(_)
+                    )
+                })?
                 else {
                     return self.skip_transfer();
                 };
                 let dst = self.shards.get_mut(&mv.to).expect("move names a shard");
-                let Some(new_gid) = skippable(dst.import_group(&export))? else {
+                let imported = dst.import_group(&export);
+                let Some(new_gid) = skippable(imported, |e| {
+                    matches!(e, StorageError::QuorumNotReached { .. })
+                })?
+                else {
                     return self.skip_transfer();
                 };
                 let symbols = dst.num_nodes() as u64;
@@ -1085,12 +1138,23 @@ impl ClusterStore {
             }
             UnitKind::Whole { name } => {
                 let src = self.shards.get_mut(&mv.from).expect("move names a shard");
-                let Some((bytes, _)) = skippable(src.retrieve(name, SelectionPolicy::FirstK))?
+                let read = src.retrieve(name, SelectionPolicy::FirstK);
+                let Some((bytes, _)) = skippable(read, |e| {
+                    matches!(
+                        e,
+                        StorageError::NotEnoughNodes { .. } | StorageError::UnknownObject { .. }
+                    )
+                })?
                 else {
                     return self.skip_transfer();
                 };
                 let dst = self.shards.get_mut(&mv.to).expect("move names a shard");
-                if skippable(dst.store(name, &bytes))?.is_none() {
+                let stored = dst.store(name, &bytes);
+                if skippable(stored, |e| {
+                    matches!(e, StorageError::QuorumNotReached { .. })
+                })?
+                .is_none()
+                {
                     return self.skip_transfer();
                 }
                 let symbols = dst.num_nodes() as u64;
@@ -1151,6 +1215,9 @@ impl ClusterStore {
             return Err(ClusterError::NoHandover);
         }
         while self.transfer_next()?.is_some() {}
+        // What the cutover keeps (imports, dual writes) is durable before
+        // the commit and its evictions can be.
+        self.sync_all()?;
         // A down source keeps its landed units' old copies: a member moved
         // off its new ring owner is an exception.
         let mut pinned = Vec::new();
@@ -1165,10 +1232,13 @@ impl ClusterStore {
                 }
             }
         }
-        self.put_exceptions(pinned)?;
-        // The single commit record, logged before any cutover mutation: a
-        // crash anywhere past this point replays the record and redoes the
-        // cutover deterministically from the logged transition state.
+        for (key, shard) in pinned {
+            self.set_exception(&key, Some(shard))?;
+        }
+        // The single commit record, logged and synced before any cutover
+        // mutation: a crash anywhere past this point replays the record and
+        // redoes the cutover deterministically from the logged transition
+        // state.
         let commit_record = {
             let target = &self.handover.as_ref().expect("checked above").target;
             MetaRecord::ViewCommit {
@@ -1178,6 +1248,7 @@ impl ClusterStore {
             }
         };
         self.meta_append(commit_record)?;
+        self.sync_all()?;
         let h = self.handover.take().expect("checked above");
         let mut span = span!(
             self.recorder,
@@ -1232,6 +1303,11 @@ impl ClusterStore {
             self.directory.insert(key.clone(), *t);
             place_key(&mut self.exceptions, &h.target, key, *t);
         }
+        // The evictions are durable before the new epoch acks a write: a
+        // lost one would bring back an old copy beside a newer one, with no
+        // exception to tell them apart (a group moves by its placement key,
+        // so a member's ring owner can still be the source).
+        self.sync_all()?;
         span.field("evicted", evicted);
         drop(span);
         self.view = h.target;
@@ -1254,6 +1330,8 @@ impl ClusterStore {
         if self.handover.is_none() {
             return Err(ClusterError::NoHandover);
         }
+        // The copies the rollback keeps are durable before its evictions.
+        self.sync_all()?;
         // A transition copy on a down shard outlives the evictions below:
         // its key's home, if off the ring owner, is an exception.
         let h = self.handover.as_ref().expect("checked above");
@@ -1271,18 +1349,33 @@ impl ClusterStore {
             .filter_map(|k| Some((k.clone(), *self.directory.get(k)?)))
             .filter(|(k, home)| self.view.owner_of(k) != Some(*home))
             .collect();
-        self.put_exceptions(pinned)?;
-        // Logged before the rollback evictions: replay of a prepare
-        // followed by an abort reconstructs no transition state, and the
-        // stray copies (if the evictions below never ran) fall to the
-        // directory rebuild at restart.
-        self.meta_append(MetaRecord::HandoverAbort)?;
+        for (key, shard) in pinned {
+            self.set_exception(&key, Some(shard))?;
+        }
         let h = self.handover.take().expect("checked above");
         let _span = span!(
             self.recorder,
             "cluster.handover.abort",
             target_epoch = h.target.epoch()
         );
+        // Logged once the evictions are durable. Until the record is, a
+        // restart rolls the handover back the same way; once it is, an
+        // evicted transition copy cannot come back beside a newer write.
+        // A failed eviction leaves the handover in flight, so a retried
+        // abort finishes the rollback.
+        if let Err(e) = self.drop_transition_copies(&h) {
+            self.handover = Some(h);
+            return Err(e);
+        }
+        self.meta_append(MetaRecord::HandoverAbort)?;
+        self.stats.handover_aborts += 1;
+        self.publish_gauges();
+        self.checkpoint_if_due()
+    }
+
+    /// Evict the copies handover `h` created (imported units, dual-written
+    /// keys) from the up shards holding them, and sync the evictions.
+    fn drop_transition_copies(&mut self, h: &Handover) -> Result<(), ClusterError> {
         for mv in &h.moves {
             let Some((_, new_gid)) = &mv.landed else {
                 continue;
@@ -1308,9 +1401,7 @@ impl ClusterStore {
                 self.drop_copy(t, key)?;
             }
         }
-        self.stats.handover_aborts += 1;
-        self.publish_gauges();
-        self.checkpoint_if_due()
+        self.sync_all()
     }
 
     /// True while some placement unit is known to sit away from where the
@@ -1436,26 +1527,26 @@ impl ClusterStore {
                 reason: "metalog holds no committed view".to_string(),
             }));
         };
-        // Prepare without commit: roll back. The abort record keeps the next
-        // replay from reconstructing the same dangling transition.
+        // Prepare without commit: roll back (the abort record follows the
+        // rebuild below).
         let rollback = state.abort_pending();
-        if rollback.is_some() {
-            report.handover_rolled_back = true;
-            meta.append(&MetaRecord::HandoverAbort).map_err(wal_err)?;
-        }
+        report.handover_rolled_back = rollback.is_some();
         let rollback = rollback.map(|p| (view.successor(&p.members), p));
         cluster.view = view;
         cluster.exceptions = state.exceptions;
         cluster.pkeys = state.pkeys;
         cluster.meta = Some(meta);
-        // 2. Per-shard replay: every shard with survivors, and every shard
-        // the control state names (one with no survivors stays down).
+        // 2. Per-shard replay: every shard with survivors, every shard the
+        // control state names, and every shard the factory keeps a log of
+        // (one with no survivors stays down).
         let mut nodes = survivors.nodes;
+        let logged = cluster.factory.logged_shards().map_err(wal_err)?;
         let shards: BTreeSet<ShardId> = nodes
             .keys()
             .chain(cluster.view.members())
             .chain(cluster.exceptions.values())
             .chain(cluster.pkeys.keys().map(|(s, _)| s))
+            .chain(&logged)
             .copied()
             .collect();
         for s in shards {
@@ -1468,8 +1559,14 @@ impl ClusterStore {
                 cluster.up.insert(s, false);
             }
         }
-        // 3. The directory, from the recovered shards.
+        // 3. The directory, from the recovered shards. The rollback's abort
+        // record is logged once its evictions are durable: until then, the
+        // next replay rolls the same transition back again.
         cluster.rebuild_directory(rollback.as_ref(), &mut report)?;
+        cluster.sync_all()?;
+        if report.handover_rolled_back {
+            cluster.meta_append(MetaRecord::HandoverAbort)?;
+        }
         cluster.pending_replan = cluster
             .directory
             .values()
@@ -1480,13 +1577,18 @@ impl ClusterStore {
     }
 
     /// Rebuild the directory from the recovered shards' object tables, dark
-    /// shards included (their keys read as honestly unavailable). Of a key
-    /// a crash left on several shards, the copy a rolled-back handover
-    /// started from is kept, else the one an exception names, else the ring
-    /// owner's, else the lowest shard's (without an exception the copies
-    /// are equal); the rest are evicted from up shards. An exception whose
-    /// shard lost the key outranked every copy: all go, and the key reads
-    /// as unknown. Exceptions that no longer hold end, in key order.
+    /// shards included (their keys read as honestly unavailable).
+    ///
+    /// An exception whose shard no longer holds its key (deleted while a
+    /// copy sat on a down shard, or lost with an un-synced tail) outranks
+    /// every copy: all are evicted, the key reads as unknown, and the
+    /// exception ends once no copy is left. Of any other key a crash left
+    /// on several shards, the copy a rolled-back handover started from is
+    /// kept, else the one an exception names, else the ring owner's, else
+    /// the lowest shard's (without an exception the copies are equal); the
+    /// rest are evicted from up shards. Where a copy on a down shard
+    /// survives, the kept copy is logged as an exception unless it is the
+    /// ring owner's, so the next restart keeps it too, rollback or not.
     fn rebuild_directory(
         &mut self,
         rollback: Option<&(MembershipView, PendingHandover)>,
@@ -1506,6 +1608,30 @@ impl ClusterStore {
                 }
             }
         }
+        let mut gone: Vec<String> = self
+            .exceptions
+            .iter()
+            .filter(|&(key, s)| !self.shards.get(s).is_some_and(|st| st.holds(key)))
+            .map(|(key, _)| key.clone())
+            .collect();
+        gone.sort_unstable();
+        for key in gone {
+            let holders = match shared.remove(&key) {
+                Some(holders) => holders,
+                None => self.directory.get(&key).copied().into_iter().collect(),
+            };
+            self.directory.remove(&key);
+            let mut left = false;
+            for s in holders {
+                let evicted = self.drop_copy(s, &key)?;
+                report.strays_evicted += u64::from(evicted);
+                left |= !evicted;
+            }
+            if !left {
+                self.set_exception(&key, None)?;
+                report.directory_dropped += 1;
+            }
+        }
         let mut landed_at: HashMap<&str, Vec<ShardId>> = HashMap::new();
         for (_, to, _, members) in rollback.iter().flat_map(|(_, p)| &p.landed) {
             for m in members {
@@ -1523,32 +1649,25 @@ impl ClusterStore {
                     pool = holders.clone();
                 }
             }
-            let keep = [self.exceptions.get(&key).copied(), self.view.owner_of(&key)]
+            let home = self.exceptions.get(&key).copied();
+            let owner = self.view.owner_of(&key);
+            let keep = [home, owner]
                 .into_iter()
                 .flatten()
                 .find(|s| pool.contains(s))
                 .unwrap_or(pool[0]);
+            let mut left = false;
             for s in holders.into_iter().filter(|&s| s != keep) {
-                report.strays_evicted += u64::from(self.drop_copy(s, &key)?);
+                let evicted = self.drop_copy(s, &key)?;
+                report.strays_evicted += u64::from(evicted);
+                left |= !evicted;
+            }
+            let want = (owner != Some(keep) && (left || home.is_some())).then_some(keep);
+            if want != home {
+                self.set_exception(&key, want)?;
+                report.directory_dropped += u64::from(want.is_none());
             }
             self.directory.insert(key, keep);
-        }
-        let mut ended: Vec<String> = self
-            .exceptions
-            .iter()
-            .filter(|&(key, s)| self.directory.get(key) != Some(s))
-            .map(|(key, _)| key.clone())
-            .collect();
-        ended.sort_unstable();
-        for key in ended {
-            let s = self.exceptions.remove(&key).expect("listed above");
-            if !self.shards.get(&s).is_some_and(|st| st.holds(&key)) {
-                if let Some(kept) = self.directory.remove(&key) {
-                    report.strays_evicted += u64::from(self.drop_copy(kept, &key)?);
-                }
-            }
-            self.meta_append(MetaRecord::DirDel { key })?;
-            report.directory_dropped += 1;
         }
         Ok(())
     }
@@ -1592,22 +1711,28 @@ impl ClusterStore {
             reg.gauge(&format!("cluster.shard{s}.objects"))
                 .set(store.num_objects() as i64);
         }
-        let st = &self.stats;
-        for (name, value) in [
-            ("cluster.epoch_commits", st.epoch_commits),
-            ("cluster.handover_aborts", st.handover_aborts),
-            ("cluster.groups_moved", st.groups_moved),
-            ("cluster.wholes_moved", st.wholes_moved),
-            ("cluster.symbols_transferred", st.symbols_transferred),
-            ("cluster.transfer_skips", st.transfer_skips),
-            ("cluster.stale_writes_rejected", st.stale_writes_rejected),
-            ("cluster.forwarded_reads", st.forwarded_reads),
-            ("cluster.future_stamped_reads", st.future_stamped_reads),
-            ("cluster.dual_writes", st.dual_writes),
-            ("cluster.handover.replanned", st.handover_replanned),
-        ] {
-            reg.gauge(name).set(value as i64);
-        }
+        reg.gauge("cluster.epoch_commits")
+            .set(self.stats.epoch_commits as i64);
+        reg.gauge("cluster.handover_aborts")
+            .set(self.stats.handover_aborts as i64);
+        reg.gauge("cluster.groups_moved")
+            .set(self.stats.groups_moved as i64);
+        reg.gauge("cluster.wholes_moved")
+            .set(self.stats.wholes_moved as i64);
+        reg.gauge("cluster.symbols_transferred")
+            .set(self.stats.symbols_transferred as i64);
+        reg.gauge("cluster.transfer_skips")
+            .set(self.stats.transfer_skips as i64);
+        reg.gauge("cluster.stale_writes_rejected")
+            .set(self.stats.stale_writes_rejected as i64);
+        reg.gauge("cluster.forwarded_reads")
+            .set(self.stats.forwarded_reads as i64);
+        reg.gauge("cluster.future_stamped_reads")
+            .set(self.stats.future_stamped_reads as i64);
+        reg.gauge("cluster.dual_writes")
+            .set(self.stats.dual_writes as i64);
+        reg.gauge("cluster.handover.replanned")
+            .set(self.stats.handover_replanned as i64);
         reg.gauge("cluster.handover.pending_replan")
             .set(i64::from(self.pending_replan));
     }

@@ -581,6 +581,32 @@ fn relaxed_fsync_cluster_recovery_is_honest_about_unsynced_tails() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Under `EveryN` a cluster with no handover appends nothing to its
+/// metalog after the genesis view, so nothing would ever commit it. It is
+/// synced at creation: once the shards sync, a restart serves every key.
+#[test]
+fn a_relaxed_cluster_with_no_handover_restarts_from_its_synced_shards() {
+    let dir = wal_dir("relaxed-genesis");
+    let config = config().with_fsync(FsyncPolicy::EveryN(64));
+    let mut cluster = ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], 8, &dir).unwrap();
+    let mut acked = HashMap::new();
+    for i in 0..20u32 {
+        let data = payload(i, 24 + i as usize % 32);
+        cluster.store(&format!("obj-{i}"), &data, 1).unwrap();
+        acked.insert(format!("obj-{i}"), data);
+    }
+    for s in 0..3 {
+        cluster.shard_mut(s).unwrap().sync_wal().unwrap();
+    }
+    let survivors = cluster.crash();
+    let (mut cluster, _) =
+        ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(wrong.is_empty(), "wrong bytes: {wrong:?}");
+    assert_eq!((exact, unavailable), (acked.len(), 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_segmented_cluster_recovers_from_its_segment_directories() {
     let dir = wal_dir("segmented");
@@ -667,21 +693,22 @@ fn checkpointed_exceptions(dir: &std::path::Path) -> HashMap<String, ShardId> {
     last.into_iter().collect()
 }
 
-/// A join whose joiner is down while the keys it is to own are
-/// overwritten: each override pins its key to its old owner, an exception,
-/// and the joiner keeps stale copies. With a metalog checkpoint after every
-/// record, one follows the commit that makes the exceptions and one the
-/// `DirDel` that ends an exception when its key is deleted. Each carries
-/// exactly the exceptions in force, and the restart serves the fresh
-/// copies, evicts the stale ones, and keeps the deleted key deleted.
-#[test]
-fn a_checkpoint_right_after_an_exception_record_carries_it() {
-    let dir = wal_dir("ckpt-exception");
+/// What [`join_pinning_keys`] leaves: the cluster, the acked contents, the
+/// pinned keys (sorted) and each one's home.
+struct Pinned {
+    cluster: ClusterStore,
+    acked: HashMap<String, Vec<u8>>,
+    keys: Vec<String>,
+    homes: HashMap<String, ShardId>,
+}
+
+/// Store thirty keys on shards 0-2 (RS(6,4) under `config`), then join
+/// shard 3 and overwrite the keys it is to own while it is down: each
+/// override pins its key to its old owner, an exception, and the commit
+/// (shard 3 still down) leaves the joiner's stale copies.
+fn join_pinning_keys(dir: &std::path::Path, config: GroupConfig) -> Pinned {
     let rs = CodeSpec::new(CodeKind::ReedSolomon, 6, 4);
-    let config = config()
-        .with_fsync(FsyncPolicy::Always)
-        .with_checkpoint_every(1);
-    let mut cluster = ClusterStore::with_wal_dir(rs, config, &[0, 1, 2], 8, &dir).unwrap();
+    let mut cluster = ClusterStore::with_wal_dir(rs, config, &[0, 1, 2], 8, dir).unwrap();
     let mut acked = HashMap::new();
     for i in 0..30u32 {
         let data = payload(
@@ -716,6 +743,33 @@ fn a_checkpoint_right_after_an_exception_record_carries_it() {
         homes.insert(key.clone(), home);
     }
     cluster.commit_handover().unwrap();
+    Pinned {
+        cluster,
+        acked,
+        keys: pinned,
+        homes,
+    }
+}
+
+/// A join pins keys off their ring owner (see [`join_pinning_keys`]).
+/// With a metalog checkpoint after every record, one follows the commit
+/// that makes the exceptions and one the `DirDel` that ends an exception
+/// when its key is deleted. Each carries exactly the exceptions in force,
+/// and the restart serves the fresh copies, evicts the stale ones, and
+/// keeps the deleted key deleted.
+#[test]
+fn a_checkpoint_right_after_an_exception_record_carries_it() {
+    let dir = wal_dir("ckpt-exception");
+    let rs = CodeSpec::new(CodeKind::ReedSolomon, 6, 4);
+    let config = config()
+        .with_fsync(FsyncPolicy::Always)
+        .with_checkpoint_every(1);
+    let Pinned {
+        mut cluster,
+        mut acked,
+        keys: pinned,
+        mut homes,
+    } = join_pinning_keys(&dir, config);
     assert_eq!(checkpointed_exceptions(&dir), homes);
     let stale = pinned
         .iter()
@@ -742,6 +796,99 @@ fn a_checkpoint_right_after_an_exception_record_carries_it() {
         cluster.retrieve(&gone, SelectionPolicy::FirstK, 2),
         Err(ClusterError::Storage(StorageError::UnknownObject { .. }))
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An exception key is deleted while its ring owner, which holds a stale
+/// copy, is down. The exception outlives the delete: the restart that
+/// finds the ring owner dark keeps it (the stale copy cannot be evicted
+/// yet), and the restart after the ring owner came back evicts the stale
+/// copy and only then ends it. The delete stays deleted throughout.
+#[test]
+fn an_exception_key_deleted_while_its_ring_owner_is_down_stays_deleted() {
+    let dir = wal_dir("exception-dark-owner");
+    let rs = CodeSpec::new(CodeKind::ReedSolomon, 6, 4);
+    let config = config().with_fsync(FsyncPolicy::Always);
+    let Pinned {
+        mut cluster,
+        mut acked,
+        keys: pinned,
+        ..
+    } = join_pinning_keys(&dir, config);
+    let gone = pinned
+        .iter()
+        .find(|k| cluster.shard(3).unwrap().holds(k))
+        .expect("the joiner keeps a stale copy")
+        .clone();
+    cluster.delete(&gone, 2).unwrap();
+    acked.remove(&gone);
+    let deleted = |cluster: &mut ClusterStore| {
+        matches!(
+            cluster.retrieve(&gone, SelectionPolicy::FirstK, 2),
+            Err(ClusterError::Storage(StorageError::UnknownObject { .. }))
+        )
+    };
+    assert!(deleted(&mut cluster));
+
+    let mut survivors = cluster.crash();
+    assert!(survivors.lose_shard(3), "shard 3 had survivors to lose");
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(rs, config, &dir, survivors).unwrap();
+    assert!(!cluster.shard_up(3), "shard 3 recovers dark");
+    assert!(cluster.shard(3).unwrap().holds(&gone), "{report:?}");
+    assert!(deleted(&mut cluster), "{report:?}");
+    cluster.recover_shard(3);
+    assert!(deleted(&mut cluster));
+
+    let survivors = cluster.crash();
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(rs, config, &dir, survivors).unwrap();
+    assert!(deleted(&mut cluster), "{report:?}");
+    assert!(!cluster.shard(3).unwrap().holds(&gone), "{report:?}");
+    assert_eq!(report.directory_dropped, 1, "{report:?}");
+    let (exact, unavailable, wrong) = sweep(&mut cluster, &acked);
+    assert!(wrong.is_empty(), "wrong bytes: {wrong:?}");
+    assert_eq!(exact + unavailable, acked.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard leaves the view while down, so none of its units move and no
+/// metalog record names it any more. Restarted with its machines gone, it
+/// is still rebuilt from its log: its keys read as down, not unknown.
+#[test]
+fn a_shard_that_left_the_view_while_down_recovers_dark_not_unknown() {
+    let dir = wal_dir("left-dark");
+    let config = config().with_fsync(FsyncPolicy::Always);
+    let mut cluster = ClusterStore::with_wal_dir(spec(), config, &[0, 1, 2], 8, &dir).unwrap();
+    for i in 0..30u32 {
+        cluster
+            .store(&format!("obj-{i}"), &payload(i, 24 + i as usize % 32), 1)
+            .unwrap();
+    }
+    cluster.flush_all();
+    let on_2: Vec<String> = cluster
+        .directory()
+        .filter(|&(_, s)| s == 2)
+        .map(|(k, _)| k.to_string())
+        .collect();
+    assert!(!on_2.is_empty(), "shard 2 holds keys");
+    cluster.fail_shard(2);
+    cluster.begin_handover(&[0, 1]).unwrap();
+    cluster.commit_handover().unwrap();
+    assert!(cluster.pending_replan(), "shard 2's units are stranded");
+
+    let mut survivors = cluster.crash();
+    assert!(survivors.lose_shard(2), "shard 2 had survivors to lose");
+    let (mut cluster, report) =
+        ClusterStore::recover_from_disk(spec(), config, &dir, survivors).unwrap();
+    assert!(report.pending_replan, "{report:?}");
+    for key in &on_2 {
+        let read = cluster.retrieve(key, SelectionPolicy::FirstK, 2);
+        assert!(
+            matches!(read, Err(ClusterError::ShardDown(2))),
+            "{key}: {read:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -394,6 +394,96 @@ fn a_recreated_exception_key_beats_its_old_holders_torn_delete() {
     ledger.check(&mut cluster, "restart");
 }
 
+/// Under a relaxed fsync policy, a join moves sealed groups to shard 3 by
+/// their placement keys, and a moved member whose ring owner is still its
+/// source is overwritten on the joiner, which then syncs; the source never
+/// syncs again. The commit is synced before it returns, and the source's
+/// eviction is durable once it drops the group's symbols, so the restart
+/// finds only the new copy: there is no old one for the ring-owner rule to
+/// prefer.
+#[test]
+fn a_moved_members_overwrite_beats_its_sources_eviction_under_relaxed_fsync() {
+    let config = config().with_fsync(FsyncPolicy::EveryN(1000));
+    let (factory, handle) = SharedFactory::new(BTreeMap::new(), FaultSpec::default());
+    let mut cluster = ClusterStore::with_factory(factory, config, &[0, 1, 2], 8).unwrap();
+    for i in 0..40 {
+        let (key, data) = object(i, 0);
+        cluster.store(&key, &data, 1).unwrap();
+    }
+    cluster.flush_all();
+    let sources: HashMap<String, ShardId> = cluster
+        .directory()
+        .map(|(k, s)| (k.to_string(), s))
+        .collect();
+    cluster.begin_handover(&[0, 1, 2, 3]).unwrap();
+    cluster.commit_handover().unwrap();
+    let key = cluster
+        .directory()
+        .filter(|&(k, s)| s == 3 && cluster.view().owner_of(k) == Some(sources[k]))
+        .map(|(k, _)| k.to_string())
+        .min()
+        .expect("a moved group carries a member its source still owns");
+    let i: u32 = key["obj-".len()..].parse().unwrap();
+    let (_, data) = object(i, 1);
+    cluster.store(&key, &data, cluster.epoch()).unwrap();
+    cluster.shard_mut(3).unwrap().sync_wal().unwrap();
+
+    let survivors = cluster.crash();
+    let (factory, _) = SharedFactory::new(handle.durable_files(), FaultSpec::default());
+    let (mut cluster, report) =
+        ClusterStore::recover_with_factory(factory, config, survivors).unwrap();
+    let read = cluster.retrieve(&key, SelectionPolicy::FirstK, 2).unwrap();
+    assert_eq!((read.shard, read.bytes), (3, data), "{key}: {report:?}");
+}
+
+/// Under a relaxed fsync policy, a grouped key the joiner is to own is
+/// overwritten mid-handover, so the commit collapses it onto the joiner and
+/// drops the old owner's copy, a grouped delete that frees no symbols and
+/// so is not synced on its own. The key is then deleted on the joiner,
+/// which syncs; the old owner never syncs again. The commit made the drop
+/// durable before it returned, so the restart finds no copy: the acked
+/// delete stays deleted.
+#[test]
+fn a_collapsed_dual_copy_stays_dropped_under_relaxed_fsync() {
+    let config = config().with_fsync(FsyncPolicy::EveryN(1000));
+    let (factory, handle) = SharedFactory::new(BTreeMap::new(), FaultSpec::default());
+    let mut cluster = ClusterStore::with_factory(factory, config, &[0, 1, 2], 8).unwrap();
+    let mut acked = HashMap::new();
+    for i in 0..40 {
+        let (key, data) = object(i, 0);
+        cluster.store(&key, &data, 1).unwrap();
+        acked.insert(key, data);
+    }
+    cluster.flush_all();
+    cluster.begin_handover(&[0, 1, 2, 3]).unwrap();
+    while cluster.transfer_next().unwrap().is_some() {}
+    let key = joiner_keys(&cluster, &acked)
+        .into_iter()
+        .find(|k| !k["obj-".len()..].parse::<u32>().unwrap().is_multiple_of(5))
+        .expect("the joiner is to own a grouped key");
+    let i: u32 = key["obj-".len()..].parse().unwrap();
+    let (_, data) = object(i, 1);
+    cluster.store(&key, &data, 1).unwrap();
+    let old_owner = cluster.directory().find(|(k, _)| *k == key).unwrap().1;
+    cluster.commit_handover().unwrap();
+    assert!(!cluster.shard(old_owner).unwrap().holds(&key));
+    cluster.delete(&key, 2).unwrap();
+    cluster.shard_mut(3).unwrap().sync_wal().unwrap();
+
+    let survivors = cluster.crash();
+    let (factory, _) = SharedFactory::new(handle.durable_files(), FaultSpec::default());
+    let (mut cluster, report) =
+        ClusterStore::recover_with_factory(factory, config, survivors).unwrap();
+    let read = cluster.retrieve(&key, SelectionPolicy::FirstK, 2);
+    assert!(
+        matches!(
+            read,
+            Err(ClusterError::Storage(StorageError::UnknownObject { .. }))
+        ),
+        "{key} reads {read:?}: {report:?}"
+    );
+}
+
 /// A new key's put under `FsyncPolicy::Always` syncs once, as an
 /// overwrite does: the metalog logs nothing for it. The objects are whole
 /// ones: a grouped put may also seal its group or compact an old one, a
