@@ -104,7 +104,7 @@ impl VideoSystem {
     /// the recovered block namespace (`<video>/<index>` keys), so fully or
     /// partially ingested videos stream again without re-ingesting. Clients
     /// are ephemeral and start fresh. The [`RecoveryReport`] is passed
-    /// through so operators can see torn tails and in-doubt discards.
+    /// through so operators can see torn tails and swept stale frames.
     pub fn recover(
         code: Arc<dyn ErasureCode>,
         block_size: usize,

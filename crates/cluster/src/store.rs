@@ -1486,7 +1486,7 @@ impl ClusterStore {
     /// comes back *down*, its keys honestly [`ClusterError::ShardDown`],
     /// and keeps logging to disk once [`ClusterStore::recover_shard`]
     /// brings it up. Then the directory is rebuilt from the shards (see
-    /// [`ClusterStore::rebuild_directory`]). Every acked object comes back
+    /// `ClusterStore::rebuild_directory`). Every acked object comes back
     /// bit-exact or honestly unavailable.
     pub fn recover_from_disk(
         spec: CodeSpec,

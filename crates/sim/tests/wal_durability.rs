@@ -42,11 +42,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rain_codes::{ArrayCode, BCode};
-use rain_sim::SimDuration;
+use rain_codes::{ArrayCode, BCode, ErasureCode};
+use rain_sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
 use rain_storage::{
-    DistributedStore, FaultSpec, FaultyFile, FaultySegFs, FileLog, FsyncPolicy, GroupConfig,
-    MemLog, SegmentedFile, SelectionPolicy, StorageError, SyncFault, WalError, WriteAheadLog,
+    ChaosTransport, DistributedStore, FaultSpec, FaultyFile, FaultySegFs, FileLog, FsyncPolicy,
+    GroupConfig, MemLog, SegmentedFile, SelectionPolicy, StorageError, SyncFault, WalError,
+    WriteAheadLog,
 };
 
 fn code() -> Arc<ArrayCode> {
@@ -65,8 +66,9 @@ fn config() -> GroupConfig {
     .logged()
 }
 
-/// One workload step (node churn is deliberately absent: the subject here
-/// is the log's durability schedule, not symbol availability).
+/// One workload step. Node churn is limited to one outage: the subject
+/// here is the log's durability schedule, and an outage is what makes a
+/// whole store or a seal miss its quorum.
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Op {
     /// Store object `name` with `len` deterministic bytes (overwrites ok).
@@ -77,6 +79,26 @@ enum Op {
     Flush,
     /// Rewrite sealed groups below the live watermark.
     Compact,
+    /// Take `n - k + 1` nodes down through a chaos transport whose plan
+    /// brings them back a second later: meanwhile every whole install and
+    /// seal misses its quorum, and the op fails unacked. A grouped store
+    /// that capacity-seals would land but fail, so outages hold none.
+    Outage,
+    /// Let the outage's second pass: its nodes are back.
+    Heal,
+}
+
+/// [`Op::Outage`]: nodes `0..=n - k` down now, back after one second.
+fn outage(store: &mut DistributedStore) {
+    let code = code();
+    let (n, k) = (code.n(), code.k());
+    let mut plan = FaultPlan::none();
+    for i in 0..=n - k {
+        plan = plan
+            .at(SimTime::ZERO, Fault::NodeCrash(NodeId(i)))
+            .at(SimTime::from_secs(1), Fault::NodeRecover(NodeId(i)));
+    }
+    store.set_transport(Box::new(ChaosTransport::new(n, 7).with_plan(plan)));
 }
 
 fn obj_name(name: u8) -> String {
@@ -213,6 +235,9 @@ fn drive_ops(mut store: DistributedStore, ops: &[Op], tick: SimDuration) -> File
     let mut oracle = Oracle::default();
     let mut version = 0u64;
     let mut in_flight = None;
+    // Between `Outage` and `Heal` a store or seal may miss its quorum;
+    // with every node up that is a fault.
+    let mut down = false;
     'drive: for op in ops {
         match op {
             Op::Store { name, len } => {
@@ -226,6 +251,7 @@ fn drive_ops(mut store: DistributedStore, ops: &[Op], tick: SimDuration) -> File
                         break 'drive;
                     }
                     Err(StorageError::Wal(WalError::Backend(_))) => {}
+                    Err(StorageError::QuorumNotReached { .. }) if down => {}
                     Err(e) => panic!("unexpected store error: {e}"),
                 }
             }
@@ -244,6 +270,7 @@ fn drive_ops(mut store: DistributedStore, ops: &[Op], tick: SimDuration) -> File
             }
             Op::Flush => match store.flush() {
                 Ok(_) | Err(StorageError::Wal(WalError::Backend(_))) => {}
+                Err(StorageError::QuorumNotReached { .. }) if down => {}
                 Err(StorageError::Wal(WalError::Crashed)) => break 'drive,
                 Err(e) => panic!("unexpected flush error: {e}"),
             },
@@ -252,6 +279,14 @@ fn drive_ops(mut store: DistributedStore, ops: &[Op], tick: SimDuration) -> File
                 Err(StorageError::Wal(WalError::Crashed)) => break 'drive,
                 Err(e) => panic!("unexpected compact error: {e}"),
             },
+            Op::Outage => {
+                outage(&mut store);
+                down = true;
+            }
+            Op::Heal => {
+                store.advance_time(SimDuration::from_secs(1));
+                down = false;
+            }
         }
         if tick.0 > 0 {
             store.advance_time(tick);
@@ -433,6 +468,55 @@ fn sweep_ops(ops: &[Op], policy: FsyncPolicy, tick: SimDuration) -> Result<usize
         }
     }
     Ok(writes)
+}
+
+/// A fixed workload whose whole stores miss their quorum during an
+/// outage: overwrites of a sealed-grouped, an open-grouped and a whole
+/// object, and a new key. None of them may leave a trace, in the live run
+/// or after a crash at any later write: each predecessor reads back.
+fn outage_workload() -> Vec<Op> {
+    use Op::*;
+    vec![
+        Store { name: 0, len: 40 }, // grouped
+        Store { name: 1, len: 80 }, // whole
+        Store { name: 2, len: 30 }, // grouped
+        Flush,                      // seals group {0, 2}
+        Store { name: 3, len: 20 }, // grouped, open group
+        Outage,
+        Store { name: 0, len: 90 },  // whole over sealed grouped: fails
+        Store { name: 3, len: 70 },  // whole over open grouped: fails
+        Store { name: 1, len: 96 },  // whole over whole: fails
+        Store { name: 4, len: 100 }, // new whole: fails
+        Store { name: 5, len: 10 },  // grouped: lands in the open group
+        Flush,                       // the seal fails: the group stays open
+        Store { name: 1, len: 85 },  // fails again
+        Heal,
+        Store { name: 3, len: 70 }, // whole over open grouped
+        Store { name: 1, len: 96 }, // whole over whole
+        Flush,
+        Store { name: 4, len: 100 }, // new whole
+    ]
+}
+
+/// The outage crash sweep: whole stores that miss their quorum log
+/// nothing, so no power loss can make replay redo one.
+#[test]
+fn file_crash_sweep_through_an_outage() {
+    for (policy, tick) in [
+        (FsyncPolicy::Always, SimDuration(0)),
+        (FsyncPolicy::EveryN(4), SimDuration(0)),
+        (
+            FsyncPolicy::EveryT(SimDuration::from_millis(5)),
+            SimDuration::from_millis(2),
+        ),
+    ] {
+        let writes = sweep_ops(&outage_workload(), policy, tick).unwrap_or_else(|e| panic!("{e}"));
+        if policy == FsyncPolicy::Always {
+            // One write per record: the ten ops that succeed. The five
+            // failed stores and the failed seal append nothing.
+            assert_eq!(writes, 10, "records written under Always");
+        }
+    }
 }
 
 /// [`sweep_ops`] over the fixed workload.
@@ -621,6 +705,7 @@ fn drive_ckpt(ops: &[Op], ckpts: &[usize]) -> DistributedStore {
             Op::Compact => {
                 store.compact().unwrap();
             }
+            Op::Outage | Op::Heal => unreachable!("checkpoint workloads keep every node up"),
         }
         if ckpts.contains(&i) {
             store.checkpoint().unwrap();

@@ -15,8 +15,8 @@
 //!   object;
 //! * [`wal`] — a write-ahead log protecting acked-but-unsealed grouped
 //!   objects from coordinator crashes: mutations are logged before they are
-//!   applied, and [`DistributedStore::recover`] replays the log after a
-//!   restart.
+//!   applied, installs (whole stores, seals) once they reached their quorum,
+//!   and [`DistributedStore::recover`] replays the log after a restart.
 
 #![warn(missing_docs)]
 

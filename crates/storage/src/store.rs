@@ -33,10 +33,11 @@
 //!   adopting it would serve wrong bytes: a group takes its newest one.
 //! * **Limbo parking.** Only a whole → whole overwrite replaces frames a
 //!   durable log record still needs: a `StoreWhole` record carries no
-//!   bytes, so its frames are its replay evidence, and they are parked
-//!   until the overwrite's record is durable. A group's frames are never
-//!   replaced while a record needs them (a seal replaces only the orphans
-//!   of a failed one), and dropping a group takes the fsync barrier.
+//!   bytes, so its frames are the only copy of what it stored, and they
+//!   are parked until the overwrite's record, appended after the install,
+//!   is durable. A group's frames are never replaced while a record needs
+//!   them (a seal replaces only the orphans of a failed one), and dropping
+//!   a group takes the fsync barrier.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -329,12 +330,11 @@ fn held(slots: &Slots, i: usize) -> &[u8] {
     slots[i].as_deref().expect("the node holds the unit")
 }
 
-/// Whole-object frames superseded while the superseding `StoreWhole`
-/// record was still in the un-fsynced log tail, oldest first. They are
-/// recycled once the log reports nothing pending;
-/// [`DistributedStore::recover`] puts a frame back when its superseding
-/// record did not survive. Like the frames, they are on the nodes, so they
-/// survive a coordinator crash.
+/// Whole-object frames a logged install replaced, oldest first, held until
+/// its `StoreWhole` record (appended after the install) is durable, then
+/// recycled. [`Limbo::restore`] puts them back when the record is not in
+/// the log: after a failed op, or a crash that took the record. Like the
+/// frames, they are on the nodes, so they survive a coordinator crash.
 #[derive(Debug, Default)]
 struct Limbo {
     /// Each parked overwrite: the object, and the log index of its record.
@@ -352,6 +352,21 @@ impl Limbo {
             self.units.push((name.to_string(), tag));
         }
         self.frames.push((self.units.len() - 1, node, frame));
+    }
+
+    /// Put every frame parked under a tag at or past `from` back into
+    /// `fabric`, whose frames it displaces go to `pool`. Walking newest
+    /// first leaves the oldest frame of each slot.
+    fn restore(&mut self, from: u64, fabric: &mut Fabric, pool: &mut FramePool) {
+        let first = self.units.partition_point(|&(_, tag)| tag < from);
+        let at = self.frames.partition_point(|&(unit, ..)| unit < first);
+        for (unit, node, frame) in self.frames.drain(at..).rev() {
+            let row = fabric.find_or_insert(Unit::Whole(&self.units[unit].0));
+            if let Some(displaced) = fabric.row_mut(row)[node].replace(frame) {
+                pool.give(displaced);
+            }
+        }
+        self.units.truncate(first);
     }
 }
 
@@ -571,10 +586,6 @@ pub struct RecoveryReport {
     /// True if the log ended in a partially written record (tolerated: the
     /// replay stops at the last complete record).
     pub torn_tail: bool,
-    /// Logged-but-never-applied whole-object stores discarded during replay
-    /// (the crash hit between the log append and the symbol installs; the
-    /// op was never acked, so dropping it is the correct outcome).
-    pub in_doubt_discarded: usize,
     /// Objects in the rebuilt table (whole + grouped).
     pub objects_recovered: usize,
     /// Bytes rebuilt into open-group buffers straight from the log.
@@ -664,10 +675,10 @@ pub struct DistributedStore {
     group_bytes_logged: u64,
     group_bytes_durable: u64,
     /// True while [`DistributedStore::recover`] replays the log. Replay
-    /// must not *remove* node symbols: a whole object's surviving symbols
-    /// are the only evidence a later `StoreWhole` record has that its op
-    /// was applied (the record carries no data), so destructive transitions
-    /// are deferred to the post-replay reconciliation sweep.
+    /// must not *remove* whole-object symbols: the nodes hold their final
+    /// state, so the frames under a name may be a later `StoreWhole`
+    /// record's bytes (the record carries no data). Destructive
+    /// transitions are deferred to the post-replay sweep.
     replaying: bool,
     /// The fate model every node-crossing operation consults (see
     /// [`crate::transport`]). [`DirectTransport`] by default, which
@@ -1662,25 +1673,15 @@ impl DistributedStore {
         (landed, remaining)
     }
 
-    /// Append a record to the write-ahead log, if one is attached. Called
-    /// **before** the mutation it describes is applied (log-then-apply);
-    /// replay runs with the log detached so redone ops are not re-logged.
+    /// Append a record to the write-ahead log, if one is attached: before
+    /// the mutation it describes, or for an install (whole store, seal,
+    /// import) once it reached its quorum. Replay runs with the log
+    /// detached so redone ops are not re-logged.
     fn log(&mut self, record: RecordView<'_>) -> Result<(), StorageError> {
-        let Some(wal) = &self.wal else {
+        self.checkpoint_if_due()?;
+        let Some(wal) = &mut self.wal else {
             return Ok(());
         };
-        if let Some(err) = &self.wal_failed {
-            return Err(StorageError::Wal(err.clone()));
-        }
-        // Auto-checkpoint fires *before* the record that trips the
-        // interval: the snapshot describes the applied state, which at
-        // this point does not yet include `record`'s mutation, and the
-        // snapshot must precede the record in the log or replay from it
-        // would lose the record.
-        let every = self.group_config.checkpoint_every;
-        if every > 0 && wal.since_checkpoint() >= every {
-            self.checkpoint()?;
-        }
         // Group payload bytes this record puts at risk until the log
         // syncs: the buffered bytes a replayed open group is rebuilt from.
         let at_risk = match record {
@@ -1688,7 +1689,6 @@ impl DistributedStore {
             RecordView::GroupImport { bytes, .. } => bytes.len() as u64,
             _ => 0,
         };
-        let wal = self.wal.as_mut().expect("checked above");
         let before = wal.bytes_appended();
         wal.append_view(record)?;
         self.obs.wal_appends.inc();
@@ -1697,6 +1697,24 @@ impl DistributedStore {
             .add(wal.bytes_appended().saturating_sub(before));
         self.group_bytes_logged += at_risk;
         self.reclaim_if_durable();
+        Ok(())
+    }
+
+    /// Fail with a latched device failure, or take the auto-checkpoint if
+    /// the next record trips its interval: the snapshot must precede the
+    /// record, whose mutation it does not include. A whole store calls this
+    /// before its install, so nothing lands between install and record.
+    fn checkpoint_if_due(&mut self) -> Result<(), StorageError> {
+        let Some(wal) = &self.wal else {
+            return Ok(());
+        };
+        if let Some(err) = &self.wal_failed {
+            return Err(StorageError::Wal(err.clone()));
+        }
+        let every = self.group_config.checkpoint_every;
+        if every > 0 && wal.since_checkpoint() >= every {
+            self.checkpoint()?;
+        }
         Ok(())
     }
 
@@ -1739,14 +1757,10 @@ impl DistributedStore {
         }
     }
 
-    /// The log index of the record just appended, when that record is
-    /// still in the un-fsynced tail — the tag a frame it supersedes is
-    /// parked under. `None` (destroy the old frame outright) when the
-    /// record is already durable, always the case under
-    /// `FsyncPolicy::Always`, and during replay.
+    /// The log index the next record takes, which a whole install parks
+    /// the frames it replaces under; `None` (destroy them) without a log.
     fn park_tag(&self) -> Option<u64> {
-        let wal = self.wal.as_ref().filter(|_| !self.replaying)?;
-        (wal.pending_bytes() > 0).then(|| wal.records_appended() - 1)
+        self.wal.as_ref().map(WriteAheadLog::records_appended)
     }
 
     /// Durability barrier before destroying node-resident state that
@@ -1952,11 +1966,11 @@ impl DistributedStore {
     /// original length is recovered on retrieve either way. Storing an
     /// existing key overwrites it (tombstoning the old copy if grouped).
     ///
-    /// With [`Durability::Logged`] the mutation is appended to the
-    /// write-ahead log before any state changes, so an acked store survives
-    /// a coordinator crash (grouped objects ride in the log until their
-    /// group seals; whole objects are durable on the nodes the moment this
-    /// returns).
+    /// With [`Durability::Logged`] an acked store survives a coordinator
+    /// crash: a grouped one is logged before any state changes and rides in
+    /// the log until its group seals; a whole one is logged once its
+    /// install reached its quorum, so it is durable on the nodes the moment
+    /// this returns, and a failed one logs nothing.
     pub fn store(&mut self, object: &str, data: &[u8]) -> Result<(), StorageError> {
         let _span = span!(self.recorder, "store.store", bytes = data.len() as u64);
         self.obs.store_ops.inc();
@@ -1974,14 +1988,15 @@ impl DistributedStore {
             })?;
             self.apply_store_grouped(object, data, gid)
         } else {
-            self.log(RecordView::StoreWhole { object })?;
             self.apply_store_whole(object, data)
         }
     }
 
-    /// The individual-object path: retire the old copy, then frame, encode,
-    /// one symbol per node.
+    /// The individual-object path: frame, encode, one symbol per node, and
+    /// only once that reached its quorum, log the store and retire a
+    /// grouped predecessor.
     fn apply_store_whole(&mut self, object: &str, data: &[u8]) -> Result<(), StorageError> {
+        self.checkpoint_if_due()?;
         // Frame: original length (8 bytes LE) + data, padded to the unit.
         // Nothing is copied here: the code reads the prefix and the
         // caller's bytes where they are and writes each share straight
@@ -2001,31 +2016,43 @@ impl DistributedStore {
             self.frames
                 .encode(self.code.as_ref(), &prefix, data, padded)
         };
-        // A whole predecessor is replaced frame by frame below. Its old
-        // frames are the durable predecessor record's replay evidence, so
-        // while this op's record is un-fsynced they are parked, not
-        // dropped. A grouped predecessor is tombstoned only once the
-        // install reached its quorum: a failed encode or install leaves the
-        // old copy readable, and the object table never names a group the
-        // tombstone may have dropped.
-        let grouped = match self.objects.get(object) {
-            Some(&ObjectEntry::Grouped { group, span }) => Some((group, span)),
-            _ => None,
-        };
+        // A whole predecessor's frames are parked as they are replaced (see
+        // [`Limbo`]). A grouped one is tombstoned only once the record is in
+        // the log: a failed op leaves the old copy readable, and the object
+        // table never names a group the tombstone may have dropped.
+        let prior = self.objects.get(object).copied();
         let park = self.park_tag();
-        let installed = frames
+        let stored = frames
             .map_err(StorageError::from)
-            .and_then(|frames| self.install_unit(Unit::Whole(object), park, frames));
-        if let Err(err) = installed {
-            // The op changed no table, but its record is in the log:
-            // withdraw it, or replay would redo what the live run did not.
-            self.log(RecordView::AbortWhole { object })?;
+            .and_then(|frames| self.install_unit(Unit::Whole(object), park, frames))
+            .and_then(|_| self.log(RecordView::StoreWhole { object }));
+        if let Err(err) = stored {
+            // `Crashed`: the record may be in the log, and recovery decides
+            // which copy survives. Any other failure left none: undo it.
+            if let Some(tag) = park.filter(|_| err != StorageError::Wal(WalError::Crashed)) {
+                self.undo_whole_install(object, prior, tag);
+            }
             return Err(err);
         }
-        if let Some((group, span)) = grouped {
+        if let Some(ObjectEntry::Grouped { group, span }) = prior {
             self.tombstone_member(group, span)?;
         }
         Ok(())
+    }
+
+    /// Take back a failed whole install of `object`: the frames it parked
+    /// under `tag` go back, or without a whole predecessor its own frames
+    /// go, and the table names `prior` again. Its queued installs then
+    /// match no entry, so [`DistributedStore::complete_writes`] drops them.
+    fn undo_whole_install(&mut self, object: &str, prior: Option<ObjectEntry>, tag: u64) {
+        self.limbo.restore(tag, &mut self.fabric, &mut self.frames);
+        if !matches!(prior, Some(ObjectEntry::Whole { .. })) {
+            self.fabric.remove(Unit::Whole(object));
+        }
+        match prior {
+            Some(entry) => upsert(&mut self.objects, object, entry),
+            None => drop(self.objects.remove(object)),
+        }
     }
 
     /// The expected share generation of `unit` (0 when none is known, which
@@ -2159,9 +2186,9 @@ impl DistributedStore {
     fn retire_for_grouped(&mut self, object: &str) -> Result<(), StorageError> {
         match self.objects.get(object) {
             Some(&ObjectEntry::Grouped { group, span }) => self.tombstone_member(group, span),
-            // During replay whole symbols stay put: a later `StoreWhole`
-            // record for this name may need them as its applied-ness
-            // evidence. Reconciliation sweeps whatever ends up orphaned.
+            // During replay whole symbols stay put: the nodes hold their
+            // final state, which a later `StoreWhole` record for this name
+            // may own. The restart walk sweeps whatever ends up orphaned.
             Some(ObjectEntry::Whole { .. }) if !self.replaying => {
                 self.destructive_apply_barrier()?;
                 self.fabric.remove(Unit::Whole(object));
@@ -2938,9 +2965,9 @@ impl DistributedStore {
     /// their bytes in the record, so open-group buffers, object-table
     /// spans, and tombstone state come back exactly; `Seal` records re-run
     /// the (deterministic) encode, which also makes an interrupted seal
-    /// complete itself. A whole-object record whose symbols never reached
-    /// the nodes (the crash landed between the log append and the install)
-    /// is discarded — the op was never acked. A torn final record is
+    /// complete itself. A whole store is logged after its install; if a
+    /// crash took the record, the frames it replaced go back and its own
+    /// are swept. A torn final record is
     /// skipped cleanly (see [`crate::wal`]).
     ///
     /// `config` must be the configuration the log was written under: the
@@ -2954,7 +2981,7 @@ impl DistributedStore {
     pub fn recover(
         code: Arc<dyn ErasureCode>,
         config: GroupConfig,
-        nodes: SurvivingNodes,
+        mut nodes: SurvivingNodes,
         mut wal: WriteAheadLog,
     ) -> Result<(Self, RecoveryReport), StorageError> {
         if nodes.nodes.len() != code.n() {
@@ -2984,18 +3011,12 @@ impl DistributedStore {
         store.group_config.durability = Durability::Logged;
         store.nodes = nodes.nodes;
         store.fabric = nodes.fabric;
-        // A parked frame whose superseding record did not survive goes
-        // back: the log rolled back past that overwrite, so its node state
-        // must too. Walking newest first leaves the oldest such frame.
+        // The log rolled back past the records a crash took; so do the
+        // nodes.
         let durable = replay.records.len() as u64;
-        let Limbo { units, frames } = nodes.limbo;
-        for (unit, node, frame) in frames.into_iter().rev() {
-            let (object, tag) = &units[unit];
-            if *tag >= durable {
-                let row = store.fabric.find_or_insert(Unit::Whole(object));
-                store.fabric.row_mut(row)[node] = Some(frame);
-            }
-        }
+        nodes
+            .limbo
+            .restore(durable, &mut store.fabric, &mut store.frames);
         let mut report = RecoveryReport {
             records_replayed: replay.records.len(),
             torn_tail: replay.torn_tail,
@@ -3039,8 +3060,8 @@ impl DistributedStore {
             }
         }
         let start = restored.map_or(0, |i| i + 1);
-        for (i, record) in replay.records.iter().enumerate().skip(start) {
-            store.replay_record(record, &replay.records[i + 1..], &mut report)?;
+        for record in &replay.records[start..] {
+            store.replay_record(record, &mut report)?;
         }
         report.records_since_checkpoint = replay.records.len() - start;
         store.replaying = false;
@@ -3058,12 +3079,10 @@ impl DistributedStore {
         Ok((store, report))
     }
 
-    /// Redo one logged mutation during recovery; `rest` is the log after
-    /// it.
+    /// Redo one logged mutation during recovery.
     fn replay_record(
         &mut self,
         record: &WalRecord,
-        rest: &[WalRecord],
         report: &mut RecoveryReport,
     ) -> Result<(), StorageError> {
         match record {
@@ -3090,37 +3109,11 @@ impl DistributedStore {
                 self.apply_store_grouped(object, bytes, *group)
             }
             WalRecord::StoreWhole { object } => {
-                // A store whose install missed its quorum is withdrawn by
-                // the next record (checkpoints aside): the live run changed
-                // nothing, so neither does replay.
-                let next = rest
-                    .iter()
-                    .find(|r| !matches!(r, WalRecord::Checkpoint { .. }));
-                if matches!(next, Some(WalRecord::AbortWhole { object: o }) if o == object) {
-                    return Ok(());
-                }
-                // The record carries no data — the bytes live in the node
-                // symbols. If no node holds a symbol and this is the final
-                // record, the crash landed between the log append and the
-                // installs: the op was never acked and is dropped, leaving
-                // any predecessor intact. For any earlier record, absent
-                // symbols mean a later *applied* op removed them — a benign
-                // supersession whose later record re-establishes the final
-                // placement. That op itself reached its quorum in the live
-                // run (it was not withdrawn), so its open-group side effect
-                // — tombstoning a grouped predecessor — must still be
-                // redone below:
-                // skipping it leaves the open group fuller than the live
-                // run's, and replay then capacity-seals it at a different
-                // append than the live run did.
-                if rest.is_empty() && self.fabric.find(Unit::Whole(object)).is_none() {
-                    report.in_doubt_discarded += 1;
-                    return Ok(());
-                }
+                // Logged after its install: redo it. The generation is
+                // read from the frames after replay.
                 if let Some(&ObjectEntry::Grouped { group, span }) = self.objects.get(object) {
                     self.tombstone_member(group, span)?;
                 }
-                // The generation is read from the frames after replay.
                 self.objects
                     .insert(object.clone(), ObjectEntry::Whole { gen: 0 });
                 Ok(())
@@ -3128,8 +3121,8 @@ impl DistributedStore {
             WalRecord::Delete { object } => {
                 // Redo semantics: a logged delete completes even if the
                 // crash preceded its apply. Whole symbols are left in place
-                // (a later `StoreWhole` record may need them as evidence);
-                // reconciliation sweeps them if the name stays dead.
+                // (a later `StoreWhole` record may own them); the restart
+                // walk sweeps them if the name stays dead.
                 match self.objects.remove(object) {
                     Some(ObjectEntry::Whole { .. }) => {}
                     Some(ObjectEntry::Grouped { group, span }) => {
@@ -3176,8 +3169,7 @@ impl DistributedStore {
                 self.apply_group_evict(*group)?;
                 Ok(())
             }
-            // Its `StoreWhole` record was skipped above, or precedes the
-            // restored checkpoint.
+            // No longer written: an old log's is a no-op.
             WalRecord::AbortWhole { .. } => Ok(()),
             WalRecord::Checkpoint { .. } => {
                 // Reached only when recovery restored an *earlier*
@@ -3221,9 +3213,9 @@ impl DistributedStore {
     /// is gone or never sealed. It runs before
     /// [`Self::rebuild_gens_from_nodes`], which takes the group
     /// generations and the epoch from the frames it leaves. Whole frames
-    /// orphaned by in-doubt ops (e.g. a logged-but-unapplied grouped
-    /// overwrite of a whole object leaves the old whole frames behind) are
-    /// swept by that walk.
+    /// no live whole object owns (a grouped overwrite or delete of a whole
+    /// object leaves them behind during replay, and so does a whole install
+    /// whose record a crash took) are swept by that walk.
     fn reconcile_after_replay(&mut self) {
         let open = self.open_group;
         self.groups
@@ -4918,29 +4910,169 @@ mod tests {
 
     #[test]
     fn an_unlogged_whole_store_is_discarded_not_resurrected_wrong() {
-        // A whole-store record whose symbols never reached the nodes (crash
-        // between append and install) must vanish — and must not clobber
-        // the acked grouped predecessor under the same name.
-        let mut s = DistributedStore::with_wal(
-            Arc::new(BCode::table_1a()),
-            grouped_config(),
-            Box::new(MemLog::with_fuse(CrashFuse {
-                records_before_crash: 1,
-                torn_bytes: usize::MAX,
-            })),
-        );
-        s.store("x", &[3u8; 40]).unwrap(); // grouped, acked
-        assert!(matches!(
-            s.store("x", &[4u8; 100]), // whole overwrite, crashes unapplied
-            Err(StorageError::Wal(WalError::Crashed))
-        ));
-        let (mut rec, report) = recover_from(s).unwrap();
-        assert_eq!(report.in_doubt_discarded, 1);
-        assert_eq!(
-            rec.retrieve("x", SelectionPolicy::FirstK).unwrap().0,
-            vec![3u8; 40],
-            "the acked grouped version survives the in-doubt overwrite"
-        );
+        // The crash lands on the record of a whole overwrite whose install
+        // already reached the nodes. Torn away, the record never happened:
+        // the acked predecessor reads back, a grouped one from its group
+        // (the new whole frames are swept) and a whole one from the frames
+        // the install parked. Landed whole, the record is redone.
+        for old in [vec![3u8; 40], vec![3u8; 90]] {
+            for torn_bytes in [0, usize::MAX] {
+                let mut s = DistributedStore::with_wal(
+                    Arc::new(BCode::table_1a()),
+                    grouped_config(),
+                    Box::new(MemLog::with_fuse(CrashFuse {
+                        records_before_crash: 1,
+                        torn_bytes,
+                    })),
+                );
+                s.store("x", &old).unwrap();
+                assert!(matches!(
+                    s.store("x", &[4u8; 100]),
+                    Err(StorageError::Wal(WalError::Crashed))
+                ));
+                let (mut rec, report) = recover_from(s).unwrap();
+                let (out, _) = rec.retrieve("x", SelectionPolicy::FirstK).unwrap();
+                let case = format!("{} B predecessor, torn {torn_bytes}", old.len());
+                if torn_bytes == 0 {
+                    assert_eq!(out, old, "{case}");
+                    let grouped = old.len() < grouped_config().threshold;
+                    assert_eq!(report.stale_frames_swept >= 1, grouped, "{case}");
+                } else {
+                    assert_eq!(out, [4u8; 100], "{case}");
+                }
+            }
+        }
+    }
+
+    /// A whole store whose install reached its quorum but whose record
+    /// failed to append. Cut back out of the log (a short write, a failed
+    /// fsync), the store is taken back: the predecessor (none, whole,
+    /// grouped open, grouped sealed) reads back live and after a power
+    /// loss. If power fails during the cut, the record may be durable: the
+    /// op fails `Crashed`, takes nothing back, and recovery reads the
+    /// predecessor or the new bytes as the record survived, never a name
+    /// without frames. Either way the name takes a later store.
+    #[test]
+    fn a_whole_store_whose_record_fails_to_append_is_undone_or_left_to_recovery() {
+        use crate::wal::file::{FaultSpec, FaultyFile, FileLog, FsyncPolicy, SyncFault};
+        use crate::wal::WriteAheadLog;
+        let code: Arc<dyn ErasureCode> = Arc::new(BCode::table_1a());
+        let read = |s: &mut DistributedStore| {
+            s.retrieve("x", SelectionPolicy::FirstK)
+                .map(|(bytes, _)| bytes)
+                .ok()
+        };
+        let new = vec![9u8; 100];
+        for policy in [FsyncPolicy::Always, FsyncPolicy::EveryN(4)] {
+            let config = grouped_config().logged().with_fsync(policy);
+            for (old, sealed) in [
+                (None, false),
+                (Some(vec![1u8; 90]), false),
+                (Some(vec![1u8; 40]), false),
+                (Some(vec![1u8; 40]), true),
+            ] {
+                let setup = |faults| {
+                    let (file, handle) = FaultyFile::new(faults);
+                    let log = FileLog::with_raw(Box::new(file), policy).unwrap();
+                    let mut s = DistributedStore::with_wal(code.clone(), config, Box::new(log));
+                    if let Some(old) = &old {
+                        s.store("x", old).unwrap();
+                    }
+                    if sealed {
+                        s.flush().unwrap();
+                    }
+                    // Three records after a commit: the overwrite's record
+                    // is the next commit under either policy.
+                    s.sync_wal().unwrap();
+                    for f in 0..3u8 {
+                        s.store(&format!("f{f}"), &[f; 8]).unwrap();
+                    }
+                    (s, handle)
+                };
+                let probe = setup(FaultSpec::default()).1;
+                let failed_sync = Some((probe.syncs(), SyncFault::Fail));
+                // Each fault on the record's commit, and whether the record
+                // may still be in the log: `None` when the failed append
+                // was cut back out, else whether a power loss during the
+                // cut kept the record.
+                for (faults, landed) in [
+                    (
+                        FaultSpec {
+                            short_write: Some((probe.writes(), 5)),
+                            ..FaultSpec::default()
+                        },
+                        None,
+                    ),
+                    (
+                        FaultSpec {
+                            sync_fault: failed_sync,
+                            ..FaultSpec::default()
+                        },
+                        None,
+                    ),
+                    (
+                        FaultSpec {
+                            sync_fault: failed_sync,
+                            crash_on_replace: Some((0, true)),
+                            ..FaultSpec::default()
+                        },
+                        Some(false),
+                    ),
+                    (
+                        FaultSpec {
+                            sync_fault: failed_sync,
+                            crash_on_replace: Some((0, false)),
+                            ..FaultSpec::default()
+                        },
+                        Some(true),
+                    ),
+                ] {
+                    let case = format!(
+                        "{policy:?}, {:?} B, sealed: {sealed}, {faults:?}",
+                        old.as_ref().map(Vec::len)
+                    );
+                    let (mut s, handle) = setup(faults);
+                    let before = s.group_stats();
+                    let err = s.store("x", &new).unwrap_err();
+                    if landed.is_some() {
+                        // The record may be durable: nothing is taken back,
+                        // and recovery decides.
+                        assert_eq!(err, StorageError::Wal(WalError::Crashed), "{case}");
+                    } else {
+                        assert!(
+                            matches!(err, StorageError::Wal(WalError::Backend(_))),
+                            "{case}: {err:?}"
+                        );
+                        // A cut that rewrites the file makes the batch in
+                        // front of the record durable too.
+                        let after = GroupStats {
+                            wal_pending_sync_bytes: before.wal_pending_sync_bytes,
+                            ..s.group_stats()
+                        };
+                        assert_eq!(after, before, "{case}");
+                        assert_eq!(read(&mut s), old, "{case}");
+                        s.sync_wal().unwrap();
+                    }
+                    // Power loss: only the durable image survives.
+                    let (nodes, _) = s.crash();
+                    let (file, _) =
+                        FaultyFile::with_contents(handle.durable_bytes(), FaultSpec::default());
+                    let wal = WriteAheadLog::new(Box::new(
+                        FileLog::with_raw(Box::new(file), policy).unwrap(),
+                    ));
+                    let (mut rec, _) =
+                        DistributedStore::recover(code.clone(), config, nodes, wal).unwrap();
+                    let want = if landed == Some(true) {
+                        Some(new.clone())
+                    } else {
+                        old.clone()
+                    };
+                    assert_eq!(read(&mut rec), want, "{case}");
+                    rec.store("x", &new).unwrap();
+                    assert_eq!(read(&mut rec), Some(new.clone()), "{case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -5014,14 +5146,12 @@ mod tests {
     fn superseded_whole_stores_are_not_counted_in_doubt() {
         // whole -> grouped overwrite removes the whole symbols; on replay
         // the earlier StoreWhole record finds none, which is a benign
-        // supersession (the later record re-establishes the truth), not an
-        // in-doubt discard.
+        // supersession: the later record re-establishes the truth.
         let mut s = logged_store();
         s.store("x", &[1u8; 100]).unwrap();
         s.store("x", &[2u8; 40]).unwrap();
         s.store("keep", &[3u8; 40]).unwrap();
-        let (mut rec, report) = recover_from(s).unwrap();
-        assert_eq!(report.in_doubt_discarded, 0, "supersession is not in-doubt");
+        let (mut rec, _) = recover_from(s).unwrap();
         assert_eq!(
             rec.retrieve("x", SelectionPolicy::FirstK).unwrap().0,
             vec![2u8; 40]
@@ -5553,6 +5683,18 @@ mod tests {
             }
         }
 
+        /// Nodes 0-2 of six down from t = 0 until 1 s: a whole install
+        /// reaches three nodes, short of any quorum of RS(6, 4).
+        fn outage() -> Box<ChaosTransport> {
+            let mut plan = FaultPlan::none();
+            for i in 0..3 {
+                plan = plan
+                    .at(SimTime::ZERO, Fault::NodeCrash(NodeId(i)))
+                    .at(SimTime::from_secs(1), Fault::NodeRecover(NodeId(i)));
+            }
+            Box::new(ChaosTransport::new(6, 7).with_plan(plan))
+        }
+
         /// A whole overwrite of a grouped object that misses its quorum
         /// leaves the grouped copy in place. Were the old copy tombstoned
         /// before the install, the failed install would leave the object
@@ -5569,13 +5711,7 @@ mod tests {
             let mut s = DistributedStore::with_groups(code, config);
             s.store("obj", &[7u8; 10]).unwrap();
             s.flush().unwrap(); // sealed alone: the group's last member
-            let mut plan = FaultPlan::none();
-            for i in 0..3 {
-                plan = plan
-                    .at(SimTime::ZERO, Fault::NodeCrash(NodeId(i)))
-                    .at(SimTime::from_secs(1), Fault::NodeRecover(NodeId(i)));
-            }
-            s.set_transport(Box::new(ChaosTransport::new(6, 7).with_plan(plan)));
+            s.set_transport(outage());
             assert_eq!(
                 s.store("obj", &[8u8; 100]).unwrap_err(),
                 StorageError::QuorumNotReached {
@@ -5603,8 +5739,8 @@ mod tests {
         }
 
         /// The logged twin of the test above, across a coordinator crash:
-        /// the failed overwrite's `StoreWhole` record is withdrawn, so
-        /// replay keeps the grouped copy as the live run did, whether that
+        /// the failed overwrite logs no `StoreWhole` record, so replay
+        /// keeps the grouped copy as the live run did, whether that
         /// copy sits in a sealed group or is the only live member of the
         /// open one (where a replayed tombstone would rewind the open block
         /// and shift every later span).
@@ -5623,13 +5759,7 @@ mod tests {
                 if sealed {
                     s.flush().unwrap();
                 }
-                let mut plan = FaultPlan::none();
-                for i in 0..3 {
-                    plan = plan
-                        .at(SimTime::ZERO, Fault::NodeCrash(NodeId(i)))
-                        .at(SimTime::from_secs(1), Fault::NodeRecover(NodeId(i)));
-                }
-                s.set_transport(Box::new(ChaosTransport::new(6, 7).with_plan(plan)));
+                s.set_transport(outage());
                 assert_eq!(
                     s.store("obj", &[8u8; 100]).unwrap_err(),
                     StorageError::QuorumNotReached {
@@ -5642,9 +5772,8 @@ mod tests {
                 s.flush().unwrap();
                 let live = s.group_stats();
                 let (nodes, wal) = s.crash();
-                let (mut rec, report) =
+                let (mut rec, _) =
                     DistributedStore::recover(code.clone(), config, nodes, wal.unwrap()).unwrap();
-                assert_eq!(report.in_doubt_discarded, 0, "sealed: {sealed}");
                 for (name, want) in [("obj", vec![7u8; 10]), ("later", vec![9u8; 20])] {
                     let (out, _) = rec.retrieve(name, SelectionPolicy::FirstK).unwrap();
                     assert_eq!(out, want, "{name}, sealed: {sealed}");
@@ -5658,6 +5787,61 @@ mod tests {
                 rec.delete("obj").unwrap();
                 rec.delete("later").unwrap();
                 assert_eq!(rec.group_stats().sealed_groups, 0, "sealed: {sealed}");
+            }
+        }
+
+        /// The grouped layout of a store's tables, which a restart must
+        /// reproduce.
+        fn layout(s: &DistributedStore) -> [usize; 6] {
+            let g = s.group_stats();
+            [
+                g.groups,
+                g.sealed_groups,
+                g.grouped_objects,
+                g.open_bytes,
+                g.live_bytes,
+                g.packed_bytes,
+            ]
+        }
+
+        /// A crash at the first append after a whole overwrite of a grouped
+        /// object missed its quorum. Were the store's record logged before
+        /// its install and withdrawn after the miss, a crash that took the
+        /// withdrawal would have replay redo the store: the grouped copy
+        /// tombstoned, and the object naming three whole frames.
+        #[test]
+        fn a_crash_after_a_failed_whole_overwrite_keeps_the_grouped_copy() {
+            let config = GroupConfig {
+                threshold: 64,
+                capacity: 256,
+                ..GroupConfig::disabled()
+            }
+            .logged();
+            let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(6, 4).unwrap());
+            for sealed in [true, false] {
+                for records_before_crash in [3, 2] {
+                    let case = format!("sealed: {sealed}, fuse: {records_before_crash}");
+                    let fuse = CrashFuse {
+                        records_before_crash,
+                        torn_bytes: 0,
+                    };
+                    let log = Box::new(MemLog::with_fuse(fuse));
+                    let mut s = DistributedStore::with_wal(code.clone(), config, log);
+                    s.store("obj", &[7u8; 10]).unwrap();
+                    if sealed {
+                        s.flush().unwrap();
+                    }
+                    s.set_transport(outage());
+                    assert!(s.store("obj", &[8u8; 100]).is_err(), "{case}");
+                    let live = layout(&s);
+                    let (nodes, wal) = s.crash();
+                    let (mut rec, _) =
+                        DistributedStore::recover(code.clone(), config, nodes, wal.unwrap())
+                            .unwrap();
+                    let (out, _) = rec.retrieve("obj", SelectionPolicy::FirstK).unwrap();
+                    assert_eq!(out, [7u8; 10], "{case}");
+                    assert_eq!(layout(&rec), live, "{case}");
+                }
             }
         }
 

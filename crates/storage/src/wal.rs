@@ -17,9 +17,10 @@
 //! frame   := [payload_len: u32 LE] [crc32(payload_len bytes): u32 LE]
 //!            [crc32(payload): u32 LE] [payload]
 //! payload := tag: u8 ++ fields
-//!   tag 1  StoreWhole   { object: str }                  — metadata only;
-//!                                                          the bytes are on
-//!                                                          the nodes
+//!   tag 1  StoreWhole   { object: str }                  — metadata only,
+//!                                                          logged *after*
+//!                                                          the symbols are
+//!                                                          installed
 //!   tag 2  StoreGrouped { object: str, group: u64,
 //!                         bytes }                        — carries the data:
 //!                                                          it exists nowhere
@@ -42,9 +43,10 @@
 //!                                                          replay restores it
 //!                                                          and continues with
 //!                                                          the suffix
-//!   tag 9  AbortWhole   { object: str }                  — the `StoreWhole`
-//!                                                          before it missed
-//!                                                          its quorum
+//!   tag 9  AbortWhole   { object: str }                  — no longer
+//!                                                          written; replay
+//!                                                          treats it as a
+//!                                                          no-op
 //! str   := [len: u32 LE] ++ utf-8 bytes
 //! bytes := [len: u32 LE] ++ raw bytes
 //! ```
@@ -137,8 +139,9 @@ use rain_sim::SimDuration;
 pub enum WalError {
     /// The backend rejected the operation.
     Backend(String),
-    /// The simulated coordinator crashed at this append (see [`CrashFuse`]).
-    /// The frame may have been partially written — a torn tail.
+    /// The simulated coordinator crashed at this append (see [`CrashFuse`]),
+    /// or a failed append could not be cut back out: the frame may be in the
+    /// log, torn or whole, and only recovery can tell.
     Crashed,
     /// A frame inside the log (not at its tail) failed its checksum or did
     /// not decode: the log is damaged beyond the torn-tail case that replay
@@ -482,9 +485,9 @@ fn span(c: &mut FieldReader<'_>) -> Option<ObjSpan> {
 /// One logged mutation. See the module docs for the byte format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// An individually erasure-coded object was (over)written. The bytes are
-    /// durable on the nodes the moment the store call returns, so the record
-    /// carries only the name; replay uses the surviving node symbols.
+    /// An individually erasure-coded object was (over)written. Logged once
+    /// the install reached its quorum: the bytes are on the nodes, so the
+    /// record carries only the name; replay uses the surviving node symbols.
     StoreWhole {
         /// Object id.
         object: String,
@@ -557,11 +560,14 @@ pub enum WalRecord {
         /// trust this one. Always `true` for records this process built.
         state_crc_ok: bool,
     },
-    /// The whole store of `object` logged just before (checkpoints aside)
-    /// missed its write quorum, so the store failed and left the object
-    /// table as it was. Replay skips that `StoreWhole` record: redoing it
-    /// would tombstone a grouped predecessor the live run kept. Logged
-    /// after the failed install.
+    /// Withdrew the whole store of `object` logged just before it
+    /// (checkpoints aside), whose install then missed its write quorum.
+    /// No longer written: a `StoreWhole` record is appended only once its
+    /// install reached its quorum, so a failed store logs nothing. The tag
+    /// still decodes, and replay treats it as a no-op. The trade: a log
+    /// written while this record was in use, whose un-checkpointed suffix
+    /// holds a withdrawn `StoreWhole`, replays that store, as every log
+    /// written before the record existed did.
     AbortWhole {
         /// Object id.
         object: String,
@@ -1383,13 +1389,14 @@ impl<R: LogRecord> RecordLog<R> {
             // The writer is dead; the torn tail is the durable truth and
             // recovery is the one who cuts it.
             Err(WalError::Crashed) => return Err(WalError::Crashed),
-            // A *living* writer whose append failed (e.g. a full disk on a
-            // file backend) may have left a partial frame; cut back to the
-            // last good boundary so later appends stay replayable, and
-            // poison the handle if even that fails.
+            // A *living* writer whose append failed (a full disk, a failed
+            // fsync) may have left the frame in the log; cut back to the last
+            // good boundary so later appends stay replayable. If even that
+            // fails, poison the handle: the frame may be durable, as after a crash.
             Err(e) => {
                 if self.backend.truncate(self.bytes_appended as usize).is_err() {
                     self.poisoned = true;
+                    return Err(WalError::Crashed);
                 }
                 return Err(e);
             }
